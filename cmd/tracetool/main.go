@@ -1,6 +1,6 @@
 // Command tracetool analyzes JSONL traces produced by the -trace flag of
-// cmd/experiments and cmd/campaign (schema: docs/OBSERVABILITY.md), via the
-// streaming engine in internal/obs/analyze.
+// cmd/experiments and cmd/campaign (schema: docs/OBSERVABILITY.md), via
+// the one-pass engine in internal/obs/analyze.
 //
 // Usage:
 //
@@ -9,19 +9,31 @@
 //	tracetool series [-json] [-window DUR] FILE...
 //	tracetool summary [-json] FILE...
 //	tracetool export [-format chrome] [-o FILE] FILE
-//	tracetool fleet [-json] [-max N] [-export chrome] [-o FILE] FILE...
-//	tracetool slo [-json] [-max N] [-export chrome] [-o FILE] FILE...
 //
-// lint checks every line against the trace contract — strict schema decode,
-// per-(run, node) timestamp ordering, episode well-formedness, and
-// retrieval causality — printing one "file:line: kind: message" finding per
-// violation and exiting nonzero if any trace is dirty.
+// A trace may mix three event families: packets (simulation and relay
+// traffic), fleet (the fleet-trace-v1 lease lifecycle a sharded sweep
+// emits) and slo (the slo-trace-v1 alert transitions of the streaming SLO
+// engine). lint, episodes and export detect them and print the section of
+// every family present in the file — the packet section when none is. lint
+// and episodes exit 1 when any family's lint is dirty, so CI can gate on
+// clean traces.
 //
-// episodes reconstructs every secondary visit (recovery and keepalive) with
-// its Table 3 delay decomposition: detect (trigger loss → switch), switch
-// (link-switch cost), retrieve (switch completion → first retrieval), and
-// total (switch initiation → first retrieval, the client.recovery_delay_us
-// observation).
+// lint checks every line against the trace contract — strict schema
+// decode, per-stream timestamp ordering, and each family's state machine:
+// packet episode well-formedness and retrieval causality, the
+// coordinator's lease lifecycle (a complete after expire — a merged stale
+// report — is a violation), and the alert lifecycle (sequences strictly
+// increase, one open episode per rule) — printing one "file:line: kind:
+// message" finding per violation.
+//
+// episodes reconstructs each family's episodes. Packets: every secondary
+// visit (recovery and keepalive) with its Table 3 delay decomposition —
+// detect (trigger loss → switch), switch (link-switch cost), retrieve
+// (switch completion → first retrieval), and total (switch initiation →
+// first retrieval, the client.recovery_delay_us observation). Fleet:
+// per-worker timelines, per-lease episodes and expire→re-lease recovery
+// accounting. SLO: per-rule totals and every pending→firing→resolved
+// episode. -json prints one document per family.
 //
 // series buckets event counts into fixed windows of simulated time — the
 // trace-derived counterpart of the -series flag's metric timeline.
@@ -31,30 +43,13 @@
 //
 // export converts a trace into another tool's format. The only format so
 // far is chrome: Chrome trace-event JSON loadable in chrome://tracing or
-// https://ui.perfetto.dev, with one track per (run, node) and each
-// recovery episode rendered as a span plus its detect/switch/retrieve
-// phase slices.
+// https://ui.perfetto.dev, with one process per run. Packet nodes get a
+// track each, with every recovery episode rendered as a span plus its
+// detect/switch/retrieve phase slices; each worker gets a lane of lease
+// spans; each SLO rule a lane of episode spans and firing arcs.
 //
-// fleet analyzes the fleet-trace-v1 lease lifecycle a sharded sweep emits
-// (spec-fetch, lease-grant, heartbeat, expire, re-lease, complete,
-// reject-stale): per-worker timelines, per-lease episodes, expire→re-lease
-// recovery accounting, and a causality lint over the coordinator's lease
-// state machine (a complete after expire — a merged stale report — is a
-// violation). Each FILE is analyzed independently, because traces from
-// different processes have different wall-clock epochs. -export chrome
-// renders per-worker lanes with lease spans for chrome://tracing /
-// Perfetto; violations exit nonzero so CI can gate on clean fleet traces.
-//
-// slo analyzes the slo-trace-v1 alert transitions the streaming SLO engine
-// (-slo RULES.yaml, internal/obs/slo) emits under its "slo/<hash8>" run
-// label: per-rule episode accounting, every pending→firing→resolved
-// episode's timeline, and a lint over the alert state machine (sequences
-// strictly increase, one open episode per rule, firing and resolved only
-// against the open episode). -export chrome renders one lane per rule with
-// episode spans and firing arcs.
-//
-// FILE may be "-" for stdin. All subcommands accept -json for
-// machine-readable output.
+// Each FILE is analyzed independently — traces from different processes
+// have different wall-clock epochs — and may be "-" for stdin.
 package main
 
 import (
@@ -79,10 +74,10 @@ func usage(w io.Writer) {
   tracetool series [-json] [-window DUR] FILE...
   tracetool summary [-json] FILE...
   tracetool export [-format chrome] [-o FILE] FILE
-  tracetool fleet [-json] [-max N] [-export chrome] [-o FILE] FILE...
-  tracetool slo [-json] [-max N] [-export chrome] [-o FILE] FILE...
 
-FILE may be "-" for stdin. See docs/OBSERVABILITY.md for the trace schema.
+lint, episodes and export cover every event family in the file (packets,
+fleet, slo). FILE may be "-" for stdin. See docs/OBSERVABILITY.md for the
+trace schema.
 `)
 }
 
@@ -105,10 +100,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return cmdSummary(rest, stdin, stdout, stderr)
 	case "export":
 		return cmdExport(rest, stdin, stdout, stderr)
-	case "fleet":
-		return cmdFleet(rest, stdin, stdout, stderr)
-	case "slo":
-		return cmdSLO(rest, stdin, stdout, stderr)
 	case "help", "-h", "-help", "--help":
 		usage(stdout)
 		return 0
@@ -120,7 +111,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 }
 
 // analyzeFile runs one analysis pass over path ("-" = stdin).
-func analyzeFile(path string, stdin io.Reader, opts analyze.Options) (*analyze.Report, error) {
+func analyzeFile(path string, stdin io.Reader, opts analyze.Options) (*analyze.Result, error) {
 	r := stdin
 	if path != "-" {
 		f, err := os.Open(path)
@@ -133,19 +124,25 @@ func analyzeFile(path string, stdin io.Reader, opts analyze.Options) (*analyze.R
 	return analyze.Analyze(r, opts)
 }
 
-// forEachFile analyzes every path, invoking fn per report. Open/read errors
+// forEachFile analyzes every path, invoking fn per result. Open/read errors
 // are printed and turn the exit code nonzero without stopping the walk.
-func forEachFile(paths []string, stdin io.Reader, stderr io.Writer,
-	opts analyze.Options, fn func(path string, rep *analyze.Report)) int {
+// With gate set, so does a dirty lint: violations are findings, not tool
+// errors, but the exit code must reflect them so CI can gate on a clean
+// corpus.
+func forEachFile(paths []string, stdin io.Reader, stderr io.Writer, opts analyze.Options,
+	gate bool, fn func(path string, res *analyze.Result)) int {
 	code := 0
 	for _, path := range paths {
-		rep, err := analyzeFile(path, stdin, opts)
+		res, err := analyzeFile(path, stdin, opts)
 		if err != nil {
 			fmt.Fprintln(stderr, "tracetool:", err)
 			code = 1
 			continue
 		}
-		fn(path, rep)
+		fn(path, res)
+		if gate && !res.Report.Clean() {
+			code = 1
+		}
 	}
 	return code
 }
@@ -161,32 +158,25 @@ func cmdLint(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		usage(stderr)
 		return 2
 	}
-	dirty := false
-	code := forEachFile(fs.Args(), stdin, stderr, analyze.Options{MaxViolations: *maxV},
-		func(path string, rep *analyze.Report) {
+	return forEachFile(fs.Args(), stdin, stderr, analyze.Options{MaxViolations: *maxV}, true,
+		func(path string, res *analyze.Result) {
+			rep := res.Report
 			for _, v := range rep.Violations {
 				fmt.Fprintf(stdout, "%s:%d: %s: %s\n", path, v.Line, v.Kind, v.Msg)
 			}
 			if rep.Clean() {
 				fmt.Fprintf(stdout, "%s: %d events, clean\n", path, rep.Events)
 			} else {
-				dirty = true
 				fmt.Fprintf(stdout, "%s: %d events, %d violations (%d shown)\n",
 					path, rep.Events, rep.TotalViolations, len(rep.Violations))
 			}
 		})
-	// Violations are findings, not tool errors, but the exit code must
-	// reflect them so CI can gate on a clean corpus.
-	if code == 0 && dirty {
-		code = 1
-	}
-	return code
 }
 
 func cmdEpisodes(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("episodes", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	asJSON := fs.Bool("json", false, "emit JSON instead of a text table")
+	asJSON := fs.Bool("json", false, "emit one JSON document per family instead of text")
 	if fs.Parse(args) != nil {
 		return 2
 	}
@@ -194,37 +184,152 @@ func cmdEpisodes(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		usage(stderr)
 		return 2
 	}
-	return forEachFile(fs.Args(), stdin, stderr, analyze.Options{KeepEpisodes: true},
-		func(path string, rep *analyze.Report) {
-			if *asJSON {
-				writeJSON(stdout, struct {
-					File          string             `json:"file"`
-					Recoveries    int64              `json:"recoveries"`
-					Keepalives    int64              `json:"keepalives"`
-					Unclosed      int64              `json:"unclosed"`
-					Retrieved     int64              `json:"retrieved"`
-					RecoveryDelay analyze.DelayStats `json:"recovery_delay"`
-					DetectDelay   analyze.DelayStats `json:"detect_delay"`
-					Episodes      []analyze.Episode  `json:"episodes"`
-				}{path, rep.Recoveries, rep.Keepalives, rep.Unclosed, rep.Retrieved,
-					rep.RecoveryDelay, rep.DetectDelay, rep.Episodes})
-				return
+	return forEachFile(fs.Args(), stdin, stderr, analyze.Options{KeepEpisodes: true}, true,
+		func(path string, res *analyze.Result) {
+			for _, fam := range res.Families() {
+				switch fam {
+				case analyze.FamilyPackets:
+					printEpisodes(stdout, path, res.Report, *asJSON)
+				case analyze.FamilyFleet:
+					printFleet(stdout, path, res.Fleet, *asJSON)
+				case analyze.FamilySLO:
+					printSLO(stdout, path, res.SLO, *asJSON)
+				}
 			}
-			tbl := stats.NewTable("episodes: "+path,
-				"run", "kind", "line", "start_us", "end_us", "trigger",
-				"detect_us", "switch_us", "retrieve_us", "total_us", "retrieved")
-			for _, e := range rep.Episodes {
-				tbl.AddRow(e.Run, e.Kind, fmt.Sprint(e.Line), fmt.Sprint(e.StartUS),
-					orDash(e.EndUS), orDash(int64(e.TriggerSeq)), orDash(e.DetectUS),
-					fmt.Sprint(e.SwitchUS), orDash(e.RetrieveUS), orDash(e.TotalUS),
-					fmt.Sprint(e.Retrieved))
-			}
-			fmt.Fprint(stdout, tbl.String())
-			fmt.Fprintf(stdout, "recoveries %d, keepalives %d, unclosed %d, retrieved %d\n",
-				rep.Recoveries, rep.Keepalives, rep.Unclosed, rep.Retrieved)
-			fmt.Fprintf(stdout, "recovery total_us: %s\n", delayLine(rep.RecoveryDelay))
-			fmt.Fprintf(stdout, "detect_us:         %s\n", delayLine(rep.DetectDelay))
 		})
+}
+
+// printEpisodes renders the packet family's secondary visits.
+func printEpisodes(stdout io.Writer, path string, rep *analyze.Report, asJSON bool) {
+	if asJSON {
+		writeJSON(stdout, struct {
+			File          string             `json:"file"`
+			Recoveries    int64              `json:"recoveries"`
+			Keepalives    int64              `json:"keepalives"`
+			Unclosed      int64              `json:"unclosed"`
+			Retrieved     int64              `json:"retrieved"`
+			RecoveryDelay analyze.DelayStats `json:"recovery_delay"`
+			DetectDelay   analyze.DelayStats `json:"detect_delay"`
+			Episodes      []analyze.Episode  `json:"episodes"`
+		}{path, rep.Recoveries, rep.Keepalives, rep.Unclosed, rep.Retrieved,
+			rep.RecoveryDelay, rep.DetectDelay, rep.Episodes})
+		return
+	}
+	tbl := stats.NewTable("episodes: "+path,
+		"run", "kind", "line", "start_us", "end_us", "trigger",
+		"detect_us", "switch_us", "retrieve_us", "total_us", "retrieved")
+	for _, e := range rep.Episodes {
+		tbl.AddRow(e.Run, e.Kind, fmt.Sprint(e.Line), fmt.Sprint(e.StartUS),
+			orDash(e.EndUS), orDash(int64(e.TriggerSeq)), orDash(e.DetectUS),
+			fmt.Sprint(e.SwitchUS), orDash(e.RetrieveUS), orDash(e.TotalUS),
+			fmt.Sprint(e.Retrieved))
+	}
+	fmt.Fprint(stdout, tbl.String())
+	fmt.Fprintf(stdout, "recoveries %d, keepalives %d, unclosed %d, retrieved %d\n",
+		rep.Recoveries, rep.Keepalives, rep.Unclosed, rep.Retrieved)
+	fmt.Fprintf(stdout, "recovery total_us: %s\n", delayLine(rep.RecoveryDelay))
+	fmt.Fprintf(stdout, "detect_us:         %s\n", delayLine(rep.DetectDelay))
+	if !rep.Clean() {
+		fmt.Fprintln(stdout, lintStatus(path, rep))
+	}
+}
+
+// printFleet renders the fleet family's lanes, leases and lint.
+func printFleet(stdout io.Writer, path string, rep *analyze.FleetReport, asJSON bool) {
+	if asJSON {
+		writeJSON(stdout, struct {
+			File string `json:"file"`
+			*analyze.FleetReport
+		}{path, rep})
+		return
+	}
+	for _, v := range rep.Violations {
+		fmt.Fprintf(stdout, "%s:%d: %s: %s\n", path, v.Line, v.Kind, v.Msg)
+	}
+	fmt.Fprintf(stdout, "%s: %d events (%d fleet, %d skipped)", path, rep.Events, rep.FleetEvents, rep.Skipped)
+	if len(rep.Runs) > 0 {
+		fmt.Fprintf(stdout, ", runs %v", rep.Runs)
+	}
+	fmt.Fprintln(stdout)
+
+	lanes := stats.NewTable("worker lanes", "node", "events", "first_us", "last_us")
+	for _, node := range sortedKeys(rep.Lanes) {
+		l := rep.Lanes[node]
+		lanes.AddRow(node, fmt.Sprint(l.Events), fmt.Sprint(l.FirstUS), fmt.Sprint(l.LastUS))
+	}
+	fmt.Fprint(stdout, lanes.String())
+
+	leases := stats.NewTable("leases",
+		"lease", "worker", "span", "grant_us", "end_us", "ttl_us", "hb", "outcome", "re-leased")
+	for _, e := range rep.Leases {
+		outcome := e.Outcome
+		if e.Reason != "" {
+			outcome += " (" + e.Reason + ")"
+		}
+		if e.ReLease {
+			outcome += " [re-lease]"
+		}
+		releasedTag := ""
+		if e.ReLeased {
+			releasedTag = "yes"
+		}
+		leases.AddRow(e.ID, e.Worker, fmt.Sprintf("%d:%d", e.From, e.To),
+			fmt.Sprint(e.GrantUS), orDash(e.EndUS), fmt.Sprint(e.TTLUS),
+			fmt.Sprint(e.Heartbeats), outcome, releasedTag)
+	}
+	fmt.Fprint(stdout, leases.String())
+
+	fmt.Fprintf(stdout, "grants %d (%d re-lease), completed %d, expired %d, stale rejects %d, heartbeats %d\n",
+		rep.Grants, rep.ReLeases, rep.Completed, rep.Expired, rep.StaleRejects, rep.Heartbeats)
+	fmt.Fprintf(stdout, "expire->re-lease episodes: %d\n", rep.ExpireReLeaseEpisodes)
+	if rep.Clean() {
+		fmt.Fprintln(stdout, "fleet lint: clean")
+	} else {
+		fmt.Fprintf(stdout, "fleet lint: %d violations (%d shown)\n",
+			rep.TotalViolations, len(rep.Violations))
+	}
+}
+
+// printSLO renders the slo family's rules, episodes and lint.
+func printSLO(stdout io.Writer, path string, rep *analyze.SLOReport, asJSON bool) {
+	if asJSON {
+		writeJSON(stdout, struct {
+			File string `json:"file"`
+			*analyze.SLOReport
+		}{path, rep})
+		return
+	}
+	for _, v := range rep.Violations {
+		fmt.Fprintf(stdout, "%s:%d: %s: %s\n", path, v.Line, v.Kind, v.Msg)
+	}
+	fmt.Fprintf(stdout, "%s: %d events (%d slo, %d skipped)", path, rep.Events, rep.SLOEvents, rep.Skipped)
+	if len(rep.Runs) > 0 {
+		fmt.Fprintf(stdout, ", runs %v", rep.Runs)
+	}
+	fmt.Fprintln(stdout)
+
+	rules := stats.NewTable("rules", "rule", "episodes", "fired", "resolved", "open", "firing_us")
+	for _, name := range sortedKeys(rep.Rules) {
+		st := rep.Rules[name]
+		rules.AddRow(name, fmt.Sprint(st.Episodes), fmt.Sprint(st.Fired),
+			fmt.Sprint(st.Resolved), fmt.Sprint(st.Open), fmt.Sprint(st.FiringUS))
+	}
+	fmt.Fprint(stdout, rules.String())
+
+	eps := stats.NewTable("episodes",
+		"rule", "seq", "pending_us", "firing_us", "resolved_us", "outcome", "value", "bound")
+	for _, e := range rep.Episodes {
+		eps.AddRow(e.Rule, fmt.Sprint(e.Seq), fmt.Sprint(e.PendingUS),
+			orDash(e.FiringUS), orDash(e.ResolvedUS), e.Outcome, e.Value, e.Bound)
+	}
+	fmt.Fprint(stdout, eps.String())
+
+	if rep.Clean() {
+		fmt.Fprintln(stdout, "slo lint: clean")
+	} else {
+		fmt.Fprintf(stdout, "slo lint: %d violations (%d shown)\n",
+			rep.TotalViolations, len(rep.Violations))
+	}
 }
 
 func cmdSeries(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
@@ -240,8 +345,9 @@ func cmdSeries(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return 2
 	}
 	windowUS := window.Microseconds()
-	return forEachFile(fs.Args(), stdin, stderr, analyze.Options{WindowUS: windowUS},
-		func(path string, rep *analyze.Report) {
+	return forEachFile(fs.Args(), stdin, stderr, analyze.Options{WindowUS: windowUS}, false,
+		func(path string, res *analyze.Result) {
+			rep := res.Report
 			if *asJSON {
 				writeJSON(stdout, struct {
 					File     string               `json:"file"`
@@ -257,11 +363,7 @@ func cmdSeries(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 					keySet[k] = true
 				}
 			}
-			keys := make([]string, 0, len(keySet))
-			for k := range keySet {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
+			keys := sortedKeys(keySet)
 			tbl := stats.NewTable(fmt.Sprintf("series: %s (window %v)", path, *window),
 				append([]string{"start_us", "end_us"}, keys...)...)
 			for _, p := range rep.Points {
@@ -290,8 +392,9 @@ func cmdSummary(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		usage(stderr)
 		return 2
 	}
-	return forEachFile(fs.Args(), stdin, stderr, analyze.Options{},
-		func(path string, rep *analyze.Report) {
+	return forEachFile(fs.Args(), stdin, stderr, analyze.Options{}, false,
+		func(path string, res *analyze.Result) {
+			rep := res.Report
 			if *asJSON {
 				writeJSON(stdout, struct {
 					File string `json:"file"`
@@ -326,12 +429,7 @@ func cmdSummary(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "episodes: %d recoveries, %d keepalives, %d unclosed; %d retrieved, %d playout misses\n",
 				rep.Recoveries, rep.Keepalives, rep.Unclosed, rep.Retrieved, rep.PlayoutMisses)
 			fmt.Fprintf(stdout, "recovery total_us: %s\n", delayLine(rep.RecoveryDelay))
-			if rep.Clean() {
-				fmt.Fprintln(stdout, "lint: clean")
-			} else {
-				fmt.Fprintf(stdout, "lint: %d violations (run `tracetool lint %s`)\n",
-					rep.TotalViolations, path)
-			}
+			fmt.Fprintln(stdout, lintStatus(path, rep))
 		})
 }
 
@@ -388,307 +486,12 @@ func cmdExport(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	return 0
 }
 
-func cmdFleet(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("fleet", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	asJSON := fs.Bool("json", false, "emit the full fleet report as JSON")
-	maxV := fs.Int("max", 0, "max violations to print per file (0 = default 100, negative = all)")
-	export := fs.String("export", "", "export format instead of a report (chrome)")
-	outPath := fs.String("o", "", "write the export to this file instead of stdout")
-	if fs.Parse(args) != nil {
-		return 2
-	}
-	if fs.NArg() < 1 {
-		usage(stderr)
-		return 2
-	}
-	if *export != "" {
-		if *export != "chrome" {
-			fmt.Fprintf(stderr, "tracetool: unknown fleet export format %q (supported: chrome)\n", *export)
-			return 2
-		}
-		if fs.NArg() != 1 {
-			fmt.Fprintln(stderr, "tracetool: fleet -export takes exactly one FILE")
-			return 2
-		}
-		return fleetExport(fs.Arg(0), *outPath, stdin, stdout, stderr)
-	}
-	// Each file is analyzed independently: traces from different processes
-	// (coordinator, each worker) have different wall-clock epochs, so their
-	// timestamps must never be compared.
-	code := 0
-	dirty := false
-	for _, path := range fs.Args() {
-		in := stdin
-		if path != "-" {
-			f, err := os.Open(path)
-			if err != nil {
-				fmt.Fprintln(stderr, "tracetool:", err)
-				code = 1
-				continue
-			}
-			rep, rerr := analyze.AnalyzeFleet(f, *maxV)
-			f.Close()
-			if rerr != nil {
-				fmt.Fprintln(stderr, "tracetool:", rerr)
-				code = 1
-				continue
-			}
-			if !printFleet(stdout, path, rep, *asJSON) {
-				dirty = true
-			}
-			continue
-		}
-		rep, rerr := analyze.AnalyzeFleet(in, *maxV)
-		if rerr != nil {
-			fmt.Fprintln(stderr, "tracetool:", rerr)
-			code = 1
-			continue
-		}
-		if !printFleet(stdout, path, rep, *asJSON) {
-			dirty = true
-		}
-	}
-	if code == 0 && dirty {
-		code = 1
-	}
-	return code
-}
-
-// printFleet renders one file's fleet report, returning rep.Clean().
-func printFleet(stdout io.Writer, path string, rep *analyze.FleetReport, asJSON bool) bool {
-	if asJSON {
-		writeJSON(stdout, struct {
-			File string `json:"file"`
-			*analyze.FleetReport
-		}{path, rep})
-		return rep.Clean()
-	}
-	for _, v := range rep.Violations {
-		fmt.Fprintf(stdout, "%s:%d: %s: %s\n", path, v.Line, v.Kind, v.Msg)
-	}
-	fmt.Fprintf(stdout, "%s: %d events (%d fleet, %d skipped)", path, rep.Events, rep.FleetEvents, rep.Skipped)
-	if len(rep.Runs) > 0 {
-		fmt.Fprintf(stdout, ", runs %v", rep.Runs)
-	}
-	fmt.Fprintln(stdout)
-
-	lanes := stats.NewTable("worker lanes", "node", "events", "first_us", "last_us")
-	for _, node := range sortedKeys(rep.Lanes) {
-		l := rep.Lanes[node]
-		lanes.AddRow(node, fmt.Sprint(l.Events), fmt.Sprint(l.FirstUS), fmt.Sprint(l.LastUS))
-	}
-	fmt.Fprint(stdout, lanes.String())
-
-	leases := stats.NewTable("leases",
-		"lease", "worker", "span", "grant_us", "end_us", "ttl_us", "hb", "outcome", "re-leased")
-	for _, e := range rep.Leases {
-		outcome := e.Outcome
-		if e.Reason != "" {
-			outcome += " (" + e.Reason + ")"
-		}
-		if e.ReLease {
-			outcome += " [re-lease]"
-		}
-		releasedTag := ""
-		if e.ReLeased {
-			releasedTag = "yes"
-		}
-		leases.AddRow(e.ID, e.Worker, fmt.Sprintf("%d:%d", e.From, e.To),
-			fmt.Sprint(e.GrantUS), orDash(e.EndUS), fmt.Sprint(e.TTLUS),
-			fmt.Sprint(e.Heartbeats), outcome, releasedTag)
-	}
-	fmt.Fprint(stdout, leases.String())
-
-	fmt.Fprintf(stdout, "grants %d (%d re-lease), completed %d, expired %d, stale rejects %d, heartbeats %d\n",
-		rep.Grants, rep.ReLeases, rep.Completed, rep.Expired, rep.StaleRejects, rep.Heartbeats)
-	fmt.Fprintf(stdout, "expire->re-lease episodes: %d\n", rep.ExpireReLeaseEpisodes)
+// lintStatus is the one-line lint verdict of the whole trace.
+func lintStatus(path string, rep *analyze.Report) string {
 	if rep.Clean() {
-		fmt.Fprintln(stdout, "fleet lint: clean")
-	} else {
-		fmt.Fprintf(stdout, "fleet lint: %d violations (%d shown)\n",
-			rep.TotalViolations, len(rep.Violations))
+		return "lint: clean"
 	}
-	return rep.Clean()
-}
-
-// fleetExport renders one fleet trace as Chrome trace-event JSON.
-func fleetExport(path, outPath string, stdin io.Reader, stdout, stderr io.Writer) int {
-	in := stdin
-	if path != "-" {
-		f, err := os.Open(path)
-		if err != nil {
-			fmt.Fprintln(stderr, "tracetool:", err)
-			return 1
-		}
-		defer f.Close()
-		in = f
-	}
-	out := stdout
-	var outFile *os.File
-	if outPath != "" {
-		f, err := os.Create(outPath)
-		if err != nil {
-			fmt.Fprintln(stderr, "tracetool:", err)
-			return 1
-		}
-		outFile = f
-		out = f
-	}
-	if err := analyze.FleetChromeTrace(in, out); err != nil {
-		fmt.Fprintln(stderr, "tracetool:", err)
-		if outFile != nil {
-			outFile.Close()
-		}
-		return 1
-	}
-	if outFile != nil {
-		if err := outFile.Close(); err != nil {
-			fmt.Fprintln(stderr, "tracetool:", err)
-			return 1
-		}
-	}
-	return 0
-}
-
-func cmdSLO(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("slo", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	asJSON := fs.Bool("json", false, "emit the full SLO report as JSON")
-	maxV := fs.Int("max", 0, "max violations to print per file (0 = default 100, negative = all)")
-	export := fs.String("export", "", "export format instead of a report (chrome)")
-	outPath := fs.String("o", "", "write the export to this file instead of stdout")
-	if fs.Parse(args) != nil {
-		return 2
-	}
-	if fs.NArg() < 1 {
-		usage(stderr)
-		return 2
-	}
-	if *export != "" {
-		if *export != "chrome" {
-			fmt.Fprintf(stderr, "tracetool: unknown slo export format %q (supported: chrome)\n", *export)
-			return 2
-		}
-		if fs.NArg() != 1 {
-			fmt.Fprintln(stderr, "tracetool: slo -export takes exactly one FILE")
-			return 2
-		}
-		return sloExport(fs.Arg(0), *outPath, stdin, stdout, stderr)
-	}
-	code := 0
-	dirty := false
-	for _, path := range fs.Args() {
-		in := stdin
-		var f *os.File
-		if path != "-" {
-			var err error
-			if f, err = os.Open(path); err != nil {
-				fmt.Fprintln(stderr, "tracetool:", err)
-				code = 1
-				continue
-			}
-			in = f
-		}
-		rep, rerr := analyze.AnalyzeSLO(in, *maxV)
-		if f != nil {
-			f.Close()
-		}
-		if rerr != nil {
-			fmt.Fprintln(stderr, "tracetool:", rerr)
-			code = 1
-			continue
-		}
-		if !printSLO(stdout, path, rep, *asJSON) {
-			dirty = true
-		}
-	}
-	if code == 0 && dirty {
-		code = 1
-	}
-	return code
-}
-
-// printSLO renders one file's SLO report, returning rep.Clean().
-func printSLO(stdout io.Writer, path string, rep *analyze.SLOReport, asJSON bool) bool {
-	if asJSON {
-		writeJSON(stdout, struct {
-			File string `json:"file"`
-			*analyze.SLOReport
-		}{path, rep})
-		return rep.Clean()
-	}
-	for _, v := range rep.Violations {
-		fmt.Fprintf(stdout, "%s:%d: %s: %s\n", path, v.Line, v.Kind, v.Msg)
-	}
-	fmt.Fprintf(stdout, "%s: %d events (%d slo, %d skipped)", path, rep.Events, rep.SLOEvents, rep.Skipped)
-	if len(rep.Runs) > 0 {
-		fmt.Fprintf(stdout, ", runs %v", rep.Runs)
-	}
-	fmt.Fprintln(stdout)
-
-	rules := stats.NewTable("rules", "rule", "episodes", "fired", "resolved", "open", "firing_us")
-	for _, name := range sortedKeys(rep.Rules) {
-		st := rep.Rules[name]
-		rules.AddRow(name, fmt.Sprint(st.Episodes), fmt.Sprint(st.Fired),
-			fmt.Sprint(st.Resolved), fmt.Sprint(st.Open), fmt.Sprint(st.FiringUS))
-	}
-	fmt.Fprint(stdout, rules.String())
-
-	eps := stats.NewTable("episodes",
-		"rule", "seq", "pending_us", "firing_us", "resolved_us", "outcome", "value", "bound")
-	for _, e := range rep.Episodes {
-		eps.AddRow(e.Rule, fmt.Sprint(e.Seq), fmt.Sprint(e.PendingUS),
-			orDash(e.FiringUS), orDash(e.ResolvedUS), e.Outcome, e.Value, e.Bound)
-	}
-	fmt.Fprint(stdout, eps.String())
-
-	if rep.Clean() {
-		fmt.Fprintln(stdout, "slo lint: clean")
-	} else {
-		fmt.Fprintf(stdout, "slo lint: %d violations (%d shown)\n",
-			rep.TotalViolations, len(rep.Violations))
-	}
-	return rep.Clean()
-}
-
-// sloExport renders one trace's slo-* events as Chrome trace-event JSON.
-func sloExport(path, outPath string, stdin io.Reader, stdout, stderr io.Writer) int {
-	in := stdin
-	if path != "-" {
-		f, err := os.Open(path)
-		if err != nil {
-			fmt.Fprintln(stderr, "tracetool:", err)
-			return 1
-		}
-		defer f.Close()
-		in = f
-	}
-	out := stdout
-	var outFile *os.File
-	if outPath != "" {
-		f, err := os.Create(outPath)
-		if err != nil {
-			fmt.Fprintln(stderr, "tracetool:", err)
-			return 1
-		}
-		outFile = f
-		out = f
-	}
-	if err := analyze.SLOChromeTrace(in, out); err != nil {
-		fmt.Fprintln(stderr, "tracetool:", err)
-		if outFile != nil {
-			outFile.Close()
-		}
-		return 1
-	}
-	if outFile != nil {
-		if err := outFile.Close(); err != nil {
-			fmt.Fprintln(stderr, "tracetool:", err)
-			return 1
-		}
-	}
-	return 0
+	return fmt.Sprintf("lint: %d violations (run `tracetool lint %s`)", rep.TotalViolations, path)
 }
 
 // orDash renders v, with the analyzer's -1 "not determined" sentinel as "-".

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/obs/analyze"
 )
 
@@ -52,14 +54,14 @@ func TestGoldenOutputs(t *testing.T) {
 		{"lint.txt", []string{"lint", sample, dirty}, 1},
 		{"chrome.json", []string{"export", "-format", "chrome", sample}, 0},
 		{"chrome-head-drop.json", []string{"export", simtrace}, 0},
-		{"fleet.txt", []string{"fleet", fleet}, 0},
-		{"fleet.json", []string{"fleet", "-json", fleet}, 0},
-		{"fleet-dirty.txt", []string{"fleet", fleet, fleetDirty}, 1},
-		{"fleet-chrome.json", []string{"fleet", "-export", "chrome", fleet}, 0},
-		{"slo.txt", []string{"slo", sloTrace}, 0},
-		{"slo.json", []string{"slo", "-json", sloTrace}, 0},
-		{"slo-dirty.txt", []string{"slo", sloTrace, sloDirty}, 1},
-		{"slo-chrome.json", []string{"slo", "-export", "chrome", sloTrace}, 0},
+		{"fleet.txt", []string{"episodes", fleet}, 0},
+		{"fleet.json", []string{"episodes", "-json", fleet}, 0},
+		{"fleet-dirty.txt", []string{"episodes", fleet, fleetDirty}, 1},
+		{"fleet-chrome.json", []string{"export", fleet}, 0},
+		{"slo.txt", []string{"episodes", sloTrace}, 0},
+		{"slo.json", []string{"episodes", "-json", sloTrace}, 0},
+		{"slo-dirty.txt", []string{"episodes", sloTrace, sloDirty}, 1},
+		{"slo-chrome.json", []string{"export", sloTrace}, 0},
 	}
 	for _, c := range cases {
 		t.Run(c.golden, func(t *testing.T) {
@@ -92,6 +94,10 @@ func TestLintExitCodes(t *testing.T) {
 	}
 	if code, _, _ := exec(t, "lint", filepath.Join("testdata", "dirty.trace.jsonl")); code != 1 {
 		t.Errorf("lint on dirty trace exited %d, want 1", code)
+	}
+	if code, out, _ := exec(t, "episodes", filepath.Join("testdata", "dirty.trace.jsonl")); code != 1 ||
+		!strings.Contains(out, "lint: 4 violations") {
+		t.Errorf("episodes on dirty trace exited %d, want 1 with the lint verdict:\n%s", code, out)
 	}
 	if code, _, _ := exec(t, "lint", filepath.Join("testdata", "no-such-file.jsonl")); code != 1 {
 		t.Errorf("lint on missing file exited %d, want 1", code)
@@ -243,17 +249,17 @@ func TestSimtestGoldenEpisodesMatchMetrics(t *testing.T) {
 	}
 }
 
-// TestFleetSubcommand pins the fleet lint's exit-code and smoke-grep
-// contract: scripts/sweep-smoke.sh greps the "expire->re-lease episodes"
-// line and the JSON report's expire_release_episodes field after killing a
-// worker, so both handles must stay stable.
-func TestFleetSubcommand(t *testing.T) {
+// TestFleetFamily pins the fleet section's exit-code and smoke-grep
+// contract: scripts/sweep-smoke.sh greps the "fleet lint: clean" verdict
+// and the "expire->re-lease episodes" line of `tracetool episodes` after
+// killing a worker, so both handles must stay stable.
+func TestFleetFamily(t *testing.T) {
 	fleet := filepath.Join("testdata", "fleet.trace.jsonl")
 	fleetDirty := filepath.Join("testdata", "fleet-dirty.trace.jsonl")
 
-	code, out, _ := exec(t, "fleet", fleet)
+	code, out, _ := exec(t, "episodes", fleet)
 	if code != 0 {
-		t.Fatalf("fleet on clean trace exited %d", code)
+		t.Fatalf("episodes on clean fleet trace exited %d", code)
 	}
 	if !strings.Contains(out, "fleet lint: clean") {
 		t.Errorf("clean trace output missing lint verdict:\n%s", out)
@@ -261,10 +267,13 @@ func TestFleetSubcommand(t *testing.T) {
 	if !strings.Contains(out, "expire->re-lease episodes: 1") {
 		t.Errorf("output missing the smoke-grep episode line:\n%s", out)
 	}
+	if strings.Contains(out, "episodes: "+fleet) {
+		t.Errorf("fleet-only trace printed a packet section:\n%s", out)
+	}
 
-	code, out, _ = exec(t, "fleet", "-json", fleet)
+	code, out, _ = exec(t, "episodes", "-json", fleet)
 	if code != 0 {
-		t.Fatalf("fleet -json exited %d", code)
+		t.Fatalf("episodes -json exited %d", code)
 	}
 	var rep struct {
 		Episodes   int64 `json:"expire_release_episodes"`
@@ -279,38 +288,18 @@ func TestFleetSubcommand(t *testing.T) {
 			rep.Episodes, rep.Violations, rep.Grants)
 	}
 
-	if code, _, _ := exec(t, "fleet", fleetDirty); code != 1 {
-		t.Errorf("fleet on dirty trace exited %d, want 1", code)
+	for _, cmd := range []string{"episodes", "lint"} {
+		if code, _, _ := exec(t, cmd, fleetDirty); code != 1 {
+			t.Errorf("%s on dirty fleet trace exited %d, want 1", cmd, code)
+		}
 	}
-	if code, _, _ := exec(t, "fleet", filepath.Join("testdata", "no-such.jsonl")); code != 1 {
-		t.Errorf("fleet on missing file exited %d, want 1", code)
-	}
-	if code, _, _ := exec(t, "fleet"); code != 2 {
-		t.Errorf("fleet with no files exited %d, want 2", code)
-	}
-	if code, _, stderr := exec(t, "fleet", "-export", "svg", fleet); code != 2 ||
-		!strings.Contains(stderr, "unknown fleet export format") {
-		t.Errorf("bad export format: code %d, stderr %q", code, stderr)
-	}
-	if code, _, _ := exec(t, "fleet", "-export", "chrome", fleet, fleet); code != 2 {
-		t.Errorf("export with two files exited %d, want usage error", code)
+	if code, _, _ := exec(t, "episodes", filepath.Join("testdata", "no-such.jsonl")); code != 1 {
+		t.Errorf("episodes on missing file exited %d, want 1", code)
 	}
 
-	// -o writes the same bytes the stdout golden pins.
-	outPath := filepath.Join(t.TempDir(), "fleet.json")
-	if code, stdout, stderr := exec(t, "fleet", "-export", "chrome", "-o", outPath, fleet); code != 0 || stdout != "" {
-		t.Fatalf("fleet -export -o: code %d, stdout %q, stderr %q", code, stdout, stderr)
-	}
-	written, err := os.ReadFile(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	golden, err := os.ReadFile(filepath.Join("testdata", "fleet-chrome.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(written, golden) {
-		t.Error("fleet -export -o output differs from stdout golden")
+	// The links table holds packet nodes only, so workers are not links.
+	if _, out, _ := exec(t, "summary", fleet); strings.Contains(out, "fleet/1a2b3c4d/w0") {
+		t.Errorf("summary lists a fleet worker as a link:\n%s", out)
 	}
 
 	// Stdin input works for the report path.
@@ -319,22 +308,22 @@ func TestFleetSubcommand(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if code := run([]string{"fleet", "-"}, bytes.NewReader(data), &buf, &buf); code != 0 ||
+	if code := run([]string{"episodes", "-"}, bytes.NewReader(data), &buf, &buf); code != 0 ||
 		!strings.Contains(buf.String(), "fleet lint: clean") {
-		t.Fatalf("fleet over stdin: code %d, out %q", code, buf.String())
+		t.Fatalf("episodes over stdin: code %d, out %q", code, buf.String())
 	}
 }
 
-// TestSLOSubcommand pins the slo analyzer CLI's exit-code contract and the
-// handles scripts/slo-smoke.sh greps: the per-rule episode accounting and
-// the "slo lint: clean" verdict line.
-func TestSLOSubcommand(t *testing.T) {
+// TestSLOFamily pins the slo section's exit-code contract and the handles
+// scripts/slo-smoke.sh greps: the per-rule episode accounting and the
+// "slo lint: clean" verdict line.
+func TestSLOFamily(t *testing.T) {
 	sloTrace := filepath.Join("testdata", "slo.trace.jsonl")
 	sloDirty := filepath.Join("testdata", "slo-dirty.trace.jsonl")
 
-	code, out, _ := exec(t, "slo", sloTrace)
+	code, out, _ := exec(t, "episodes", sloTrace)
 	if code != 0 {
-		t.Fatalf("slo on clean trace exited %d", code)
+		t.Fatalf("episodes on clean slo trace exited %d", code)
 	}
 	if !strings.Contains(out, "slo lint: clean") {
 		t.Errorf("clean trace output missing lint verdict:\n%s", out)
@@ -343,9 +332,9 @@ func TestSLOSubcommand(t *testing.T) {
 		t.Errorf("output missing the episode table:\n%s", out)
 	}
 
-	code, out, _ = exec(t, "slo", "-json", sloTrace)
+	code, out, _ = exec(t, "episodes", "-json", sloTrace)
 	if code != 0 {
-		t.Fatalf("slo -json exited %d", code)
+		t.Fatalf("episodes -json exited %d", code)
 	}
 	var rep struct {
 		SLOEvents  int64 `json:"slo_events"`
@@ -369,37 +358,13 @@ func TestSLOSubcommand(t *testing.T) {
 		t.Errorf("miss-rate = %+v", r)
 	}
 
-	if code, _, _ := exec(t, "slo", sloDirty); code != 1 {
-		t.Errorf("slo on dirty trace exited %d, want 1", code)
+	for _, cmd := range []string{"episodes", "lint"} {
+		if code, _, _ := exec(t, cmd, sloDirty); code != 1 {
+			t.Errorf("%s on dirty slo trace exited %d, want 1", cmd, code)
+		}
 	}
-	if code, _, _ := exec(t, "slo", filepath.Join("testdata", "no-such.jsonl")); code != 1 {
-		t.Errorf("slo on missing file exited %d, want 1", code)
-	}
-	if code, _, _ := exec(t, "slo"); code != 2 {
-		t.Errorf("slo with no files exited %d, want 2", code)
-	}
-	if code, _, stderr := exec(t, "slo", "-export", "svg", sloTrace); code != 2 ||
-		!strings.Contains(stderr, "unknown slo export format") {
-		t.Errorf("bad export format: code %d, stderr %q", code, stderr)
-	}
-	if code, _, _ := exec(t, "slo", "-export", "chrome", sloTrace, sloTrace); code != 2 {
-		t.Errorf("export with two files exited %d, want usage error", code)
-	}
-
-	outPath := filepath.Join(t.TempDir(), "slo.json")
-	if code, stdout, stderr := exec(t, "slo", "-export", "chrome", "-o", outPath, sloTrace); code != 0 || stdout != "" {
-		t.Fatalf("slo -export -o: code %d, stdout %q, stderr %q", code, stdout, stderr)
-	}
-	written, err := os.ReadFile(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	golden, err := os.ReadFile(filepath.Join("testdata", "slo-chrome.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(written, golden) {
-		t.Error("slo -export -o output differs from stdout golden")
+	if code, _, _ := exec(t, "episodes", filepath.Join("testdata", "no-such.jsonl")); code != 1 {
+		t.Errorf("episodes on missing file exited %d, want 1", code)
 	}
 
 	data, err := os.ReadFile(sloTrace)
@@ -407,8 +372,82 @@ func TestSLOSubcommand(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if code := run([]string{"slo", "-"}, bytes.NewReader(data), &buf, &buf); code != 0 ||
+	if code := run([]string{"episodes", "-"}, bytes.NewReader(data), &buf, &buf); code != 0 ||
 		!strings.Contains(buf.String(), "slo lint: clean") {
-		t.Fatalf("slo over stdin: code %d, out %q", code, buf.String())
+		t.Fatalf("episodes over stdin: code %d, out %q", code, buf.String())
+	}
+}
+
+// TestMixedFamilies: a trace carrying packet and slo events prints both
+// sections, in family order, and -json one document per family.
+func TestMixedFamilies(t *testing.T) {
+	var mixed []byte
+	for _, name := range []string{"sample.trace.jsonl", "slo.trace.jsonl"} {
+		data, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mixed = append(mixed, data...)
+	}
+	var out, errBuf bytes.Buffer
+	if code := run([]string{"episodes", "-"}, bytes.NewReader(mixed), &out, &errBuf); code != 0 {
+		t.Fatalf("episodes on mixed trace exited %d: %s", code, errBuf.String())
+	}
+	text := out.String()
+	packets, slo := strings.Index(text, "episodes: -"), strings.Index(text, "slo lint: clean")
+	if packets < 0 || slo < packets {
+		t.Errorf("want the packet section, then the slo section:\n%s", text)
+	}
+
+	out.Reset()
+	if code := run([]string{"episodes", "-json", "-"}, bytes.NewReader(mixed), &out, &errBuf); code != 0 {
+		t.Fatalf("episodes -json on mixed trace exited %d", code)
+	}
+	dec := json.NewDecoder(&out)
+	var docs []map[string]any
+	for {
+		var doc map[string]any
+		if err := dec.Decode(&doc); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatalf("parse JSON stream: %v", err)
+		}
+		docs = append(docs, doc)
+	}
+	if len(docs) != 2 || docs[0]["recoveries"] == nil || docs[1]["slo_events"] == nil {
+		t.Errorf("want a packet document then an slo document, got %v", docs)
+	}
+}
+
+// TestLintKeysFleetOrderBySrc: a local sweep writes the coordinator's and
+// the worker's narration of one node into one file. They are separate
+// ordering streams, so a worker event stamped before the coordinator's
+// latest one is not an order violation.
+func TestLintKeysFleetOrderBySrc(t *testing.T) {
+	trace := filepath.Join("testdata", "fleet-mixed-src.trace.jsonl")
+	code, out, _ := exec(t, "lint", trace)
+	if code != 0 || out != trace+": 4 events, clean\n" {
+		t.Errorf("lint: code %d, out %q", code, out)
+	}
+	if code, out, _ := exec(t, "episodes", trace); code != 0 || !strings.Contains(out, "fleet lint: clean") {
+		t.Errorf("episodes: code %d, out %q", code, out)
+	}
+}
+
+// TestLongLines: every subcommand reads lines up to 4 MiB, export included.
+func TestLongLines(t *testing.T) {
+	line, err := json.Marshal(obs.Event{TUS: 1, Ev: obs.EvRetry, Run: "r", Node: "prim", Seq: -1,
+		Attempt: 1, Detail: strings.Repeat("x", 2<<20)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cmd := range []string{"lint", "episodes", "summary", "export"} {
+		var out, errBuf bytes.Buffer
+		if code := run([]string{cmd, "-"}, bytes.NewReader(line), &out, &errBuf); code != 0 {
+			t.Errorf("%s on a 2 MiB line exited %d: %s", cmd, code, errBuf.String())
+		}
+		if cmd == "export" && !json.Valid(out.Bytes()) {
+			t.Error("export of a 2 MiB line is not valid JSON")
+		}
 	}
 }

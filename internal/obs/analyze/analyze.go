@@ -1,199 +1,264 @@
 // Package analyze is a streaming analytics engine over the JSONL trace
 // contract defined in docs/OBSERVABILITY.md.
 //
-// It does three jobs in a single pass over a trace, holding only
-// O(open-episodes) state:
+// One pass reads a trace line by line, decodes every line with the strict
+// obs.DecodeEvent, and hands each event to the one family that owns its
+// type:
 //
-//   - Episode reconstruction: pairs each client link-switch to the
-//     secondary with its retrievals and the switch back, decomposing every
-//     recovery into detect / switch / retrieve delays (Table 3's "total"
-//     metric is the switch-initiation → first-useful-retrieval delay, the
-//     same quantity the client.recovery_delay_us histogram observes).
-//   - Link structure: per-(run, node) transmit outcomes, loss-burst runs,
-//     and head-drop churn.
-//   - Causality linting: every line is decoded with the strict
-//     obs.DecodeEvent, and decoded events are checked against the trace
-//     conventions — per-(run, node) timestamps never run backwards,
-//     episodes are well-formed (open before close, retrievals only while
-//     open), retrieval durations are consistent with their episode start,
-//     and every retrieval inside an AP-served episode was preceded by a
-//     delivered tx for that sequence number. Violations carry the 1-based
-//     line number of the offending event.
+//   - packets (obs.EventTypes, packets.go): recovery-episode
+//     reconstruction with the Table 3 delay decomposition, per-link
+//     transmit outcomes and loss bursts, and the retrieval causality lint;
+//   - fleet (obs.FleetEventTypes, fleet.go): a sweep's lease lifecycle;
+//   - slo (obs.SLOEventTypes, slo.go): streaming-SLO alert episodes.
 //
-// The entry points are Analyze (read a whole stream) and the incremental
-// Analyzer (feed lines as they arrive, e.g. from a live pipe). cmd/tracetool
-// is the CLI front end.
+// Each family is a transition table: the types it owns, the stream its
+// ordering lint keys on, what each event does to its state machine, the
+// checks it runs at end of trace, and its lanes on the Chrome timeline
+// (chrome.go). The pass owns everything they share — the one scanner, line
+// and blank counting, the strict decode, the ordering lint, and the one
+// violation recorder — so every finding carries the 1-based line of the
+// offending event, whichever family raised it. State stays
+// O(open-episodes) unless Options.KeepEpisodes is set.
+//
+// Analyze returns a Result with one report per family; ChromeTrace renders
+// the same pass as a timeline. cmd/tracetool is the CLI front end.
 package analyze
 
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/obs"
 )
 
-// Violation kinds.
+// Violation kinds every family can raise. The families add their own:
+// VEpisode and VCausality (packets), VLease (fleet), VSLO (slo).
 const (
 	// VDecode is a line the strict decoder rejected (malformed JSON,
 	// unknown field, or schema-invalid event). Exactly the lines
-	// obs.DecodeEvent rejects, no more and no fewer.
+	// obs.DecodeEvent rejects, no more and no fewer. No family can claim
+	// such a line, so it dirties every family's lint.
 	VDecode = "decode"
-	// VEpisode is an episode state-machine violation: a switch to the
-	// secondary while a visit is already open, a switch to the primary with
-	// no visit open, a retrieval outside any visit, or a visit left open at
-	// end of trace.
-	VEpisode = "episode"
-	// VCausality is an effect without its cause: a retrieval whose dur_us
-	// disagrees with its episode's start time, or a retrieval with no
-	// preceding delivered tx for its seq within the episode.
-	VCausality = "causality"
-	// VOrder is a (run, node) timestamp running backwards in emission
-	// order.
+	// VOrder is a timestamp running backwards, in emission order, within
+	// one family's ordering stream.
 	VOrder = "order"
 )
 
-// Default limits.
-const (
-	// DefaultMaxViolations caps the violations kept in a Report when
-	// Options.MaxViolations is zero. The total is still counted.
-	DefaultMaxViolations = 100
-	// DefaultLossHorizonUS is how long a tx-lost event stays eligible as
-	// the detect-delay trigger for a later recovery switch.
-	DefaultLossHorizonUS = 5_000_000
-)
+// DefaultMaxViolations caps the violations kept when Options.MaxViolations
+// is zero. The totals still count all of them.
+const DefaultMaxViolations = 100
 
 // Options configures an analysis pass. The zero value is a valid
 // lint-and-summarize configuration.
 type Options struct {
-	// KeepEpisodes retains every reconstructed episode in Report.Episodes
-	// (in close order). Off by default to keep memory O(open-episodes).
+	// KeepEpisodes retains every reconstructed packet episode in
+	// Report.Episodes (in close order). Off by default to keep memory
+	// O(open-episodes); fleet leases and SLO episodes are always kept.
 	KeepEpisodes bool
-	// OnEpisode, when non-nil, is invoked for each episode as it closes
-	// (and for episodes still open at Finish, with EndUS = -1). It lets
-	// callers stream episodes without retaining them.
-	OnEpisode func(Episode)
-	// MaxViolations caps Report.Violations: 0 selects
-	// DefaultMaxViolations, negative keeps every violation.
+	// MaxViolations caps the violations kept across all families: 0
+	// selects DefaultMaxViolations, negative keeps every violation.
 	MaxViolations int
 	// WindowUS, when positive, buckets event counts into fixed windows of
 	// simulated time (Report.Points) — the trace-derived counterpart of
 	// obs.Series.
 	WindowUS int64
-	// LossHorizonUS bounds how far back a tx-lost event can be the
-	// detect-delay trigger of a recovery switch (0 selects
-	// DefaultLossHorizonUS).
-	LossHorizonUS int64
 }
 
-// runState is the per-run streaming state: the open episode (if any), the
-// delivered-seq set and loss times feeding the causality checks, and the
-// per-node timestamp high-water marks for the ordering lint.
-type runState struct {
-	open         *Episode
-	delivered    map[int]bool // seqs tx-delivered while the episode is open
-	sawDelivered bool         // episode saw >= 1 delivered tx (AP-served visit)
-	lostAt       map[int]int64
-	lastNodeT    map[string]int64
+// Family names, in the order Result.Families lists them.
+const (
+	FamilyPackets = "packets"
+	FamilyFleet   = "fleet"
+	FamilySLO     = "slo"
+)
+
+// Result is the outcome of one pass. Report covers the whole trace — line
+// and event totals, event types, windows, and the findings of every family
+// — and carries the packet family's episodes and links; Fleet and SLO are
+// the other two families' reports, each with its own findings plus the
+// decode failures all families share. Every report is populated whether or
+// not its family occurs in the trace; Families says which ones do.
+type Result struct {
+	Report *Report
+	Fleet  *FleetReport
+	SLO    *SLOReport
+	// Owned counts the decoded events of each family, by family name.
+	// Every event type has exactly one owner, so the counts sum to
+	// Report.Events.
+	Owned map[string]int64
 }
 
-// Analyzer is the incremental form of Analyze: feed it one JSONL line at a
-// time with Line, then call Finish once for the Report. Not safe for
-// concurrent use.
-type Analyzer struct {
+// Families lists the families with at least one event in the trace, in
+// the order packets, fleet, slo; a trace without events lists packets.
+func (r *Result) Families() []string {
+	var out []string
+	for _, f := range families {
+		if r.Owned[f.name] > 0 {
+			out = append(out, f.name)
+		}
+	}
+	if len(out) == 0 {
+		out = []string{FamilyPackets}
+	}
+	return out
+}
+
+// familyDef is one row of the family table.
+type familyDef struct {
+	name  string
+	types []string
+	// bySrc splits the ordering stream by the detail's src= token: the
+	// coordinator and a worker narrate the same node from their own clocks.
+	bySrc bool
+	// orderFmt words an order finding from the arguments (type, run, node,
+	// src, t, last); explicit argument indexes let a family leave src out.
+	orderFmt string
+	newState func(p *pass) family
+}
+
+// family is one family's state within a pass.
+type family interface {
+	// event applies the transitions of one owned event.
+	event(ev obs.Event)
+	// finish runs the end-of-trace checks and stores the family's report
+	// in res.
+	finish(res *Result)
+	// chrome draws the family's tracks from its events and final state.
+	chrome(c *chromeWriter, evs []obs.Event)
+}
+
+// Indexes into families, used to tag findings; famDecode tags a line no
+// family could claim.
+const (
+	famDecode  = -1
+	famPackets = 0
+	famFleet   = 1
+	famSLO     = 2
+)
+
+var families = []familyDef{
+	famPackets: {
+		name: FamilyPackets, types: obs.EventTypes, newState: newPackets,
+		orderFmt: "%[1]s event on %[2]s/%[3]s at t=%[5]d after t=%[6]d",
+	},
+	famFleet: {
+		name: FamilyFleet, types: obs.FleetEventTypes, newState: newFleet, bySrc: true,
+		orderFmt: "%[1]s event on %[2]s/%[3]s (src=%[4]s) at t=%[5]d after t=%[6]d",
+	},
+	famSLO: {
+		name: FamilySLO, types: obs.SLOEventTypes, newState: newSLO,
+		orderFmt: "%[1]s on %[2]s/%[3]s at t=%[5]d after t=%[6]d",
+	},
+}
+
+// owner maps each event type to the index of the family that owns it.
+var owner = func() map[string]int {
+	m := map[string]int{}
+	for i, f := range families {
+		for _, typ := range f.types {
+			m[typ] = i
+		}
+	}
+	return m
+}()
+
+// orderKey names one ordering stream.
+type orderKey struct {
+	fam            int
+	run, node, src string
+}
+
+// finding is a kept violation tagged with the family that raised it.
+type finding struct {
+	Violation
+	fam int
+}
+
+// pass is one streaming analysis over a trace.
+type pass struct {
 	opts    Options
 	maxV    int
-	horizon int64
-	rep     *Report
-	runs    map[string]*runState
-	windows map[int64]map[string]int64
 	line    int64
+	rep     *Report
+	fams    []family // parallel to families
+	owned   []int64  // events per family
+	runs    map[string]bool
+	windows map[int64]map[string]int64
+	lastT   map[orderKey]int64
+	found   []finding     // the first maxV findings, in line order
+	total   map[int]int64 // findings per family, famDecode included
+	// kept holds each family's events for ChromeTrace; nil otherwise.
+	kept [][]obs.Event
 }
 
-// New returns an Analyzer with the given options.
-func New(opts Options) *Analyzer {
-	maxV := opts.MaxViolations
-	if maxV == 0 {
-		maxV = DefaultMaxViolations
+func newPass(opts Options) *pass {
+	p := &pass{
+		opts:  opts,
+		maxV:  opts.MaxViolations,
+		rep:   &Report{FirstUS: -1, LastUS: -1, ByType: map[string]int64{}},
+		owned: make([]int64, len(families)),
+		runs:  map[string]bool{},
+		lastT: map[orderKey]int64{},
+		total: map[int]int64{},
 	}
-	horizon := opts.LossHorizonUS
-	if horizon <= 0 {
-		horizon = DefaultLossHorizonUS
-	}
-	a := &Analyzer{
-		opts:    opts,
-		maxV:    maxV,
-		horizon: horizon,
-		rep: &Report{
-			FirstUS: -1,
-			LastUS:  -1,
-			ByType:  make(map[string]int64),
-			Links:   make(map[string]*LinkStats),
-		},
-		runs: make(map[string]*runState),
+	if p.maxV == 0 {
+		p.maxV = DefaultMaxViolations
 	}
 	if opts.WindowUS > 0 {
-		a.windows = make(map[int64]map[string]int64)
+		p.windows = map[int64]map[string]int64{}
 	}
-	return a
+	for _, f := range families {
+		p.fams = append(p.fams, f.newState(p))
+	}
+	return p
 }
 
-// Line feeds one raw trace line (without its trailing newline). Blank and
-// whitespace-only lines are skipped — the JSONL convention — and counted in
-// Report.Blank.
-func (a *Analyzer) Line(data []byte) {
-	a.line++
-	a.rep.Lines++
-	trimmed := bytes.TrimSpace(data)
-	if len(trimmed) == 0 {
-		a.rep.Blank++
-		return
+// read feeds every line of r through the pass. Blank and whitespace-only
+// lines are skipped — the JSONL convention — and counted in Report.Blank.
+// The error reports only a failure to read r; a line longer than 4 MiB
+// counts as one.
+func (p *pass) read(r io.Reader) error {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 64*1024), 4*1024*1024)
+	for sc.Scan() {
+		p.line++
+		trimmed := bytes.TrimSpace(sc.Bytes())
+		if len(trimmed) == 0 {
+			p.rep.Blank++
+			continue
+		}
+		ev, err := obs.DecodeEvent(trimmed)
+		if err != nil {
+			p.violate(famDecode, VDecode, "%v", err)
+			continue
+		}
+		p.event(ev)
 	}
-	ev, err := obs.DecodeEvent(trimmed)
-	if err != nil {
-		a.violate(VDecode, "%v", err)
-		return
-	}
-	a.event(ev)
+	return sc.Err()
 }
 
-// event processes one decoded event through the ordering lint, the link
-// accumulators, the window buckets, and the episode state machine.
-func (a *Analyzer) event(ev obs.Event) {
-	r := a.rep
+// event does the per-event work all families share — whole-trace totals,
+// windows, and the ordering lint — then applies the owning family's
+// transitions.
+func (p *pass) event(ev obs.Event) {
+	r := p.rep
 	r.Events++
 	r.ByType[ev.Ev]++
+	p.runs[ev.Run] = true
 	if r.FirstUS < 0 || ev.TUS < r.FirstUS {
 		r.FirstUS = ev.TUS
 	}
-	if ev.TUS > r.LastUS {
-		r.LastUS = ev.TUS
-	}
-
-	rs := a.runs[ev.Run]
-	if rs == nil {
-		rs = &runState{lastNodeT: make(map[string]int64)}
-		a.runs[ev.Run] = rs
-	}
-	// Ordering convention: one (run, node) pair emits in non-decreasing
-	// timestamp order. Different nodes may interleave out of order (a
-	// transmit chain's completion event can carry an earlier context than
-	// another node's enqueue-time event).
-	if last, ok := rs.lastNodeT[ev.Node]; ok && ev.TUS < last {
-		a.violate(VOrder, "%s event on %s/%s at t=%d after t=%d",
-			ev.Ev, ev.Run, ev.Node, ev.TUS, last)
-	} else {
-		rs.lastNodeT[ev.Node] = ev.TUS
-	}
-
-	if a.windows != nil {
-		b := (ev.TUS / a.opts.WindowUS) * a.opts.WindowUS
-		w := a.windows[b]
+	r.LastUS = max(r.LastUS, ev.TUS)
+	if p.windows != nil {
+		b := (ev.TUS / p.opts.WindowUS) * p.opts.WindowUS
+		w := p.windows[b]
 		if w == nil {
-			w = make(map[string]int64)
-			a.windows[b] = w
+			w = map[string]int64{}
+			p.windows[b] = w
 		}
 		w[ev.Ev]++
 		if ev.Ev == obs.EvTx {
@@ -201,247 +266,100 @@ func (a *Analyzer) event(ev obs.Event) {
 		}
 	}
 
-	ls := a.link(ev.Run, ev.Node)
-	switch ev.Ev {
-	case obs.EvTx:
-		switch ev.Detail {
-		case obs.TxDelivered:
-			ls.TxDelivered++
-			ls.endBurst()
-			if rs.open != nil {
-				if rs.delivered == nil {
-					rs.delivered = make(map[int]bool)
-				}
-				rs.delivered[ev.Seq] = true
-				rs.sawDelivered = true
-			}
-		case obs.TxWasted:
-			ls.TxWasted++
-			ls.endBurst()
-		case obs.TxLost:
-			ls.TxLost++
-			ls.curBurst++
-			if ls.curBurst > ls.MaxBurst {
-				ls.MaxBurst = ls.curBurst
-			}
-			rs.noteLost(ev.Seq, ev.TUS, a.horizon)
-		}
-	case obs.EvRetry:
-		ls.Retries++
-	case obs.EvDrop:
-		ls.Drops++
-	case obs.EvHeadDrop:
-		if ev.Detail == obs.DropEvictOldest {
-			ls.HeadDropEvict++
-		} else {
-			ls.HeadDropRefuse++
-		}
-	case obs.EvLinkSwitch:
-		a.linkSwitch(rs, ev)
-	case obs.EvRetrieve:
-		a.retrieve(rs, ev)
-	case obs.EvPlayoutMiss:
-		r.PlayoutMisses++
+	// DecodeEvent admits only types some family owns.
+	fi := owner[ev.Ev]
+	def := &families[fi]
+	k := orderKey{fam: fi, run: ev.Run, node: ev.Node}
+	if def.bySrc {
+		k.src = parseTokens(ev.Detail)["src"]
 	}
+	if last, ok := p.lastT[k]; ok && ev.TUS < last {
+		p.violate(fi, VOrder, def.orderFmt, ev.Ev, ev.Run, ev.Node, k.src, ev.TUS, last)
+	} else {
+		p.lastT[k] = ev.TUS
+	}
+	p.owned[fi]++
+	if p.kept != nil {
+		p.kept[fi] = append(p.kept[fi], ev)
+	}
+	p.fams[fi].event(ev)
 }
 
-// linkSwitch advances the episode state machine on a link-switch event.
-func (a *Analyzer) linkSwitch(rs *runState, ev obs.Event) {
-	switch ev.Detail {
-	case obs.SwitchToSecondary, obs.SwitchKeepalive:
-		if rs.open != nil {
-			a.violate(VEpisode, "link-switch %s at t=%d while episode open since t=%d (run %q)",
-				ev.Detail, ev.TUS, rs.open.StartUS, ev.Run)
-			a.closeEpisode(rs, -1)
-		}
-		e := &Episode{
-			Run:        ev.Run,
-			Kind:       EpisodeRecovery,
-			Line:       a.line,
-			StartUS:    ev.TUS,
-			EndUS:      -1,
-			TriggerSeq: ev.Seq,
-			DetectUS:   -1,
-			SwitchUS:   ev.DurUS,
-			RetrieveUS: -1,
-			TotalUS:    -1,
-		}
-		if ev.Detail == obs.SwitchKeepalive {
-			e.Kind = EpisodeKeepalive
-			e.TriggerSeq = -1
-			a.rep.Keepalives++
-		} else {
-			a.rep.Recoveries++
-			if ev.Seq >= 0 {
-				if lt, ok := rs.lostAt[ev.Seq]; ok {
-					e.DetectUS = ev.TUS - lt
-					a.rep.DetectDelay.observe(e.DetectUS)
-					delete(rs.lostAt, ev.Seq)
-				}
-			}
-		}
-		rs.open = e
-		rs.delivered = nil
-		rs.sawDelivered = false
-	case obs.SwitchToPrimary:
-		if rs.open == nil {
-			a.violate(VEpisode, "link-switch to-primary at t=%d with no episode open (run %q)",
-				ev.TUS, ev.Run)
-			return
-		}
-		a.closeEpisode(rs, ev.TUS)
-	}
-}
-
-// retrieve checks one retrieve-from-secondary event against its episode and
-// accounts the Table 3 delays.
-func (a *Analyzer) retrieve(rs *runState, ev obs.Event) {
-	a.rep.Retrieved++
-	e := rs.open
-	if e == nil {
-		a.violate(VEpisode, "retrieve seq %d at t=%d outside any episode (run %q)",
-			ev.Seq, ev.TUS, ev.Run)
+// violate is the one violation recorder: it counts a finding against
+// family fam and keeps the first MaxViolations, in line order.
+func (p *pass) violate(fam int, kind, format string, args ...any) {
+	p.total[fam]++
+	if p.maxV >= 0 && len(p.found) >= p.maxV {
 		return
 	}
-	// The client stamps dur_us = now - visit start, and the visit starts at
-	// the switch event's timestamp, so the two must agree exactly.
-	if ev.TUS-ev.DurUS != e.StartUS {
-		a.violate(VCausality, "retrieve seq %d at t=%d has dur_us=%d inconsistent with episode start t=%d",
-			ev.Seq, ev.TUS, ev.DurUS, e.StartUS)
-	}
-	// In an AP-served visit every retrieval is the delivery callback of a
-	// secondary tx, so the delivered tx must precede it. Middlebox-served
-	// visits emit no tx events; the check arms only once the episode has
-	// seen a delivered tx.
-	if rs.sawDelivered && !rs.delivered[ev.Seq] {
-		a.violate(VCausality, "retrieve seq %d at t=%d with no delivered tx for that seq in the episode",
-			ev.Seq, ev.TUS)
-	}
-	e.Retrieved++
-	if e.TotalUS < 0 {
-		e.TotalUS = ev.DurUS
-		e.RetrieveUS = ev.DurUS - e.SwitchUS
-		if e.Kind == EpisodeRecovery {
-			// The first useful retrieval of a recovery visit is exactly the
-			// observation client.recovery_delay_us records.
-			a.rep.RecoveryDelay.observe(e.TotalUS)
-		}
-	}
-}
-
-// closeEpisode finalizes the run's open episode with the given end time
-// (-1 marks an episode that never closed).
-func (a *Analyzer) closeEpisode(rs *runState, endUS int64) {
-	e := rs.open
-	rs.open = nil
-	rs.delivered = nil
-	rs.sawDelivered = false
-	e.EndUS = endUS
-	if a.opts.OnEpisode != nil {
-		a.opts.OnEpisode(*e)
-	}
-	if a.opts.KeepEpisodes {
-		a.rep.Episodes = append(a.rep.Episodes, *e)
-	}
-}
-
-// link returns the per-(run, node) accumulator.
-func (a *Analyzer) link(run, node string) *LinkStats {
-	key := node
-	if run != "" {
-		key = run + "/" + node
-	}
-	ls := a.rep.Links[key]
-	if ls == nil {
-		ls = &LinkStats{}
-		a.rep.Links[key] = ls
-	}
-	return ls
-}
-
-// violate records one lint violation at the current line.
-func (a *Analyzer) violate(kind, format string, args ...any) {
-	a.rep.TotalViolations++
-	if a.maxV >= 0 && len(a.rep.Violations) >= a.maxV {
-		return
-	}
-	a.rep.Violations = append(a.rep.Violations, Violation{
-		Line: a.line,
-		Kind: kind,
-		Msg:  fmt.Sprintf(format, args...),
+	p.found = append(p.found, finding{
+		Violation: Violation{Line: p.line, Kind: kind, Msg: fmt.Sprintf(format, args...)},
+		fam:       fam,
 	})
 }
 
-// Finish closes still-open episodes and loss bursts and returns the Report.
-// The Analyzer must not be used afterwards.
-func (a *Analyzer) Finish() *Report {
-	for _, run := range sortedRuns(a.runs) {
-		rs := a.runs[run]
-		if rs.open != nil {
-			a.rep.Unclosed++
-			a.violate(VEpisode, "episode open since t=%d never closed (run %q)",
-				rs.open.StartUS, run)
-			a.closeEpisode(rs, -1)
+// findings returns family fam's kept violations and its total, both
+// including the decode failures every family shares.
+func (p *pass) findings(fam int) ([]Violation, int64) {
+	var vs []Violation
+	for _, f := range p.found {
+		if f.fam == fam || f.fam == famDecode {
+			vs = append(vs, f.Violation)
 		}
 	}
-	for _, ls := range a.rep.Links {
-		ls.endBurst()
-	}
-	a.rep.Runs = sortedRuns(a.runs)
-	if a.windows != nil {
-		starts := make([]int64, 0, len(a.windows))
-		for b := range a.windows {
-			starts = append(starts, b)
-		}
-		sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
-		for _, b := range starts {
-			a.rep.Points = append(a.rep.Points, TracePoint{
-				StartUS: b,
-				EndUS:   b + a.opts.WindowUS,
-				Counts:  a.windows[b],
-			})
-		}
-	}
-	return a.rep
+	return vs, p.total[fam] + p.total[famDecode]
 }
 
-// noteLost remembers seq's loss time for detect-delay pairing, pruning
-// entries past the horizon so the map stays bounded.
-func (rs *runState) noteLost(seq int, tUS, horizon int64) {
-	if rs.lostAt == nil {
-		rs.lostAt = make(map[int]int64)
+// finish runs every family's end-of-trace checks and assembles the Result.
+func (p *pass) finish() *Result {
+	r := p.rep
+	r.Lines = p.line
+	res := &Result{Report: r, Owned: map[string]int64{}}
+	for i, f := range p.fams {
+		f.finish(res)
+		res.Owned[families[i].name] = p.owned[i]
 	}
-	rs.lostAt[seq] = tUS
-	if len(rs.lostAt) > 256 {
-		for s, t := range rs.lostAt {
-			if t < tUS-horizon {
-				delete(rs.lostAt, s)
-			}
-		}
+	r.Runs = sortedKeys(p.runs)
+	for _, b := range sortedKeys(p.windows) {
+		r.Points = append(r.Points, TracePoint{StartUS: b, EndUS: b + p.opts.WindowUS, Counts: p.windows[b]})
 	}
+	for _, f := range p.found {
+		r.Violations = append(r.Violations, f.Violation)
+	}
+	for _, n := range p.total {
+		r.TotalViolations += n
+	}
+	return res
 }
 
-func sortedRuns(m map[string]*runState) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
+// Analyze runs one pass over a JSONL trace stream. The error is nil unless
+// reading r itself fails (a line longer than 4 MiB counts as a read
+// failure); malformed lines are reported as violations, not errors.
+func Analyze(r io.Reader, opts Options) (*Result, error) {
+	p := newPass(opts)
+	if err := p.read(r); err != nil {
+		return nil, fmt.Errorf("analyze: read trace: %w", err)
 	}
-	sort.Strings(out)
+	return p.finish(), nil
+}
+
+// parseTokens splits a detail of space-separated k=v tokens ("src=coord
+// span=0:64") into a map. Tokens without '=' are ignored.
+func parseTokens(detail string) map[string]string {
+	out := map[string]string{}
+	for _, tok := range strings.Fields(detail) {
+		if i := strings.IndexByte(tok, '='); i > 0 {
+			out[tok[:i]] = tok[i+1:]
+		}
+	}
 	return out
 }
 
-// Analyze runs a full pass over a JSONL trace stream. The error is nil
-// unless reading r itself fails (a line longer than 4 MiB counts as a read
-// failure); malformed lines are reported as violations, not errors.
-func Analyze(r io.Reader, opts Options) (*Report, error) {
-	a := New(opts)
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 4*1024*1024)
-	for sc.Scan() {
-		a.Line(sc.Bytes())
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	out := make([]K, 0, len(m))
+	for k := range m {
+		out = append(out, k)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("analyze: read trace: %w", err)
-	}
-	return a.Finish(), nil
+	slices.Sort(out)
+	return out
 }

@@ -29,11 +29,11 @@ func trace(t *testing.T, evs ...obs.Event) string {
 
 func analyzeString(t *testing.T, s string, opts Options) *Report {
 	t.Helper()
-	rep, err := Analyze(strings.NewReader(s), opts)
+	res, err := Analyze(strings.NewReader(s), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rep
+	return res.Report
 }
 
 func TestRecoveryEpisodeReconstruction(t *testing.T) {
@@ -306,18 +306,18 @@ func TestInterleavedRuns(t *testing.T) {
 		obs.Event{TUS: 400, Ev: obs.EvLinkSwitch, Run: "a", Node: "client", Seq: -1, Detail: obs.SwitchToPrimary},
 		obs.Event{TUS: 500, Ev: obs.EvLinkSwitch, Run: "b", Node: "client", Seq: -1, Detail: obs.SwitchToPrimary},
 	)
-	var seen []Episode
-	rep := analyzeString(t, doc, Options{OnEpisode: func(e Episode) { seen = append(seen, e) }})
+	rep := analyzeString(t, doc, Options{KeepEpisodes: true})
 	if !rep.Clean() {
 		t.Fatalf("violations: %+v", rep.Violations)
 	}
+	seen := rep.Episodes
 	if rep.Recoveries != 2 || len(seen) != 2 {
-		t.Fatalf("recoveries = %d, callbacks = %d, want 2/2", rep.Recoveries, len(seen))
+		t.Fatalf("recoveries = %d, kept episodes = %d, want 2/2", rep.Recoveries, len(seen))
 	}
 	if seen[0].Run != "a" || seen[0].TotalUS != 100 || seen[1].Run != "b" || seen[1].TotalUS != 150 {
 		t.Errorf("episodes = %+v", seen)
 	}
-	if rep.Episodes != nil {
+	if rep := analyzeString(t, doc, Options{}); rep.Episodes != nil {
 		t.Errorf("episodes retained without KeepEpisodes: %+v", rep.Episodes)
 	}
 }

@@ -1,37 +1,27 @@
 package analyze
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 
 	"repro/internal/obs"
 )
 
-// Chrome trace-event export: convert a JSONL trace (docs/OBSERVABILITY.md)
-// into the Trace Event Format that chrome://tracing and Perfetto load, so a
-// recovery episode can be inspected on a zoomable timeline instead of grep.
+// Chrome trace-event export: render one pass over a JSONL trace
+// (docs/OBSERVABILITY.md) in the Trace Event Format that chrome://tracing
+// and Perfetto load, so a recovery episode, a lease's churn or an alert's
+// lifetime can be inspected on a zoomable timeline instead of grep.
 //
-// Layout:
+// Layout: one process (pid) per run label, named after the run, and one
+// thread (tid) per track within the run. Each family draws on its own
+// tracks — packet nodes and episode tracks (packets.go), one "worker" lane
+// per node (fleet.go), one "rule" lane per alert rule (slo.go) — after the
+// metadata, in family order.
 //
-//   - one process (pid) per run label, named after the run;
-//   - one thread (tid) per trace node within the run (prim, sec, client,
-//     ...), carrying that node's packet events — tx/retrieve as duration
-//     slices (they have dur_us), retry/drop/head-drop/playout-miss as
-//     instants;
-//   - two synthetic per-run tracks: "episodes" holds each secondary visit
-//     as one slice spanning switch-out to switch-back, and "episode phases"
-//     decomposes the same visit into its detect → switch → retrieve delay
-//     slices (the Table 3 decomposition). Phases sit on their own track
-//     because the detect phase starts at the triggering loss, before the
-//     episode slice opens — the spans overlap rather than nest.
-//
-// Output is deterministic for a given input: events are emitted in input
-// order, track/process ids are assigned in sorted (run, node) order, and
-// every JSON object uses fixed field order.
+// Output is deterministic for a given input: each family emits in input
+// order, process and thread ids are assigned in sorted (run, track) order,
+// and every JSON object uses fixed field order.
 
 // chromeEvent is one Trace Event Format entry. Field order (and the
 // omission rules) are fixed so exports are byte-stable for golden tests.
@@ -46,6 +36,9 @@ type chromeEvent struct {
 	S    string `json:"s,omitempty"`
 
 	Args *chromeArgs `json:"args,omitempty"`
+
+	// run and track place the event; the writer resolves them to PID/TID.
+	run, track string
 }
 
 // chromeArgs carries the event details shown in the inspector's side panel.
@@ -70,80 +63,36 @@ type chromeDoc struct {
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
 }
 
-// Synthetic per-run track names.
-const (
-	chromeEpisodeTrack = "episodes"
-	chromePhaseTrack   = "episode phases"
-)
-
-// ChromeTrace converts one JSONL trace from r into an indented Chrome
-// trace-event JSON document on w. Lines the strict decoder rejects are
-// skipped (run `tracetool lint` for the findings); the error reports only
-// read or encode failures.
-func ChromeTrace(r io.Reader, w io.Writer) error {
-	var events []obs.Event
-	var episodes []Episode
-	an := New(Options{OnEpisode: func(e Episode) { episodes = append(episodes, e) }})
-
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		an.Line(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		ev, err := obs.DecodeEvent(line)
-		if err != nil {
-			continue
-		}
-		events = append(events, ev)
-	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("chrome export: %w", err)
-	}
-	an.Finish()
-
-	doc := buildChromeDoc(events, episodes)
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return fmt.Errorf("chrome export: %w", err)
-	}
-	if _, err := w.Write(append(data, '\n')); err != nil {
-		return fmt.Errorf("chrome export: %w", err)
-	}
-	return nil
+// chromeWriter is the one Chrome document builder: families add events
+// on named (run, track) pairs, and doc lays the tracks out.
+type chromeWriter struct {
+	tracks map[string]map[string]bool
+	events []chromeEvent
 }
 
-// buildChromeDoc lays out tracks and renders every event and episode.
-func buildChromeDoc(events []obs.Event, episodes []Episode) *chromeDoc {
-	// Assign pids to runs and tids to (run, node) tracks in sorted order so
-	// the layout is independent of event order.
-	runSet := map[string]map[string]bool{}
-	addTrack := func(run, node string) {
-		if runSet[run] == nil {
-			runSet[run] = map[string]bool{}
-		}
-		runSet[run][node] = true
+// declare adds a track, which may stay empty.
+func (c *chromeWriter) declare(run, track string) {
+	if c.tracks[run] == nil {
+		c.tracks[run] = map[string]bool{}
 	}
-	for _, ev := range events {
-		addTrack(ev.Run, ev.Node)
-	}
-	for _, e := range episodes {
-		addTrack(e.Run, chromeEpisodeTrack)
-		addTrack(e.Run, chromePhaseTrack)
-	}
+	c.tracks[run][track] = true
+}
 
-	runs := make([]string, 0, len(runSet))
-	for run := range runSet {
-		runs = append(runs, run)
-	}
-	sort.Strings(runs)
+// add appends ev on the given track.
+func (c *chromeWriter) add(run, track string, ev chromeEvent) {
+	c.declare(run, track)
+	ev.run, ev.track = run, track
+	c.events = append(c.events, ev)
+}
 
+// doc names every process and thread, then resolves each event's pid and
+// tid. Ids follow sorted order, so the layout is independent of event
+// order.
+func (c *chromeWriter) doc() *chromeDoc {
 	doc := &chromeDoc{TraceEvents: []chromeEvent{}, DisplayTimeUnit: "ms"}
 	pid := map[string]int{}
 	tid := map[string]map[string]int{}
-	for i, run := range runs {
+	for i, run := range sortedKeys(c.tracks) {
 		pid[run] = i + 1
 		name := run
 		if name == "" {
@@ -153,94 +102,45 @@ func buildChromeDoc(events []obs.Event, episodes []Episode) *chromeDoc {
 			Name: "process_name", Ph: "M", PID: pid[run],
 			Args: &chromeArgs{Name: "run " + name},
 		})
-		nodes := make([]string, 0, len(runSet[run]))
-		for node := range runSet[run] {
-			nodes = append(nodes, node)
-		}
-		sort.Strings(nodes)
 		tid[run] = map[string]int{}
-		for j, node := range nodes {
-			tid[run][node] = j + 1
+		for j, track := range sortedKeys(c.tracks[run]) {
+			tid[run][track] = j + 1
 			doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
 				Name: "thread_name", Ph: "M", PID: pid[run], TID: j + 1,
-				Args: &chromeArgs{Name: node},
+				Args: &chromeArgs{Name: track},
 			})
 		}
 	}
-
-	for _, ev := range events {
-		doc.TraceEvents = append(doc.TraceEvents, packetEvent(ev, pid[ev.Run], tid[ev.Run][ev.Node]))
-	}
-	for _, e := range episodes {
-		doc.TraceEvents = append(doc.TraceEvents, episodeEvents(e, pid[e.Run], tid[e.Run])...)
+	for _, ev := range c.events {
+		ev.PID, ev.TID = pid[ev.run], tid[ev.run][ev.track]
+		doc.TraceEvents = append(doc.TraceEvents, ev)
 	}
 	return doc
 }
 
-// packetEvent renders one trace event on its node track: a duration slice
-// when the event carries dur_us, an instant otherwise.
-func packetEvent(ev obs.Event, pid, tid int) chromeEvent {
-	name := ev.Ev
-	if ev.Seq >= 0 {
-		name = fmt.Sprintf("%s seq %d", ev.Ev, ev.Seq)
+// ChromeTrace runs one pass over the JSONL trace from r and writes every
+// family in it to w as one indented Chrome trace-event JSON document.
+// Lines the strict decoder rejects are skipped (run `tracetool lint` for
+// the findings); the error reports only read or encode failures.
+func ChromeTrace(r io.Reader, w io.Writer) error {
+	p := newPass(Options{KeepEpisodes: true})
+	p.kept = make([][]obs.Event, len(families))
+	if err := p.read(r); err != nil {
+		return fmt.Errorf("chrome export: %w", err)
 	}
-	ce := chromeEvent{Name: name, Cat: ev.Ev, PID: pid, TID: tid, TS: ev.TUS}
-	args := &chromeArgs{Attempt: ev.Attempt, Detail: ev.Detail}
-	if ev.Seq >= 0 {
-		args.Seq = intPtr(ev.Seq)
+	p.finish()
+	c := &chromeWriter{tracks: map[string]map[string]bool{}}
+	for i, f := range p.fams {
+		f.chrome(c, p.kept[i])
 	}
-	if *args != (chromeArgs{}) {
-		ce.Args = args
+	data, err := json.MarshalIndent(c.doc(), "", "  ")
+	if err != nil {
+		return fmt.Errorf("chrome export: %w", err)
 	}
-	if ev.DurUS > 0 {
-		// The timestamp marks completion; the slice spans the duration.
-		ce.Ph = "X"
-		ce.TS = ev.TUS - ev.DurUS
-		ce.Dur = int64Ptr(ev.DurUS)
-	} else {
-		ce.Ph = "i"
-		ce.S = "t"
+	if _, err := w.Write(append(data, '\n')); err != nil {
+		return fmt.Errorf("chrome export: %w", err)
 	}
-	return ce
-}
-
-// episodeEvents renders one reconstructed secondary visit: the whole span
-// on the episodes track, then its detect/switch/retrieve delay slices on
-// the phases track. Episodes still open at end of trace (EndUS < 0) get a
-// zero-length marker instead of a span.
-func episodeEvents(e Episode, pid int, tids map[string]int) []chromeEvent {
-	span := chromeEvent{
-		Name: e.Kind + " visit", Cat: "episode", Ph: "X",
-		PID: pid, TID: tids[chromeEpisodeTrack], TS: e.StartUS, Dur: int64Ptr(0),
-		Args: &chromeArgs{Line: e.Line, TotalUS: int64Ptr(e.TotalUS), Retrieved: intPtr(e.Retrieved)},
-	}
-	if e.TriggerSeq >= 0 {
-		span.Args.TriggerSeq = intPtr(e.TriggerSeq)
-	}
-	if e.EndUS >= e.StartUS {
-		span.Dur = int64Ptr(e.EndUS - e.StartUS)
-	}
-	out := []chromeEvent{span}
-
-	phase := func(name string, start, dur int64) {
-		if dur < 0 {
-			return
-		}
-		out = append(out, chromeEvent{
-			Name: name, Cat: "phase", Ph: "X",
-			PID: pid, TID: tids[chromePhaseTrack], TS: start, Dur: int64Ptr(dur),
-		})
-	}
-	// detect runs from the triggering loss up to switch initiation; switch
-	// and retrieve follow back-to-back (TotalUS = SwitchUS + RetrieveUS).
-	if e.DetectUS >= 0 {
-		phase("detect", e.StartUS-e.DetectUS, e.DetectUS)
-	}
-	phase("switch", e.StartUS, e.SwitchUS)
-	if e.RetrieveUS >= 0 {
-		phase("retrieve", e.StartUS+e.SwitchUS, e.RetrieveUS)
-	}
-	return out
+	return nil
 }
 
 func intPtr(v int) *int       { return &v }

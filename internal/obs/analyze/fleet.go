@@ -1,22 +1,18 @@
 package analyze
 
 import (
-	"bufio"
-	"bytes"
 	"fmt"
-	"io"
-	"sort"
 	"strconv"
 	"strings"
 
 	"repro/internal/obs"
 )
 
-// Fleet-trace analysis: reconstruct a sweep's lease lifecycle from the
-// fleet-trace-v1 event family (docs/OBSERVABILITY.md). One pass over a
-// trace yields per-worker timelines (lanes), per-lease episodes
-// (grant → heartbeats → complete/expire, with stale-reject accounting),
-// and a causality lint over the coordinator's lease state machine:
+// The fleet family: a sweep's lease lifecycle (fleet-trace-v1,
+// docs/OBSERVABILITY.md). One pass yields per-worker timelines (lanes),
+// per-lease episodes (grant → heartbeats → complete/expire, with
+// stale-reject accounting), and a causality lint over the coordinator's
+// lease state machine:
 //
 //   - a lease sequence is granted at most once;
 //   - expire closes an open lease, and only an open lease;
@@ -34,8 +30,7 @@ import (
 // authority on lease state. src=worker events are timeline annotations:
 // they appear in lanes and exports but cannot create or close episodes,
 // so a worker's trace of its own death never contradicts the
-// coordinator's record. Non-fleet events in the same file (e.g. a local
-// sweep that also traced its simulations) are counted and skipped.
+// coordinator's record.
 
 // VLease is the violation kind for lease state-machine findings.
 const VLease = "lease"
@@ -66,6 +61,8 @@ type LeaseEpisode struct {
 	// ReLeased marks an expired lease whose whole span was granted again
 	// — the expire→re-lease episode the kill-worker smoke asserts on.
 	ReLeased bool `json:"re_leased,omitempty"`
+
+	run string // the grant's run label, which places the Chrome span
 }
 
 // FleetLane is one node's (worker's or coordinator's) timeline summary.
@@ -76,14 +73,14 @@ type FleetLane struct {
 	LastUS  int64            `json:"last_us"`
 }
 
-// FleetReport is the result of one fleet-trace analysis pass.
+// FleetReport is the fleet family's report.
 type FleetReport struct {
 	Lines       int64 `json:"lines"`
 	Blank       int64 `json:"blank"`
 	Events      int64 `json:"events"`
 	FleetEvents int64 `json:"fleet_events"`
-	// Skipped counts well-formed non-fleet events (simulation traffic
-	// sharing the file); they are not violations.
+	// Skipped counts well-formed events of other families sharing the
+	// file; they are not violations.
 	Skipped int64            `json:"skipped"`
 	Runs    []string         `json:"runs"`
 	ByType  map[string]int64 `json:"by_type"`
@@ -117,160 +114,99 @@ type pendingSpan struct {
 	seq      int // expired lease's sequence
 }
 
-// FleetAnalyzer is the incremental fleet-trace engine: feed JSONL lines
-// with Line, then Finish. Not safe for concurrent use.
-type FleetAnalyzer struct {
-	maxV     int
+// fleetFamily is the fleet family's state within a pass.
+type fleetFamily struct {
+	p        *pass
 	rep      *FleetReport
 	episodes map[int]*LeaseEpisode // by lease seq
 	pending  []pendingSpan         // expired intervals not yet re-granted
 	// remaining tracks, per expired lease seq, how many jobs of its span
 	// still await re-grant; at zero the expire→re-lease episode closes.
 	remaining map[int]int64
-	order     []*LeaseEpisode  // episodes in grant order
-	lastT     map[string]int64 // (run\x00node\x00src) → high-water timestamp
+	order     []*LeaseEpisode // episodes in grant order
 	runs      map[string]bool
-	line      int64
 }
 
-// NewFleet returns a FleetAnalyzer. maxViolations caps retained findings
-// (0 selects DefaultMaxViolations, negative keeps all).
-func NewFleet(maxViolations int) *FleetAnalyzer {
-	if maxViolations == 0 {
-		maxViolations = DefaultMaxViolations
-	}
-	return &FleetAnalyzer{
-		maxV: maxViolations,
-		rep: &FleetReport{
-			ByType: map[string]int64{},
-			Lanes:  map[string]*FleetLane{},
-		},
+func newFleet(p *pass) family {
+	return &fleetFamily{
+		p:         p,
+		rep:       &FleetReport{ByType: map[string]int64{}, Lanes: map[string]*FleetLane{}},
 		episodes:  map[int]*LeaseEpisode{},
 		remaining: map[int]int64{},
-		lastT:     map[string]int64{},
 		runs:      map[string]bool{},
 	}
 }
 
-// Line feeds one raw trace line (without its trailing newline).
-func (a *FleetAnalyzer) Line(data []byte) {
-	a.line++
-	a.rep.Lines++
-	trimmed := bytes.TrimSpace(data)
-	if len(trimmed) == 0 {
-		a.rep.Blank++
-		return
-	}
-	ev, err := obs.DecodeEvent(trimmed)
-	if err != nil {
-		a.violate(VDecode, "%v", err)
-		return
-	}
-	a.event(ev)
-}
-
-func isFleetEvent(typ string) bool {
-	switch typ {
-	case obs.EvSpecFetch, obs.EvLeaseGrant, obs.EvFleetHeartbeat,
-		obs.EvLeaseExpire, obs.EvReLease, obs.EvLeaseComplete, obs.EvRejectStale:
-		return true
-	}
-	return false
-}
-
-// event routes one decoded event through lanes, the ordering lint, and —
-// for src=coord events — the lease state machine.
-func (a *FleetAnalyzer) event(ev obs.Event) {
-	a.rep.Events++
-	if !isFleetEvent(ev.Ev) {
-		a.rep.Skipped++
-		return
-	}
-	a.rep.FleetEvents++
-	a.rep.ByType[ev.Ev]++
-	a.runs[ev.Run] = true
-	tok := parseTokens(ev.Detail)
-	src := tok["src"]
-
-	lane := a.rep.Lanes[ev.Node]
+// event feeds one fleet event to its lane and — for src=coord events — the
+// lease state machine.
+func (f *fleetFamily) event(ev obs.Event) {
+	f.rep.ByType[ev.Ev]++
+	f.runs[ev.Run] = true
+	lane := f.rep.Lanes[ev.Node]
 	if lane == nil {
 		lane = &FleetLane{ByType: map[string]int64{}, FirstUS: ev.TUS}
-		a.rep.Lanes[ev.Node] = lane
+		f.rep.Lanes[ev.Node] = lane
 	}
 	lane.Events++
 	lane.ByType[ev.Ev]++
-	if ev.TUS < lane.FirstUS {
-		lane.FirstUS = ev.TUS
-	}
-	if ev.TUS > lane.LastUS {
-		lane.LastUS = ev.TUS
-	}
+	lane.FirstUS = min(lane.FirstUS, ev.TUS)
+	lane.LastUS = max(lane.LastUS, ev.TUS)
 
-	// Ordering: one (run, node, src) stream emits in non-decreasing
-	// timestamp order. Coordinator and worker both narrate the same node
-	// from their own clocks, so the streams are linted separately.
-	okey := ev.Run + "\x00" + ev.Node + "\x00" + src
-	if last, seen := a.lastT[okey]; seen && ev.TUS < last {
-		a.violate(VOrder, "%s event on %s/%s (src=%s) at t=%d after t=%d",
-			ev.Ev, ev.Run, ev.Node, src, ev.TUS, last)
-	} else {
-		a.lastT[okey] = ev.TUS
-	}
-
-	if src != "coord" {
+	tok := parseTokens(ev.Detail)
+	if tok["src"] != "coord" {
 		return // worker-side narration: timeline only
 	}
 	switch ev.Ev {
 	case obs.EvLeaseGrant:
-		a.grant(ev, tok, false)
+		f.grant(ev, tok, false)
 	case obs.EvReLease:
-		a.grant(ev, tok, true)
+		f.grant(ev, tok, true)
 	case obs.EvFleetHeartbeat:
-		a.rep.Heartbeats++
-		e := a.episodes[ev.Seq]
+		f.rep.Heartbeats++
+		e := f.episodes[ev.Seq]
 		if tok["ok"] == "true" && (e == nil || e.Outcome != "open") {
-			a.violate(VLease, "heartbeat acked at t=%d for lease L%d which is not open", ev.TUS, ev.Seq)
+			f.p.violate(famFleet, VLease, "heartbeat acked at t=%d for lease L%d which is not open", ev.TUS, ev.Seq)
 		}
 		if e != nil && e.Outcome == "open" && tok["ok"] != "false" {
 			e.Heartbeats++
 		}
 	case obs.EvLeaseExpire:
-		e := a.episodes[ev.Seq]
+		e := f.episodes[ev.Seq]
 		if e == nil || e.Outcome != "open" {
-			a.violate(VLease, "expire at t=%d for lease L%d which is not open", ev.TUS, ev.Seq)
+			f.p.violate(famFleet, VLease, "expire at t=%d for lease L%d which is not open", ev.TUS, ev.Seq)
 			return
 		}
 		e.Outcome = "expired"
 		e.EndUS = ev.TUS
 		e.Reason = tok["reason"]
-		a.rep.Expired++
+		f.rep.Expired++
 		if e.To > e.From {
-			a.pending = append(a.pending, pendingSpan{from: e.From, to: e.To, seq: e.Seq})
-			a.remaining[e.Seq] = e.To - e.From
+			f.pending = append(f.pending, pendingSpan{from: e.From, to: e.To, seq: e.Seq})
+			f.remaining[e.Seq] = e.To - e.From
 		}
 	case obs.EvLeaseComplete:
-		e := a.episodes[ev.Seq]
+		e := f.episodes[ev.Seq]
 		switch {
 		case e == nil:
-			a.violate(VLease, "complete at t=%d for unknown lease L%d", ev.TUS, ev.Seq)
+			f.p.violate(famFleet, VLease, "complete at t=%d for unknown lease L%d", ev.TUS, ev.Seq)
 		case e.Outcome == "expired":
-			a.violate(VLease, "complete at t=%d for expired lease L%d — stale report merged (expected reject-stale)",
+			f.p.violate(famFleet, VLease, "complete at t=%d for expired lease L%d — stale report merged (expected reject-stale)",
 				ev.TUS, ev.Seq)
 		case e.Outcome == "completed":
-			a.violate(VLease, "lease L%d completed twice (second at t=%d)", ev.Seq, ev.TUS)
+			f.p.violate(famFleet, VLease, "lease L%d completed twice (second at t=%d)", ev.Seq, ev.TUS)
 		default:
 			e.Outcome = "completed"
 			e.EndUS = ev.TUS
-			a.rep.Completed++
+			f.rep.Completed++
 		}
 	case obs.EvRejectStale:
-		a.rep.StaleRejects++
-		e := a.episodes[ev.Seq]
+		f.rep.StaleRejects++
+		e := f.episodes[ev.Seq]
 		switch {
 		case e == nil:
-			a.violate(VLease, "reject-stale at t=%d for unknown lease L%d", ev.TUS, ev.Seq)
+			f.p.violate(famFleet, VLease, "reject-stale at t=%d for unknown lease L%d", ev.TUS, ev.Seq)
 		case e.Outcome == "open":
-			a.violate(VLease, "reject-stale at t=%d for lease L%d which is still open", ev.TUS, ev.Seq)
+			f.p.violate(famFleet, VLease, "reject-stale at t=%d for lease L%d which is still open", ev.TUS, ev.Seq)
 		default:
 			e.StaleRejects++
 		}
@@ -278,32 +214,32 @@ func (a *FleetAnalyzer) event(ev obs.Event) {
 }
 
 // grant handles lease-grant and re-lease events.
-func (a *FleetAnalyzer) grant(ev obs.Event, tok map[string]string, reLease bool) {
+func (f *fleetFamily) grant(ev obs.Event, tok map[string]string, reLease bool) {
 	from, to, ok := parseSpan(tok["span"])
 	if !ok {
-		a.violate(VDecode, "%s at t=%d for lease L%d has no span=a:b token (detail %q)",
+		f.p.violate(famFleet, VLease, "%s at t=%d for lease L%d has no span=a:b token (detail %q)",
 			ev.Ev, ev.TUS, ev.Seq, ev.Detail)
 	}
-	if prev := a.episodes[ev.Seq]; prev != nil {
-		a.violate(VLease, "lease L%d granted twice (second at t=%d)", ev.Seq, ev.TUS)
+	if prev := f.episodes[ev.Seq]; prev != nil {
+		f.p.violate(famFleet, VLease, "lease L%d granted twice (second at t=%d)", ev.Seq, ev.TUS)
 		return
 	}
 	e := &LeaseEpisode{
 		ID: fmt.Sprintf("L%d", ev.Seq), Seq: ev.Seq, Worker: ev.Node,
 		From: from, To: to, GrantUS: ev.TUS, EndUS: -1, ReLease: reLease,
-		TTLUS: ev.DurUS, Outcome: "open",
+		TTLUS: ev.DurUS, Outcome: "open", run: ev.Run,
 	}
-	a.episodes[ev.Seq] = e
-	a.order = append(a.order, e)
-	a.rep.Grants++
+	f.episodes[ev.Seq] = e
+	f.order = append(f.order, e)
+	f.rep.Grants++
 	if reLease {
-		a.rep.ReLeases++
-		if took := a.consumePending(from, to); took < to-from {
-			a.violate(VLease, "re-lease at t=%d grants L%d span %d:%d of which %d jobs were never expired",
+		f.rep.ReLeases++
+		if took := f.consumePending(from, to); took < to-from {
+			f.p.violate(famFleet, VLease, "re-lease at t=%d grants L%d span %d:%d of which %d jobs were never expired",
 				ev.TUS, ev.Seq, from, to, (to-from)-took)
 		}
-	} else if a.coveredByPending(from, to) {
-		a.violate(VLease, "lease-grant at t=%d for L%d covers expired span %d:%d — should be re-lease",
+	} else if f.coveredByPending(from, to) {
+		f.p.violate(famFleet, VLease, "lease-grant at t=%d for L%d covers expired span %d:%d — should be re-lease",
 			ev.TUS, ev.Seq, from, to)
 	}
 }
@@ -311,15 +247,15 @@ func (a *FleetAnalyzer) grant(ev obs.Event, tok map[string]string, reLease bool)
 // consumePending subtracts a re-granted span from the expired-interval
 // pool, closing expire→re-lease episodes whose span is fully recovered.
 // Returns how many jobs of [from, to) were actually pending.
-func (a *FleetAnalyzer) consumePending(from, to int64) int64 {
+func (f *fleetFamily) consumePending(from, to int64) int64 {
 	var took int64
-	for i := 0; i < len(a.pending); i++ {
-		p := &a.pending[i]
+	for i := 0; i < len(f.pending); i++ {
+		p := &f.pending[i]
 		if p.to <= p.from || to <= p.from || p.to <= from {
 			continue
 		}
-		lo := max64a(from, p.from)
-		hi := min64a(to, p.to)
+		lo := max(from, p.from)
+		hi := min(to, p.to)
 		took += hi - lo
 		// Shrink the pending interval (pending intervals are disjoint, so
 		// each overlaps [from, to) independently).
@@ -334,22 +270,22 @@ func (a *FleetAnalyzer) consumePending(from, to int64) int64 {
 			// Middle take: keep the front, append the tail.
 			tail := pendingSpan{from: hi, to: p.to, seq: p.seq}
 			p.to = lo
-			a.pending = append(a.pending, tail)
+			f.pending = append(f.pending, tail)
 		}
-		a.remaining[p.seq] -= hi - lo
-		if a.remaining[p.seq] == 0 {
-			if e := a.episodes[p.seq]; e != nil {
+		f.remaining[p.seq] -= hi - lo
+		if f.remaining[p.seq] == 0 {
+			if e := f.episodes[p.seq]; e != nil {
 				e.ReLeased = true
 			}
-			a.rep.ExpireReLeaseEpisodes++
-			delete(a.remaining, p.seq)
+			f.rep.ExpireReLeaseEpisodes++
+			delete(f.remaining, p.seq)
 		}
 	}
 	return took
 }
 
-func (a *FleetAnalyzer) coveredByPending(from, to int64) bool {
-	for _, p := range a.pending {
+func (f *fleetFamily) coveredByPending(from, to int64) bool {
+	for _, p := range f.pending {
 		if p.to > p.from && from < p.to && p.from < to {
 			return true
 		}
@@ -357,68 +293,55 @@ func (a *FleetAnalyzer) coveredByPending(from, to int64) bool {
 	return false
 }
 
-// violate records one lint violation at the current line.
-func (a *FleetAnalyzer) violate(kind, format string, args ...any) {
-	a.rep.TotalViolations++
-	if a.maxV >= 0 && len(a.rep.Violations) >= a.maxV {
-		return
+// finish flags expired spans never re-leased and fills res.Fleet.
+func (f *fleetFamily) finish(res *Result) {
+	for _, seq := range sortedKeys(f.remaining) {
+		f.p.violate(famFleet, VLease, "lease L%d expired but %d jobs of its span were never re-leased",
+			seq, f.remaining[seq])
 	}
-	a.rep.Violations = append(a.rep.Violations, Violation{
-		Line: a.line,
-		Kind: kind,
-		Msg:  fmt.Sprintf(format, args...),
-	})
+	r := f.rep
+	for _, e := range f.order {
+		r.Leases = append(r.Leases, *e)
+	}
+	r.Lines, r.Blank, r.Events = f.p.rep.Lines, f.p.rep.Blank, f.p.rep.Events
+	r.FleetEvents = f.p.owned[famFleet]
+	r.Skipped = r.Events - r.FleetEvents
+	r.Runs = sortedKeys(f.runs)
+	r.Violations, r.TotalViolations = f.p.findings(famFleet)
+	res.Fleet = r
 }
 
-// Finish lints end-of-trace invariants and returns the report. The
-// analyzer must not be used afterwards.
-func (a *FleetAnalyzer) Finish() *FleetReport {
-	seqs := make([]int, 0, len(a.remaining))
-	for seq := range a.remaining {
-		seqs = append(seqs, seq)
-	}
-	sort.Ints(seqs)
-	for _, seq := range seqs {
-		a.violate(VLease, "lease L%d expired but %d jobs of its span were never re-leased",
-			seq, a.remaining[seq])
-	}
-	a.rep.Leases = a.rep.Leases[:0]
-	for _, e := range a.order {
-		a.rep.Leases = append(a.rep.Leases, *e)
-	}
-	a.rep.Runs = make([]string, 0, len(a.runs))
-	for run := range a.runs {
-		a.rep.Runs = append(a.rep.Runs, run)
-	}
-	sort.Strings(a.rep.Runs)
-	return a.rep
-}
-
-// AnalyzeFleet runs a full fleet pass over a JSONL trace stream. The error
-// is nil unless reading r itself fails; malformed lines are violations.
-func AnalyzeFleet(r io.Reader, maxViolations int) (*FleetReport, error) {
-	a := NewFleet(maxViolations)
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 4*1024*1024)
-	for sc.Scan() {
-		a.Line(sc.Bytes())
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("analyze: read fleet trace: %w", err)
-	}
-	return a.Finish(), nil
-}
-
-// parseTokens splits a fleet event's detail ("src=coord span=0:64") into
-// its k=v tokens. Tokens without '=' are ignored.
-func parseTokens(detail string) map[string]string {
-	out := map[string]string{}
-	for _, tok := range strings.Fields(detail) {
-		if i := strings.IndexByte(tok, '='); i > 0 {
-			out[tok[:i]] = tok[i+1:]
+// chrome draws one lane per node — each worker gets its own, so a sharded
+// sweep's lease churn reads as a per-worker Gantt chart. Coordinator-
+// authoritative lease episodes render as duration slices spanning grant →
+// complete/expire (open leases get a zero-length span at the grant);
+// every fleet event renders as an instant.
+func (f *fleetFamily) chrome(c *chromeWriter, evs []obs.Event) {
+	for _, e := range f.rep.Leases {
+		name := e.ID
+		if e.ReLease {
+			name = e.ID + " (re-lease)"
 		}
+		span := chromeEvent{
+			Name: name, Cat: "lease", Ph: "X", TS: e.GrantUS, Dur: int64Ptr(0),
+			Args: &chromeArgs{Detail: fmt.Sprintf("span=%d:%d outcome=%s heartbeats=%d",
+				e.From, e.To, e.Outcome, e.Heartbeats)},
+		}
+		if e.EndUS >= e.GrantUS {
+			span.Dur = int64Ptr(e.EndUS - e.GrantUS)
+		}
+		c.add(e.run, "worker "+e.Worker, span)
 	}
-	return out
+	for _, ev := range evs {
+		ce := chromeEvent{Name: ev.Ev, Cat: ev.Ev, Ph: "i", S: "t", TS: ev.TUS}
+		if ev.Seq >= 0 {
+			ce.Name = fmt.Sprintf("%s L%d", ev.Ev, ev.Seq)
+			ce.Args = &chromeArgs{Seq: intPtr(ev.Seq), Detail: ev.Detail}
+		} else if ev.Detail != "" {
+			ce.Args = &chromeArgs{Detail: ev.Detail}
+		}
+		c.add(ev.Run, "worker "+ev.Node, ce)
+	}
 }
 
 // parseSpan parses "from:to" into a half-open interval.
@@ -430,18 +353,4 @@ func parseSpan(s string) (from, to int64, ok bool) {
 	from, err1 := strconv.ParseInt(s[:i], 10, 64)
 	to, err2 := strconv.ParseInt(s[i+1:], 10, 64)
 	return from, to, err1 == nil && err2 == nil
-}
-
-func min64a(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64a(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -26,11 +26,11 @@ func fleetTrace(t *testing.T, events []obs.Event) string {
 
 func analyzeFleetString(t *testing.T, trace string) *FleetReport {
 	t.Helper()
-	rep, err := AnalyzeFleet(strings.NewReader(trace), -1)
+	res, err := Analyze(strings.NewReader(trace), Options{MaxViolations: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rep
+	return res.Fleet
 }
 
 // TestFleetSampleEventsAreOneCleanEpisode pins the worked example from
@@ -216,7 +216,7 @@ func TestFleetSkipsSimEvents(t *testing.T) {
 func TestFleetChromeExport(t *testing.T) {
 	trace := fleetTrace(t, obs.SampleFleetEvents())
 	var out bytes.Buffer
-	if err := FleetChromeTrace(strings.NewReader(trace), &out); err != nil {
+	if err := ChromeTrace(strings.NewReader(trace), &out); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -252,7 +252,7 @@ func TestFleetChromeExport(t *testing.T) {
 	}
 	// Determinism: a second export must be byte-identical.
 	var again bytes.Buffer
-	if err := FleetChromeTrace(strings.NewReader(trace), &again); err != nil {
+	if err := ChromeTrace(strings.NewReader(trace), &again); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(out.Bytes(), again.Bytes()) {

@@ -8,20 +8,37 @@ import (
 	"repro/internal/obs"
 )
 
-// FuzzAnalyze feeds arbitrary JSONL to the analyzer and asserts two
-// invariants: it never panics, and its decode-kind violations identify
-// exactly the non-blank lines obs.DecodeEvent rejects — no silent
-// acceptance of malformed lines, no spurious rejection of valid ones.
+// FuzzAnalyze feeds arbitrary JSONL to the engine and asserts its
+// invariants across all three families: it never panics; its decode-kind
+// violations identify exactly the non-blank lines obs.DecodeEvent rejects
+// — no silent acceptance of malformed lines, no spurious rejection of
+// valid ones; it counts every line; every decoded event has exactly one
+// owning family; and ChromeTrace renders the same input as valid JSON.
 func FuzzAnalyze(f *testing.F) {
-	var sample [][]byte
-	for _, ev := range obs.SampleEvents() {
-		line, err := json.Marshal(ev)
-		if err != nil {
-			f.Fatal(err)
+	jsonl := func(evs []obs.Event) []byte {
+		var lines [][]byte
+		for _, ev := range evs {
+			line, err := json.Marshal(ev)
+			if err != nil {
+				f.Fatal(err)
+			}
+			lines = append(lines, line)
 		}
-		sample = append(sample, line)
+		return bytes.Join(lines, []byte("\n"))
 	}
-	f.Add(bytes.Join(sample, []byte("\n")))
+	samples := [][]obs.Event{obs.SampleEvents(), obs.SampleFleetEvents(), obs.SampleSLOEvents()}
+	var mixed []obs.Event
+	for i := 0; i < len(samples[0]) || i < len(samples[1]) || i < len(samples[2]); i++ {
+		for _, s := range samples {
+			if i < len(s) {
+				mixed = append(mixed, s[i])
+			}
+		}
+	}
+	for _, s := range samples {
+		f.Add(jsonl(s))
+	}
+	f.Add(jsonl(mixed))
 	f.Add([]byte(""))
 	f.Add([]byte("\n\n  \n"))
 	f.Add([]byte("not json\n" + `{"t_us":1,"ev":"warp","seq":-1}` + "\n"))
@@ -30,7 +47,7 @@ func FuzzAnalyze(f *testing.F) {
 	f.Add([]byte(`{"t_us":9223372036854775807,"ev":"playout-miss","node":"c","seq":0}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rep, err := Analyze(bytes.NewReader(data),
+		res, err := Analyze(bytes.NewReader(data),
 			Options{MaxViolations: -1, KeepEpisodes: true, WindowUS: 1000})
 		if err != nil {
 			// Only a reader failure reaches here; bytes.Reader cannot fail
@@ -40,6 +57,7 @@ func FuzzAnalyze(f *testing.F) {
 			}
 			return
 		}
+		rep := res.Report
 		decodeViol := make(map[int64]bool)
 		for _, v := range rep.Violations {
 			if v.Kind == VDecode {
@@ -72,6 +90,22 @@ func FuzzAnalyze(f *testing.F) {
 		}
 		if int64(len(lines)) != rep.Lines {
 			t.Errorf("lines = %d, report says %d", len(lines), rep.Lines)
+		}
+
+		var owned int64
+		for _, n := range res.Owned {
+			owned += n
+		}
+		if owned != rep.Events {
+			t.Errorf("family event counts %v sum to %d, want the %d decoded events", res.Owned, owned, rep.Events)
+		}
+
+		var out bytes.Buffer
+		if err := ChromeTrace(bytes.NewReader(data), &out); err != nil {
+			t.Fatalf("ChromeTrace: %v", err)
+		}
+		if !json.Valid(out.Bytes()) {
+			t.Errorf("ChromeTrace output is not valid JSON:\n%s", out.Bytes())
 		}
 	})
 }

@@ -116,7 +116,9 @@ type TracePoint struct {
 	Counts  map[string]int64 `json:"counts"`
 }
 
-// Report is the result of one analysis pass.
+// Report is the whole-trace report of one analysis pass: its totals,
+// windows and findings cover every family, while its episode, delay and
+// link fields are the packet family's.
 type Report struct {
 	Lines  int64 `json:"lines"`
 	Blank  int64 `json:"blank"`
@@ -144,8 +146,8 @@ type Report struct {
 	// loss was found in the trace.
 	DetectDelay DelayStats `json:"detect_delay"`
 
-	// Links maps "run/node" (or "node" for unlabelled traces) to its
-	// accumulated stats.
+	// Links maps each packet node's "run/node" (or "node" for unlabelled
+	// traces) to its accumulated stats.
 	Links map[string]*LinkStats `json:"links"`
 	// Episodes holds every reconstructed episode when
 	// Options.KeepEpisodes is set.
@@ -153,8 +155,8 @@ type Report struct {
 	// Points holds the windowed event counts when Options.WindowUS > 0.
 	Points []TracePoint `json:"points,omitempty"`
 
-	// Violations holds up to Options.MaxViolations findings;
-	// TotalViolations counts all of them.
+	// Violations holds up to Options.MaxViolations findings of every
+	// family, in line order; TotalViolations counts all of them.
 	Violations      []Violation `json:"violations"`
 	TotalViolations int64       `json:"total_violations"`
 }

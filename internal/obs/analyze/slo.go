@@ -1,21 +1,16 @@
 package analyze
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
-	"sort"
 
 	"repro/internal/obs"
 )
 
-// SLO-trace analysis: reconstruct alert episodes from the slo-trace-v1
-// event family the streaming SLO engine (internal/obs/slo) emits under its
-// "slo/<hash8>" run label. One pass yields per-rule lifetime stats and
-// per-episode timelines (pending → firing → resolved), plus a lint over
-// the engine's state machine:
+// The slo family: alert episodes from the slo-trace-v1 events the
+// streaming SLO engine (internal/obs/slo) emits under its "slo/<hash8>"
+// run label. One pass yields per-rule lifetime stats and per-episode
+// timelines (pending → firing → resolved), plus a lint over the engine's
+// state machine:
 //
 //   - episode sequences per (run, rule) are strictly increasing;
 //   - at most one episode per (run, rule) is open at a time;
@@ -24,9 +19,7 @@ import (
 //   - per-(run, rule) timestamps never run backwards.
 //
 // An episode still open at end of trace is not a violation — a process
-// may exit mid-alert — it is reported with outcome "open". Non-SLO events
-// sharing the file (simulation traffic, fleet lifecycle) are counted and
-// skipped.
+// may exit mid-alert — it is reported with outcome "open".
 
 // VSLO is the violation kind for SLO state-machine findings.
 const VSLO = "slo"
@@ -65,7 +58,7 @@ type SLORuleStat struct {
 	FiringUS int64 `json:"firing_us"`
 }
 
-// SLOReport is the result of one slo-trace analysis pass.
+// SLOReport is the slo family's report.
 type SLOReport struct {
 	Lines  int64 `json:"lines"`
 	Blank  int64 `json:"blank"`
@@ -89,103 +82,55 @@ type SLOReport struct {
 // Clean reports whether the trace passed the SLO lint.
 func (r *SLOReport) Clean() bool { return r.TotalViolations == 0 }
 
-// SLOAnalyzer is the incremental slo-trace engine: feed JSONL lines with
-// Line, then Finish. Not safe for concurrent use.
-type SLOAnalyzer struct {
-	maxV     int
+// sloKey names one rule's alert stream within a run.
+type sloKey struct{ run, rule string }
+
+// sloFamily is the slo family's state within a pass.
+type sloFamily struct {
+	p        *pass
 	rep      *SLOReport
-	episodes map[string]*SLOEpisode // open episode per (run, rule)
-	lastSeq  map[string]int         // highest seq per (run, rule)
+	episodes map[sloKey]*SLOEpisode // open episode per (run, rule)
+	lastSeq  map[sloKey]int         // highest seq per (run, rule)
 	order    []*SLOEpisode          // episodes in pending order
-	lastT    map[string]int64       // (run, rule) → high-water timestamp
 	runs     map[string]bool
-	line     int64
 }
 
-// NewSLO returns an SLOAnalyzer. maxViolations caps retained findings
-// (0 selects DefaultMaxViolations, negative keeps all).
-func NewSLO(maxViolations int) *SLOAnalyzer {
-	if maxViolations == 0 {
-		maxViolations = DefaultMaxViolations
-	}
-	return &SLOAnalyzer{
-		maxV: maxViolations,
-		rep: &SLOReport{
-			ByType: map[string]int64{},
-			Rules:  map[string]*SLORuleStat{},
-		},
-		episodes: map[string]*SLOEpisode{},
-		lastSeq:  map[string]int{},
-		lastT:    map[string]int64{},
+func newSLO(p *pass) family {
+	return &sloFamily{
+		p:        p,
+		rep:      &SLOReport{ByType: map[string]int64{}, Rules: map[string]*SLORuleStat{}},
+		episodes: map[sloKey]*SLOEpisode{},
+		lastSeq:  map[sloKey]int{},
 		runs:     map[string]bool{},
 	}
 }
 
-func isSLOEvent(typ string) bool {
-	switch typ {
-	case obs.EvSLOPending, obs.EvSLOFiring, obs.EvSLOResolved:
-		return true
-	}
-	return false
-}
-
-// Line feeds one raw trace line (without its trailing newline).
-func (a *SLOAnalyzer) Line(data []byte) {
-	a.line++
-	a.rep.Lines++
-	trimmed := bytes.TrimSpace(data)
-	if len(trimmed) == 0 {
-		a.rep.Blank++
-		return
-	}
-	ev, err := obs.DecodeEvent(trimmed)
-	if err != nil {
-		a.violate(VDecode, "%v", err)
-		return
-	}
-	a.event(ev)
-}
-
-// event routes one decoded event through the ordering lint and the alert
-// state machine.
-func (a *SLOAnalyzer) event(ev obs.Event) {
-	a.rep.Events++
-	if !isSLOEvent(ev.Ev) {
-		a.rep.Skipped++
-		return
-	}
-	a.rep.SLOEvents++
-	a.rep.ByType[ev.Ev]++
-	a.runs[ev.Run] = true
-
-	key := ev.Run + "\x00" + ev.Node
-	if last, seen := a.lastT[key]; seen && ev.TUS < last {
-		a.violate(VOrder, "%s on %s/%s at t=%d after t=%d", ev.Ev, ev.Run, ev.Node, ev.TUS, last)
-	} else {
-		a.lastT[key] = ev.TUS
-	}
-
-	st := a.rep.Rules[ev.Node]
+// event advances the alert state machine of the event's (run, rule).
+func (f *sloFamily) event(ev obs.Event) {
+	f.rep.ByType[ev.Ev]++
+	f.runs[ev.Run] = true
+	key := sloKey{ev.Run, ev.Node}
+	st := f.rep.Rules[ev.Node]
 	if st == nil {
 		st = &SLORuleStat{}
-		a.rep.Rules[ev.Node] = st
+		f.rep.Rules[ev.Node] = st
 	}
-	open := a.episodes[key]
-	tok := parseTokens(ev.Detail)
+	open := f.episodes[key]
 	switch ev.Ev {
 	case obs.EvSLOPending:
 		if open != nil {
-			a.violate(VSLO, "pending at t=%d opens episode %d of rule %q while episode %d is still open",
+			f.p.violate(famSLO, VSLO, "pending at t=%d opens episode %d of rule %q while episode %d is still open",
 				ev.TUS, ev.Seq, ev.Node, open.Seq)
 			return
 		}
-		if last := a.lastSeq[key]; ev.Seq <= last {
-			a.violate(VSLO, "pending at t=%d reuses episode seq %d of rule %q (last was %d)",
+		if last := f.lastSeq[key]; ev.Seq <= last {
+			f.p.violate(famSLO, VSLO, "pending at t=%d reuses episode seq %d of rule %q (last was %d)",
 				ev.TUS, ev.Seq, ev.Node, last)
 		}
-		a.lastSeq[key] = ev.Seq
+		f.lastSeq[key] = ev.Seq
+		tok := parseTokens(ev.Detail)
 		e := &SLOEpisode{
-			Rule: ev.Node, Seq: ev.Seq, Run: ev.Run, Line: a.line,
+			Rule: ev.Node, Seq: ev.Seq, Run: ev.Run, Line: f.p.line,
 			PendingUS: ev.TUS, FiringUS: -1, ResolvedUS: -1, Outcome: "open",
 			Value: tok["value"],
 		}
@@ -194,18 +139,18 @@ func (a *SLOAnalyzer) event(ev obs.Event) {
 		} else if v, ok := tok["max"]; ok {
 			e.Bound = "max=" + v
 		}
-		a.episodes[key] = e
-		a.order = append(a.order, e)
+		f.episodes[key] = e
+		f.order = append(f.order, e)
 		st.Episodes++
 	case obs.EvSLOFiring:
 		switch {
 		case open == nil:
-			a.violate(VSLO, "firing at t=%d for rule %q with no open episode", ev.TUS, ev.Node)
+			f.p.violate(famSLO, VSLO, "firing at t=%d for rule %q with no open episode", ev.TUS, ev.Node)
 		case open.Seq != ev.Seq:
-			a.violate(VSLO, "firing at t=%d names episode %d of rule %q but episode %d is open",
+			f.p.violate(famSLO, VSLO, "firing at t=%d names episode %d of rule %q but episode %d is open",
 				ev.TUS, ev.Seq, ev.Node, open.Seq)
 		case open.Fired:
-			a.violate(VSLO, "episode %d of rule %q fired twice (second at t=%d)", ev.Seq, ev.Node, ev.TUS)
+			f.p.violate(famSLO, VSLO, "episode %d of rule %q fired twice (second at t=%d)", ev.Seq, ev.Node, ev.TUS)
 		default:
 			open.Fired = true
 			open.FiringUS = ev.TUS
@@ -214,9 +159,9 @@ func (a *SLOAnalyzer) event(ev obs.Event) {
 	case obs.EvSLOResolved:
 		switch {
 		case open == nil:
-			a.violate(VSLO, "resolved at t=%d for rule %q with no open episode", ev.TUS, ev.Node)
+			f.p.violate(famSLO, VSLO, "resolved at t=%d for rule %q with no open episode", ev.TUS, ev.Node)
 		case open.Seq != ev.Seq:
-			a.violate(VSLO, "resolved at t=%d names episode %d of rule %q but episode %d is open",
+			f.p.violate(famSLO, VSLO, "resolved at t=%d names episode %d of rule %q but episode %d is open",
 				ev.TUS, ev.Seq, ev.Node, open.Seq)
 		default:
 			open.Outcome = "resolved"
@@ -225,168 +170,56 @@ func (a *SLOAnalyzer) event(ev obs.Event) {
 				st.FiringUS += ev.TUS - open.FiringUS
 			}
 			st.Resolved++
-			delete(a.episodes, key)
+			delete(f.episodes, key)
 		}
 	}
 }
 
-// violate records one lint violation at the current line.
-func (a *SLOAnalyzer) violate(kind, format string, args ...any) {
-	a.rep.TotalViolations++
-	if a.maxV >= 0 && len(a.rep.Violations) >= a.maxV {
-		return
+// finish counts the episodes still open and fills res.SLO.
+func (f *sloFamily) finish(res *Result) {
+	for _, e := range f.episodes {
+		f.rep.Rules[e.Rule].Open++
 	}
-	a.rep.Violations = append(a.rep.Violations, Violation{
-		Line: a.line,
-		Kind: kind,
-		Msg:  fmt.Sprintf(format, args...),
-	})
+	r := f.rep
+	for _, e := range f.order {
+		r.Episodes = append(r.Episodes, *e)
+	}
+	r.Lines, r.Blank, r.Events = f.p.rep.Lines, f.p.rep.Blank, f.p.rep.Events
+	r.SLOEvents = f.p.owned[famSLO]
+	r.Skipped = r.Events - r.SLOEvents
+	r.Runs = sortedKeys(f.runs)
+	r.Violations, r.TotalViolations = f.p.findings(famSLO)
+	res.SLO = r
 }
 
-// Finish closes the pass and returns the report. The analyzer must not be
-// used afterwards.
-func (a *SLOAnalyzer) Finish() *SLOReport {
-	for _, e := range a.episodes {
-		a.rep.Rules[e.Rule].Open++
-	}
-	a.rep.Episodes = a.rep.Episodes[:0]
-	for _, e := range a.order {
-		a.rep.Episodes = append(a.rep.Episodes, *e)
-	}
-	a.rep.Runs = make([]string, 0, len(a.runs))
-	for run := range a.runs {
-		a.rep.Runs = append(a.rep.Runs, run)
-	}
-	sort.Strings(a.rep.Runs)
-	return a.rep
-}
-
-// AnalyzeSLO runs a full slo-trace pass over a JSONL stream. The error is
-// nil unless reading r itself fails; malformed lines are violations.
-func AnalyzeSLO(r io.Reader, maxViolations int) (*SLOReport, error) {
-	a := NewSLO(maxViolations)
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 4*1024*1024)
-	for sc.Scan() {
-		a.Line(sc.Bytes())
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("analyze: read slo trace: %w", err)
-	}
-	return a.Finish(), nil
-}
-
-// SLOChromeTrace converts the slo-* events of one JSONL trace into Chrome
-// trace-event JSON: one process per run, one lane per rule, each episode a
-// span from pending to resolved (with its firing arc as a nested slice)
-// plus the transitions as instants.
-func SLOChromeTrace(r io.Reader, w io.Writer) error {
-	var events []obs.Event
-	a := NewSLO(-1)
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 4*1024*1024)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		a.Line(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		ev, err := obs.DecodeEvent(line)
-		if err != nil || !isSLOEvent(ev.Ev) {
-			continue
-		}
-		events = append(events, ev)
-	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("slo chrome export: %w", err)
-	}
-	rep := a.Finish()
-
-	doc := buildSLOChromeDoc(events, rep)
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return fmt.Errorf("slo chrome export: %w", err)
-	}
-	if _, err := w.Write(append(data, '\n')); err != nil {
-		return fmt.Errorf("slo chrome export: %w", err)
-	}
-	return nil
-}
-
-// buildSLOChromeDoc lays out per-run processes and per-rule lanes, then
-// renders episode spans, firing arcs, and transition instants.
-func buildSLOChromeDoc(events []obs.Event, rep *SLOReport) *chromeDoc {
-	runSet := map[string]map[string]bool{}
-	for _, ev := range events {
-		if runSet[ev.Run] == nil {
-			runSet[ev.Run] = map[string]bool{}
-		}
-		runSet[ev.Run][ev.Node] = true
-	}
-	runs := make([]string, 0, len(runSet))
-	for run := range runSet {
-		runs = append(runs, run)
-	}
-	sort.Strings(runs)
-
-	doc := &chromeDoc{TraceEvents: []chromeEvent{}, DisplayTimeUnit: "ms"}
-	pid := map[string]int{}
-	tid := map[string]map[string]int{}
+// chrome draws one lane per rule: each episode a span from pending to
+// resolved (an open one to its run's last slo event) with its firing arc
+// as a nested slice, then every transition as an instant.
+func (f *sloFamily) chrome(c *chromeWriter, evs []obs.Event) {
 	lastUS := map[string]int64{}
-	for _, ev := range events {
-		if ev.TUS > lastUS[ev.Run] {
-			lastUS[ev.Run] = ev.TUS
-		}
+	for _, ev := range evs {
+		lastUS[ev.Run] = max(lastUS[ev.Run], ev.TUS)
 	}
-	for i, run := range runs {
-		pid[run] = i + 1
-		doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
-			Name: "process_name", Ph: "M", PID: pid[run],
-			Args: &chromeArgs{Name: "run " + run},
-		})
-		rules := make([]string, 0, len(runSet[run]))
-		for rule := range runSet[run] {
-			rules = append(rules, rule)
-		}
-		sort.Strings(rules)
-		tid[run] = map[string]int{}
-		for j, rule := range rules {
-			tid[run][rule] = j + 1
-			doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
-				Name: "thread_name", Ph: "M", PID: pid[run], TID: j + 1,
-				Args: &chromeArgs{Name: "rule " + rule},
-			})
-		}
-	}
-
-	for _, e := range rep.Episodes {
+	for _, e := range f.rep.Episodes {
 		end := e.ResolvedUS
 		if end < 0 {
-			end = lastUS[e.Run] // open episode: span to end of trace
+			end = lastUS[e.Run]
 		}
-		seq := e.Seq
-		span := chromeEvent{
+		c.add(e.Run, "rule "+e.Rule, chromeEvent{
 			Name: fmt.Sprintf("episode %d", e.Seq), Cat: "slo-episode", Ph: "X",
-			PID: pid[e.Run], TID: tid[e.Run][e.Rule], TS: e.PendingUS,
-			Dur:  int64Ptr(end - e.PendingUS),
-			Args: &chromeArgs{Seq: &seq, Detail: fmt.Sprintf("outcome=%s %s value=%s", e.Outcome, e.Bound, e.Value)},
-		}
-		doc.TraceEvents = append(doc.TraceEvents, span)
+			TS: e.PendingUS, Dur: int64Ptr(end - e.PendingUS),
+			Args: &chromeArgs{Seq: intPtr(e.Seq), Detail: fmt.Sprintf("outcome=%s %s value=%s", e.Outcome, e.Bound, e.Value)},
+		})
 		if e.Fired && e.FiringUS >= 0 {
-			doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
-				Name: "firing", Cat: "slo-firing", Ph: "X",
-				PID: pid[e.Run], TID: tid[e.Run][e.Rule], TS: e.FiringUS,
-				Dur: int64Ptr(end - e.FiringUS),
+			c.add(e.Run, "rule "+e.Rule, chromeEvent{
+				Name: "firing", Cat: "slo-firing", Ph: "X", TS: e.FiringUS, Dur: int64Ptr(end - e.FiringUS),
 			})
 		}
 	}
-	for _, ev := range events {
-		seq := ev.Seq
-		doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
-			Name: ev.Ev, Cat: ev.Ev, Ph: "i", S: "t",
-			PID: pid[ev.Run], TID: tid[ev.Run][ev.Node], TS: ev.TUS,
-			Args: &chromeArgs{Seq: &seq, Detail: ev.Detail},
+	for _, ev := range evs {
+		c.add(ev.Run, "rule "+ev.Node, chromeEvent{
+			Name: ev.Ev, Cat: ev.Ev, Ph: "i", S: "t", TS: ev.TUS,
+			Args: &chromeArgs{Seq: intPtr(ev.Seq), Detail: ev.Detail},
 		})
 	}
-	return doc
 }

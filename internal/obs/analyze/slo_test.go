@@ -11,11 +11,11 @@ import (
 
 func analyzeSLOString(t *testing.T, trace string) *SLOReport {
 	t.Helper()
-	rep, err := AnalyzeSLO(strings.NewReader(trace), -1)
+	res, err := Analyze(strings.NewReader(trace), Options{MaxViolations: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rep
+	return res.SLO
 }
 
 func sloEvent(tUS int64, typ, rule string, seq int, detail string) obs.Event {
@@ -202,7 +202,7 @@ func TestSLOChromeExport(t *testing.T) {
 			Node: "miss-rate", Seq: 1, Detail: "src=slo value=2.000 max=1.000"})
 	trace := fleetTrace(t, evs)
 	var out bytes.Buffer
-	if err := SLOChromeTrace(strings.NewReader(trace), &out); err != nil {
+	if err := ChromeTrace(strings.NewReader(trace), &out); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -242,7 +242,7 @@ func TestSLOChromeExport(t *testing.T) {
 		t.Errorf("instants = %d, want %d", instants, len(evs))
 	}
 	var again bytes.Buffer
-	if err := SLOChromeTrace(strings.NewReader(trace), &again); err != nil {
+	if err := ChromeTrace(strings.NewReader(trace), &again); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(out.Bytes(), again.Bytes()) {

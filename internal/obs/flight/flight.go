@@ -3,7 +3,7 @@
 // wrong. Components record their last-N lifecycle events into a Recorder
 // as they happen; on a panic, a per-job timeout, or a lease expiry the
 // owner dumps the ring as a standard JSONL trace that every existing
-// trace consumer (tracetool lint/summary/fleet, internal/obs/analyze)
+// trace consumer (tracetool lint/episodes/export, internal/obs/analyze)
 // understands — a flight recorder in the avionics sense.
 //
 // The zero-cost contract matches the rest of internal/obs: every method

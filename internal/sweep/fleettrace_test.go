@@ -95,10 +95,11 @@ func TestFleetPlaneNoPerturb(t *testing.T) {
 	if err := sink.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := analyze.AnalyzeFleet(bytes.NewReader(buf.Bytes()), -1)
+	res, err := analyze.Analyze(bytes.NewReader(buf.Bytes()), analyze.Options{MaxViolations: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := res.Fleet
 	if !rep.Clean() {
 		t.Errorf("fleet lint found %d violations: %+v", rep.TotalViolations, rep.Violations)
 	}

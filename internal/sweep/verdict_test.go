@@ -290,10 +290,11 @@ func TestSLOPlaneNoPerturb(t *testing.T) {
 	if err := sink.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := analyze.AnalyzeSLO(bytes.NewReader(buf.Bytes()), -1)
+	res, err := analyze.Analyze(bytes.NewReader(buf.Bytes()), analyze.Options{MaxViolations: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := res.SLO
 	if !rep.Clean() {
 		t.Errorf("slo lint found violations: %+v", rep.Violations)
 	}
@@ -306,12 +307,8 @@ func TestSLOPlaneNoPerturb(t *testing.T) {
 	if len(rep.Runs) != 1 || rep.Runs[0] != slo.TraceRun(rs.Hash()) {
 		t.Errorf("slo events ran under %v, want %s", rep.Runs, slo.TraceRun(rs.Hash()))
 	}
-	fleetRep, err := analyze.AnalyzeFleet(bytes.NewReader(buf.Bytes()), -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !fleetRep.Clean() {
-		t.Errorf("fleet lint dirty with slo events interleaved: %+v", fleetRep.Violations)
+	if !res.Fleet.Clean() {
+		t.Errorf("fleet lint dirty with slo events interleaved: %+v", res.Fleet.Violations)
 	}
 
 	// The workers' heartbeat snapshots federated the engine's live counts.

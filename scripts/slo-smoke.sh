@@ -4,8 +4,9 @@
 # armed via -slo, poll the live /alerts endpoint until the miss-rate rule has
 # fired, assert the slo_* families are exposed on /metrics while alerts are
 # live, and after the run reconstruct the full pending→firing→resolved
-# lifecycle from the slo-trace-v1 events with `tracetool slo`. CI runs this
-# on every push, next to http-smoke.sh.
+# lifecycle from the slo-trace-v1 events with `tracetool episodes`, which
+# finds the slo family among the call's packet events. CI runs this on every
+# push, next to http-smoke.sh.
 #
 # The scenario is a fixed-seed 7200 s weak-link call run diversifi-only
 # (-strategy diversifi keeps the process on a single simulation, so the
@@ -132,7 +133,7 @@ run_pid=""
 # Reconstruct the lifecycle offline: the trace must lint clean and contain
 # at least one complete pending→firing→resolved episode of the miss-rate
 # rule (a resolved transition after a firing one).
-"$tmp/tracetool" slo "$tmp/trace.jsonl" >"$tmp/slo.txt"
+"$tmp/tracetool" episodes "$tmp/trace.jsonl" >"$tmp/slo.txt"
 grep -q '^slo lint: clean' "$tmp/slo.txt" || {
     echo "slo-smoke: trace linted dirty" >&2
     cat "$tmp/slo.txt" >&2

@@ -9,7 +9,7 @@
 # offline (`campaign sweep report`), proving the v2 multi-metric sketches
 # themselves — not just their fingerprint — survived the worker kill. The
 # fleet observability plane rides along: the coordinator's fleet-trace-v1
-# narration must lint clean (`tracetool fleet`), reconstruct the kill as
+# narration must lint clean (`tracetool episodes`), reconstruct the kill as
 # exactly one expire→re-lease episode, and leave a postmortem flight dump
 # for the dead worker (docs/OBSERVABILITY.md). CI runs this on every push,
 # next to http-smoke.sh.
@@ -173,7 +173,7 @@ echo "sweep-smoke: paper artifact re-rendered from the sharded summary"
 # fleet-trace-v1 narration lints clean, and the victim's death shows up as
 # exactly one expire→re-lease episode (its single outstanding lease, reaped
 # at TTL and re-granted whole to the survivor).
-"$tmp/tracetool" fleet "$tmp/coord-trace.jsonl" >"$tmp/fleet.txt" || {
+"$tmp/tracetool" episodes "$tmp/coord-trace.jsonl" >"$tmp/fleet.txt" || {
     echo "sweep-smoke: fleet trace failed the lint" >&2
     cat "$tmp/fleet.txt" >&2
     exit 1
