@@ -293,16 +293,17 @@ func (c *Client) StartCall(count int) {
 	c.lastSecVisit = c.sim.Now()
 	c.sec.Sleep()
 	for seq := 0; seq < count; seq++ {
-		seq := seq
 		c.tr.RecordSent(seq, c.expectedSend(seq))
-		c.sim.Schedule(c.expectedArrival(seq).Add(c.plt()), func() { c.lossCheck(seq) })
-		if c.obs != nil {
-			// Playout-miss detection is observability-only: one check per
-			// sequence number at its recovery deadline. Gated on the
-			// registry so unobserved runs schedule nothing extra.
-			c.sim.Schedule(c.recoveryDeadline(seq), func() { c.playoutCheck(seq) })
-		}
 	}
+	// One PacketLossTimeout per packet, armed lazily by the train.
+	lanes := []sim.Lane{{At: c.lossCheckAt, Fn: c.lossCheck}}
+	if c.obs != nil {
+		// Playout-miss detection is observability-only: one check per
+		// sequence number at its recovery deadline. Gated on the
+		// registry so unobserved runs schedule nothing extra.
+		lanes = append(lanes, sim.Lane{At: c.recoveryDeadline, Fn: c.playoutCheck})
+	}
+	c.sim.Train(count, lanes...)
 	if !c.cfg.DisableKeepalive {
 		c.scheduleKeepalive()
 	}
@@ -316,6 +317,11 @@ func (c *Client) expectedSend(seq int) sim.Time {
 // expectedArrival returns when seq should reach the client on a healthy path.
 func (c *Client) expectedArrival(seq int) sim.Time {
 	return c.expectedSend(seq).Add(c.cfg.NominalTransit)
+}
+
+// lossCheckAt returns when seq's PacketLossTimeout fires.
+func (c *Client) lossCheckAt(seq int) sim.Time {
+	return c.expectedArrival(seq).Add(c.plt())
 }
 
 // recoveryDeadline returns the last useful delivery time for seq.

@@ -61,25 +61,21 @@ func RunFEC(sc Scenario, k int) FECResult {
 	wire := netsim.NewWire(s, "fecLan", lanLatency, lanJitter, 0)
 	enq := a.Enqueue
 
-	for seq := 0; seq < count; seq++ {
-		seq := seq
-		at := sim.Time(seq) * sim.Time(sc.Profile.Spacing)
-		s.Schedule(at, func() {
-			p := pkt.Packet{StreamID: 1, Seq: seq, Size: sc.Profile.PacketBytes, SentAt: s.Now()}
-			raw.RecordSent(seq, p.SentAt)
-			wire.Send(p, enq)
-			if (seq+1)%k == 0 {
-				// Emit the block's parity right after its last member.
-				par := pkt.Packet{
-					StreamID: 1,
-					Seq:      parityBase + seq/k,
-					Size:     sc.Profile.PacketBytes,
-					SentAt:   s.Now(),
-				}
-				wire.Send(par, enq)
+	s.Train(count, sim.Lane{At: periodic(sc.Profile.Spacing), Fn: func(seq int) {
+		p := pkt.Packet{StreamID: 1, Seq: seq, Size: sc.Profile.PacketBytes, SentAt: s.Now()}
+		raw.RecordSent(seq, p.SentAt)
+		wire.Send(p, enq)
+		if (seq+1)%k == 0 {
+			// Emit the block's parity right after its last member.
+			par := pkt.Packet{
+				StreamID: 1,
+				Seq:      parityBase + seq/k,
+				Size:     sc.Profile.PacketBytes,
+				SentAt:   s.Now(),
 			}
-		})
-	}
+			wire.Send(par, enq)
+		}
+	}})
 	paritySent = (count + k - 1) / k
 	s.Run(sim.Time(sc.Duration + 2*sim.Second))
 

@@ -83,16 +83,13 @@ func RunMultiCall(sc Scenario, n int) []*trace.Trace {
 		enqs[i] = aps[i].Enqueue
 	}
 
-	for seq := 0; seq < count; seq++ {
-		seq := seq
-		s.Schedule(sim.Time(seq)*sim.Time(sc.Profile.Spacing), func() {
-			p := pkt.Packet{StreamID: 1, Seq: seq, Size: sc.Profile.PacketBytes, SentAt: s.Now()}
-			for i := range aps {
-				traces[i].RecordSent(seq, p.SentAt)
-				wires[i].Send(p, enqs[i])
-			}
-		})
-	}
+	s.Train(count, sim.Lane{At: periodic(sc.Profile.Spacing), Fn: func(seq int) {
+		p := pkt.Packet{StreamID: 1, Seq: seq, Size: sc.Profile.PacketBytes, SentAt: s.Now()}
+		for i := range aps {
+			traces[i].RecordSent(seq, p.SentAt)
+			wires[i].Send(p, enqs[i])
+		}
+	}})
 
 	// Record RSSI ordering before running (call start).
 	type ranked struct {

@@ -81,15 +81,20 @@ func RunDualCall(sc Scenario) DualCall {
 		res.RSSIB = links.B.RSSIdBm(0)
 		src.Start(count)
 	})
-	for sec := sim.Duration(0); sec < sc.Duration; sec += sim.Second {
-		sec := sec
-		s.Schedule(sim.Time(sec), func() {
-			res.RSSISeriesA = append(res.RSSISeriesA, links.A.RSSIdBm(s.Now()))
-			res.RSSISeriesB = append(res.RSSISeriesB, links.B.RSSIdBm(s.Now()))
-		})
-	}
+	// One RSSI sample at the start of every second of the call.
+	seconds := int((sc.Duration + sim.Second - 1) / sim.Second)
+	s.Train(seconds, sim.Lane{At: periodic(sim.Second), Fn: func(int) {
+		res.RSSISeriesA = append(res.RSSISeriesA, links.A.RSSIdBm(s.Now()))
+		res.RSSISeriesB = append(res.RSSISeriesB, links.B.RSSIdBm(s.Now()))
+	}})
 	s.Run(sim.Time(sc.Duration + 2*sim.Second))
 	return res
+}
+
+// periodic returns the Train times of a stream with one event every period
+// from t=0.
+func periodic(period sim.Duration) func(int) sim.Time {
+	return func(i int) sim.Time { return sim.Time(i) * sim.Time(period) }
 }
 
 // DiversiFiMode selects where the secondary copy is buffered.

@@ -85,10 +85,7 @@ func RunUplink(sc Scenario, diversifi bool) UplinkResult {
 		c.tr.RecordSent(seq, p.SentAt)
 		c.enqueue(p)
 	}
-	for seq := 0; seq < count; seq++ {
-		seq := seq
-		s.Schedule(sim.Time(seq)*sim.Time(sc.Profile.Spacing), func() { emit(seq) })
-	}
+	s.Train(count, sim.Lane{At: periodic(sc.Profile.Spacing), Fn: emit})
 	s.Run(sim.Time(sc.Duration + 2*sim.Second))
 
 	return UplinkResult{Scenario: sc, Trace: c.tr, Stats: c.stats, PrimaryIsA: primaryIsA}

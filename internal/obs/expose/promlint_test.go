@@ -159,9 +159,9 @@ func TestValidateExpositionLabelEscaping(t *testing.T) {
 		`m{l="quo\"te"} 1` + "\n",
 		`m{l="new\nline"} 1` + "\n",
 		`m{l="all\\three\n\"at once"} 1` + "\n",
-		`m{} 1` + "\n",              // empty label block
-		`m{a="1",} 1` + "\n",        // trailing comma
-		`m{a="1", b="2"} 1` + "\n",  // space after comma
+		`m{} 1` + "\n",             // empty label block
+		`m{a="1",} 1` + "\n",       // trailing comma
+		`m{a="1", b="2"} 1` + "\n", // space after comma
 	}
 	for _, doc := range accepts {
 		if _, err := ValidateExposition([]byte(doc)); err != nil {

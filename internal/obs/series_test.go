@@ -170,11 +170,11 @@ func TestSeriesOnCapture(t *testing.T) {
 
 	c := r.Counter("net.drops")
 	c.Inc()
-	se.Tick(500)     // inside window 1: no capture
-	se.Tick(1000)    // boundary: captures [0,1000)
+	se.Tick(500)  // inside window 1: no capture
+	se.Tick(1000) // boundary: captures [0,1000)
 	c.Add(2)
-	se.Tick(2500)    // crosses window 2: captures [1000,2000)
-	se.Flush()       // partial [2000,2500)
+	se.Tick(2500) // crosses window 2: captures [1000,2000)
+	se.Flush()    // partial [2000,2500)
 
 	if len(got) != 3 {
 		t.Fatalf("captured %d points, want 3: %+v", len(got), got)

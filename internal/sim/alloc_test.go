@@ -12,6 +12,7 @@ const (
 	ceilSchedule = 0 // Schedule + execute, warmed pool
 	ceilCancel   = 0 // Schedule + Stop
 	ceilTick     = 0 // one Ticker period
+	ceilTrain    = 0 // one event of each of two Train lanes, after the Train call
 	ceilRNGDraw  = 0 // one Float64 from a cached stream
 )
 
@@ -53,6 +54,21 @@ func TestSchedulingAllocCeiling(t *testing.T) {
 	tk.Stop()
 	if tick > ceilTick {
 		t.Errorf("ticker period allocates %.1f/op, ceiling %d", tick, ceilTick)
+	}
+
+	// AllocsPerRun calls its function 1001 times; each call runs one event
+	// per lane, one microsecond apart.
+	start := s.Now().Add(Microsecond)
+	at := func(i int) Time { return start.Add(Duration(i) * Microsecond) }
+	s.Train(1001, Lane{At: at, Fn: func(int) {}}, Lane{At: at, Fn: func(int) {}})
+	train := testing.AllocsPerRun(1000, func() {
+		s.Run(s.Now().Add(Microsecond))
+	})
+	if s.Pending() != 0 {
+		t.Errorf("train left %d events pending, want 0", s.Pending())
+	}
+	if train > ceilTrain {
+		t.Errorf("train event allocates %.1f/op, ceiling %d", train, ceilTrain)
 	}
 
 	stream := s.RNG("alloc-test")

@@ -296,6 +296,76 @@ func (s *Simulator) Schedule(at Time, fn func()) Timer {
 	return Timer{s: s, idx: idx, seq: seq}
 }
 
+// Lane is one event stream of a Train: its event i runs Fn(i) at At(i).
+// At must be non-decreasing in i.
+type Lane struct {
+	At func(i int) Time
+	Fn func(i int)
+}
+
+// Train schedules n events on each lane with exactly the (time, seq)
+// order, Executed and Pending counts of the loop it replaces:
+//
+//	for i := 0; i < n; i++ {
+//		for _, l := range lanes {
+//			s.Schedule(l.At(i), func() { l.Fn(i) })
+//		}
+//	}
+//
+// It reserves that loop's block of sequence numbers up front (event i of
+// lane j gets base + i·len(lanes) + j) but materializes the events lazily:
+// each lane holds one heap entry, one slot and one closure, and pushes
+// event i+1 when event i runs. A per-packet timer armed for a whole call
+// therefore costs one heap entry instead of growing the heap and slot pool
+// to the packet count. An event that would fall before Now panics, as
+// Schedule does.
+func (s *Simulator) Train(n int, lanes ...Lane) {
+	k := len(lanes)
+	if n <= 0 || k == 0 {
+		return
+	}
+	base := s.seq
+	s.seq += uint64(n) * uint64(k)
+	s.live += n * k
+	for j, l := range lanes {
+		tl := &trainLane{Lane: l, s: s, n: n, stride: uint64(k), seq: base + uint64(j)}
+		tl.run = tl.step
+		tl.push()
+	}
+}
+
+// trainLane is the cursor of one Train lane: event i is the one in the heap.
+type trainLane struct {
+	Lane
+	s      *Simulator
+	n, i   int
+	stride uint64 // sequence numbers between consecutive events of the lane
+	seq    uint64 // sequence number of event i
+	run    func() // tl.step, bound once
+}
+
+// push enqueues event i under its reserved sequence number. The events are
+// already counted in s.live, so unlike Schedule it does not touch it.
+func (tl *trainLane) push() {
+	at := tl.At(tl.i)
+	if at < tl.s.now {
+		panic(fmt.Sprintf("sim: train event %d at %v before now %v", tl.i, at, tl.s.now))
+	}
+	idx := tl.s.allocSlot(tl.run, tl.seq)
+	tl.s.heapPush(heapEntry{at: at, seq: tl.seq, idx: idx})
+}
+
+// step runs event i after enqueueing its successor.
+func (tl *trainLane) step() {
+	i := tl.i
+	tl.i++
+	if tl.i < tl.n {
+		tl.seq += tl.stride
+		tl.push()
+	}
+	tl.Fn(i)
+}
+
 // After runs fn d after the current time.
 func (s *Simulator) After(d Duration, fn func()) Timer {
 	if d < 0 {

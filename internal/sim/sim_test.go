@@ -72,6 +72,34 @@ func TestSchedulePastPanics(t *testing.T) {
 	s.RunAll()
 }
 
+func TestTrainPastPanics(t *testing.T) {
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		f()
+	}
+	s := New(1)
+	s.Schedule(100, func() {
+		mustPanic("a train starting before now", func() {
+			s.Train(2, Lane{At: func(int) Time { return 50 }, Fn: func(int) {}})
+		})
+	})
+	s.RunAll()
+
+	// Event 1 falls before event 0, so it is before Now when event 0 runs.
+	s = New(1)
+	ran := 0
+	s.Train(3, Lane{At: func(i int) Time { return Time(10 - i) }, Fn: func(int) { ran++ }})
+	mustPanic("a lane whose next time is before now", func() { s.RunAll() })
+	if ran != 0 {
+		t.Errorf("ran %d events before the panic, want 0", ran)
+	}
+}
+
 func TestTimerStop(t *testing.T) {
 	s := New(1)
 	ran := false

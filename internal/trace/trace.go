@@ -92,15 +92,20 @@ func (t *Trace) LostWithDeadline(deadline sim.Duration) []bool {
 	return lost
 }
 
-// Delays returns the one-way delays of delivered packets, in milliseconds.
-func (t *Trace) Delays() []float64 {
-	var out []float64
+// MeanDelayMs returns the mean one-way delay of delivered packets, in
+// milliseconds, or 0 when none was delivered.
+func (t *Trace) MeanDelayMs() float64 {
+	sum, n := 0.0, 0
 	for i := range t.arrival {
 		if t.arrival[i] >= 0 && t.sent[i] >= 0 {
-			out = append(out, t.arrival[i].Sub(t.sent[i]).Milliseconds())
+			sum += t.arrival[i].Sub(t.sent[i]).Milliseconds()
+			n++
 		}
 	}
-	return out
+	if n == 0 {
+		return 0
+	}
+	return sum / float64(n)
 }
 
 // Jitter returns the RFC 3550 interarrival jitter estimate in milliseconds

@@ -82,14 +82,11 @@ func TestOutOfRangeIgnored(t *testing.T) {
 
 func TestDelaysAndJitter(t *testing.T) {
 	tr := mk(100, nil, 10*sim.Millisecond)
-	delays := tr.Delays()
-	if len(delays) != 100 {
-		t.Fatalf("delays count = %d", len(delays))
+	if d := tr.MeanDelayMs(); d != 10 {
+		t.Fatalf("mean delay = %v, want 10ms", d)
 	}
-	for _, d := range delays {
-		if d != 10 {
-			t.Fatalf("delay = %v, want 10ms", d)
-		}
+	if d := New(3, spacing).MeanDelayMs(); d != 0 {
+		t.Fatalf("mean delay with nothing delivered = %v, want 0", d)
 	}
 	if j := tr.Jitter(); j != 0 {
 		t.Errorf("constant-delay jitter = %v, want 0", j)
@@ -107,6 +104,16 @@ func TestDelaysAndJitter(t *testing.T) {
 	}
 	if j := tr2.Jitter(); j <= 0 {
 		t.Errorf("alternating-delay jitter = %v, want > 0", j)
+	}
+	if d := tr2.MeanDelayMs(); d != 15 {
+		t.Errorf("alternating-delay mean = %v, want 15ms", d)
+	}
+	// Undelivered packets leave the mean: only the 5 ms ones remain.
+	for i := 1; i < 100; i += 2 {
+		tr2.ClearArrival(i)
+	}
+	if d := tr2.MeanDelayMs(); d != 5 {
+		t.Errorf("mean over delivered packets = %v, want 5ms", d)
 	}
 }
 

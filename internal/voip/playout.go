@@ -81,10 +81,7 @@ func NewPlayout(s *sim.Simulator, profile traffic.Profile, delay sim.Duration, c
 		deliver: deliver,
 		arrived: make(map[int]sim.Time),
 	}
-	for seq := 0; seq < count; seq++ {
-		seq := seq
-		s.Schedule(p.playTime(seq), func() { p.emit(seq) })
-	}
+	s.Train(count, sim.Lane{At: p.playTime, Fn: p.emit})
 	return p
 }
 

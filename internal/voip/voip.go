@@ -54,7 +54,7 @@ func Assess(tr *trace.Trace, profile traffic.Profile) Quality {
 	q.LossRate = stats.LossRate(lost)
 	q.WorstWindowLoss = stats.WorstWindowRate(lost, tr.WindowPackets(WorstWindow))
 	q.JitterMs = tr.Jitter()
-	q.MeanDelayMs = stats.Mean(tr.Delays())
+	q.MeanDelayMs = tr.MeanDelayMs()
 	q.Interpolated, q.Extrapolated = concealment(lost)
 
 	overallR := rFactor(q.LossRate, lost, q.MeanDelayMs)
@@ -89,12 +89,15 @@ func burstRatio(lost []bool, p float64) float64 {
 	if p <= 0 || p >= 1 {
 		return 1
 	}
-	h := stats.NewBurstHistogram(lost, len(lost))
-	bursts := 0
-	lostTotal := 0
-	for i, c := range h.Counts {
-		bursts += c
-		lostTotal += (i + 1) * c
+	bursts, lostTotal := 0, 0
+	for i, l := range lost {
+		if !l {
+			continue
+		}
+		lostTotal++
+		if i == 0 || !lost[i-1] {
+			bursts++
+		}
 	}
 	if bursts == 0 {
 		return 1

@@ -2,8 +2,10 @@ package voip
 
 import (
 	"testing"
+	"testing/quick"
 
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/traffic"
 )
@@ -68,6 +70,38 @@ func TestBurstsHurtMoreThanIsolatedLoss(t *testing.T) {
 	qSpread := Assess(mkTrace(6000, spread, 10*sim.Millisecond), traffic.G711)
 	if qBurst.MOS >= qSpread.MOS {
 		t.Errorf("burst MOS %v not below spread MOS %v", qBurst.MOS, qSpread.MOS)
+	}
+}
+
+// TestBurstRatioMatchesHistogram checks the direct burst count against the
+// burst-histogram formulation of BurstR, bit for bit.
+func TestBurstRatioMatchesHistogram(t *testing.T) {
+	ref := func(lost []bool, p float64) float64 {
+		if p <= 0 || p >= 1 {
+			return 1
+		}
+		h := stats.NewBurstHistogram(lost, len(lost))
+		bursts, lostTotal := 0, 0
+		for i, c := range h.Counts {
+			bursts += c
+			lostTotal += (i + 1) * c
+		}
+		if bursts == 0 {
+			return 1
+		}
+		meanBurst := float64(lostTotal) / float64(bursts)
+		br := meanBurst / (1 / (1 - p))
+		if br < 1 {
+			br = 1
+		}
+		return br
+	}
+	f := func(lost []bool) bool {
+		p := stats.LossRate(lost)
+		return burstRatio(lost, p) == ref(lost, p)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
 	}
 }
 
