@@ -295,11 +295,10 @@ func BenchmarkFullDiversiFiCall(b *testing.B) {
 
 func BenchmarkTraceMerge(b *testing.B) {
 	mk := func(seed int64) *trace.Trace {
-		tr := trace.New(6000, 20*sim.Millisecond)
+		tr := trace.New(6000, 0, 20*sim.Millisecond)
 		rng := rng.New(seed)
 		for i := 0; i < 6000; i++ {
 			at := sim.Time(i) * sim.Time(20*sim.Millisecond)
-			tr.RecordSent(i, at)
 			if rng.Float64() > 0.02 {
 				tr.RecordArrival(i, at.Add(5*sim.Millisecond))
 			}

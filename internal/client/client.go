@@ -152,6 +152,11 @@ type Client struct {
 
 	stats Stats
 
+	// The callbacks a secondary visit schedules, bound once in New so a
+	// visit allocates no closures (as sim.Ticker binds its tick).
+	onSwitch, onRecoveryArrival, onKeepaliveArrival     func()
+	onRecoveryTimeout, onKeepaliveEnd, onPrimaryArrival func()
+
 	// Observability, taken from the simulator at construction (nil-safe).
 	obs         *obs.Registry
 	ctLosses    *obs.Counter
@@ -198,7 +203,7 @@ func (c *Client) RecoveryEvents() []RecoveryEvent {
 func New(s *sim.Simulator, cfg Config) *Client {
 	cfg.fillDefaults()
 	reg := s.Obs()
-	return &Client{
+	c := &Client{
 		sim:          s,
 		cfg:          cfg,
 		missing:      make(map[int]sim.Time),
@@ -213,6 +218,13 @@ func New(s *sim.Simulator, cfg Config) *Client {
 		ctMisses:     reg.Counter("client.playout_misses"),
 		hRecDelay:    reg.Histogram("client.recovery_delay_us", nil),
 	}
+	c.onSwitch = c.recoverySwitch
+	c.onRecoveryArrival = c.recoveryArrival
+	c.onKeepaliveArrival = c.keepaliveArrival
+	c.onRecoveryTimeout = c.recoveryTimeout
+	c.onKeepaliveEnd = c.keepaliveEnd
+	c.onPrimaryArrival = c.primaryArrival
+	return c
 }
 
 // spacing returns the stream's inter-packet gap.
@@ -288,13 +300,10 @@ func (c *Client) Listening(a *ap.AP, _ sim.Time) bool {
 func (c *Client) StartCall(count int) {
 	c.callStart = c.sim.Now()
 	c.count = count
-	c.tr = trace.New(count, c.spacing())
+	c.tr = trace.New(count, c.callStart, c.spacing())
 	c.st = onPrimary
 	c.lastSecVisit = c.sim.Now()
 	c.sec.Sleep()
-	for seq := 0; seq < count; seq++ {
-		c.tr.RecordSent(seq, c.expectedSend(seq))
-	}
 	// One PacketLossTimeout per packet, armed lazily by the train.
 	lanes := []sim.Lane{{At: c.lossCheckAt, Fn: c.lossCheck}}
 	if c.obs != nil {
@@ -445,13 +454,16 @@ func (c *Client) planRecovery(seq int) {
 		switchAt = now
 	}
 	c.pendingSeq = seq
-	c.pendingSwitch = c.sim.Schedule(switchAt, func() {
-		if c.st == onPrimary && c.anyRecoverable() {
-			c.stats.RecoverySwitches++
-			c.ctRecSwitch.Inc()
-			c.goToSecondary(false)
-		}
-	})
+	c.pendingSwitch = c.sim.Schedule(switchAt, c.onSwitch)
+}
+
+// recoverySwitch is the switch planRecovery schedules.
+func (c *Client) recoverySwitch() {
+	if c.st == onPrimary && c.anyRecoverable() {
+		c.stats.RecoverySwitches++
+		c.ctRecSwitch.Inc()
+		c.goToSecondary(false)
+	}
 }
 
 // goToSecondary executes the link switch: PSM-sleep the primary, retune,
@@ -482,30 +494,51 @@ func (c *Client) goToSecondary(keepalive bool) {
 	c.visitDelivered = keepalive
 	c.visitRecovered = keepalive // keepalives never count as futile
 	c.prim.Sleep()
-	c.sim.After(switchCost(), func() {
-		c.st = onSecondary
-		c.lastSecVisit = c.sim.Now()
-		c.sec.Wake()
-		if c.cfg.Secondary != nil && !keepalive {
-			c.cfg.Secondary.RequestFrom(c.minMissing())
-		}
-		if keepalive {
-			c.failsafe = c.sim.After(c.cfg.SRT, func() {
-				if c.st == onSecondary {
-					c.returnToPrimary()
-				}
-			})
-			return
-		}
-		// Failsafe: if the missing packets do not show up within PLT,
-		// give up and return (Algorithm 1 line 12).
-		c.failsafe = c.sim.After(c.plt(), func() {
-			if c.st == onSecondary {
-				c.stats.GaveUp++
-				c.returnToPrimary()
-			}
-		})
-	})
+	if keepalive {
+		c.sim.After(switchCost(), c.onKeepaliveArrival)
+	} else {
+		c.sim.After(switchCost(), c.onRecoveryArrival)
+	}
+}
+
+// keepaliveArrival lands a keepalive visit on the secondary and bounds its
+// residency to SRT.
+func (c *Client) keepaliveArrival() {
+	c.arriveOnSecondary()
+	c.failsafe = c.sim.After(c.cfg.SRT, c.onKeepaliveEnd)
+}
+
+// recoveryArrival lands a recovery visit on the secondary. Failsafe: if
+// the missing packets do not show up within PLT, give up and return
+// (Algorithm 1 line 12).
+func (c *Client) recoveryArrival() {
+	c.arriveOnSecondary()
+	if c.cfg.Secondary != nil {
+		c.cfg.Secondary.RequestFrom(c.minMissing())
+	}
+	c.failsafe = c.sim.After(c.plt(), c.onRecoveryTimeout)
+}
+
+// arriveOnSecondary completes the retune: the NIC now serves the secondary.
+func (c *Client) arriveOnSecondary() {
+	c.st = onSecondary
+	c.lastSecVisit = c.sim.Now()
+	c.sec.Wake()
+}
+
+// keepaliveEnd ends a keepalive visit after its residency.
+func (c *Client) keepaliveEnd() {
+	if c.st == onSecondary {
+		c.returnToPrimary()
+	}
+}
+
+// recoveryTimeout abandons a recovery visit that yielded nothing in time.
+func (c *Client) recoveryTimeout() {
+	if c.st == onSecondary {
+		c.stats.GaveUp++
+		c.returnToPrimary()
+	}
 }
 
 // returnToPrimary switches the NIC back: PSM-sleep the secondary, retune,
@@ -532,20 +565,23 @@ func (c *Client) returnToPrimary() {
 		c.cfg.Secondary.Release()
 	}
 	c.sec.Sleep()
-	c.sim.After(switchCost(), func() {
-		c.st = onPrimary
-		c.absences = append(c.absences, Interval{From: c.absentSince, To: c.sim.Now()})
-		c.prim.Wake()
-		// Losses detected while we were away may still need a visit. Plan
-		// around the lowest missing seq — it is closest to eviction from
-		// the secondary's head-drop queue, and (unlike ranging over the
-		// map, which Go iterates in random order) keeps runs reproducible.
-		if !c.cfg.DisableRecovery && c.sim.Now() >= c.backoffUntil && c.anyRecoverable() {
-			if seq := c.minMissing(); seq >= 0 {
-				c.planRecovery(seq)
-			}
+	c.sim.After(switchCost(), c.onPrimaryArrival)
+}
+
+// primaryArrival completes the retune back to the primary.
+func (c *Client) primaryArrival() {
+	c.st = onPrimary
+	c.absences = append(c.absences, Interval{From: c.absentSince, To: c.sim.Now()})
+	c.prim.Wake()
+	// Losses detected while we were away may still need a visit. Plan
+	// around the lowest missing seq — it is closest to eviction from
+	// the secondary's head-drop queue, and (unlike ranging over the
+	// map, which Go iterates in random order) keeps runs reproducible.
+	if !c.cfg.DisableRecovery && c.sim.Now() >= c.backoffUntil && c.anyRecoverable() {
+		if seq := c.minMissing(); seq >= 0 {
+			c.planRecovery(seq)
 		}
-	})
+	}
 }
 
 // scheduleKeepalive arms the periodic secondary keepalive (Algorithm 1

@@ -42,7 +42,7 @@ func RunFEC(sc Scenario, k int) FECResult {
 		link = links.B
 	}
 	count := sc.PacketCount()
-	raw := trace.New(count, sc.Profile.Spacing)
+	raw := trace.New(count, 0, sc.Profile.Spacing)
 
 	// Parity packets ride the same stream with sequence numbers >= count;
 	// parity i protects data packets [i*k, i*k+k).
@@ -63,7 +63,6 @@ func RunFEC(sc Scenario, k int) FECResult {
 
 	s.Train(count, sim.Lane{At: periodic(sc.Profile.Spacing), Fn: func(seq int) {
 		p := pkt.Packet{StreamID: 1, Seq: seq, Size: sc.Profile.PacketBytes, SentAt: s.Now()}
-		raw.RecordSent(seq, p.SentAt)
 		wire.Send(p, enq)
 		if (seq+1)%k == 0 {
 			// Emit the block's parity right after its last member.
@@ -81,7 +80,7 @@ func RunFEC(sc Scenario, k int) FECResult {
 
 	// Decode: a block with exactly one missing data packet and a received
 	// parity repairs that packet at max(parity arrival, last data arrival).
-	decoded := trace.New(count, sc.Profile.Spacing)
+	decoded := trace.New(count, 0, sc.Profile.Spacing)
 	repaired := 0
 	for seq := 0; seq < count; seq++ {
 		decoded.CopyFrom(raw, seq)
@@ -114,7 +113,6 @@ func RunFEC(sc Scenario, k int) FECResult {
 		if lastData > at {
 			at = lastData
 		}
-		decoded.RecordSent(missing, sim.Time(missing)*sim.Time(sc.Profile.Spacing))
 		decoded.RecordArrival(missing, at)
 		repaired++
 	}

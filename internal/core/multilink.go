@@ -75,7 +75,7 @@ func RunMultiCall(sc Scenario, n int) []*trace.Trace {
 	enqs := make([]func(pkt.Packet), n)
 	for i := range linkList {
 		i := i
-		traces[i] = trace.New(count, sc.Profile.Spacing)
+		traces[i] = trace.New(count, 0, sc.Profile.Spacing)
 		aps[i] = ap.New(s, ap.Config{Name: "m", Chan: linkList[i].Channel()},
 			linkList[i], s.RNG("multilink/ap"+string(rune('0'+i))), ap.AlwaysListening{},
 			func(p pkt.Packet, at sim.Time) { traces[i].RecordArrival(p.Seq, at) })
@@ -86,7 +86,6 @@ func RunMultiCall(sc Scenario, n int) []*trace.Trace {
 	s.Train(count, sim.Lane{At: periodic(sc.Profile.Spacing), Fn: func(seq int) {
 		p := pkt.Packet{StreamID: 1, Seq: seq, Size: sc.Profile.PacketBytes, SentAt: s.Now()}
 		for i := range aps {
-			traces[i].RecordSent(seq, p.SentAt)
 			wires[i].Send(p, enqs[i])
 		}
 	}})

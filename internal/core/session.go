@@ -55,8 +55,8 @@ func RunDualCall(sc Scenario) DualCall {
 	s := sim.New(sc.Seed)
 	links := sc.Build(s)
 	count := sc.PacketCount()
-	trA := trace.New(count, sc.Profile.Spacing)
-	trB := trace.New(count, sc.Profile.Spacing)
+	trA := trace.New(count, 0, sc.Profile.Spacing)
+	trB := trace.New(count, 0, sc.Profile.Spacing)
 
 	apA := ap.New(s, ap.Config{Name: "A", Chan: links.A.Channel()}, links.A, s.RNG("ap/A"),
 		ap.AlwaysListening{}, func(p pkt.Packet, at sim.Time) { trA.RecordArrival(p.Seq, at) })
@@ -69,8 +69,6 @@ func RunDualCall(sc Scenario) DualCall {
 	// shows up in -benchmem at corpus scale.
 	enqA, enqB := apA.Enqueue, apB.Enqueue
 	src := traffic.NewSource(s, 1, sc.Profile, func(p pkt.Packet) {
-		trA.RecordSent(p.Seq, p.SentAt)
-		trB.RecordSent(p.Seq, p.SentAt)
 		wireA.Send(p, enqA)
 		wireB.Send(p, enqB)
 	})
@@ -346,8 +344,8 @@ func RunTemporal(sc Scenario, delta sim.Duration) (*trace.Trace, *trace.Trace) {
 		link = links.B
 	}
 	count := sc.PacketCount()
-	repl := trace.New(count, sc.Profile.Spacing)
-	base := trace.New(count, sc.Profile.Spacing)
+	repl := trace.New(count, 0, sc.Profile.Spacing)
+	base := trace.New(count, 0, sc.Profile.Spacing)
 
 	const copyStream = 2
 	a := ap.New(s, ap.Config{Name: "T", Chan: link.Channel()}, link, s.RNG("ap/T"),
@@ -360,8 +358,6 @@ func RunTemporal(sc Scenario, delta sim.Duration) (*trace.Trace, *trace.Trace) {
 	wire := netsim.NewWire(s, "lanT", lanLatency, lanJitter, 0)
 	enq := a.Enqueue
 	src := traffic.NewSource(s, 1, sc.Profile, func(p pkt.Packet) {
-		repl.RecordSent(p.Seq, p.SentAt)
-		base.RecordSent(p.Seq, p.SentAt)
 		wire.Send(p, enq)
 		cp := p
 		cp.StreamID = copyStream
@@ -426,16 +422,13 @@ func RunPriorityCall(sc Scenario, voice bool) *trace.Trace {
 		link = links.B
 	}
 	count := sc.PacketCount()
-	tr := trace.New(count, sc.Profile.Spacing)
+	tr := trace.New(count, 0, sc.Profile.Spacing)
 	a := ap.New(s, ap.Config{Name: "prio", Chan: link.Channel(), Voice: voice},
 		link, s.RNG("ap/prio"), ap.AlwaysListening{},
 		func(p pkt.Packet, at sim.Time) { tr.RecordArrival(p.Seq, at) })
 	wire := netsim.NewWire(s, "prioLan", lanLatency, lanJitter, 0)
 	enq := a.Enqueue
-	src := traffic.NewSource(s, 1, sc.Profile, func(p pkt.Packet) {
-		tr.RecordSent(p.Seq, p.SentAt)
-		wire.Send(p, enq)
-	})
+	src := traffic.NewSource(s, 1, sc.Profile, func(p pkt.Packet) { wire.Send(p, enq) })
 	s.Schedule(0, func() { src.Start(count) })
 	s.Run(sim.Time(sc.Duration + 2*sim.Second))
 	return tr

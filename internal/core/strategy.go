@@ -43,7 +43,7 @@ func (d DualCall) Better(samplePeriod sim.Duration) *trace.Trace {
 	if lossIn(d.TraceB) < lossIn(d.TraceA) {
 		chosen = d.TraceB
 	}
-	out := trace.New(n, d.TraceA.Spacing)
+	out := trace.New(n, d.TraceA.Start, d.TraceA.Spacing)
 	strong := d.StrongerTrace()
 	for seq := 0; seq < n; seq++ {
 		if seq < sampleN {
@@ -67,7 +67,7 @@ func (d DualCall) Divert(h, t int) *trace.Trace {
 		t = 1
 	}
 	n := d.TraceA.Len()
-	out := trace.New(n, d.TraceA.Spacing)
+	out := trace.New(n, d.TraceA.Start, d.TraceA.Spacing)
 	cur, other := d.StrongerTrace(), d.WeakerTrace()
 	window := make([]bool, 0, h)
 	for seq := 0; seq < n; seq++ {
@@ -100,7 +100,7 @@ func (d DualCall) Divert(h, t int) *trace.Trace {
 // *selection*: packets lost before a switch stay lost.
 func (d DualCall) Handoff(hysteresisDB float64, outage sim.Duration) *trace.Trace {
 	n := d.TraceA.Len()
-	out := trace.New(n, d.TraceA.Spacing)
+	out := trace.New(n, d.TraceA.Start, d.TraceA.Spacing)
 	onA := d.StrongerIsA()
 	perSec := int(sim.Second / d.TraceA.Spacing)
 	if perSec < 1 {
@@ -129,7 +129,6 @@ func (d DualCall) Handoff(hysteresisDB float64, outage sim.Duration) *trace.Trac
 		out.CopyFrom(src, seq)
 		if seq < blankUntil {
 			// Reception blanked during the handoff outage.
-			out.RecordSent(seq, src.SentTime(seq))
 			out.ClearArrival(seq)
 		}
 	}

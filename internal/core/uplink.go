@@ -73,7 +73,7 @@ func RunUplink(sc Scenario, diversifi bool) UplinkResult {
 		txPrim:   txPrim,
 		txSec:    txSec,
 		wire:     netsim.NewWire(s, "uplan", lanLatency, lanJitter, 0),
-		tr:       trace.New(count, sc.Profile.Spacing),
+		tr:       trace.New(count, 0, sc.Profile.Spacing),
 		divers:   diversifi,
 		maxQueue: 4 * sc.Profile.APQueueLen(),
 	}
@@ -82,7 +82,6 @@ func RunUplink(sc Scenario, diversifi bool) UplinkResult {
 	// The application hands the client a packet every Spacing.
 	emit := func(seq int) {
 		p := pkt.Packet{StreamID: 1, Seq: seq, Size: sc.Profile.PacketBytes, SentAt: s.Now()}
-		c.tr.RecordSent(seq, p.SentAt)
 		c.enqueue(p)
 	}
 	s.Train(count, sim.Lane{At: periodic(sc.Profile.Spacing), Fn: emit})

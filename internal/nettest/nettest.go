@@ -176,7 +176,7 @@ func Run(rng *rng.Stream, cfg Config) *Study {
 func simulateCall(rng *rng.Stream, cfg Config, clients []Client, ct CallType, recv int) voip.Quality {
 	prof := traffic.G711
 	count := int((2 * sim.Minute) / prof.Spacing)
-	tr := trace.New(count, prof.Spacing)
+	tr := trace.New(count, 0, prof.Spacing)
 
 	// WAN path: base delay by country distance, small jitter and loss.
 	wanBase := 10 + rng.Float64()*65 // ms
@@ -201,8 +201,6 @@ func simulateCall(rng *rng.Stream, cfg Config, clients []Client, ct CallType, re
 	bad := make([]bool, len(legs))
 
 	for seq := 0; seq < count; seq++ {
-		sent := sim.Time(seq) * sim.Time(prof.Spacing)
-		tr.RecordSent(seq, sent)
 		lost := false
 		for li, leg := range legs {
 			if bad[li] {
@@ -230,7 +228,7 @@ func simulateCall(rng *rng.Stream, cfg Config, clients []Client, ct CallType, re
 			continue
 		}
 		delayMs := wanBase + relayDelay + rng.ExpFloat64()*clients[recv].jitterMs
-		tr.RecordArrival(seq, sent.Add(sim.FromMillis(delayMs)))
+		tr.RecordArrival(seq, tr.SentTime(seq).Add(sim.FromMillis(delayMs)))
 	}
 	return voip.Assess(tr, prof)
 }

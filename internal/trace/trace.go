@@ -5,58 +5,64 @@
 package trace
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/sim"
 )
 
-// Trace accumulates delivery outcomes for a stream of expectedCount packets
-// emitted with a fixed spacing. Sequence numbers index the records.
+// Trace accumulates delivery outcomes for a stream of packets sent on a
+// fixed constant-bit-rate schedule: packet seq leaves the source at
+// Start + seq·Spacing. Sequence numbers index the records. The send
+// times follow from the schedule, so a trace stores one int32 per packet:
+// the earliest arrival's delay after its send time.
 type Trace struct {
+	Start   sim.Time // send time of packet 0
 	Spacing sim.Duration
-	arrival []sim.Time // earliest arrival per seq; -1 = never arrived
-	sent    []sim.Time
-	dup     int // duplicate deliveries observed
+	delay   []int32 // earliest arrival minus send time, in µs; -1 = never arrived
+	dup     int     // duplicate deliveries observed
 }
 
-// New creates a trace sized for count packets with the given spacing.
-func New(count int, spacing sim.Duration) *Trace {
-	t := &Trace{
-		Spacing: spacing,
-		arrival: make([]sim.Time, count),
-		sent:    make([]sim.Time, count),
-	}
-	for i := range t.arrival {
-		t.arrival[i] = -1
-		t.sent[i] = -1
+// New creates a trace for count packets, the first sent at start and each
+// next one spacing later.
+func New(count int, start sim.Time, spacing sim.Duration) *Trace {
+	t := &Trace{Start: start, Spacing: spacing, delay: make([]int32, count)}
+	for i := range t.delay {
+		t.delay[i] = -1
 	}
 	return t
 }
 
 // Len returns the trace's packet capacity.
-func (t *Trace) Len() int { return len(t.arrival) }
+func (t *Trace) Len() int { return len(t.delay) }
 
-// RecordSent notes the emission time of seq.
-func (t *Trace) RecordSent(seq int, at sim.Time) {
-	if seq >= 0 && seq < len(t.sent) {
-		t.sent[seq] = at
-	}
+// sendTime returns seq's scheduled emission time.
+func (t *Trace) sendTime(seq int) sim.Time {
+	return t.Start.Add(sim.Duration(seq) * t.Spacing)
 }
 
 // RecordArrival notes a delivery of seq. The earliest delivery wins;
 // further copies count as duplicates (the replication overhead metric).
+// A delivery before seq's send time, or more than math.MaxInt32 µs
+// (about 35 minutes) after it, breaks the trace's schedule and panics.
 func (t *Trace) RecordArrival(seq int, at sim.Time) {
-	if seq < 0 || seq >= len(t.arrival) {
+	if seq < 0 || seq >= len(t.delay) {
 		return
 	}
-	if t.arrival[seq] >= 0 {
+	sent := t.sendTime(seq)
+	d := at.Sub(sent)
+	if d < 0 || d > math.MaxInt32 {
+		panic(fmt.Sprintf("trace: packet %d sent at %v arrives at %v, outside [0, %d µs] after its send time",
+			seq, sent, at, math.MaxInt32))
+	}
+	if cur := t.delay[seq]; cur >= 0 {
 		t.dup++
-		if at < t.arrival[seq] {
-			t.arrival[seq] = at
+		if int32(d) < cur {
+			t.delay[seq] = int32(d)
 		}
 		return
 	}
-	t.arrival[seq] = at
+	t.delay[seq] = int32(d)
 }
 
 // Duplicates returns the number of redundant deliveries recorded.
@@ -64,7 +70,7 @@ func (t *Trace) Duplicates() int { return t.dup }
 
 // Arrived reports whether seq was delivered at all.
 func (t *Trace) Arrived(seq int) bool {
-	return seq >= 0 && seq < len(t.arrival) && t.arrival[seq] >= 0
+	return seq >= 0 && seq < len(t.delay) && t.delay[seq] >= 0
 }
 
 // ArrivalTime returns the delivery time of seq, or -1.
@@ -72,7 +78,7 @@ func (t *Trace) ArrivalTime(seq int) sim.Time {
 	if !t.Arrived(seq) {
 		return -1
 	}
-	return t.arrival[seq]
+	return t.sendTime(seq).Add(sim.Duration(t.delay[seq]))
 }
 
 // LostWithDeadline returns the per-packet loss sequence where a packet
@@ -80,14 +86,9 @@ func (t *Trace) ArrivalTime(seq int) sim.Time {
 // emission — the paper's accounting, where a packet recovered after
 // MaxTolerableDelay is useless (§5.3.1).
 func (t *Trace) LostWithDeadline(deadline sim.Duration) []bool {
-	lost := make([]bool, len(t.arrival))
-	for i := range t.arrival {
-		switch {
-		case t.arrival[i] < 0:
-			lost[i] = true
-		case t.sent[i] >= 0 && t.arrival[i].Sub(t.sent[i]) > deadline:
-			lost[i] = true
-		}
+	lost := make([]bool, len(t.delay))
+	for i, d := range t.delay {
+		lost[i] = d < 0 || sim.Duration(d) > deadline
 	}
 	return lost
 }
@@ -96,9 +97,9 @@ func (t *Trace) LostWithDeadline(deadline sim.Duration) []bool {
 // milliseconds, or 0 when none was delivered.
 func (t *Trace) MeanDelayMs() float64 {
 	sum, n := 0.0, 0
-	for i := range t.arrival {
-		if t.arrival[i] >= 0 && t.sent[i] >= 0 {
-			sum += t.arrival[i].Sub(t.sent[i]).Milliseconds()
+	for _, d := range t.delay {
+		if d >= 0 {
+			sum += sim.Duration(d).Milliseconds()
 			n++
 		}
 	}
@@ -112,76 +113,76 @@ func (t *Trace) MeanDelayMs() float64 {
 // over delivered packets.
 func (t *Trace) Jitter() float64 {
 	var j float64
-	prevSeq := -1
-	for i := range t.arrival {
-		if t.arrival[i] < 0 || t.sent[i] < 0 {
+	prev := int32(-1)
+	for _, d := range t.delay {
+		if d < 0 {
 			continue
 		}
-		if prevSeq >= 0 {
-			dTransit := (t.arrival[i].Sub(t.sent[i]) - t.arrival[prevSeq].Sub(t.sent[prevSeq])).Milliseconds()
+		if prev >= 0 {
+			dTransit := (sim.Duration(d) - sim.Duration(prev)).Milliseconds()
 			j += (math.Abs(dTransit) - j) / 16
 		}
-		prevSeq = i
+		prev = d
 	}
 	return j
 }
 
+// sameSchedule panics unless t and u send on the same schedule, the
+// condition under which their delays compare packet for packet.
+func (t *Trace) sameSchedule(op string, u *Trace) {
+	if t.Start != u.Start || t.Spacing != u.Spacing {
+		panic(fmt.Sprintf("trace: %s of traces on different schedules (start %v, spacing %v vs start %v, spacing %v)",
+			op, t.Start, t.Spacing, u.Start, u.Spacing))
+	}
+}
+
 // Merge returns a new trace whose per-packet outcome is the best of a and
 // b: the earliest arrival wins. This is exactly what a 2-NIC cross-link
-// receiver computes — it has both links' deliveries available.
+// receiver computes — it has both links' deliveries available. Both
+// traces must share a schedule.
 func Merge(a, b *Trace) *Trace {
+	a.sameSchedule("merge", b)
 	n := a.Len()
 	if b.Len() < n {
 		n = b.Len()
 	}
-	out := New(n, a.Spacing)
-	for i := 0; i < n; i++ {
-		if a.sent[i] >= 0 {
-			out.sent[i] = a.sent[i]
-		} else {
-			out.sent[i] = b.sent[i]
+	out := New(n, a.Start, a.Spacing)
+	for i := range out.delay {
+		da, db := a.delay[i], b.delay[i]
+		if da < 0 || (db >= 0 && db < da) {
+			da = db
 		}
-		switch {
-		case a.arrival[i] >= 0 && b.arrival[i] >= 0:
-			if a.arrival[i] <= b.arrival[i] {
-				out.arrival[i] = a.arrival[i]
-			} else {
-				out.arrival[i] = b.arrival[i]
-			}
-		case a.arrival[i] >= 0:
-			out.arrival[i] = a.arrival[i]
-		case b.arrival[i] >= 0:
-			out.arrival[i] = b.arrival[i]
-		}
+		out.delay[i] = da
 	}
 	return out
 }
 
-// SentTime returns the recorded emission time of seq, or -1.
+// SentTime returns the emission time of seq, or -1 outside the trace.
 func (t *Trace) SentTime(seq int) sim.Time {
-	if seq < 0 || seq >= len(t.sent) {
+	if seq < 0 || seq >= len(t.delay) {
 		return -1
 	}
-	return t.sent[seq]
+	return t.sendTime(seq)
 }
 
 // ClearArrival erases seq's delivery record — used by strategy synthesis
 // when a receiver would have been deaf (e.g. during a handoff outage).
 func (t *Trace) ClearArrival(seq int) {
-	if seq >= 0 && seq < len(t.arrival) {
-		t.arrival[seq] = -1
+	if seq >= 0 && seq < len(t.delay) {
+		t.delay[seq] = -1
 	}
 }
 
-// CopyFrom copies seq's send and arrival records from src into t,
-// replacing whatever t held. Used to synthesize the trace a link-selection
-// strategy would have produced from per-link recordings.
+// CopyFrom copies seq's arrival record from src into t, replacing whatever
+// t held. Used to synthesize the trace a link-selection strategy would
+// have produced from per-link recordings; both traces must share a
+// schedule.
 func (t *Trace) CopyFrom(src *Trace, seq int) {
-	if seq < 0 || seq >= len(t.arrival) || seq >= len(src.arrival) {
+	t.sameSchedule("copy", src)
+	if seq < 0 || seq >= len(t.delay) || seq >= len(src.delay) {
 		return
 	}
-	t.sent[seq] = src.sent[seq]
-	t.arrival[seq] = src.arrival[seq]
+	t.delay[seq] = src.delay[seq]
 }
 
 // WindowPackets returns how many packets span the given wall-clock window

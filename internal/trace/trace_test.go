@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -10,10 +12,9 @@ import (
 const spacing = 20 * sim.Millisecond
 
 func mk(n int, lossPattern []bool, delay sim.Duration) *Trace {
-	t := New(n, spacing)
+	t := New(n, 0, spacing)
 	for i := 0; i < n; i++ {
 		sent := sim.Time(i) * sim.Time(spacing)
-		t.RecordSent(i, sent)
 		if i < len(lossPattern) && lossPattern[i] {
 			continue
 		}
@@ -44,10 +45,8 @@ func TestBasicAccounting(t *testing.T) {
 
 func TestDeadlineLoss(t *testing.T) {
 	// Delivered but 150 ms late: counts as lost under a 100 ms deadline.
-	tr := New(2, spacing)
-	tr.RecordSent(0, 0)
+	tr := New(2, 0, spacing)
 	tr.RecordArrival(0, sim.Time(150*sim.Millisecond))
-	tr.RecordSent(1, sim.Time(spacing))
 	tr.RecordArrival(1, sim.Time(spacing).Add(10*sim.Millisecond))
 	lost := tr.LostWithDeadline(100 * sim.Millisecond)
 	if !lost[0] || lost[1] {
@@ -56,8 +55,7 @@ func TestDeadlineLoss(t *testing.T) {
 }
 
 func TestDuplicateTracking(t *testing.T) {
-	tr := New(3, spacing)
-	tr.RecordSent(0, 0)
+	tr := New(3, 0, spacing)
 	tr.RecordArrival(0, 100)
 	tr.RecordArrival(0, 200) // duplicate, later
 	tr.RecordArrival(0, 50)  // duplicate, earlier — should win
@@ -70,9 +68,7 @@ func TestDuplicateTracking(t *testing.T) {
 }
 
 func TestOutOfRangeIgnored(t *testing.T) {
-	tr := New(2, spacing)
-	tr.RecordSent(-1, 0)
-	tr.RecordSent(99, 0)
+	tr := New(2, 0, spacing)
 	tr.RecordArrival(-1, 0)
 	tr.RecordArrival(99, 0)
 	if tr.Arrived(99) || tr.Arrived(-1) {
@@ -85,17 +81,16 @@ func TestDelaysAndJitter(t *testing.T) {
 	if d := tr.MeanDelayMs(); d != 10 {
 		t.Fatalf("mean delay = %v, want 10ms", d)
 	}
-	if d := New(3, spacing).MeanDelayMs(); d != 0 {
+	if d := New(3, 0, spacing).MeanDelayMs(); d != 0 {
 		t.Fatalf("mean delay with nothing delivered = %v, want 0", d)
 	}
 	if j := tr.Jitter(); j != 0 {
 		t.Errorf("constant-delay jitter = %v, want 0", j)
 	}
 	// Alternating delays produce nonzero jitter.
-	tr2 := New(100, spacing)
+	tr2 := New(100, 0, spacing)
 	for i := 0; i < 100; i++ {
 		sent := sim.Time(i) * sim.Time(spacing)
-		tr2.RecordSent(i, sent)
 		d := 5 * sim.Millisecond
 		if i%2 == 1 {
 			d = 25 * sim.Millisecond
@@ -157,12 +152,76 @@ func TestMergeLossIntersectionProperty(t *testing.T) {
 }
 
 func TestWindowPackets(t *testing.T) {
-	tr := New(100, spacing)
+	tr := New(100, 0, spacing)
 	if n := tr.WindowPackets(5 * sim.Second); n != 250 {
 		t.Errorf("5s window = %d packets, want 250", n)
 	}
-	tr0 := New(10, 0)
+	tr0 := New(10, 0, 0)
 	if n := tr0.WindowPackets(5 * sim.Second); n != 1 {
 		t.Errorf("zero-spacing window = %d, want 1", n)
+	}
+}
+
+func TestScheduleContractPanics(t *testing.T) {
+	cases := []struct {
+		name string
+		fn   func()
+	}{
+		{"arrival before its send time", func() { New(2, sim.Time(spacing), spacing).RecordArrival(1, sim.Time(2*spacing)-1) }},
+		{"delay above MaxInt32", func() { New(2, 0, spacing).RecordArrival(0, math.MaxInt32+1) }},
+		{"merge of different starts", func() { Merge(New(2, 0, spacing), New(2, 1, spacing)) }},
+		{"copy across different spacings", func() { New(2, 0, spacing).CopyFrom(New(2, 0, 2*spacing), 0) }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Error("did not panic")
+				}
+			}()
+			c.fn()
+		})
+	}
+	// The bounds themselves are valid delays.
+	tr := New(2, 0, spacing)
+	tr.RecordArrival(0, 0)
+	tr.RecordArrival(1, sim.Time(spacing)+math.MaxInt32)
+	if tr.ArrivalTime(0) != 0 || tr.ArrivalTime(1) != sim.Time(spacing)+math.MaxInt32 {
+		t.Errorf("boundary delays recorded as %v, %v", tr.ArrivalTime(0), tr.ArrivalTime(1))
+	}
+}
+
+// Package-level sinks keep measured allocations on the heap.
+var (
+	sinkTrace *Trace
+	sinkDelay []int32
+)
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the mean heap bytes one
+// call of f allocates, by MemStats.TotalAlloc, after a warm-up call.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestTraceBytesPerPacket holds a trace to 4 B per packet plus its
+// header: a 6,000-packet trace may cost no more heap than a bare []int32
+// of 6,000 and one Trace, each as the allocator rounds it (24,624 B with
+// Go's size classes; the two-slice layout took 98,368 B).
+func TestTraceBytesPerPacket(t *testing.T) {
+	const n = 6000
+	got := bytesPerRun(20, func() { sinkTrace = New(n, 0, spacing) })
+	ceil := bytesPerRun(20, func() { sinkDelay = make([]int32, n) }) +
+		bytesPerRun(20, func() { sinkTrace = new(Trace) })
+	t.Logf("New(%d): %.0f B, ceiling %.0f B", n, got, ceil)
+	if got > ceil {
+		t.Errorf("New(%d) allocates %.0f B (%.2f B per packet), ceiling %.0f B", n, got, got/n, ceil)
 	}
 }

@@ -15,10 +15,9 @@ const spacing = 20 * sim.Millisecond
 // mkTrace builds an n-packet G.711 call trace with the given loss pattern
 // and constant delivery delay.
 func mkTrace(n int, lossPattern []bool, delay sim.Duration) *trace.Trace {
-	tr := trace.New(n, spacing)
+	tr := trace.New(n, 0, spacing)
 	for i := 0; i < n; i++ {
 		sent := sim.Time(i) * sim.Time(spacing)
-		tr.RecordSent(i, sent)
 		if i < len(lossPattern) && lossPattern[i] {
 			continue
 		}
