@@ -197,6 +197,29 @@ func TestRunDiversiFiMiddleboxMode(t *testing.T) {
 			t.Errorf("recovery delay %v below the physical switch cost", d)
 		}
 	}
+
+	// Pin the exact outcome: no sweep job or simtest golden runs
+	// ModeMiddlebox, so this is tier-1's only exact check of the
+	// simulated middlebox's buffering, selection and timing.
+	var delaySum sim.Duration
+	for _, d := range r.RecoveryDelays {
+		delaySum += d
+	}
+	lost := 0
+	for _, l := range r.Trace.LostWithDeadline(traffic.G711.Deadline) {
+		if l {
+			lost++
+		}
+	}
+	got := [...]int{r.Client.Recovered, len(r.RecoveryDelays), int(delaySum / sim.Microsecond),
+		r.Client.DuplicatesReceived, lost, r.Secondary.Transmitted, r.Secondary.WastedTransmissions}
+	want := [...]int{67, 33, 156658, 45, 2, 131, 15}
+	if got != want {
+		t.Errorf("recovered, delays, delay sum (µs), duplicates, lost, secondary tx, wasted = %v, want %v", got, want)
+	}
+	if r.WastefulRate != 0.02 {
+		t.Errorf("wasteful rate = %v, want 0.02", r.WastefulRate)
+	}
 }
 
 func TestModeStockAPWastesMore(t *testing.T) {
