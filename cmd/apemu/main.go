@@ -1,7 +1,7 @@
-// Command apemu runs the live "Customized AP" emulator (§5.3.1): a
-// PSM-buffering forwarder with a shallow head-drop queue, speaking the
-// same REGISTER/START/STOP control protocol as the middlebox (START =
-// wake, STOP = sleep; selection is implicit).
+// Command apemu runs the live "Customized AP" emulator (§5.3.1): the
+// middlebox with implicit selection. It holds each stream in a shallow
+// head-drop PSM queue and speaks the middlebox's control protocol, with
+// START as the wake (any fromSeq is ignored) and STOP as the sleep.
 //
 // Usage:
 //

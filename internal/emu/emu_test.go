@@ -3,6 +3,7 @@ package emu
 import (
 	"fmt"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -45,6 +46,21 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 	}
 }
 
+// patience bounds every wait on a condition; only a failing test waits
+// that long.
+const patience = 5 * time.Second
+
+// waitFor polls cond until it holds or patience runs out, and reports
+// whether it held.
+func waitFor(cond func() bool) bool {
+	for end := time.Now().Add(patience); !cond(); time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(end) {
+			return false
+		}
+	}
+	return true
+}
+
 // udpSink collects datagrams on an ephemeral port.
 type udpSink struct {
 	conn *net.UDPConn
@@ -80,10 +96,13 @@ func newSink(t *testing.T) *udpSink {
 
 func (s *udpSink) addr() string { return s.conn.LocalAddr().String() }
 
-func (s *udpSink) drain(d time.Duration) [][]byte {
+// drain returns as soon as want datagrams have arrived, or after d with
+// those that did. A test that asserts nothing arrives passes want 1 and
+// the quiet window as d.
+func (s *udpSink) drain(want int, d time.Duration) [][]byte {
 	var out [][]byte
 	deadline := time.After(d)
-	for {
+	for len(out) < want {
 		select {
 		case b, ok := <-s.ch:
 			if !ok {
@@ -93,6 +112,72 @@ func (s *udpSink) drain(d time.Duration) [][]byte {
 		case <-deadline:
 			return out
 		}
+	}
+	return out
+}
+
+// seqsOf decodes the sequence numbers of DF datagrams.
+func seqsOf(t *testing.T, pkts [][]byte) []uint32 {
+	t.Helper()
+	var seqs []uint32
+	for _, raw := range pkts {
+		p, err := Unmarshal(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seqs = append(seqs, p.Seq)
+	}
+	return seqs
+}
+
+// dialCtrl returns a function that sends one control command to addr and
+// returns the reply.
+func dialCtrl(t *testing.T, addr string) func(string) string {
+	t.Helper()
+	ctrl, err := net.Dial("udp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ctrl.Close() })
+	return func(s string) string {
+		t.Helper()
+		fmt.Fprint(ctrl, s)
+		ctrl.SetReadDeadline(time.Now().Add(time.Second))
+		buf := make([]byte, 256)
+		n, err := ctrl.Read(buf)
+		if err != nil {
+			t.Fatalf("control %q: %v", s, err)
+		}
+		return string(buf[:n])
+	}
+}
+
+// feed sends DF packets with the given sequence numbers of stream to addr.
+func feed(t *testing.T, addr string, stream uint32, seqs ...uint32) {
+	t.Helper()
+	data, err := net.Dial("udp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer data.Close()
+	var buf []byte
+	for _, seq := range seqs {
+		p := Packet{Stream: stream, Seq: seq, SentAt: time.Now(), Payload: []byte("v")}
+		buf = p.Marshal(buf)
+		data.Write(buf)
+	}
+}
+
+// waitStats polls STATS on stream until the reply contains field, such as
+// "buffered=3".
+func waitStats(t *testing.T, cmd func(string) string, stream uint32, field string) {
+	t.Helper()
+	var last string
+	if !waitFor(func() bool {
+		last = cmd(fmt.Sprintf("%s %d", CmdStats, stream))
+		return strings.Contains(last, " "+field)
+	}) {
+		t.Fatalf("STATS %d = %q, never reached %s", stream, last, field)
 	}
 }
 
@@ -112,7 +197,7 @@ func TestLinkForwards(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		fmt.Fprintf(conn, "pkt-%d", i)
 	}
-	got := sink.drain(300 * time.Millisecond)
+	got := sink.drain(50, patience)
 	if len(got) != 50 {
 		t.Fatalf("lossless link delivered %d/50", len(got))
 	}
@@ -133,13 +218,14 @@ func TestLinkLoss(t *testing.T) {
 	defer conn.Close()
 	for i := 0; i < 400; i++ {
 		fmt.Fprintf(conn, "p%d", i)
-		if i%50 == 49 {
-			time.Sleep(5 * time.Millisecond) // let the forwarder drain
+		if i%50 == 49 && !waitFor(func() bool { return link.Stats().Received == i+1 }) {
+			t.Fatalf("forwarder stuck at %+v", link.Stats())
 		}
 	}
-	got := sink.drain(400 * time.Millisecond)
-	if len(got) < 120 || len(got) > 280 {
-		t.Fatalf("50%% loss link delivered %d/400 (stats %+v)", len(got), link.Stats())
+	st := link.Stats()
+	got := sink.drain(st.Forwarded, patience)
+	if len(got) != st.Forwarded || len(got) < 120 || len(got) > 280 {
+		t.Fatalf("50%% loss link delivered %d/400 (stats %+v)", len(got), st)
 	}
 }
 
@@ -155,14 +241,19 @@ func TestLinkReconfigure(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		fmt.Fprintf(conn, "x%d", i)
 	}
-	time.Sleep(100 * time.Millisecond)
+	if !waitFor(func() bool { return link.Stats().Received == 20 }) {
+		t.Fatalf("forwarder stuck at %+v", link.Stats())
+	}
 	link.SetConfig(LinkConfig{Loss: 0, Seed: 3})
 	for i := 0; i < 20; i++ {
 		fmt.Fprintf(conn, "y%d", i)
 	}
-	got := sink.drain(300 * time.Millisecond)
-	if len(got) != 20 {
-		t.Fatalf("after reconfigure delivered %d, want exactly the 20 post-change packets", len(got))
+	got := sink.drain(20, patience)
+	if !waitFor(func() bool { return link.Stats().Received == 40 }) {
+		t.Fatalf("forwarder stuck at %+v", link.Stats())
+	}
+	if st := link.Stats(); len(got) != 20 || st.Forwarded != 20 || st.Dropped != 20 {
+		t.Fatalf("after reconfigure delivered %d (stats %+v), want exactly the 20 post-change packets", len(got), st)
 	}
 }
 
@@ -178,8 +269,8 @@ func TestReplicatorFansOut(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		fmt.Fprintf(conn, "r%d", i)
 	}
-	ga := a.drain(300 * time.Millisecond)
-	gb := b.drain(300 * time.Millisecond)
+	ga := a.drain(30, patience)
+	gb := b.drain(30, patience)
 	if len(ga) != 30 || len(gb) != 30 {
 		t.Fatalf("fan-out %d/%d, want 30/30", len(ga), len(gb))
 	}
@@ -195,74 +286,39 @@ func TestMiddleboxProtocol(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mb.Close()
-
 	sink := newSink(t)
-	ctrl, err := net.Dial("udp", mb.CtrlAddr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ctrl.Close()
-	cmd := func(s string) string {
-		fmt.Fprint(ctrl, s)
-		ctrl.SetReadDeadline(time.Now().Add(time.Second))
-		buf := make([]byte, 256)
-		n, err := ctrl.Read(buf)
-		if err != nil {
-			t.Fatalf("control %q: %v", s, err)
-		}
-		return string(buf[:n])
-	}
+	cmd := dialCtrl(t, mb.CtrlAddr())
 
 	if got := cmd("REGISTER 9 " + sink.addr()); got != "OK" {
 		t.Fatalf("register: %s", got)
 	}
 
 	// Feed 6 packets into a depth-3 buffer: only seqs 3,4,5 survive.
-	data, _ := net.Dial("udp", mb.DataAddr())
-	defer data.Close()
-	var buf []byte
-	for seq := uint32(0); seq < 6; seq++ {
-		p := Packet{Stream: 9, Seq: seq, SentAt: time.Now(), Payload: []byte("v")}
-		buf = p.Marshal(buf)
-		data.Write(buf)
-	}
-	time.Sleep(100 * time.Millisecond)
+	feed(t, mb.DataAddr(), 9, 0, 1, 2, 3, 4, 5)
+	waitStats(t, cmd, 9, "buffered=3")
 
 	if got := cmd("START 9 4"); got != "OK" {
 		t.Fatalf("start: %s", got)
 	}
-	pkts := sink.drain(300 * time.Millisecond)
-	var seqs []uint32
-	for _, raw := range pkts {
-		p, err := Unmarshal(raw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seqs = append(seqs, p.Seq)
-	}
-	if len(seqs) != 2 || seqs[0] != 4 || seqs[1] != 5 {
+	if seqs := seqsOf(t, sink.drain(2, patience)); len(seqs) != 2 || seqs[0] != 4 || seqs[1] != 5 {
 		t.Fatalf("explicit selection delivered %v, want [4 5]", seqs)
 	}
 
 	// While active, fresh packets stream through.
-	p := Packet{Stream: 9, Seq: 10, SentAt: time.Now()}
-	data.Write(p.Marshal(nil))
-	live := sink.drain(200 * time.Millisecond)
-	if len(live) != 1 {
-		t.Fatalf("active stream delivered %d packets, want 1", len(live))
+	feed(t, mb.DataAddr(), 9, 10)
+	if live := seqsOf(t, sink.drain(1, patience)); len(live) != 1 || live[0] != 10 {
+		t.Fatalf("active stream delivered %v, want [10]", live)
 	}
 
 	if got := cmd("STOP 9"); got != "OK" {
 		t.Fatalf("stop: %s", got)
 	}
-	p = Packet{Stream: 9, Seq: 11, SentAt: time.Now()}
-	data.Write(p.Marshal(nil))
-	if got := sink.drain(200 * time.Millisecond); len(got) != 0 {
+	feed(t, mb.DataAddr(), 9, 11)
+	if got := sink.drain(1, 200*time.Millisecond); len(got) != 0 {
 		t.Fatalf("stopped stream leaked %d packets", len(got))
 	}
 
-	stats := cmd("STATS 9")
-	if stats[:2] != "OK" {
+	if stats := cmd("STATS 9"); stats != "OK sent=3 dropped=3 buffered=1" {
 		t.Fatalf("stats: %s", stats)
 	}
 }
@@ -273,18 +329,18 @@ func TestMiddleboxRejectsUnknown(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mb.Close()
-	ctrl, _ := net.Dial("udp", mb.CtrlAddr())
-	defer ctrl.Close()
-	for _, bad := range []string{"START 99", "NONSENSE 1", "START", "START abc"} {
-		fmt.Fprint(ctrl, bad)
-		ctrl.SetReadDeadline(time.Now().Add(time.Second))
-		buf := make([]byte, 128)
-		n, err := ctrl.Read(buf)
-		if err != nil {
-			t.Fatalf("%q: %v", bad, err)
-		}
-		if string(buf[:3]) != "ERR" {
-			t.Errorf("%q accepted: %s", bad, buf[:n])
+	cmd := dialCtrl(t, mb.CtrlAddr())
+	for _, c := range []struct{ cmd, want string }{
+		{"START 99", "ERR"},
+		{"NONSENSE 1", "ERR"},
+		{"START", "ERR"},
+		{"START abc", "ERR"},
+		// A garbled fromSeq must not turn into a full flush.
+		{"REGISTER 9", "OK"},
+		{"START 9 abc", "ERR seq"},
+	} {
+		if got := cmd(c.cmd); !strings.HasPrefix(got, c.want) {
+			t.Errorf("%q: got %q, want %s", c.cmd, got, c.want)
 		}
 	}
 }
@@ -303,9 +359,9 @@ func TestSenderCBR(t *testing.T) {
 	case <-time.After(3 * time.Second):
 		t.Fatal("sender did not finish")
 	}
-	got := sink.drain(200 * time.Millisecond)
-	if len(got) != 40 {
-		t.Fatalf("received %d/40", len(got))
+	got := sink.drain(40, patience)
+	if len(got) != 40 || s.Sent() != 40 {
+		t.Fatalf("received %d/40 (sent %d)", len(got), s.Sent())
 	}
 	p, err := Unmarshal(got[0])
 	if err != nil || p.Stream != 1 || len(p.Payload) != 160 {
@@ -313,101 +369,103 @@ func TestSenderCBR(t *testing.T) {
 	}
 }
 
-// TestEndToEndRecovery is the live "aha": a lossy primary path plus a
-// middlebox recovery path brings unique-packet loss to ~zero.
-func TestEndToEndRecovery(t *testing.T) {
-	const stream = 77
-	const count = 150
+// liveCall is one live call: a Sender streams count packets at 5 ms
+// spacing through a Replicator to a lossy primary Link and to box, and a
+// Client recovers the primary's losses from box (nil box: no recovery
+// path, the sender feeds the primary directly).
+type liveCall struct {
+	stream   uint32
+	count    int
+	loss     float64
+	seed     int64
+	box      *Middlebox
+	implicit bool // client sends START <stream> -1
+	rtp      bool
+}
+
+// run streams the call and returns the client and the primary link once
+// the sender is done and landed(client, primary) holds. It fails the test
+// when landed does not hold within patience. Close box with t.Cleanup
+// registered before run, so that the client, whose Close sends a final
+// STOP, closes first.
+func (lc liveCall) run(t *testing.T, landed func(*Client, *Link) bool) (*Client, *Link) {
+	t.Helper()
 	interval := 5 * time.Millisecond
-
-	mb, err := NewMiddlebox("127.0.0.1:0", "127.0.0.1:0", MiddleboxConfig{BufferDepth: 20})
+	cfg := ClientConfig{Stream: lc.stream, Interval: interval, Expected: lc.count}
+	if lc.box != nil {
+		cfg.PLT, cfg.Deadline = 2*interval, 20*interval
+		cfg.MiddleboxCtrl, cfg.ImplicitSelection = lc.box.CtrlAddr(), lc.implicit
+	}
+	client, err := NewClient("127.0.0.1:0", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mb.Close()
-
-	client, err := NewClient("127.0.0.1:0", ClientConfig{
-		Stream:        stream,
-		Interval:      interval,
-		PLT:           2 * interval,
-		Deadline:      20 * interval,
-		MiddleboxCtrl: mb.CtrlAddr(),
-		Expected:      count,
+	t.Cleanup(func() { client.Close() })
+	primary, err := NewLink("127.0.0.1:0", client.Addr(), LinkConfig{Loss: lc.loss, Seed: lc.seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { primary.Close() })
+	ingress := primary.Addr()
+	if lc.box != nil {
+		rep, err := NewReplicator("127.0.0.1:0", primary.Addr(), lc.box.DataAddr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { rep.Close() })
+		ingress = rep.Addr()
+	}
+	sender, err := NewSender(ingress, SenderConfig{
+		Stream: lc.stream, PayloadSize: 160, Interval: interval, Count: lc.count, UseRTP: lc.rtp,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer client.Close()
-
-	// Primary path: a 10%-loss link into the client.
-	primary, err := NewLink("127.0.0.1:0", client.Addr(), LinkConfig{Loss: 0.10, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer primary.Close()
-
-	// Replicator fans the stream to the lossy primary and the middlebox.
-	rep, err := NewReplicator("127.0.0.1:0", primary.Addr(), mb.DataAddr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rep.Close()
-
-	sender, err := NewSender(rep.Addr(), SenderConfig{
-		Stream: stream, PayloadSize: 160, Interval: interval, Count: count,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sender.Close()
-
+	t.Cleanup(func() { sender.Close() })
 	select {
 	case <-sender.Done():
 	case <-time.After(10 * time.Second):
 		t.Fatal("sender stuck")
 	}
-	// Allow stragglers and final recoveries to land.
-	time.Sleep(300 * time.Millisecond)
+	if !waitFor(func() bool { return landed(client, primary) }) {
+		t.Fatalf("call did not settle: client %+v, loss %.3f, primary %+v",
+			client.Stats(), client.LossRate(), primary.Stats())
+	}
+	return client, primary
+}
 
-	st := client.Stats()
+// recovered is the landed condition of a recovery test: the client has
+// recovered something and its unique loss is at most maxLoss. Both only
+// improve as copies land, so the test's verdict is the one a longer wait
+// would give.
+func recovered(maxLoss float64) func(*Client, *Link) bool {
+	return func(c *Client, _ *Link) bool {
+		return c.Stats().Recovered > 0 && c.LossRate() <= maxLoss
+	}
+}
+
+// TestEndToEndRecovery is the live "aha": a lossy primary path plus a
+// middlebox recovery path brings unique-packet loss to ~zero.
+func TestEndToEndRecovery(t *testing.T) {
+	mb, err := NewMiddlebox("127.0.0.1:0", "127.0.0.1:0", MiddleboxConfig{BufferDepth: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { mb.Close() })
+	// The primary path is a 10%-loss link into the client.
+	_, primary := liveCall{stream: 77, count: 150, loss: 0.10, seed: 4, box: mb}.run(t, recovered(0.03))
 	if primary.Stats().Dropped == 0 {
 		t.Fatal("primary link dropped nothing; test is vacuous")
-	}
-	if st.Recovered == 0 {
-		t.Fatal("no packets recovered via middlebox")
-	}
-	if lr := client.LossRate(); lr > 0.03 {
-		t.Errorf("unique loss after recovery = %.1f%%, want ~0 (stats %+v)", 100*lr, st)
 	}
 }
 
 // TestEndToEndWithoutRecovery confirms the baseline actually loses packets.
 func TestEndToEndWithoutRecovery(t *testing.T) {
 	const count = 120
-	interval := 5 * time.Millisecond
-	client, err := NewClient("127.0.0.1:0", ClientConfig{
-		Stream: 1, Interval: interval, Expected: count,
+	client, _ := liveCall{stream: 1, count: count, loss: 0.15, seed: 5}.run(t, func(c *Client, l *Link) bool {
+		st := l.Stats()
+		return st.Received == count && c.Stats().Received == st.Forwarded
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	link, err := NewLink("127.0.0.1:0", client.Addr(), LinkConfig{Loss: 0.15, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer link.Close()
-	sender, err := NewSender(link.Addr(), SenderConfig{Stream: 1, Interval: interval, Count: count})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sender.Close()
-	select {
-	case <-sender.Done():
-	case <-time.After(10 * time.Second):
-		t.Fatal("sender stuck")
-	}
-	time.Sleep(200 * time.Millisecond)
 	if lr := client.LossRate(); lr < 0.05 {
 		t.Errorf("baseline loss = %.1f%%, expected ~15%%", 100*lr)
 	}
@@ -418,47 +476,21 @@ func TestEndToEndWithoutRecovery(t *testing.T) {
 // losses, but implicit selection re-delivers packets the client already
 // has (§5.2.5).
 func TestExplicitSelectionCostsFewerDuplicates(t *testing.T) {
+	const count = 200
 	run := func(implicit bool) (ClientStats, float64) {
-		const stream = 5
-		const count = 200
-		interval := 5 * time.Millisecond
 		mb, err := NewMiddlebox("127.0.0.1:0", "127.0.0.1:0", MiddleboxConfig{BufferDepth: 20})
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer mb.Close()
-		client, err := NewClient("127.0.0.1:0", ClientConfig{
-			Stream: stream, Interval: interval, PLT: 2 * interval,
-			Deadline: 20 * interval, MiddleboxCtrl: mb.CtrlAddr(),
-			Expected: count, ImplicitSelection: implicit,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer client.Close()
-		primary, err := NewLink("127.0.0.1:0", client.Addr(), LinkConfig{Loss: 0.08, Seed: 11})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer primary.Close()
-		rep, err := NewReplicator("127.0.0.1:0", primary.Addr(), mb.DataAddr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer rep.Close()
-		sender, err := NewSender(rep.Addr(), SenderConfig{
-			Stream: stream, PayloadSize: 160, Interval: interval, Count: count,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sender.Close()
-		select {
-		case <-sender.Done():
-		case <-time.After(10 * time.Second):
-			t.Fatal("sender stuck")
-		}
-		time.Sleep(300 * time.Millisecond)
+		t.Cleanup(func() { mb.Close() })
+		client, _ := liveCall{stream: 5, count: count, loss: 0.08, seed: 11, box: mb, implicit: implicit}.run(t,
+			func(c *Client, l *Link) bool {
+				// Every copy sent to the client so far has landed, so
+				// no duplicate is still in flight.
+				ls := l.Stats()
+				sent, _ := mb.Counts()
+				return ls.Received == count && c.Stats().Received == ls.Forwarded+sent && recovered(0.05)(c, l)
+			})
 		return client.Stats(), client.LossRate()
 	}
 	explicit, lossE := run(false)
@@ -476,65 +508,16 @@ func TestExplicitSelectionCostsFewerDuplicates(t *testing.T) {
 }
 
 // TestAPEmuEndToEnd runs the live "Customized AP" deployment: the client
-// pairs with an APEmu using implicit selection (an AP cannot fetch by
-// sequence number) and still recovers the primary path's losses.
+// pairs with NewAPEmu's box using implicit selection (an AP cannot fetch
+// by sequence number) and still recovers the primary path's losses.
 func TestAPEmuEndToEnd(t *testing.T) {
-	const stream = 9
-	const count = 150
-	interval := 5 * time.Millisecond
-
 	apEmu, err := NewAPEmu("127.0.0.1:0", "127.0.0.1:0", 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer apEmu.Close()
-
-	client, err := NewClient("127.0.0.1:0", ClientConfig{
-		Stream: stream, Interval: interval, PLT: 2 * interval,
-		Deadline: 20 * interval, MiddleboxCtrl: apEmu.CtrlAddr(),
-		Expected: count, ImplicitSelection: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-
-	primary, err := NewLink("127.0.0.1:0", client.Addr(), LinkConfig{Loss: 0.10, Seed: 21})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer primary.Close()
-
-	rep, err := NewReplicator("127.0.0.1:0", primary.Addr(), apEmu.DataAddr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rep.Close()
-
-	sender, err := NewSender(rep.Addr(), SenderConfig{
-		Stream: stream, PayloadSize: 160, Interval: interval, Count: count,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sender.Close()
-
-	select {
-	case <-sender.Done():
-	case <-time.After(10 * time.Second):
-		t.Fatal("sender stuck")
-	}
-	time.Sleep(300 * time.Millisecond)
-
-	st := client.Stats()
-	if st.Recovered == 0 {
-		t.Fatalf("nothing recovered via the AP emulator (stats %+v)", st)
-	}
-	if lr := client.LossRate(); lr > 0.03 {
-		t.Errorf("residual loss with AP emulator = %.1f%%", 100*lr)
-	}
-	sent, _ := apEmu.Counts()
-	if sent == 0 {
+	t.Cleanup(func() { apEmu.Close() })
+	liveCall{stream: 9, count: 150, loss: 0.10, seed: 21, box: apEmu, implicit: true}.run(t, recovered(0.03))
+	if sent, _ := apEmu.Counts(); sent == 0 {
 		t.Error("AP emulator sent nothing")
 	}
 }
@@ -546,43 +529,26 @@ func TestAPEmuProtocol(t *testing.T) {
 	}
 	defer apEmu.Close()
 	sink := newSink(t)
-	ctrl, _ := net.Dial("udp", apEmu.CtrlAddr())
-	defer ctrl.Close()
-	cmd := func(s string) string {
-		fmt.Fprint(ctrl, s)
-		ctrl.SetReadDeadline(time.Now().Add(time.Second))
-		buf := make([]byte, 128)
-		n, err := ctrl.Read(buf)
-		if err != nil {
-			t.Fatalf("%q: %v", s, err)
-		}
-		return string(buf[:n])
-	}
+	cmd := dialCtrl(t, apEmu.CtrlAddr())
 	if got := cmd("START 1"); got[:3] != "ERR" {
 		t.Errorf("START before REGISTER: %s", got)
 	}
 	if got := cmd("REGISTER 1 " + sink.addr()); got != "OK" {
 		t.Fatalf("register: %s", got)
 	}
-	data, _ := net.Dial("udp", apEmu.DataAddr())
-	defer data.Close()
-	for seq := uint32(0); seq < 6; seq++ {
-		p := Packet{Stream: 1, Seq: seq, SentAt: time.Now()}
-		data.Write(p.Marshal(nil))
-	}
-	time.Sleep(100 * time.Millisecond)
+	feed(t, apEmu.DataAddr(), 1, 0, 1, 2, 3, 4, 5)
+	waitStats(t, cmd, 1, "buffered=3")
 	if got := cmd("START 1 4"); got != "OK" { // fromSeq ignored: implicit
 		t.Fatalf("start: %s", got)
 	}
-	pkts := sink.drain(300 * time.Millisecond)
 	// Depth 3: seqs 3,4,5 survive and ALL are flushed (no selection).
-	if len(pkts) != 3 {
-		t.Fatalf("AP flushed %d packets, want 3 (implicit selection)", len(pkts))
+	if seqs := seqsOf(t, sink.drain(3, patience)); len(seqs) != 3 || seqs[0] != 3 {
+		t.Fatalf("AP flushed %v, want [3 4 5] (implicit selection)", seqs)
 	}
 	if got := cmd("STOP 1"); got != "OK" {
 		t.Fatalf("stop: %s", got)
 	}
-	if got := cmd("STATS 1"); got[:2] != "OK" {
+	if got := cmd("STATS 1"); got != "OK sent=3 dropped=3 buffered=0" {
 		t.Fatalf("stats: %s", got)
 	}
 }
@@ -590,52 +556,12 @@ func TestAPEmuProtocol(t *testing.T) {
 // TestRTPModeEndToEnd carries standard RTP through the whole live
 // pipeline: replicator, lossy link, middlebox recovery — no DF framing.
 func TestRTPModeEndToEnd(t *testing.T) {
-	const stream = 0xabcd
-	const count = 150
-	interval := 5 * time.Millisecond
 	mb, err := NewMiddlebox("127.0.0.1:0", "127.0.0.1:0", MiddleboxConfig{BufferDepth: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mb.Close()
-	client, err := NewClient("127.0.0.1:0", ClientConfig{
-		Stream: stream, Interval: interval, PLT: 2 * interval,
-		Deadline: 20 * interval, MiddleboxCtrl: mb.CtrlAddr(), Expected: count,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	primary, err := NewLink("127.0.0.1:0", client.Addr(), LinkConfig{Loss: 0.10, Seed: 31})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer primary.Close()
-	rep, err := NewReplicator("127.0.0.1:0", primary.Addr(), mb.DataAddr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rep.Close()
-	sender, err := NewSender(rep.Addr(), SenderConfig{
-		Stream: stream, PayloadSize: 160, Interval: interval, Count: count, UseRTP: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sender.Close()
-	select {
-	case <-sender.Done():
-	case <-time.After(10 * time.Second):
-		t.Fatal("sender stuck")
-	}
-	time.Sleep(300 * time.Millisecond)
-	st := client.Stats()
-	if st.Recovered == 0 {
-		t.Fatalf("RTP mode recovered nothing (stats %+v)", st)
-	}
-	if lr := client.LossRate(); lr > 0.03 {
-		t.Errorf("RTP-mode residual loss = %.1f%%", 100*lr)
-	}
+	t.Cleanup(func() { mb.Close() })
+	liveCall{stream: 0xabcd, count: 150, loss: 0.10, seed: 31, box: mb, rtp: true}.run(t, recovered(0.03))
 }
 
 func TestDecodeStream(t *testing.T) {

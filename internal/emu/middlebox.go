@@ -3,27 +3,33 @@ package emu
 import (
 	"fmt"
 	"net"
+	"net/netip"
 	"strconv"
 	"strings"
 	"sync"
+
+	"repro/internal/holdbuf"
 )
 
 // MiddleboxConfig sizes the live middlebox.
 type MiddleboxConfig struct {
-	// BufferDepth is the per-stream head-drop buffer (default 5, the
-	// Deadline/Spacing of G.711).
+	// BufferDepth is the per-stream head-drop buffer (default
+	// holdbuf.DefaultDepth, the Deadline/Spacing of G.711).
 	BufferDepth int
 }
 
 // Middlebox is the live counterpart of the paper's Click middlebox: it
-// receives replicated stream packets on a data socket, keeps the freshest
-// BufferDepth packets per stream, and serves the textual start/stop
-// protocol on a control socket. While a stream is started, buffered and
-// fresh packets flow to the registered client address.
+// receives replicated stream packets on a data socket, keeps each
+// registered stream in a holdbuf start/stop buffer, and serves the textual
+// control protocol on a control socket. While a stream is started,
+// buffered and fresh packets flow to the registered client address.
 type Middlebox struct {
 	data *net.UDPConn
 	ctrl *net.UDPConn
 	cfg  MiddleboxConfig
+	// implicit makes START ignore its fromSeq, as NewAPEmu's access point
+	// can only flush its whole queue.
+	implicit bool
 
 	mu      sync.Mutex
 	streams map[uint32]*mbStream
@@ -33,21 +39,26 @@ type Middlebox struct {
 }
 
 type mbStream struct {
-	client  *net.UDPAddr
-	buf     [][]byte // marshalled packets, oldest first
-	seqs    []uint32
-	active  bool
-	fromSeq int64
-	sent    int
-	dropped int
+	client *net.UDPAddr
+	hold   *holdbuf.Stream[[]byte] // marshalled packets
 }
 
 // NewMiddlebox starts a middlebox with data and control sockets on the
 // given addresses (use "127.0.0.1:0" for ephemeral ports).
 func NewMiddlebox(dataAddr, ctrlAddr string, cfg MiddleboxConfig) (*Middlebox, error) {
-	if cfg.BufferDepth <= 0 {
-		cfg.BufferDepth = 5
-	}
+	return listen(dataAddr, ctrlAddr, cfg, false)
+}
+
+// NewAPEmu starts the live counterpart of the paper's "Customized AP"
+// (§5.3.1): a middlebox with the given head-drop depth (0 = default) whose
+// START is the PSM wake and STOP the sleep. START ignores any fromSeq,
+// because an AP can only do implicit selection; set
+// ClientConfig.ImplicitSelection when pairing a Client with it.
+func NewAPEmu(dataAddr, ctrlAddr string, depth int) (*Middlebox, error) {
+	return listen(dataAddr, ctrlAddr, MiddleboxConfig{BufferDepth: depth}, true)
+}
+
+func listen(dataAddr, ctrlAddr string, cfg MiddleboxConfig, implicit bool) (*Middlebox, error) {
 	da, err := net.ResolveUDPAddr("udp", dataAddr)
 	if err != nil {
 		return nil, err
@@ -67,15 +78,19 @@ func NewMiddlebox(dataAddr, ctrlAddr string, cfg MiddleboxConfig) (*Middlebox, e
 		return nil, err
 	}
 	m := &Middlebox{
-		data:    data,
-		ctrl:    ctrl,
-		cfg:     cfg,
-		streams: make(map[uint32]*mbStream),
-		closed:  make(chan struct{}),
+		data:     data,
+		ctrl:     ctrl,
+		cfg:      cfg,
+		implicit: implicit,
+		streams:  make(map[uint32]*mbStream),
+		closed:   make(chan struct{}),
 	}
 	m.wg.Add(2)
-	go m.runData()
-	go m.runCtrl()
+	go m.serve(data, 64*1024, m.onData)
+	go m.serve(ctrl, 2048, func(b []byte, from netip.AddrPort) {
+		reply := m.handleCommand(strings.TrimSpace(string(b)), from)
+		_, _ = ctrl.WriteToUDPAddrPort([]byte(reply), from)
+	})
 	return m, nil
 }
 
@@ -84,6 +99,18 @@ func (m *Middlebox) DataAddr() string { return m.data.LocalAddr().String() }
 
 // CtrlAddr returns the control-protocol address.
 func (m *Middlebox) CtrlAddr() string { return m.ctrl.LocalAddr().String() }
+
+// Counts returns the packets sent to clients and the packets head-dropped,
+// summed over the registered streams.
+func (m *Middlebox) Counts() (sent, dropped int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, st := range m.streams {
+		s, d, _ := st.hold.Counts()
+		sent, dropped = sent+s, dropped+d
+	}
+	return sent, dropped
+}
 
 // Close shuts the middlebox down.
 func (m *Middlebox) Close() error {
@@ -102,11 +129,15 @@ func (m *Middlebox) Close() error {
 	return err2
 }
 
-func (m *Middlebox) runData() {
+// serve passes each datagram read from conn to handle until Close. The
+// buffer is reused, so handle copies what it keeps. The sender's address
+// is a netip.AddrPort because a *net.UDPAddr would cost an allocation per
+// datagram.
+func (m *Middlebox) serve(conn *net.UDPConn, size int, handle func([]byte, netip.AddrPort)) {
 	defer m.wg.Done()
-	buf := make([]byte, 64*1024)
+	buf := make([]byte, size)
 	for {
-		n, _, err := m.data.ReadFromUDP(buf)
+		n, from, err := conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			select {
 			case <-m.closed:
@@ -115,61 +146,30 @@ func (m *Middlebox) runData() {
 				continue
 			}
 		}
-		stream, seq, ok := DecodeStream(buf[:n])
-		if !ok {
-			continue
-		}
-		m.mu.Lock()
-		st := m.streams[stream]
-		if st == nil {
-			m.mu.Unlock()
-			continue // not registered: drop, as the paper's switch rule scopes replication
-		}
-		if st.active && st.client != nil {
-			if st.fromSeq < 0 || int64(seq) >= st.fromSeq {
-				cp := append([]byte(nil), buf[:n]...)
-				st.sent++
-				m.mu.Unlock()
-				_, _ = m.data.WriteToUDP(cp, st.client)
-				continue
-			}
-			m.mu.Unlock()
-			continue
-		}
-		// Buffer with head-drop.
-		if len(st.buf) >= m.cfg.BufferDepth {
-			st.buf = st.buf[1:]
-			st.seqs = st.seqs[1:]
-			st.dropped++
-		}
-		st.buf = append(st.buf, append([]byte(nil), buf[:n]...))
-		st.seqs = append(st.seqs, seq)
-		m.mu.Unlock()
+		handle(buf[:n], from)
 	}
 }
 
-func (m *Middlebox) runCtrl() {
-	defer m.wg.Done()
-	buf := make([]byte, 2048)
-	for {
-		n, from, err := m.ctrl.ReadFromUDP(buf)
-		if err != nil {
-			select {
-			case <-m.closed:
-				return
-			default:
-				continue
-			}
-		}
-		reply := m.handleCommand(strings.TrimSpace(string(buf[:n])), from)
-		if reply != "" {
-			_, _ = m.ctrl.WriteToUDP([]byte(reply), from)
-		}
+func (m *Middlebox) onData(b []byte, _ netip.AddrPort) {
+	stream, seq, ok := DecodeStream(b)
+	if !ok {
+		return
 	}
+	m.mu.Lock()
+	st := m.streams[stream]
+	// Unregistered streams drop, as the paper's switch rule scopes
+	// replication.
+	if st == nil || !st.hold.Offer(int64(seq), append([]byte(nil), b...)) {
+		m.mu.Unlock()
+		return
+	}
+	client := st.client
+	m.mu.Unlock()
+	_, _ = m.data.WriteToUDP(b, client)
 }
 
 // handleCommand executes one control command and returns the reply.
-func (m *Middlebox) handleCommand(cmd string, from *net.UDPAddr) string {
+func (m *Middlebox) handleCommand(cmd string, from netip.AddrPort) string {
 	fields := strings.Fields(cmd)
 	if len(fields) < 2 {
 		return "ERR syntax"
@@ -182,52 +182,43 @@ func (m *Middlebox) handleCommand(cmd string, from *net.UDPAddr) string {
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	st := m.streams[stream]
 	switch fields[0] {
 	case CmdRegister:
 		// REGISTER <stream> [client-addr]; default to the caller.
-		client := from
+		client := net.UDPAddrFromAddrPort(from)
 		if len(fields) >= 3 {
 			client, err = net.ResolveUDPAddr("udp", fields[2])
 			if err != nil {
 				return "ERR addr"
 			}
 		}
-		m.streams[stream] = &mbStream{client: client, fromSeq: -1}
+		m.streams[stream] = &mbStream{client: client, hold: holdbuf.New[[]byte](m.cfg.BufferDepth)}
 		return "OK"
 	case CmdStart:
-		st := m.streams[stream]
+		// START <stream> [fromSeq]; without one, flush everything.
 		if st == nil {
 			return "ERR unknown stream"
 		}
-		st.fromSeq = -1
-		if len(fields) >= 3 {
-			if v, err := strconv.ParseInt(fields[2], 10, 64); err == nil {
-				st.fromSeq = v
+		fromSeq := int64(-1)
+		if len(fields) >= 3 && !m.implicit {
+			if fromSeq, err = strconv.ParseInt(fields[2], 10, 64); err != nil {
+				return "ERR seq"
 			}
 		}
-		st.active = true
-		// Flush the buffer (explicit packet selection via fromSeq).
-		bufs, seqs := st.buf, st.seqs
-		st.buf, st.seqs = nil, nil
-		for i, b := range bufs {
-			if st.fromSeq >= 0 && int64(seqs[i]) < st.fromSeq {
-				continue
-			}
-			st.sent++
-			_, _ = m.data.WriteToUDP(b, st.client)
-		}
+		st.hold.Start(fromSeq, func(b []byte) { _, _ = m.data.WriteToUDP(b, st.client) })
 		return "OK"
 	case CmdStop:
-		if st := m.streams[stream]; st != nil {
-			st.active = false
+		if st != nil {
+			st.hold.Stop()
 		}
 		return "OK"
 	case CmdStats:
-		st := m.streams[stream]
 		if st == nil {
 			return "ERR unknown stream"
 		}
-		return fmt.Sprintf("OK sent=%d dropped=%d buffered=%d", st.sent, st.dropped, len(st.buf))
+		sent, dropped, held := st.hold.Counts()
+		return fmt.Sprintf("OK sent=%d dropped=%d buffered=%d", sent, dropped, held)
 	default:
 		return "ERR command"
 	}

@@ -10,15 +10,14 @@ import (
 // configured output (the primary path and the middlebox).
 type Replicator struct {
 	conn *net.UDPConn
-
-	mu   sync.Mutex
 	outs []*net.UDPAddr
+
+	mu       sync.Mutex // guards received and fanned
+	received int
+	fanned   int
 
 	wg     sync.WaitGroup
 	closed chan struct{}
-
-	received int
-	fanned   int
 }
 
 // NewReplicator starts a replicator on listenAddr forwarding to outs.
@@ -48,18 +47,6 @@ func NewReplicator(listenAddr string, outs ...string) (*Replicator, error) {
 
 // Addr returns the ingress address.
 func (r *Replicator) Addr() string { return r.conn.LocalAddr().String() }
-
-// AddOutput installs another replication target at runtime (rule install).
-func (r *Replicator) AddOutput(addr string) error {
-	a, err := net.ResolveUDPAddr("udp", addr)
-	if err != nil {
-		return err
-	}
-	r.mu.Lock()
-	r.outs = append(r.outs, a)
-	r.mu.Unlock()
-	return nil
-}
 
 // Counts returns (datagrams received, copies forwarded).
 func (r *Replicator) Counts() (int, int) {
@@ -96,10 +83,9 @@ func (r *Replicator) run() {
 		}
 		r.mu.Lock()
 		r.received++
-		outs := append([]*net.UDPAddr(nil), r.outs...)
-		r.fanned += len(outs)
+		r.fanned += len(r.outs)
 		r.mu.Unlock()
-		for _, o := range outs {
+		for _, o := range r.outs {
 			_, _ = r.conn.WriteToUDP(buf[:n], o)
 		}
 	}

@@ -29,7 +29,7 @@ func Figure7() *Result {
 	roles.AddRow("stream source", "traffic.Source", "emu.Sender (DF or RTP framing)")
 	roles.AddRow("replication", "netsim.SDNSwitch", "emu.Replicator")
 	roles.AddRow("WiFi links", "phy.Link + mac.Transmitter + ap.AP", "emu.Link (loss/jitter injection)")
-	roles.AddRow("network-side buffer", "ap.AP PSM queue / netsim.Middlebox", "emu.APEmu / emu.Middlebox")
+	roles.AddRow("network-side buffer", "ap.AP PSM queue / netsim.Middlebox", "emu.NewAPEmu / emu.NewMiddlebox")
 	roles.AddRow("client", "client.Client (Algorithm 1)", "emu.Client (gap detection + fetch)")
 	return &Result{
 		ID:     "fig7",

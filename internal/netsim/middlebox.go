@@ -3,6 +3,7 @@ package netsim
 import (
 	"fmt"
 
+	"repro/internal/holdbuf"
 	"repro/internal/pkt"
 	"repro/internal/sim"
 )
@@ -23,7 +24,7 @@ type MiddleboxConfig struct {
 // DefaultMiddleboxConfig returns the Table 3 calibration.
 func DefaultMiddleboxConfig() MiddleboxConfig {
 	return MiddleboxConfig{
-		BufferDepth: 5,
+		BufferDepth: holdbuf.DefaultDepth,
 		BaseQueuing: 900 * sim.Microsecond,
 		NetDelay:    2 * sim.Millisecond,
 		LoadFactor:  1100 * sim.Microsecond,
@@ -32,18 +33,15 @@ func DefaultMiddleboxConfig() MiddleboxConfig {
 
 // mbStream is the middlebox's per-stream state.
 type mbStream struct {
-	buf     []pkt.Packet
-	active  bool
-	out     Port
-	dropped int
-	sentOut int
+	hold *holdbuf.Stream[pkt.Packet]
+	out  func(pkt.Packet)
 }
 
-// Middlebox holds replicated real-time packets in shallow per-stream
-// head-drop buffers and releases them toward the client's secondary AP on
-// request. It implements the simple start/stop protocol of the paper's
-// implementation; Start may optionally carry a from-sequence for explicit
-// packet selection.
+// Middlebox is the simulated deployment of the holdbuf start/stop buffer:
+// it holds replicated real-time packets per stream and releases them
+// toward the client's secondary AP on request, adding the Table 3 network
+// and service delays to every request. Start may carry a from-sequence for
+// explicit packet selection.
 type Middlebox struct {
 	sim     *sim.Simulator
 	cfg     MiddleboxConfig
@@ -52,15 +50,10 @@ type Middlebox struct {
 	// backgroundLoad emulates additional concurrent streams served by the
 	// same box, for the §6.4 scalability experiment.
 	backgroundLoad int
-
-	requests int
 }
 
 // NewMiddlebox creates a middlebox on the simulator.
 func NewMiddlebox(s *sim.Simulator, cfg MiddleboxConfig) *Middlebox {
-	if cfg.BufferDepth <= 0 {
-		cfg.BufferDepth = 5
-	}
 	return &Middlebox{sim: s, cfg: cfg, streams: make(map[int]*mbStream)}
 }
 
@@ -70,12 +63,9 @@ func (m *Middlebox) Register(streamID int, out Port) error {
 	if out == nil {
 		return fmt.Errorf("netsim: middlebox stream %d registered with nil output", streamID)
 	}
-	m.streams[streamID] = &mbStream{out: out}
+	m.streams[streamID] = &mbStream{hold: holdbuf.New[pkt.Packet](m.cfg.BufferDepth), out: out.Receive}
 	return nil
 }
-
-// Unregister discards the stream's state.
-func (m *Middlebox) Unregister(streamID int) { delete(m.streams, streamID) }
 
 // SetBackgroundLoad declares n additional concurrent streams for the
 // scalability experiment; it only affects the service delay.
@@ -93,41 +83,26 @@ func (m *Middlebox) ServiceDelay() sim.Duration {
 	return m.cfg.BaseQueuing + sim.Duration(int64(m.cfg.LoadFactor)*int64(load)/1000)
 }
 
-// RequestCount returns the number of start requests served.
-func (m *Middlebox) RequestCount() int { return m.requests }
-
 // BufferedCount returns the stream's current buffer occupancy.
 func (m *Middlebox) BufferedCount(streamID int) int {
 	if st, ok := m.streams[streamID]; ok {
-		return len(st.buf)
+		_, _, held := st.hold.Counts()
+		return held
 	}
 	return 0
 }
 
 // Receive implements Port: the SDN switch feeds replicated copies here.
-// While the stream is inactive, packets join the head-drop buffer; while
-// active, they flow straight out (plus whatever was buffered).
+// Copies of unregistered streams are dropped.
 func (m *Middlebox) Receive(p pkt.Packet) {
-	st, ok := m.streams[p.StreamID]
-	if !ok {
-		return // not a registered real-time stream; drop silently
+	if st, ok := m.streams[p.StreamID]; ok && st.hold.Offer(int64(p.Seq), p) {
+		st.out(p)
 	}
-	if st.active {
-		st.sentOut++
-		st.out.Receive(p)
-		return
-	}
-	if len(st.buf) >= m.cfg.BufferDepth {
-		st.buf = st.buf[1:]
-		st.dropped++
-	}
-	st.buf = append(st.buf, p)
 }
 
-// Start is the client's request to begin delivery for streamID. Packets
-// with Seq < fromSeq are skipped (explicit selection); pass fromSeq < 0
-// for the paper's plain start/stop behaviour (deliver everything buffered).
-// Delivery begins after the network + service delay and continues until
+// Start is the client's request to begin delivery for streamID from
+// fromSeq (negative: everything buffered, the paper's plain start/stop;
+// see holdbuf.Stream.Start). Delivery begins after the network + service delay and continues until
 // Stop. It returns the delay until the first buffered packet leaves, which
 // Table 3 reports as network + queuing.
 func (m *Middlebox) Start(streamID, fromSeq int) sim.Duration {
@@ -135,50 +110,24 @@ func (m *Middlebox) Start(streamID, fromSeq int) sim.Duration {
 	if !ok {
 		return 0
 	}
-	m.requests++
 	delay := m.cfg.NetDelay + m.ServiceDelay()
-	m.sim.After(delay, func() {
-		if st.active {
-			return
-		}
-		st.active = true
-		buf := st.buf
-		st.buf = nil
-		for _, p := range buf {
-			if fromSeq >= 0 && p.Seq < fromSeq {
-				continue
-			}
-			st.sentOut++
-			st.out.Receive(p)
-		}
-	})
+	m.sim.After(delay, func() { st.hold.Start(int64(fromSeq), st.out) })
 	return delay
 }
 
 // Stop ends delivery for streamID after the control-message network delay;
 // subsequent packets buffer again.
 func (m *Middlebox) Stop(streamID int) {
-	st, ok := m.streams[streamID]
-	if !ok {
-		return
-	}
-	m.sim.After(m.cfg.NetDelay/2, func() {
-		st.active = false
-	})
-}
-
-// SentCount returns packets the middlebox has released for the stream.
-func (m *Middlebox) SentCount(streamID int) int {
 	if st, ok := m.streams[streamID]; ok {
-		return st.sentOut
+		m.sim.After(m.cfg.NetDelay/2, st.hold.Stop)
 	}
-	return 0
 }
 
 // DroppedCount returns packets evicted from the stream's head-drop buffer.
 func (m *Middlebox) DroppedCount(streamID int) int {
 	if st, ok := m.streams[streamID]; ok {
-		return st.dropped
+		_, dropped, _ := st.hold.Counts()
+		return dropped
 	}
 	return 0
 }
