@@ -6,35 +6,70 @@
 //
 //	diversifi [-seed N] [-impairment none|weak-link|mobility|microwave|congestion]
 //	          [-strategy stronger|better|divert|temporal|cross-link|diversifi|diversifi-mb]
-//	          [-profile g711|highrate] [-duration 2m]
+//	          [-profile g711|highrate] [-duration 2m] [-assoc]
+//	          [-scenario FILE] [-scenario-out FILE]
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"repro/internal/sim/rng"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/sim"
-	"repro/internal/stats"
+	"repro/internal/sim/rng"
 	"repro/internal/trace"
 	"repro/internal/traffic"
 	"repro/internal/voip"
 )
 
+// usageError marks a bad flag or value: exit status 2 instead of 1.
+// printed is set when the flag package has already printed the error,
+// followed by the usage text.
+type usageError struct {
+	error
+	printed bool
+}
+
 func main() {
-	seed := flag.Int64("seed", 1, "random seed")
-	imp := flag.String("impairment", "none", "impairment class")
-	strategy := flag.String("strategy", "diversifi", "receiving strategy")
-	profName := flag.String("profile", "g711", "stream profile: g711 or highrate")
-	duration := flag.Duration("duration", 2*time.Minute, "call duration")
-	fullAssoc := flag.Bool("assoc", false, "run the 802.11 management plane (scan + associate + queue-config IE) before the call")
-	scenarioIn := flag.String("scenario", "", "load the scenario from a JSON file instead of generating one")
-	scenarioOut := flag.String("scenario-out", "", "write the generated scenario to a JSON file for later replay")
-	flag.Parse()
+	err := run(os.Args[1:], os.Stdout)
+	if err == nil {
+		return
+	}
+	var usage usageError
+	isUsage := errors.As(err, &usage)
+	if !usage.printed {
+		fmt.Fprintln(os.Stderr, "diversifi:", err)
+	}
+	if isUsage {
+		os.Exit(2)
+	}
+	os.Exit(1)
+}
+
+// run simulates the call args describe and writes its report to stdout.
+// A scenario loaded with -scenario supplies the impairment, seed, stream
+// profile and duration, overriding those flags.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("diversifi", flag.ContinueOnError)
+	seed := fs.Int64("seed", 1, "random seed")
+	imp := fs.String("impairment", "none", "impairment class")
+	strategy := fs.String("strategy", "diversifi", "receiving strategy")
+	profName := fs.String("profile", "g711", "stream profile: g711 or highrate")
+	duration := fs.Duration("duration", 2*time.Minute, "call duration")
+	fullAssoc := fs.Bool("assoc", false, "run the 802.11 management plane (scan + associate + queue-config IE) before the call")
+	scenarioIn := fs.String("scenario", "", "load the scenario from a JSON file instead of generating one")
+	scenarioOut := fs.String("scenario-out", "", "write the generated scenario to a JSON file for later replay")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return usageError{error: err, printed: true}
+	}
 
 	impairments := map[string]core.Impairment{
 		"none": core.ImpNone, "weak-link": core.ImpWeakLink, "mobility": core.ImpMobility,
@@ -42,8 +77,7 @@ func main() {
 	}
 	impairment, ok := impairments[*imp]
 	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown impairment %q\n", *imp)
-		os.Exit(2)
+		return usageError{error: fmt.Errorf("unknown impairment %q", *imp)}
 	}
 	profile := traffic.G711
 	if *profName == "highrate" {
@@ -54,16 +88,13 @@ func main() {
 	if *scenarioIn != "" {
 		data, err := os.ReadFile(*scenarioIn)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "diversifi:", err)
-			os.Exit(1)
+			return err
 		}
 		if err := json.Unmarshal(data, &sc); err != nil {
-			fmt.Fprintln(os.Stderr, "diversifi: bad scenario file:", err)
-			os.Exit(1)
+			return fmt.Errorf("bad scenario file: %w", err)
 		}
 	} else {
-		rng := rng.New(*seed)
-		sc = core.RandomScenario(rng, impairment, profile, *seed).
+		sc = core.RandomScenario(rng.New(*seed), impairment, profile, *seed).
 			WithDuration(sim.FromSeconds(duration.Seconds()))
 	}
 	if *scenarioOut != "" {
@@ -72,8 +103,7 @@ func main() {
 			err = os.WriteFile(*scenarioOut, data, 0o644)
 		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "diversifi:", err)
-			os.Exit(1)
+			return err
 		}
 	}
 
@@ -106,24 +136,24 @@ func main() {
 			r.Client.RecoverySwitches, r.Client.KeepaliveSwitches,
 			100*r.WastefulRate)
 	default:
-		fmt.Fprintf(os.Stderr, "unknown strategy %q\n", *strategy)
-		os.Exit(2)
+		return usageError{error: fmt.Errorf("unknown strategy %q", *strategy)}
 	}
 
-	q := voip.Assess(tr, profile)
-	lost := tr.LostWithDeadline(profile.Deadline)
-	fmt.Printf("scenario:    %s, seed %d, %s stream, %v call\n", impairment, *seed, profile.Name, *duration)
-	fmt.Printf("strategy:    %s\n\n", *strategy)
-	fmt.Printf("packets:              %d\n", tr.Len())
-	fmt.Printf("loss rate:            %.2f%%\n", 100*stats.LossRate(lost))
-	fmt.Printf("worst 5s loss:        %.1f%%\n", 100*q.WorstWindowLoss)
-	fmt.Printf("mean one-way delay:   %.2f ms\n", q.MeanDelayMs)
-	fmt.Printf("jitter (RFC3550):     %.2f ms\n", q.JitterMs)
-	fmt.Printf("concealment:          %d interpolated, %d extrapolated\n", q.Interpolated, q.Extrapolated)
-	fmt.Printf("MOS estimate:         %.2f (R=%.1f)%s\n", q.MOS, q.RFactor, poorTag(q.Poor))
+	q := voip.Assess(tr, sc.Profile)
+	callLen := time.Duration(sc.Duration) * time.Microsecond
+	fmt.Fprintf(stdout, "scenario:    %s, seed %d, %s stream, %v call\n", sc.Impairment, sc.Seed, sc.Profile.Name, callLen)
+	fmt.Fprintf(stdout, "strategy:    %s\n\n", *strategy)
+	fmt.Fprintf(stdout, "packets:              %d\n", tr.Len())
+	fmt.Fprintf(stdout, "loss rate:            %.2f%%\n", 100*q.LossRate)
+	fmt.Fprintf(stdout, "worst 5s loss:        %.1f%%\n", 100*q.WorstWindowLoss)
+	fmt.Fprintf(stdout, "mean one-way delay:   %.2f ms\n", q.MeanDelayMs)
+	fmt.Fprintf(stdout, "jitter (RFC3550):     %.2f ms\n", q.JitterMs)
+	fmt.Fprintf(stdout, "concealment:          %d interpolated, %d extrapolated\n", q.Interpolated, q.Extrapolated)
+	fmt.Fprintf(stdout, "MOS estimate:         %.2f (R=%.1f)%s\n", q.MOS, q.RFactor, poorTag(q.Poor))
 	if extra != "" {
-		fmt.Print("\n", extra)
+		fmt.Fprint(stdout, "\n", extra)
 	}
+	return nil
 }
 
 func poorTag(poor bool) string {

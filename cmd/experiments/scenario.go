@@ -168,7 +168,7 @@ func scenarioRun(args []string, stdout io.Writer) error {
 	if *strategy == "all" || *strategy == "dual" {
 		d := core.RunDualCall(g.Scenario)
 		report("stronger", voip.Assess(d.Stronger(), profile))
-		report("cross", voip.Assess(d.CrossLink(), profile))
+		report("cross", voip.AssessMerged(d.TraceA, d.TraceB, profile))
 	}
 	if *strategy == "all" || *strategy == "diversifi" {
 		r := core.RunDiversiFi(g.Scenario, core.DiversiFiOptions{Mode: core.ModeCustomAP})

@@ -16,14 +16,14 @@ import (
 // allocates about 120 objects whether it makes 27 recovery visits (the
 // mobility call) or 354 (the weak-link call). Scheduling one event per
 // packet up front instead costs about 6,000 objects per call, a closure
-// per visit callback costs 4 per visit, and voip.Assess building working
-// slices shows up as more than the one Lost slice it returns. A call's
-// bytes are dominated by its traces, one int32 per packet each.
+// per visit callback costs 4 per visit, and scoring a call that builds a
+// per-packet loss slice or a merged trace shows up as any object at all. A
+// call's bytes are dominated by its traces, one int32 per packet each.
 const (
 	ceilDiversiFiCall = 320    // objects per 120 s G.711 ModeCustomAP mobility call
 	ceilWeakLinkCall  = 166    // objects per weak-link call: 118 measured, 41% headroom as 320 had over 227
 	ceilDualCallBytes = 84_000 // bytes per weak-link RunDualCall: 59,544 measured, the same headroom
-	ceilAssess        = 1      // voip.Assess allocates exactly its Lost slice
+	ceilAssess        = 0      // voip.Assess and voip.AssessMerged score in one pass over the traces
 )
 
 // bytesPerRun is testing.AllocsPerRun for bytes: the mean heap bytes one
@@ -59,7 +59,7 @@ func TestCallAllocCeiling(t *testing.T) {
 		q = voip.Assess(res.Trace, sc.Profile)
 	})
 	if assess != ceilAssess {
-		t.Errorf("voip.Assess allocates %.0f objects, want exactly %d (the Lost slice)", assess, ceilAssess)
+		t.Errorf("voip.Assess allocates %.0f objects, want exactly %d", assess, ceilAssess)
 	}
 	if q.LossRate <= 0 {
 		t.Errorf("the call lost nothing (loss rate %v); the ceilings should be measured on a lossy call", q.LossRate)
@@ -83,5 +83,16 @@ func TestCallAllocCeiling(t *testing.T) {
 	t.Logf("RunDualCall: %.0f B per call", dualBytes)
 	if dualBytes > ceilDualCallBytes {
 		t.Errorf("RunDualCall allocates %.0f B per call, ceiling %d", dualBytes, ceilDualCallBytes)
+	}
+
+	d := RunDualCall(sc)
+	merged := testing.AllocsPerRun(20, func() {
+		q = voip.AssessMerged(d.TraceA, d.TraceB, sc.Profile)
+	})
+	if merged != ceilAssess {
+		t.Errorf("voip.AssessMerged allocates %.0f objects, want exactly %d", merged, ceilAssess)
+	}
+	if q.LossRate <= 0 {
+		t.Errorf("the cross-link receiver lost nothing (loss rate %v); AssessMerged should be measured on a lossy call", q.LossRate)
 	}
 }

@@ -81,6 +81,7 @@ func RunDualCall(sc Scenario) DualCall {
 	})
 	// One RSSI sample at the start of every second of the call.
 	seconds := int((sc.Duration + sim.Second - 1) / sim.Second)
+	res.RSSISeriesA, res.RSSISeriesB = make([]float64, 0, seconds), make([]float64, 0, seconds)
 	s.Train(seconds, sim.Lane{At: periodic(sim.Second), Fn: func(int) {
 		res.RSSISeriesA = append(res.RSSISeriesA, links.A.RSSIdBm(s.Now()))
 		res.RSSISeriesB = append(res.RSSISeriesB, links.B.RSSIdBm(s.Now()))

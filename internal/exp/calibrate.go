@@ -24,8 +24,13 @@ const networkDeadline = 150 * sim.Millisecond
 // worstWindowPct returns the worst-5s loss percentage of a trace under the
 // profile's deadline.
 func worstWindowPct(tr *trace.Trace, deadline sim.Duration) float64 {
-	lost := tr.LostWithDeadline(deadline)
-	return 100 * stats.WorstWindowRate(lost, tr.WindowPackets(5*sim.Second))
+	return 100 * tr.Summarize(deadline, 5*sim.Second).WorstWindowRate()
+}
+
+// crossWorstPct returns worstWindowPct(d.CrossLink(), deadline) without
+// building the merged trace.
+func crossWorstPct(d core.DualCall, deadline sim.Duration) float64 {
+	return 100 * trace.SummarizeMerged(d.TraceA, d.TraceB, deadline, 5*sim.Second).WorstWindowRate()
 }
 
 // Calibrate runs a quick corpus and reports the headline statistics the
@@ -42,10 +47,10 @@ func Calibrate(n int, seed int64) string {
 	for _, d := range duals {
 		strong = append(strong, worstWindowPct(d.Stronger(), deadline))
 		better = append(better, worstWindowPct(d.Better(5*sim.Second), deadline))
-		cross = append(cross, worstWindowPct(d.CrossLink(), deadline))
+		cross = append(cross, crossWorstPct(d, deadline))
 		divert = append(divert, worstWindowPct(d.Divert(1, 1), deadline))
 		strongQ = append(strongQ, voip.Assess(d.Stronger(), profileG711()))
-		crossQ = append(crossQ, voip.Assess(d.CrossLink(), profileG711()))
+		crossQ = append(crossQ, voip.AssessMerged(d.TraceA, d.TraceB, profileG711()))
 	}
 	p := func(xs []float64, q float64) float64 { return stats.Percentile(xs, q) }
 	fmt.Fprintf(&b, "wild corpus n=%d\n", n)

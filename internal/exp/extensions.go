@@ -92,7 +92,7 @@ func FECComparison(n int, seed int64) *Result {
 	var base, cross []float64
 	for _, d := range duals {
 		base = append(base, worstWindowPct(d.Stronger(), networkDeadline))
-		cross = append(cross, worstWindowPct(d.CrossLink(), networkDeadline))
+		cross = append(cross, crossWorstPct(d, networkDeadline))
 	}
 	worst4 := make([]float64, len(fec4))
 	worst2 := make([]float64, len(fec2))
@@ -190,7 +190,7 @@ func EDCA(n int, seed int64) *Result {
 		})
 		var cross []float64
 		for _, d := range duals {
-			cross = append(cross, worstWindowPct(d.CrossLink(), networkDeadline))
+			cross = append(cross, crossWorstPct(d, networkDeadline))
 		}
 		row := func(scheme string, xs []float64) {
 			t.AddRow(corpus.name, scheme,
@@ -229,7 +229,7 @@ func Handoff(n int, seed int64) *Result {
 	stick := worst(func(d core.DualCall) *trace.Trace { return d.Stronger() })
 	hard := worst(func(d core.DualCall) *trace.Trace { return d.Handoff(6, 500*sim.Millisecond) })
 	mbb := worst(func(d core.DualCall) *trace.Trace { return d.Handoff(6, 50*sim.Millisecond) })
-	cross := worst(func(d core.DualCall) *trace.Trace { return d.CrossLink() })
+	cross := crossWorstOf(duals)
 
 	t := stats.NewTable("Mobility: handoff vs diversity (worst-5s loss %)",
 		"scheme", "p50", "p90", "mean")

@@ -50,11 +50,21 @@ func worstOf(duals []core.DualCall, f func(core.DualCall) *trace.Trace) []float6
 	return out
 }
 
+// crossWorstOf is worstOf for the cross-link merge, scored without
+// building the merged traces.
+func crossWorstOf(duals []core.DualCall) []float64 {
+	out := make([]float64, 0, len(duals))
+	for _, d := range duals {
+		out = append(out, crossWorstPct(d, networkDeadline))
+	}
+	return out
+}
+
 // Figure2a compares cross-link replication with stronger/better selection.
 func Figure2a(n int, seed int64) *Result {
 	duals := wildDuals(n, seed)
 	series := map[string][]float64{
-		"cross-link": worstOf(duals, func(d core.DualCall) *trace.Trace { return d.CrossLink() }),
+		"cross-link": crossWorstOf(duals),
 		"stronger":   worstOf(duals, func(d core.DualCall) *trace.Trace { return d.Stronger() }),
 		"better":     worstOf(duals, func(d core.DualCall) *trace.Trace { return d.Better(5 * sim.Second) }),
 	}
@@ -76,7 +86,7 @@ func Figure2a(n int, seed int64) *Result {
 func Figure2b(n int, seed int64) *Result {
 	duals := wildDuals(n, seed)
 	series := map[string][]float64{
-		"cross-link": worstOf(duals, func(d core.DualCall) *trace.Trace { return d.CrossLink() }),
+		"cross-link": crossWorstOf(duals),
 		"divert":     worstOf(duals, func(d core.DualCall) *trace.Trace { return d.Divert(1, 1) }),
 	}
 	tables, plot := cdfSummary("Figure 2b", []string{"cross-link", "divert"}, series)
@@ -105,7 +115,7 @@ func Figure2c(n int, seed int64) *Result {
 		return worstWindowPct(repl, deadline)
 	})
 	series := map[string][]float64{
-		"cross-link":      worstOf(duals, func(d core.DualCall) *trace.Trace { return d.CrossLink() }),
+		"cross-link":      crossWorstOf(duals),
 		"temporal(100ms)": t100,
 		"temporal(0ms)":   t0,
 		"baseline":        worstOf(duals, func(d core.DualCall) *trace.Trace { return d.Stronger() }),
@@ -136,7 +146,7 @@ func Figure2d(n int, seed int64) *Result {
 	}
 	duals := RunDualCorpus(scens)
 	series := map[string][]float64{
-		"mimo+cross-link": worstOf(duals, func(d core.DualCall) *trace.Trace { return d.CrossLink() }),
+		"mimo+cross-link": crossWorstOf(duals),
 		"mimo+stronger":   worstOf(duals, func(d core.DualCall) *trace.Trace { return d.Stronger() }),
 		"mimo+better":     worstOf(duals, func(d core.DualCall) *trace.Trace { return d.Better(5 * sim.Second) }),
 	}
@@ -170,7 +180,7 @@ func Figure2e(n int, seed int64) *Result {
 		return out
 	}
 	series := map[string][]float64{
-		"cross-link": worst(func(d core.DualCall) *trace.Trace { return d.CrossLink() }),
+		"cross-link": crossWorstOf(duals),
 		"stronger":   worst(func(d core.DualCall) *trace.Trace { return d.Stronger() }),
 		"better":     worst(func(d core.DualCall) *trace.Trace { return d.Better(5 * sim.Second) }),
 	}

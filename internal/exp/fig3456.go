@@ -187,7 +187,7 @@ func Figure6(nPerImpairment int, seed int64) *Result {
 		var sq, cq []voip.Quality
 		for _, d := range duals {
 			sq = append(sq, voip.Assess(d.Stronger(), traffic.G711))
-			cq = append(cq, voip.Assess(d.CrossLink(), traffic.G711))
+			cq = append(cq, voip.AssessMerged(d.TraceA, d.TraceB, traffic.G711))
 		}
 		allStrong = append(allStrong, sq...)
 		allCross = append(allCross, cq...)
@@ -205,7 +205,7 @@ func Figure6(nPerImpairment int, seed int64) *Result {
 	var sq, cq []voip.Quality
 	for _, d := range duals {
 		sq = append(sq, voip.Assess(d.Stronger(), traffic.G711))
-		cq = append(cq, voip.Assess(d.CrossLink(), traffic.G711))
+		cq = append(cq, voip.AssessMerged(d.TraceA, d.TraceB, traffic.G711))
 	}
 	ratio := "inf"
 	if voip.PCR(cq) > 0 {

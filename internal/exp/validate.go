@@ -35,7 +35,7 @@ func Validate(n int, seed int64) *Result {
 	// ---- §4 corpus ----------------------------------------------------
 	duals := wildDuals(n, seed)
 	deadline := networkDeadline
-	cross := worstOf(duals, func(d core.DualCall) *trace.Trace { return d.CrossLink() })
+	cross := crossWorstOf(duals)
 	strong := worstOf(duals, func(d core.DualCall) *trace.Trace { return d.Stronger() })
 	better := worstOf(duals, func(d core.DualCall) *trace.Trace { return d.Better(5 * sim.Second) })
 	divert := worstOf(duals, func(d core.DualCall) *trace.Trace { return d.Divert(1, 1) })
@@ -55,7 +55,7 @@ func Validate(n int, seed int64) *Result {
 	var sq, cq []voip.Quality
 	for _, d := range duals {
 		sq = append(sq, voip.Assess(d.Stronger(), traffic.G711))
-		cq = append(cq, voip.Assess(d.CrossLink(), traffic.G711))
+		cq = append(cq, voip.AssessMerged(d.TraceA, d.TraceB, traffic.G711))
 	}
 	ratio := 0.0
 	if voip.PCR(cq) > 0 {
@@ -89,7 +89,7 @@ func Validate(n int, seed int64) *Result {
 		return worstWindowPct(repl, deadline)
 	})
 	baseHalf := worstOf(RunDualCorpus(scens), func(d core.DualCall) *trace.Trace { return d.Stronger() })
-	crossHalf := worstOf(RunDualCorpus(scens), func(d core.DualCall) *trace.Trace { return d.CrossLink() })
+	crossHalf := crossWorstOf(RunDualCorpus(scens))
 	med := func(xs []float64) float64 { return stats.Percentile(xs, 50) }
 	add("fig2c", "temporal replication sits between baseline and cross-link (median)",
 		med(crossHalf) <= med(t100) && med(t100) <= med(baseHalf),

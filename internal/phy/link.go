@@ -97,6 +97,12 @@ type Link struct {
 	fades  []*GilbertElliott // one chain per MIMO spatial branch
 	rng    *rng.Stream
 
+	// static is set for a phy.Static client, whose position and mean
+	// RSSI never change: NewLink computes them once.
+	static     bool
+	staticPos  Position
+	staticMean float64
+
 	// Cached instruments (nil-safe no-ops when params.Obs is nil).
 	ctAttempts  *obs.Counter
 	ctCollision *obs.Counter
@@ -127,6 +133,10 @@ func NewLink(rng *rng.Stream, env *Environment, p LinkParams) *Link {
 	for i := 0; i < p.MIMOOrder; i++ {
 		l.fades = append(l.fades, NewGilbertElliott(rng, p.FadeGood, p.FadeBad))
 	}
+	if s, ok := p.Client.(Static); ok {
+		l.static, l.staticPos = true, s.Pos
+		l.staticMean = MeanRSSIdBm(s.Pos.DistanceTo(p.APPos), p.Chan.Band)
+	}
 	return l
 }
 
@@ -150,15 +160,25 @@ func (l *Link) SetLateShift(db float64, at sim.Time) {
 }
 
 // ClientPos returns the client position at now.
-func (l *Link) ClientPos(now sim.Time) Position { return l.params.Client.PositionAt(now) }
+func (l *Link) ClientPos(now sim.Time) Position {
+	if l.static {
+		return l.staticPos
+	}
+	return l.params.Client.PositionAt(now)
+}
 
 // RSSIdBm returns the received signal strength the OS would report at now:
 // mean path loss plus shadowing, without fast fading (drivers average it
 // out). This is what the paper's `stronger` selection strategy keys on.
-func (l *Link) RSSIdBm(now sim.Time) float64 {
-	pos := l.params.Client.PositionAt(now)
-	d := pos.DistanceTo(l.params.APPos)
-	rssi := MeanRSSIdBm(d, l.params.Chan.Band) + l.shadow.ValueDB(now) - l.params.ExtraLoss
+func (l *Link) RSSIdBm(now sim.Time) float64 { return l.rssiAt(now, l.ClientPos(now)) }
+
+// rssiAt is RSSIdBm for a client at pos, the client's position at now.
+func (l *Link) rssiAt(now sim.Time, pos Position) float64 {
+	mean := l.staticMean
+	if !l.static {
+		mean = MeanRSSIdBm(pos.DistanceTo(l.params.APPos), l.params.Chan.Band)
+	}
+	rssi := mean + l.shadow.ValueDB(now) - l.params.ExtraLoss
 	if l.params.LateShiftDB != 0 && now >= l.params.LateShiftAt {
 		rssi -= l.params.LateShiftDB
 	}
@@ -184,9 +204,15 @@ func (l *Link) fadePenaltyDB(now sim.Time) float64 {
 // SNRdB returns the instantaneous SNR at now, after shadowing, the
 // best-branch fading penalty, and interference penalties.
 func (l *Link) SNRdB(now sim.Time) float64 {
-	rssi := l.RSSIdBm(now)
-	penalty, _ := l.env.Impact(now, l.params.Chan, l.params.Client.PositionAt(now))
-	return rssi - penalty - l.fadePenaltyDB(now) - NoiseFloorDBm
+	pos := l.ClientPos(now)
+	penalty, _ := l.env.Impact(now, l.params.Chan, pos)
+	return l.snrAt(now, pos, penalty)
+}
+
+// snrAt is SNRdB for a client at pos, the client's position at now, where
+// the environment's interference penalty is penalty.
+func (l *Link) snrAt(now sim.Time, pos Position, penalty float64) float64 {
+	return l.rssiAt(now, pos) - penalty - l.fadePenaltyDB(now) - NoiseFloorDBm
 }
 
 // Attempt draws the outcome of a single frame transmission attempt at the
@@ -201,9 +227,14 @@ func (l *Link) Attempt(now sim.Time, rate Rate) bool {
 // often, halving its collision exposure. Priority does NOT change the
 // SNR-driven error term — prioritization addresses congestion, not
 // wireless loss (the paper's §2 point).
+//
+// The position and the environment's impact are evaluated once and serve
+// both draws; evaluating them again at the same now draws nothing and
+// returns the same values.
 func (l *Link) AttemptPriority(now sim.Time, rate Rate, priority bool) bool {
 	l.ctAttempts.Inc()
-	_, coll := l.env.Impact(now, l.params.Chan, l.params.Client.PositionAt(now))
+	pos := l.ClientPos(now)
+	penalty, coll := l.env.Impact(now, l.params.Chan, pos)
 	if priority {
 		coll *= 0.5
 	}
@@ -211,7 +242,7 @@ func (l *Link) AttemptPriority(now sim.Time, rate Rate, priority bool) bool {
 		l.ctCollision.Inc()
 		return false
 	}
-	per := FrameErrorProb(l.SNRdB(now), rate)
+	per := FrameErrorProb(l.snrAt(now, pos, penalty), rate)
 	if l.rng.Float64() < per {
 		l.ctNoise.Inc()
 		return false
@@ -225,5 +256,5 @@ func (l *Link) Name() string { return l.params.Name }
 // BusyFraction exposes the environment's medium occupancy on this link's
 // channel at the client's position, for the MAC's access-delay model.
 func (l *Link) BusyFraction(now sim.Time) float64 {
-	return l.env.BusyFraction(now, l.params.Chan, l.params.Client.PositionAt(now))
+	return l.env.BusyFraction(now, l.params.Chan, l.ClientPos(now))
 }

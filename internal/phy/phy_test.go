@@ -121,6 +121,76 @@ func TestFrameErrorBoundsProperty(t *testing.T) {
 	}
 }
 
+// TestFrameErrorShortcutsExact holds FrameErrorProb to the clamped
+// logistic without its shortcuts, bit for bit, for every rate at 1e-4 dB
+// steps over a margin range that spans both clamps and both shortcut
+// thresholds (margins 5.3/1.4 and -7/1.4 dB).
+func TestFrameErrorShortcutsExact(t *testing.T) {
+	logistic := func(snrDB float64, rate Rate) float64 {
+		p := 1 / (1 + math.Exp(1.4*(snrDB-rate.MinSNRdB)))
+		return math.Min(math.Max(p, 0.005), 0.999)
+	}
+	for _, r := range RateTable {
+		for i := -60_000; i <= 50_000; i++ {
+			snr := r.MinSNRdB + float64(i)*1e-4
+			if got, want := FrameErrorProb(snr, r), logistic(snr, r); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s at %.4f dB: %v, logistic %v", r.Name, snr, got, want)
+			}
+		}
+	}
+}
+
+// stillWalker stands where it is, like Static, but is not a Static: a link
+// looks its position up and recomputes its mean RSSI on every query.
+type stillWalker struct{ pos Position }
+
+func (w stillWalker) PositionAt(sim.Time) Position { return w.pos }
+
+// TestAttemptShortcutsExact holds a Static client's link, whose position
+// and mean RSSI NewLink computes once and whose attempts evaluate the
+// environment once, to a twin that looks both up on every query and
+// attempts as the per-query formula did (the impact evaluated again inside
+// SNRdB). Microwave, congestion, shadowing, fading and a late shift all
+// run; every RSSI, SNR and attempt outcome must match bit for bit.
+func TestAttemptShortcutsExact(t *testing.T) {
+	mk := func(client MobilityModel) *Link {
+		env := NewEnvironment()
+		env.AddInterferer(NewMicrowave(Position{6, 2}, sim.Time(2*sim.Second), 3*sim.Second))
+		env.AddInterferer(NewCongestion(rng.New(41), Chan1, 0.4, 0.3, sim.Time(sim.Second), 0))
+		return NewLink(rng.New(40), env, LinkParams{
+			APPos: Position{0, 0}, Chan: Chan1, Client: client,
+			ShadowDB: 6, ShadowT: sim.Second, FadeGood: 300 * sim.Millisecond, FadeBad: 100 * sim.Millisecond,
+			ExtraLoss: 4, LateShiftDB: 8, LateShiftAt: sim.Time(5 * sim.Second),
+		})
+	}
+	pos := Position{9, 4}
+	fast, slow := mk(Static{Pos: pos}), mk(stillWalker{pos})
+	slowAttempt := func(now sim.Time, rate Rate, priority bool) bool {
+		_, coll := slow.env.Impact(now, slow.params.Chan, slow.params.Client.PositionAt(now))
+		if priority {
+			coll *= 0.5
+		}
+		if coll > 0 && slow.rng.Float64() < coll {
+			return false
+		}
+		per := FrameErrorProb(slow.SNRdB(now), rate)
+		return slow.rng.Float64() >= per
+	}
+	for i := 0; i < 20_000; i++ {
+		now := sim.Time(i) * sim.Time(400*sim.Microsecond)
+		rate, priority := RateTable[i%len(RateTable)], i%3 == 0
+		if f, s := fast.RSSIdBm(now), slow.RSSIdBm(now); math.Float64bits(f) != math.Float64bits(s) {
+			t.Fatalf("step %d: RSSI %v, per-query %v", i, f, s)
+		}
+		if f, s := fast.SNRdB(now), slow.SNRdB(now); math.Float64bits(f) != math.Float64bits(s) {
+			t.Fatalf("step %d: SNR %v, per-query %v", i, f, s)
+		}
+		if f, s := fast.AttemptPriority(now, rate, priority), slowAttempt(now, rate, priority); f != s {
+			t.Fatalf("step %d: attempt %v, per-query %v", i, f, s)
+		}
+	}
+}
+
 func TestAirtime(t *testing.T) {
 	slow := AirtimeUS(160, RateTable[0])
 	fast := AirtimeUS(160, RateTable[7])

@@ -91,16 +91,25 @@ func BestRateForSNR(snrDB float64) Rate {
 // rate's requirement: comfortably above threshold frames almost always
 // succeed, a few dB below they almost always fail.
 func FrameErrorProb(snrDB float64, rate Rate) float64 {
-	margin := snrDB - rate.MinSNRdB
-	p := 1 / (1 + math.Exp(1.4*margin))
 	// Even at very high SNR there is a small residual attempt-error floor
 	// (preamble misses, unlucky slots) of ~0.5%.
-	const floor = 0.005
+	const floor, ceiling = 0.005, 0.999
+	x := 1.4 * (snrDB - rate.MinSNRdB)
+	// Where a clamp decides the result, skip the Exp. exp(5.3) > 200, so
+	// x > 5.3 gives p < 1/201 < floor; exp(-7) < 0.00092, so x < -7 gives
+	// p > 1/1.00092 > 0.99908 > ceiling.
+	if x > 5.3 {
+		return floor
+	}
+	if x < -7 {
+		return ceiling
+	}
+	p := 1 / (1 + math.Exp(x))
 	if p < floor {
 		return floor
 	}
-	if p > 0.999 {
-		return 0.999
+	if p > ceiling {
+		return ceiling
 	}
 	return p
 }

@@ -59,7 +59,7 @@ func RunJob(j Job) Metrics {
 
 	d := core.RunDualCall(sc)
 	observeQuality(&m, StrategyStronger, voip.Assess(d.Stronger(), profile))
-	observeQuality(&m, StrategyCross, voip.Assess(d.CrossLink(), profile))
+	observeQuality(&m, StrategyCross, voip.AssessMerged(d.TraceA, d.TraceB, profile))
 
 	// Cross-link duplication cost: every packet delivered on both links
 	// bought airtime without buying recovery.
@@ -78,11 +78,18 @@ func RunJob(j Job) Metrics {
 	observeQuality(&m, StrategyDiversiFi, voip.Assess(r.Trace, profile))
 	m.Scalars[metricKey(StrategyDiversiFi, "dup_bytes")] =
 		r.WastefulRate * float64(r.Trace.Len()) * float64(profile.PacketBytes)
-	for _, ev := range r.Recoveries {
-		m.Series["recovery_detect_ms"] = append(m.Series["recovery_detect_ms"], toMS(ev.Detect))
-		m.Series["recovery_switch_ms"] = append(m.Series["recovery_switch_ms"], toMS(ev.Switch))
-		m.Series["recovery_retrieve_ms"] = append(m.Series["recovery_retrieve_ms"], toMS(ev.Retrieve))
-		m.Series["recovery_total_ms"] = append(m.Series["recovery_total_ms"], toMS(ev.Total))
+	if n := len(r.Recoveries); n > 0 {
+		detect, sw, retrieve, total := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+		for i, ev := range r.Recoveries {
+			detect[i] = toMS(ev.Detect)
+			sw[i] = toMS(ev.Switch)
+			retrieve[i] = toMS(ev.Retrieve)
+			total[i] = toMS(ev.Total)
+		}
+		m.Series["recovery_detect_ms"] = detect
+		m.Series["recovery_switch_ms"] = sw
+		m.Series["recovery_retrieve_ms"] = retrieve
+		m.Series["recovery_total_ms"] = total
 	}
 	return m
 }

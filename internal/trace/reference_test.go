@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -151,6 +152,57 @@ func (t *refTrace) CopyFrom(src *refTrace, seq int) {
 	t.arrival[seq] = src.arrival[seq]
 }
 
+// summary derives Summarize's result from the reference's loss sequence,
+// counting each window's losses afresh.
+func (t *refTrace) summary(deadline sim.Duration, win int) Summary {
+	lost := t.LostWithDeadline(deadline)
+	n := len(lost)
+	if win <= 0 || win > n {
+		win = n
+	}
+	s := Summary{Packets: n, Window: win, JitterMs: t.Jitter()}
+	for i, l := range lost {
+		if l {
+			s.Lost++
+			if i == 0 || !lost[i-1] {
+				s.Bursts++
+			}
+		}
+		if t.arrival[i] >= 0 && t.sent[i] >= 0 {
+			s.Delivered++
+			s.DelaySumMs += t.arrival[i].Sub(t.sent[i]).Milliseconds()
+		}
+	}
+	for i := 0; i+win <= n; i++ {
+		count := 0
+		for _, l := range lost[i : i+win] {
+			if l {
+				count++
+			}
+		}
+		s.WorstLost = max(s.WorstLost, count)
+	}
+	return s
+}
+
+// refDeadlines and refWindows are the deadlines and window lengths the
+// reference checks run, zero and the int32 maximum included.
+var (
+	refDeadlines = []sim.Duration{0, sim.Millisecond, 150 * sim.Millisecond, math.MaxInt32}
+	refWindows   = []sim.Duration{0, 3 * sim.Millisecond, 5 * sim.Second}
+)
+
+// sameSummary reports whether got equals want, floats compared bit for bit.
+func sameSummary(t *testing.T, what string, got, want Summary) bool {
+	t.Helper()
+	if got != want || math.Float64bits(got.DelaySumMs) != math.Float64bits(want.DelaySumMs) ||
+		math.Float64bits(got.JitterMs) != math.Float64bits(want.JitterMs) {
+		t.Errorf("%s: summary %+v, reference %+v", what, got, want)
+		return false
+	}
+	return true
+}
+
 // matchesRef reports whether every value derived from got equals the
 // reference's, floats compared bit for bit.
 func matchesRef(t *testing.T, what string, got *Trace, want *refTrace) bool {
@@ -166,11 +218,17 @@ func matchesRef(t *testing.T, what string, got *Trace, want *refTrace) bool {
 			return false
 		}
 	}
-	for _, dl := range []sim.Duration{0, sim.Millisecond, 150 * sim.Millisecond, math.MaxInt32} {
+	for _, dl := range refDeadlines {
 		g, w := got.LostWithDeadline(dl), want.LostWithDeadline(dl)
 		for i := range w {
 			if g[i] != w[i] {
 				t.Errorf("%s: deadline %v: seq %d lost %v, reference %v", what, dl, i, g[i], w[i])
+				return false
+			}
+		}
+		for _, win := range refWindows {
+			if !sameSummary(t, fmt.Sprintf("%s: deadline %v, window %v", what, dl, win),
+				got.Summarize(dl, win), want.summary(dl, got.WindowPackets(win))) {
 				return false
 			}
 		}
@@ -188,7 +246,8 @@ func matchesRef(t *testing.T, what string, got *Trace, want *refTrace) bool {
 // constant-bit-rate stream — deliveries at random delays (zero and the
 // int32 maximum included), earlier and later duplicates, cleared
 // arrivals, copies between traces of different lengths, and merges — and
-// requires every derived value to match.
+// requires every derived value to match, the one-pass summaries of single
+// and merged traces included.
 func TestTraceMatchesReference(t *testing.T) {
 	f := func(start uint32, spacingUs uint16, lenA, lenB uint8, ops []uint32) bool {
 		st, sp := sim.Time(start), sim.Duration(spacingUs)
@@ -233,9 +292,21 @@ func TestTraceMatchesReference(t *testing.T) {
 				rb.CopyFrom(ra, seq)
 			}
 		}
-		return matchesRef(t, "a", a, ra) && matchesRef(t, "b", b, rb) &&
-			matchesRef(t, "merge(a, b)", Merge(a, b), refMerge(ra, rb)) &&
-			matchesRef(t, "merge(b, a)", Merge(b, a), refMerge(rb, ra))
+		if !matchesRef(t, "a", a, ra) || !matchesRef(t, "b", b, rb) ||
+			!matchesRef(t, "merge(a, b)", Merge(a, b), refMerge(ra, rb)) ||
+			!matchesRef(t, "merge(b, a)", Merge(b, a), refMerge(rb, ra)) {
+			return false
+		}
+		for _, dl := range refDeadlines {
+			for _, win := range refWindows {
+				what := fmt.Sprintf("summarize merged: deadline %v, window %v", dl, win)
+				if !sameSummary(t, what, SummarizeMerged(a, b, dl, win), refMerge(ra, rb).summary(dl, a.WindowPackets(win))) ||
+					!sameSummary(t, what, SummarizeMerged(b, a, dl, win), refMerge(rb, ra).summary(dl, a.WindowPackets(win))) {
+					return false
+				}
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)

@@ -95,36 +95,115 @@ func (t *Trace) LostWithDeadline(deadline sim.Duration) []bool {
 
 // MeanDelayMs returns the mean one-way delay of delivered packets, in
 // milliseconds, or 0 when none was delivered.
-func (t *Trace) MeanDelayMs() float64 {
-	sum, n := 0.0, 0
-	for _, d := range t.delay {
-		if d >= 0 {
-			sum += sim.Duration(d).Milliseconds()
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
+func (t *Trace) MeanDelayMs() float64 { return t.Summarize(0, 0).MeanDelayMs() }
 
 // Jitter returns the RFC 3550 interarrival jitter estimate in milliseconds
 // over delivered packets.
-func (t *Trace) Jitter() float64 {
-	var j float64
-	prev := int32(-1)
-	for _, d := range t.delay {
-		if d < 0 {
-			continue
-		}
-		if prev >= 0 {
-			dTransit := (sim.Duration(d) - sim.Duration(prev)).Milliseconds()
-			j += (math.Abs(dTransit) - j) / 16
-		}
-		prev = d
+func (t *Trace) Jitter() float64 { return t.Summarize(0, 0).JitterMs }
+
+// Summary is what one deadline-aware pass over a trace finds: the counts
+// and sums every call-quality score is built from. A packet is lost when
+// it never arrived or arrived more than the deadline after its send time,
+// as LostWithDeadline has it; delay and jitter cover every delivered
+// packet, late ones included.
+type Summary struct {
+	Packets    int     // packets in the trace
+	Window     int     // packets per window, at most Packets
+	Lost       int     // packets lost under the deadline
+	Bursts     int     // maximal runs of consecutive lost packets
+	WorstLost  int     // most lost packets in any Window consecutive ones
+	Delivered  int     // packets that arrived at all
+	DelaySumMs float64 // summed one-way delay of delivered packets, in ms
+	JitterMs   float64 // RFC 3550 interarrival jitter over delivered packets
+}
+
+// LossRate returns the fraction of packets lost, or 0 for an empty trace.
+func (s Summary) LossRate() float64 {
+	if s.Packets == 0 {
+		return 0
 	}
-	return j
+	return float64(s.Lost) / float64(s.Packets)
+}
+
+// WorstWindowRate returns the loss rate of the worst window, or 0 for an
+// empty trace.
+func (s Summary) WorstWindowRate() float64 {
+	if s.Packets == 0 {
+		return 0
+	}
+	return float64(s.WorstLost) / float64(s.Window)
+}
+
+// MeanDelayMs returns the mean one-way delay of delivered packets, in
+// milliseconds, or 0 when none was delivered.
+func (s Summary) MeanDelayMs() float64 {
+	if s.Delivered == 0 {
+		return 0
+	}
+	return s.DelaySumMs / float64(s.Delivered)
+}
+
+// Summarize makes the deadline-aware pass over t, with losses also
+// counted over every window spanning the given wall-clock time.
+func (t *Trace) Summarize(deadline, window sim.Duration) Summary {
+	return summarize(t.delay, t.delay, deadline, t.WindowPackets(window))
+}
+
+// SummarizeMerged returns Merge(a, b).Summarize(deadline, window) without
+// building the merged trace. It panics as Merge does.
+func SummarizeMerged(a, b *Trace, deadline, window sim.Duration) Summary {
+	da, db := mergeInputs(a, b)
+	return summarize(da, db, deadline, a.WindowPackets(window))
+}
+
+// summarize is the one pass behind Summary, over the packet-by-packet
+// earliest of da and db (pass the same slice twice for one trace). It
+// indexes the slices directly, since reading each delay through a
+// per-packet callback made the pass markedly slower, and keeps its sums in
+// locals, which the compiler holds in registers.
+func summarize(da, db []int32, deadline sim.Duration, win int) Summary {
+	n := len(da)
+	db = db[:n]
+	if win <= 0 || win > n {
+		win = n
+	}
+	var (
+		lost, bursts, worst, inWindow, delivered int
+		delaySum, jitter                         float64
+		prev                                     = int32(-1) // the last delivered packet's delay
+		prevLost                                 bool
+	)
+	for i := range da {
+		d := earliest(da[i], db[i])
+		if d >= 0 {
+			delivered++
+			delaySum += sim.Duration(d).Milliseconds()
+			if prev >= 0 {
+				dTransit := (sim.Duration(d) - sim.Duration(prev)).Milliseconds()
+				jitter += (math.Abs(dTransit) - jitter) / 16
+			}
+			prev = d
+		}
+		isLost := d < 0 || sim.Duration(d) > deadline
+		if isLost {
+			lost++
+			inWindow++
+			if !prevLost {
+				bursts++
+			}
+		}
+		prevLost = isLost
+		if i >= win {
+			if o := earliest(da[i-win], db[i-win]); o < 0 || sim.Duration(o) > deadline {
+				inWindow--
+			}
+		}
+		if i >= win-1 && inWindow > worst {
+			worst = inWindow
+		}
+	}
+	return Summary{Packets: n, Window: win, Lost: lost, Bursts: bursts, WorstLost: worst,
+		Delivered: delivered, DelaySumMs: delaySum, JitterMs: jitter}
 }
 
 // sameSchedule panics unless t and u send on the same schedule, the
@@ -136,23 +215,32 @@ func (t *Trace) sameSchedule(op string, u *Trace) {
 	}
 }
 
+// mergeInputs returns the delays of a and b over the packets both cover,
+// after checking they share a schedule.
+func mergeInputs(a, b *Trace) (da, db []int32) {
+	a.sameSchedule("merge", b)
+	n := min(len(a.delay), len(b.delay))
+	return a.delay[:n], b.delay[:n]
+}
+
+// earliest is the merge rule: the smaller of two delays, where -1 (never
+// arrived) loses to any arrival.
+func earliest(da, db int32) int32 {
+	if da < 0 || (db >= 0 && db < da) {
+		return db
+	}
+	return da
+}
+
 // Merge returns a new trace whose per-packet outcome is the best of a and
 // b: the earliest arrival wins. This is exactly what a 2-NIC cross-link
 // receiver computes — it has both links' deliveries available. Both
 // traces must share a schedule.
 func Merge(a, b *Trace) *Trace {
-	a.sameSchedule("merge", b)
-	n := a.Len()
-	if b.Len() < n {
-		n = b.Len()
-	}
-	out := New(n, a.Start, a.Spacing)
+	da, db := mergeInputs(a, b)
+	out := New(len(da), a.Start, a.Spacing)
 	for i := range out.delay {
-		da, db := a.delay[i], b.delay[i]
-		if da < 0 || (db >= 0 && db < da) {
-			da = db
-		}
-		out.delay[i] = da
+		out.delay[i] = earliest(da[i], db[i])
 	}
 	return out
 }

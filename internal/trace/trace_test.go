@@ -170,6 +170,7 @@ func TestScheduleContractPanics(t *testing.T) {
 		{"arrival before its send time", func() { New(2, sim.Time(spacing), spacing).RecordArrival(1, sim.Time(2*spacing)-1) }},
 		{"delay above MaxInt32", func() { New(2, 0, spacing).RecordArrival(0, math.MaxInt32+1) }},
 		{"merge of different starts", func() { Merge(New(2, 0, spacing), New(2, 1, spacing)) }},
+		{"merged summary of different spacings", func() { SummarizeMerged(New(2, 0, spacing), New(2, 0, 2*spacing), 0, 0) }},
 		{"copy across different spacings", func() { New(2, 0, spacing).CopyFrom(New(2, 0, 2*spacing), 0) }},
 	}
 	for _, c := range cases {

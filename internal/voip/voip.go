@@ -8,7 +8,6 @@ package voip
 
 import (
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/traffic"
 )
@@ -44,77 +43,57 @@ type Quality struct {
 	RFactor         float64
 	MOS             float64
 	Poor            bool
-	Lost            []bool // per-packet deadline-aware loss sequence
 }
 
 // Assess scores the call captured in tr for the given stream profile.
 func Assess(tr *trace.Trace, profile traffic.Profile) Quality {
-	lost := tr.LostWithDeadline(profile.Deadline)
-	q := Quality{Lost: lost}
-	q.LossRate = stats.LossRate(lost)
-	q.WorstWindowLoss = stats.WorstWindowRate(lost, tr.WindowPackets(WorstWindow))
-	q.JitterMs = tr.Jitter()
-	q.MeanDelayMs = tr.MeanDelayMs()
-	q.Interpolated, q.Extrapolated = concealment(lost)
+	return assess(tr.Summarize(profile.Deadline, WorstWindow))
+}
 
-	overallR := rFactor(q.LossRate, lost, q.MeanDelayMs)
-	worstR := rFactor(q.WorstWindowLoss, lost, q.MeanDelayMs)
+// AssessMerged scores the cross-link receiver of a and b: it returns
+// Assess(trace.Merge(a, b), profile) without building the merged trace.
+func AssessMerged(a, b *trace.Trace, profile traffic.Profile) Quality {
+	return assess(trace.SummarizeMerged(a, b, profile.Deadline, WorstWindow))
+}
+
+// assess runs a trace's one-pass summary through the playout and E-model
+// quality model.
+//
+// Concealment classifies each lost packet: the first loss of a burst can
+// be interpolated (the decoder still has fresh waveform history); the rest
+// of the burst forces extrapolation, which degrades fast — this is why
+// burst losses are "particularly problematic" (§4.2).
+func assess(s trace.Summary) Quality {
+	q := Quality{
+		LossRate:        s.LossRate(),
+		WorstWindowLoss: s.WorstWindowRate(),
+		MeanDelayMs:     s.MeanDelayMs(),
+		JitterMs:        s.JitterMs,
+		Interpolated:    s.Bursts,
+		Extrapolated:    s.Lost - s.Bursts,
+	}
+	overallR := RFromLoss(q.LossRate, burstRatio(s.Lost, s.Bursts, q.LossRate), q.MeanDelayMs)
+	worstR := RFromLoss(q.WorstWindowLoss, burstRatio(s.Lost, s.Bursts, q.WorstWindowLoss), q.MeanDelayMs)
 	q.RFactor = (1-WorstWeight)*overallR + WorstWeight*worstR
 	q.MOS = MOSFromR(q.RFactor)
 	q.Poor = q.MOS < PoorMOSThreshold
 	return q
 }
 
-// concealment classifies each lost packet: a loss whose previous packet was
-// received can be interpolated (the decoder still has fresh waveform
-// history); consecutive losses force extrapolation, which degrades fast —
-// this is why burst losses are "particularly problematic" (§4.2).
-func concealment(lost []bool) (interpolated, extrapolated int) {
-	for i, l := range lost {
-		if !l {
-			continue
-		}
-		if i > 0 && lost[i-1] {
-			extrapolated++
-		} else {
-			interpolated++
-		}
-	}
-	return interpolated, extrapolated
-}
-
-// burstRatio is the E-model BurstR: the mean observed loss-burst length
-// over the mean burst length random loss would produce at the same rate.
-func burstRatio(lost []bool, p float64) float64 {
-	if p <= 0 || p >= 1 {
+// burstRatio is the E-model BurstR of a call that lost lost packets in
+// bursts runs: the mean observed loss-burst length over the mean burst
+// length random loss would produce at rate p.
+func burstRatio(lost, bursts int, p float64) float64 {
+	if p <= 0 || p >= 1 || bursts == 0 {
 		return 1
 	}
-	bursts, lostTotal := 0, 0
-	for i, l := range lost {
-		if !l {
-			continue
-		}
-		lostTotal++
-		if i == 0 || !lost[i-1] {
-			bursts++
-		}
-	}
-	if bursts == 0 {
-		return 1
-	}
-	meanBurst := float64(lostTotal) / float64(bursts)
+	meanBurst := float64(lost) / float64(bursts)
 	expected := 1 / (1 - p)
 	br := meanBurst / expected
 	if br < 1 {
 		br = 1
 	}
 	return br
-}
-
-// rFactor computes the E-model transmission rating for the given loss rate
-// with the call's burst structure and mean one-way delay.
-func rFactor(lossRate float64, lost []bool, delayMs float64) float64 {
-	return RFromLoss(lossRate, burstRatio(lost, lossRate), delayMs)
 }
 
 // RFromLoss computes the E-model transmission rating from a loss rate, a

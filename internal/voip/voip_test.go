@@ -72,8 +72,8 @@ func TestBurstsHurtMoreThanIsolatedLoss(t *testing.T) {
 	}
 }
 
-// TestBurstRatioMatchesHistogram checks the direct burst count against the
-// burst-histogram formulation of BurstR, bit for bit.
+// TestBurstRatioMatchesHistogram checks BurstR from the one pass's loss
+// and burst counts against the burst-histogram formulation, bit for bit.
 func TestBurstRatioMatchesHistogram(t *testing.T) {
 	ref := func(lost []bool, p float64) float64 {
 		if p <= 0 || p >= 1 {
@@ -96,8 +96,9 @@ func TestBurstRatioMatchesHistogram(t *testing.T) {
 		return br
 	}
 	f := func(lost []bool) bool {
+		s := mkTrace(len(lost), lost, 10*sim.Millisecond).Summarize(traffic.G711.Deadline, WorstWindow)
 		p := stats.LossRate(lost)
-		return burstRatio(lost, p) == ref(lost, p)
+		return s.LossRate() == p && burstRatio(s.Lost, s.Bursts, p) == ref(lost, p)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)

@@ -5,8 +5,8 @@
 # Usage:
 #   scripts/bench.sh           full run: 2s per benchmark, writes BENCH_<date>.json
 #   scripts/bench.sh smoke     CI regression smoke: enforce the scheduling,
-#                              whole-call and trace alloc ceilings (objects
-#                              and bytes) and run every benchmark once
+#                              whole-call, trace and sweep-job alloc ceilings
+#                              (objects and bytes) and run every benchmark once
 #   scripts/bench.sh diff      quick scheduler run, compared against the newest
 #                              checked-in BENCH_*.json with `benchjson diff`;
 #                              exits nonzero on a ns/op regression beyond
@@ -39,13 +39,16 @@ fi
 if [ "${1:-}" = "smoke" ]; then
     # The alloc-ceiling tests are the hard regression gate: scheduling hot
     # paths (trains included) promise zero steady-state allocations, a
-    # whole call must not allocate per packet or per recovery visit, and a
-    # trace costs 4 bytes per packet; this fails the build if any of them
-    # starts allocating again. The 1x bench pass then checks every
-    # benchmark in the repo still compiles and runs.
+    # whole call must not allocate per packet or per recovery visit, a
+    # trace costs 4 bytes per packet, scoring a call allocates nothing, and
+    # a sweep job builds no merged trace or loss slice to score its calls;
+    # this fails the build if any of them starts allocating again. The 1x
+    # bench pass then checks every benchmark in the repo still compiles
+    # and runs.
     go test ./internal/sim -run TestSchedulingAllocCeiling -count=1
     go test ./internal/core -run TestCallAllocCeiling -count=1
     go test ./internal/trace -run TestTraceBytesPerPacket -count=1
+    go test ./internal/sweep -run TestRunJobByteCeiling -count=1
     go test -bench . -benchtime=1x -benchmem -run '^$' ./...
     exit 0
 fi
