@@ -1,10 +1,11 @@
-// Package repro's benchmark harness regenerates every table and figure of
-// the paper's evaluation (run `go test -bench=. -benchmem`); each
-// BenchmarkTableN / BenchmarkFigureN target executes the corresponding
-// experiment end-to-end on a reduced corpus and reports the headline
-// numbers via b.ReportMetric, so a bench run doubles as a quick
-// reproduction check. Full-size corpora are available through
-// cmd/experiments.
+// Package repro's benchmarks time every table and figure of the paper's
+// evaluation (run `go test -bench=. -benchmem`): each BenchmarkTableN /
+// BenchmarkFigureN target executes the corresponding experiment end to end
+// on a reduced corpus. They report time and allocations only; the
+// experiments' numbers come from cmd/experiments, and the benchmark of
+// record is bench/ (see bench/README.md). Whole calls and the trace and
+// statistics helpers are timed here too; the substrate micro-benchmarks
+// live in their own packages.
 package repro
 
 import (
@@ -13,8 +14,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exp"
-	"repro/internal/mac"
-	"repro/internal/phy"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -233,44 +232,7 @@ func BenchmarkExtensionHandoff(b *testing.B) {
 	}
 }
 
-// --- Micro-benchmarks of the substrates -------------------------------------
-
-func BenchmarkSimEventThroughput(b *testing.B) {
-	s := sim.New(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.After(sim.Microsecond, func() {})
-		if i%1024 == 1023 {
-			s.RunAll()
-		}
-	}
-	s.RunAll()
-}
-
-func BenchmarkMACTransmit(b *testing.B) {
-	s := sim.New(2)
-	link := phy.NewLink(s.RNG("l"), phy.NewEnvironment(), phy.LinkParams{
-		APPos: phy.Position{X: 0, Y: 0}, Chan: phy.Chan1,
-		Client:   phy.Static{Pos: phy.Position{X: 8, Y: 0}},
-		ShadowDB: 5, ShadowT: 4 * sim.Second,
-		FadeGood: 10 * sim.Second, FadeBad: 300 * sim.Millisecond,
-	})
-	tx := mac.NewTransmitter(link, rng.New(2))
-	now := sim.Time(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out := tx.Transmit(now, 160)
-		now = out.At.Add(20 * sim.Millisecond)
-	}
-}
-
-func BenchmarkGilbertElliott(b *testing.B) {
-	g := phy.NewGilbertElliott(rng.New(3), sim.Second, 200*sim.Millisecond)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Bad(sim.Time(i) * sim.Time(20*sim.Millisecond))
-	}
-}
+// --- Whole calls and the trace and statistics helpers -----------------------
 
 func BenchmarkFullDualCall(b *testing.B) {
 	rng := rng.New(4)

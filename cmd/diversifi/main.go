@@ -8,15 +8,20 @@
 //	          [-strategy stronger|better|divert|temporal|cross-link|diversifi|diversifi-mb]
 //	          [-profile g711|highrate] [-duration 2m] [-assoc]
 //	          [-scenario FILE] [-scenario-out FILE]
+//
+// A scenario file is the JSON encoding of core.Scenario, the same document
+// as the params of an `experiments scenario gen` record.
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -71,27 +76,20 @@ func run(args []string, stdout io.Writer) error {
 		return usageError{error: err, printed: true}
 	}
 
-	impairments := map[string]core.Impairment{
-		"none": core.ImpNone, "weak-link": core.ImpWeakLink, "mobility": core.ImpMobility,
-		"microwave": core.ImpMicrowave, "congestion": core.ImpCongestion,
-	}
-	impairment, ok := impairments[*imp]
+	impairment, ok := core.ImpairmentByName(*imp)
 	if !ok {
 		return usageError{error: fmt.Errorf("unknown impairment %q", *imp)}
 	}
-	profile := traffic.G711
-	if *profName == "highrate" {
-		profile = traffic.HighRate
+	profile, ok := traffic.ProfileByKey(*profName)
+	if !ok {
+		return usageError{error: fmt.Errorf("unknown profile %q", *profName)}
 	}
 
 	var sc core.Scenario
 	if *scenarioIn != "" {
-		data, err := os.ReadFile(*scenarioIn)
-		if err != nil {
+		var err error
+		if sc, err = loadScenario(*scenarioIn); err != nil {
 			return err
-		}
-		if err := json.Unmarshal(data, &sc); err != nil {
-			return fmt.Errorf("bad scenario file: %w", err)
 		}
 	} else {
 		sc = core.RandomScenario(rng.New(*seed), impairment, profile, *seed).
@@ -154,6 +152,35 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprint(stdout, "\n", extra)
 	}
 	return nil
+}
+
+// loadScenario reads a scenario file: the JSON encoding of core.Scenario,
+// the same document as the params of an `experiments scenario gen` record.
+// The file is outside input, so unknown fields, an impairment outside
+// core.AllImpairments, a profile other than G.711 or HighRate and an
+// invalid channel are errors.
+func loadScenario(path string) (core.Scenario, error) {
+	var sc core.Scenario
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return sc, err
+	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&sc); err != nil {
+		return sc, fmt.Errorf("bad scenario file: %w", err)
+	}
+	switch {
+	case dec.More():
+		return sc, errors.New("bad scenario file: trailing content after the scenario")
+	case !slices.Contains(core.AllImpairments, sc.Impairment):
+		return sc, fmt.Errorf("bad scenario file: unknown impairment %d", int(sc.Impairment))
+	case sc.Profile != traffic.G711 && sc.Profile != traffic.HighRate:
+		return sc, fmt.Errorf("bad scenario file: unknown profile %q", sc.Profile.Name)
+	case !sc.ChanA.Valid() || !sc.ChanB.Valid():
+		return sc, fmt.Errorf("bad scenario file: invalid channel (%v, %v)", sc.ChanA, sc.ChanB)
+	}
+	return sc, nil
 }
 
 func poorTag(poor bool) string {

@@ -63,17 +63,18 @@ func scenarioValidate(paths []string, stdout io.Writer) error {
 }
 
 // genRecord is one generated scenario's JSONL line: the generator metadata
-// plus the complete exported scenario description, enough to reconstruct
-// the exact simulated call with core.FromParams.
+// plus the complete core.Scenario, the exact simulated call. A record's
+// params document is also a scenario file that `diversifi -scenario`
+// replays.
 type genRecord struct {
-	Index      int                 `json:"index"`
-	Seed       int64               `json:"seed"`
-	Impairment string              `json:"impairment"`
-	Device     string              `json:"device"`
-	MIMOOrder  int                 `json:"mimo_order"`
-	Severity   float64             `json:"severity"`
-	StartUS    int64               `json:"start_us"`
-	Params     core.ScenarioParams `json:"params"`
+	Index      int           `json:"index"`
+	Seed       int64         `json:"seed"`
+	Impairment string        `json:"impairment"`
+	Device     string        `json:"device"`
+	MIMOOrder  int           `json:"mimo_order"`
+	Severity   float64       `json:"severity"`
+	StartUS    int64         `json:"start_us"`
+	Params     core.Scenario `json:"params"`
 }
 
 func scenarioGen(args []string, stdout io.Writer) error {
@@ -109,7 +110,7 @@ func scenarioGen(args []string, stdout io.Writer) error {
 			MIMOOrder:  g.MIMOOrder,
 			Severity:   g.Severity,
 			StartUS:    int64(starts[i]),
-			Params:     g.Scenario.Params(),
+			Params:     g.Scenario,
 		}
 		if *outDir == "" {
 			if err := enc.Encode(rec); err != nil {

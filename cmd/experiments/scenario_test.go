@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -85,6 +87,17 @@ func TestScenarioGen(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "wrote 5 scenarios") {
 		t.Errorf("gen -out summary: %q", out.String())
+	}
+
+	// The committed office corpus generates to pinned bytes: field names,
+	// field order and every drawn value of all 100 records.
+	out.Reset()
+	if err := runScenarioMode([]string{"gen", "../../examples/scenarios/corpus-office.yaml"}, &out, &errOut); err != nil {
+		t.Fatal(err)
+	}
+	const officeSHA = "b5f7562f6e5bf1c9254083b0a89608556ed26a2df5147c55c1863443fcd6454d"
+	if got := fmt.Sprintf("%x", sha256.Sum256(out.Bytes())); got != officeSHA {
+		t.Errorf("gen corpus-office.yaml: sha256 %s, want %s", got, officeSHA)
 	}
 }
 

@@ -155,6 +155,7 @@ func stripTiming(t *testing.T, data []byte) []byte {
 	}
 	s.ElapsedMS = 0
 	s.JobsPerSec = 0
+	s.ElapsedP50MS, s.ElapsedP95MS, s.ElapsedP99MS, s.ElapsedP999MS = 0, 0, 0, 0
 	for i := range s.Jobs {
 		s.Jobs[i].ElapsedMS = 0
 	}
@@ -165,27 +166,30 @@ func stripTiming(t *testing.T, data []byte) []byte {
 	return out
 }
 
+// TestSummaryJSONDeterministicAcrossColdRuns: two cold runs whose jobs take
+// different wall-clock times give the same summary once stripTiming has
+// zeroed the timing fields, so the test also proves timing is excluded.
 func TestSummaryJSONDeterministicAcrossColdRuns(t *testing.T) {
-	mk := func() []Job {
+	run := func(sleep time.Duration) []byte {
 		jobs := make([]Job, 4)
 		for i := range jobs {
 			id := fmt.Sprintf("job%d", i)
-			jobs[i] = fakeJob(id, 42, func(int, int64) *exp.Result { return okResult(id) })
+			jobs[i] = fakeJob(id, 42, func(int, int64) *exp.Result {
+				time.Sleep(sleep)
+				return okResult(id)
+			})
 		}
-		return jobs
-	}
-	run := func() []byte {
 		cache, err := OpenCache(t.TempDir())
 		if err != nil {
 			t.Fatal(err)
 		}
-		data, err := Run(Options{Jobs: mk(), Workers: 3, Cache: cache}).JSON()
+		data, err := Run(Options{Jobs: jobs, Workers: 3, Cache: cache}).JSON()
 		if err != nil {
 			t.Fatal(err)
 		}
 		return stripTiming(t, data)
 	}
-	a, b := run(), run()
+	a, b := run(0), run(3*time.Millisecond)
 	if !bytes.Equal(a, b) {
 		t.Fatalf("cold runs differ:\n%s\n---\n%s", a, b)
 	}

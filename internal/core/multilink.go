@@ -48,22 +48,22 @@ func RunMultiCall(sc Scenario, n int) []*trace.Trace {
 	linkList := []*phy.Link{built.A, built.B}
 	rng := s.RNG("multilink/spec")
 	for i := 2; i < n; i++ {
-		spec := sc.specB
-		spec.extraLoss = rng.Float64() * 12
+		spec := sc.LinkB
+		spec.ExtraLossDB = rng.Float64() * 12
 		l := phy.NewLink(s.RNG("multilink/link"+string(rune('0'+i))), env, phy.LinkParams{
 			Name:      "m" + string(rune('0'+i)),
 			Obs:       s.Obs(),
 			APPos:     multiAPPositions[i],
 			Chan:      multiChannelPlan[i%len(multiChannelPlan)],
 			Client:    mob,
-			ShadowDB:  spec.shadowDB,
-			ShadowT:   spec.shadowT,
-			FadeGood:  spec.fadeGood,
-			FadeBad:   spec.fadeBad,
+			ShadowDB:  spec.ShadowDB,
+			ShadowT:   spec.ShadowDecorr,
+			FadeGood:  spec.FadeGood,
+			FadeBad:   spec.FadeBad,
 			MIMOOrder: sc.MIMOOrder,
-			ExtraLoss: spec.extraLoss,
+			ExtraLoss: spec.ExtraLossDB,
 		})
-		l.SetFadeDepth(spec.fadeDepth)
+		l.SetFadeDepth(spec.FadeDepthDB)
 		linkList = append(linkList, l)
 	}
 	linkList = linkList[:n]

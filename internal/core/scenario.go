@@ -47,20 +47,34 @@ func (i Impairment) String() string {
 // AllImpairments lists the corpus categories in presentation order.
 var AllImpairments = []Impairment{ImpNone, ImpWeakLink, ImpMobility, ImpMicrowave, ImpCongestion}
 
-// linkSpec holds the randomized stochastic parameters of one AP↔client link.
-type linkSpec struct {
-	extraLoss float64
-	shadowDB  float64
-	shadowT   sim.Duration
-	fadeGood  sim.Duration
-	fadeBad   sim.Duration
-	fadeDepth float64
+// ImpairmentByName returns the impairment whose String() is name. It is the
+// one name table for flags and spec documents, and allocates nothing.
+func ImpairmentByName(name string) (Impairment, bool) {
+	for _, imp := range AllImpairments {
+		if imp.String() == name {
+			return imp, true
+		}
+	}
+	return ImpNone, false
+}
+
+// ScenarioLink holds the stochastic parameters of one AP↔client link:
+// static attenuation, lognormal shadowing, and the Gilbert–Elliott
+// deep-fade process. Durations are exact simulator microseconds.
+type ScenarioLink struct {
+	ExtraLossDB  float64
+	ShadowDB     float64
+	ShadowDecorr sim.Duration
+	FadeGood     sim.Duration // mean Gilbert–Elliott Good sojourn
+	FadeBad      sim.Duration // mean Gilbert–Elliott Bad sojourn
+	FadeDepthDB  float64
 }
 
 // Scenario describes one simulated call's environment: the office geometry
 // of §6.1 (two APs at diagonal corners of a 30 m × 15 m space), the client
 // placement or trajectory, per-link stochastic parameters, and at most one
-// named impairment.
+// named impairment. It is the one description of a call: generators set
+// its fields directly, and its JSON encoding is the scenario file format.
 type Scenario struct {
 	Impairment Impairment
 	Profile    traffic.Profile
@@ -68,43 +82,48 @@ type Scenario struct {
 	MIMOOrder  int
 	Seed       int64
 
-	apA, apB   phy.Position
-	chA, chB   phy.Channel
-	clientPos  phy.Position // static placement (ignored if mobile)
-	mobile     bool
-	specA      linkSpec
-	specB      linkSpec
-	congestA   bool // congestion on channel A
-	congestB   bool
-	congestHit float64 // collision probability during saturated periods
-	congestBzy float64 // busy fraction during saturated periods
-	ovenPos    phy.Position
-	hasOven    bool
+	APA, APB  phy.Position
+	ChanA     phy.Channel
+	ChanB     phy.Channel
+	ClientPos phy.Position // static placement (ignored when Mobile)
+	Mobile    bool
+	// Mobility overrides. Zero values fall back to the §6.1 defaults, so
+	// scenarios generated before these knobs existed are unchanged.
+	WalkSpeed float64      // m/s; 0 = default 1.2
+	WalkPause sim.Duration // pause between waypoint legs; 0 = default 2 s
+	LinkA     ScenarioLink
+	LinkB     ScenarioLink
 
-	// Pinned oven duty interval: when ovenDur > 0 the microwave runs over
-	// exactly [ovenStart, ovenStart+ovenDur] instead of drawing the
+	CongestA    bool    // congestion on channel A
+	CongestB    bool    // congestion on channel B
+	CongestHit  float64 // collision probability during saturated periods
+	CongestBusy float64 // busy fraction during saturated periods
+
+	Oven    bool
+	OvenPos phy.Position
+	// Pinned oven duty interval: when OvenDur > 0 the microwave runs over
+	// exactly [OvenStart, OvenStart+OvenDur] instead of drawing the
 	// interval from the "scenario/oven" stream in Build. The zero value
 	// preserves the historical draw, so existing seeds replay bit-for-bit.
-	ovenStart sim.Time
-	ovenDur   sim.Duration
+	OvenStart sim.Time
+	OvenDur   sim.Duration
 
-	// Mobility overrides: walkSpeed in m/s and walkPause between waypoint
-	// legs. Zero values fall back to the §6.1 defaults (1.2 m/s, 2 s), so
-	// scenarios generated before these knobs existed are unchanged.
-	walkSpeed float64
-	walkPause sim.Duration
-
-	// Mid-call collapse (non-stationarity): lateShift dB lands at lateAt
-	// on the weaker link (or the stronger one when lateOnStronger).
-	lateShift      float64
-	lateAt         sim.Duration
-	lateOnStronger bool
+	// Mid-call collapse (non-stationarity): LateShiftDB lands at LateAt on
+	// the weaker link (or the stronger one when LateOnStronger).
+	LateShiftDB    float64
+	LateAt         sim.Duration
+	LateOnStronger bool
 }
 
-// Office dimensions from §6.1.
+// Office dimensions from §6.1. The exported names serve the scenario
+// generator (internal/scenario), which places APs, clients, and
+// interferers inside the same geometry the paper's experiments use.
 const (
 	officeW = 30.0
 	officeH = 15.0
+
+	OfficeWidthM  = officeW
+	OfficeHeightM = officeH
 )
 
 // RandomScenario draws a scenario of the given impairment class. rng is
@@ -124,29 +143,29 @@ func RandomScenarioSeverity(rng *rng.Stream, imp Impairment, profile traffic.Pro
 		Duration:   2 * sim.Minute,
 		MIMOOrder:  1,
 		Seed:       seed,
-		apA:        phy.Position{X: 2, Y: 2},
-		apB:        phy.Position{X: officeW - 2, Y: officeH - 2},
-		chA:        phy.Chan1,
-		chB:        phy.Chan11,
+		APA:        phy.Position{X: 2, Y: 2},
+		APB:        phy.Position{X: officeW - 2, Y: officeH - 2},
+		ChanA:      phy.Chan1,
+		ChanB:      phy.Chan11,
 	}
 	uni := func(lo, hi float64) float64 { return lo + rng.Float64()*(hi-lo) }
 	dur := func(lo, hi float64) sim.Duration { return sim.FromSeconds(uni(lo, hi)) }
 
-	sc.clientPos = phy.Position{X: uni(2, officeW-2), Y: uni(1, officeH-1)}
-	baseSpec := func() linkSpec {
-		return linkSpec{
-			shadowDB:  uni(4, 6),
-			shadowT:   dur(3, 10),
-			fadeGood:  dur(15, 60),
-			fadeBad:   dur(0.15, 0.6),
-			fadeDepth: uni(15, 40),
+	sc.ClientPos = phy.Position{X: uni(2, officeW-2), Y: uni(1, officeH-1)}
+	baseSpec := func() ScenarioLink {
+		return ScenarioLink{
+			ShadowDB:     uni(4, 6),
+			ShadowDecorr: dur(3, 10),
+			FadeGood:     dur(15, 60),
+			FadeBad:      dur(0.15, 0.6),
+			FadeDepthDB:  uni(15, 40),
 		}
 	}
-	sc.specA = baseSpec()
-	sc.specB = baseSpec()
+	sc.LinkA = baseSpec()
+	sc.LinkB = baseSpec()
 	// Independent wall/obstruction attenuation per link.
-	sc.specA.extraLoss = uni(0, 6)
-	sc.specB.extraLoss = uni(0, 12)
+	sc.LinkA.ExtraLossDB = uni(0, 6)
+	sc.LinkB.ExtraLossDB = uni(0, 12)
 	// Environments are non-stationary: with some probability a link
 	// collapses partway through the call (door, crowd, re-parked cart).
 	// The collapse usually hits the link that started out weaker:
@@ -156,9 +175,9 @@ func RandomScenarioSeverity(rng *rng.Stream, imp Impairment, profile traffic.Pro
 	// strong link had an unlucky trial period. Target selection happens
 	// in Build, where the realized call-start RSSI is known.
 	if rng.Float64() < 0.3*severity {
-		sc.lateShift = uni(12, 28) * severity
-		sc.lateAt = dur(10, 90)
-		sc.lateOnStronger = rng.Float64() < 0.1
+		sc.LateShiftDB = uni(12, 28) * severity
+		sc.LateAt = dur(10, 90)
+		sc.LateOnStronger = rng.Float64() < 0.1
 	}
 
 	switch imp {
@@ -171,34 +190,34 @@ func RandomScenarioSeverity(rng *rng.Stream, imp Impairment, profile traffic.Pro
 		// is why even cross-link replication cannot rescue every
 		// weak-link call.
 		shared := uni(4, 12) * severity
-		sc.specA.extraLoss += shared + uni(4, 12)*severity
-		sc.specB.extraLoss += shared + uni(6, 14)*severity
-		sc.specA.fadeBad = dur(0.3, 1.2)
-		sc.specB.fadeBad = dur(0.3, 1.2)
-		sc.specA.shadowDB = uni(6, 9)
-		sc.specB.shadowDB = uni(6, 9)
-		sc.specA.shadowT = dur(10, 40)
-		sc.specB.shadowT = dur(10, 40)
+		sc.LinkA.ExtraLossDB += shared + uni(4, 12)*severity
+		sc.LinkB.ExtraLossDB += shared + uni(6, 14)*severity
+		sc.LinkA.FadeBad = dur(0.3, 1.2)
+		sc.LinkB.FadeBad = dur(0.3, 1.2)
+		sc.LinkA.ShadowDB = uni(6, 9)
+		sc.LinkB.ShadowDB = uni(6, 9)
+		sc.LinkA.ShadowDecorr = dur(10, 40)
+		sc.LinkB.ShadowDecorr = dur(10, 40)
 	case ImpMobility:
-		sc.mobile = true
-		sc.specA.shadowT = dur(0.5, 2)
-		sc.specB.shadowT = dur(0.5, 2)
-		sc.specA.shadowDB = uni(6, 9)
-		sc.specB.shadowDB = uni(6, 9)
-		sc.specA.extraLoss += uni(4, 12) * severity
-		sc.specB.extraLoss += uni(4, 14) * severity
+		sc.Mobile = true
+		sc.LinkA.ShadowDecorr = dur(0.5, 2)
+		sc.LinkB.ShadowDecorr = dur(0.5, 2)
+		sc.LinkA.ShadowDB = uni(6, 9)
+		sc.LinkB.ShadowDB = uni(6, 9)
+		sc.LinkA.ExtraLossDB += uni(4, 12) * severity
+		sc.LinkB.ExtraLossDB += uni(4, 14) * severity
 	case ImpMicrowave:
-		sc.hasOven = true
+		sc.Oven = true
 		// The oven sits somewhere in the office (a kitchenette); clients
 		// that happen to be nearby are wrecked on BOTH links, since both
 		// are 2.4 GHz (the paper notes no 5 GHz links were available —
 		// §4.4). Clients further away are unaffected.
-		sc.ovenPos = phy.Position{X: uni(2, officeW-2), Y: uni(1, officeH-1)}
+		sc.OvenPos = phy.Position{X: uni(2, officeW-2), Y: uni(1, officeH-1)}
 	case ImpCongestion:
-		sc.congestA = true
-		sc.congestB = rng.Float64() < 0.6 // sometimes both channels busy
-		sc.congestHit = uni(0.52, 0.8) * severity
-		sc.congestBzy = uni(0.52, 0.82) * severity
+		sc.CongestA = true
+		sc.CongestB = rng.Float64() < 0.6 // sometimes both channels busy
+		sc.CongestHit = uni(0.52, 0.8) * severity
+		sc.CongestBusy = uni(0.52, 0.82) * severity
 	}
 	return sc
 }
@@ -214,18 +233,18 @@ func ControlledScenario(seed int64, profile traffic.Profile, duration sim.Durati
 		Duration:   duration,
 		MIMOOrder:  1,
 		Seed:       seed,
-		apA:        phy.Position{X: 2, Y: 2},
-		apB:        phy.Position{X: officeW - 2, Y: officeH - 2},
-		chA:        phy.Chan1,
-		chB:        phy.Chan11,
-		clientPos:  phy.Position{X: officeW / 2, Y: officeH / 2},
-		specA: linkSpec{
-			extraLoss: extraA,
-			fadeGood:  1000 * sim.Minute, fadeBad: sim.Millisecond,
+		APA:        phy.Position{X: 2, Y: 2},
+		APB:        phy.Position{X: officeW - 2, Y: officeH - 2},
+		ChanA:      phy.Chan1,
+		ChanB:      phy.Chan11,
+		ClientPos:  phy.Position{X: officeW / 2, Y: officeH / 2},
+		LinkA: ScenarioLink{
+			ExtraLossDB: extraA,
+			FadeGood:    1000 * sim.Minute, FadeBad: sim.Millisecond,
 		},
-		specB: linkSpec{
-			extraLoss: extraB,
-			fadeGood:  1000 * sim.Minute, fadeBad: sim.Millisecond,
+		LinkB: ScenarioLink{
+			ExtraLossDB: extraB,
+			FadeGood:    1000 * sim.Minute, FadeBad: sim.Millisecond,
 		},
 	}
 }
@@ -235,13 +254,13 @@ func ControlledScenario(seed int64, profile traffic.Profile, duration sim.Durati
 // attenuation cannot do that, because a low-RSSI link would never be
 // chosen as the primary.
 func (sc Scenario) WithFading(onA bool, good, bad sim.Duration, depthDB float64) Scenario {
-	spec := &sc.specB
+	spec := &sc.LinkB
 	if onA {
-		spec = &sc.specA
+		spec = &sc.LinkA
 	}
-	spec.fadeGood = good
-	spec.fadeBad = bad
-	spec.fadeDepth = depthDB
+	spec.FadeGood = good
+	spec.FadeBad = bad
+	spec.FadeDepthDB = depthDB
 	return sc
 }
 
@@ -279,72 +298,72 @@ type Links struct {
 // processes are independent except through shared interference.
 func (sc Scenario) Build(s *sim.Simulator) Links {
 	env := phy.NewEnvironment()
-	if sc.hasOven {
-		start, dur := sc.ovenStart, sc.ovenDur
+	if sc.Oven {
+		start, dur := sc.OvenStart, sc.OvenDur
 		if dur <= 0 {
 			// The oven runs for a 30–80 s stretch of the call.
 			rng := s.RNG("scenario/oven")
 			start = sim.Time(sim.FromSeconds(5 + rng.Float64()*30))
 			dur = sim.FromSeconds(30 + rng.Float64()*50)
 		}
-		env.AddInterferer(phy.NewMicrowave(sc.ovenPos, start, dur))
+		env.AddInterferer(phy.NewMicrowave(sc.OvenPos, start, dur))
 	}
-	if sc.congestA {
-		env.AddInterferer(phy.NewCongestion(s.RNG("scenario/congA"), sc.chA, sc.congestBzy, sc.congestHit, 0, 0))
+	if sc.CongestA {
+		env.AddInterferer(phy.NewCongestion(s.RNG("scenario/congA"), sc.ChanA, sc.CongestBusy, sc.CongestHit, 0, 0))
 	}
-	if sc.congestB {
-		env.AddInterferer(phy.NewCongestion(s.RNG("scenario/congB"), sc.chB, sc.congestBzy, sc.congestHit, 0, 0))
+	if sc.CongestB {
+		env.AddInterferer(phy.NewCongestion(s.RNG("scenario/congB"), sc.ChanB, sc.CongestBusy, sc.CongestHit, 0, 0))
 	}
 
 	var mob phy.MobilityModel
-	if sc.mobile {
-		speed := sc.walkSpeed
+	if sc.Mobile {
+		speed := sc.WalkSpeed
 		if speed <= 0 {
 			speed = 1.2
 		}
-		pause := sc.walkPause
+		pause := sc.WalkPause
 		if pause <= 0 {
 			pause = 2 * sim.Second
 		}
 		mob = phy.NewRandomWaypoint(s.RNG("scenario/walk"), 1, 1, officeW-1, officeH-1,
 			speed, pause, sc.Duration+10*sim.Second)
 	} else {
-		mob = phy.Static{Pos: sc.clientPos}
+		mob = phy.Static{Pos: sc.ClientPos}
 	}
 
-	mk := func(name string, apPos phy.Position, ch phy.Channel, spec linkSpec) *phy.Link {
+	mk := func(name string, apPos phy.Position, ch phy.Channel, spec ScenarioLink) *phy.Link {
 		l := phy.NewLink(s.RNG("link/"+name), env, phy.LinkParams{
 			Name:      name,
 			Obs:       s.Obs(),
 			APPos:     apPos,
 			Chan:      ch,
 			Client:    mob,
-			ShadowDB:  spec.shadowDB,
-			ShadowT:   spec.shadowT,
-			FadeGood:  spec.fadeGood,
-			FadeBad:   spec.fadeBad,
+			ShadowDB:  spec.ShadowDB,
+			ShadowT:   spec.ShadowDecorr,
+			FadeGood:  spec.FadeGood,
+			FadeBad:   spec.FadeBad,
 			MIMOOrder: sc.MIMOOrder,
-			ExtraLoss: spec.extraLoss,
+			ExtraLoss: spec.ExtraLossDB,
 		})
-		l.SetFadeDepth(spec.fadeDepth)
+		l.SetFadeDepth(spec.FadeDepthDB)
 		return l
 	}
 	links := Links{
-		A:   mk("A", sc.apA, sc.chA, sc.specA),
-		B:   mk("B", sc.apB, sc.chB, sc.specB),
+		A:   mk("A", sc.APA, sc.ChanA, sc.LinkA),
+		B:   mk("B", sc.APB, sc.ChanB, sc.LinkB),
 		Env: env,
 		Mob: mob,
 	}
-	if sc.lateShift > 0 {
+	if sc.LateShiftDB > 0 {
 		weaker, stronger := links.A, links.B
 		if links.A.RSSIdBm(0) >= links.B.RSSIdBm(0) {
 			weaker, stronger = links.B, links.A
 		}
 		target := weaker
-		if sc.lateOnStronger {
+		if sc.LateOnStronger {
 			target = stronger
 		}
-		target.SetLateShift(sc.lateShift, sim.Time(sc.lateAt))
+		target.SetLateShift(sc.LateShiftDB, sim.Time(sc.LateAt))
 	}
 	return links
 }

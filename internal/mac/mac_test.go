@@ -195,3 +195,20 @@ func TestSwitchConstantsMatchPaper(t *testing.T) {
 		t.Errorf("total switch cost = %vms, want 2.8", total.Milliseconds())
 	}
 }
+
+func BenchmarkMACTransmit(b *testing.B) {
+	s := sim.New(2)
+	link := phy.NewLink(s.RNG("l"), phy.NewEnvironment(), phy.LinkParams{
+		APPos: phy.Position{X: 0, Y: 0}, Chan: phy.Chan1,
+		Client:   phy.Static{Pos: phy.Position{X: 8, Y: 0}},
+		ShadowDB: 5, ShadowT: 4 * sim.Second,
+		FadeGood: 10 * sim.Second, FadeBad: 300 * sim.Millisecond,
+	})
+	tx := NewTransmitter(link, rng.New(2))
+	now := sim.Time(0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out := tx.Transmit(now, 160)
+		now = out.At.Add(20 * sim.Millisecond)
+	}
+}

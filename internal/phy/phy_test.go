@@ -526,3 +526,11 @@ func TestMIMODoesNotHelpInterference(t *testing.T) {
 		t.Error("MIMO changed interference-limited SNR")
 	}
 }
+
+func BenchmarkGilbertElliott(b *testing.B) {
+	g := NewGilbertElliott(rng.New(3), sim.Second, 200*sim.Millisecond)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.Bad(sim.Time(i) * sim.Time(20*sim.Millisecond))
+	}
+}

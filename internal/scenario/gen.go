@@ -64,17 +64,16 @@ func (s *Spec) MetaAt(i int) Meta {
 }
 
 func spineMeta(i int, sc core.Scenario) Meta {
-	p := sc.Params()
 	dev := "mobile"
-	if p.MIMOOrder >= 2 {
+	if sc.MIMOOrder >= 2 {
 		dev = "pc"
 	}
 	return Meta{
 		Index:      i,
-		Seed:       p.Seed,
-		Impairment: p.Impairment,
+		Seed:       sc.Seed,
+		Impairment: sc.Impairment,
 		Device:     dev,
-		MIMOOrder:  p.MIMOOrder,
+		MIMOOrder:  sc.MIMOOrder,
 		Severity:   1,
 	}
 }
@@ -83,10 +82,14 @@ func spineMeta(i int, sc core.Scenario) Meta {
 // positioned for the scenario body draws.
 func (s *Spec) corpusMeta(i int, g *rng.Stream) (Meta, *rng.Stream) {
 	c := s.Corpus
+	// The draw order (seed, impairment, device, severity) is part of every
+	// generated corpus.
+	seed := int64(g.Uint64())
+	imp, _ := core.ImpairmentByName(drawWeighted(g, c.Impairments))
 	m := Meta{
 		Index:      i,
-		Seed:       int64(g.Uint64()),
-		Impairment: specImpairments[drawWeighted(g, c.Impairments)],
+		Seed:       seed,
+		Impairment: imp,
 		Device:     drawWeighted(g, c.Devices),
 		Severity:   drawRange(g, c.Severity),
 	}
@@ -128,7 +131,7 @@ func (s *Spec) GenerateAll() []Generated {
 
 func (s *Spec) compileSpine(i int) core.Scenario {
 	seed := s.spineSeed(i)
-	prof := specProfiles[s.Profile]
+	prof := s.TrafficProfile()
 	dur := sim.FromSeconds(s.DurationS)
 	if c := s.Spine.Controlled; c != nil {
 		sc := core.ControlledScenario(seed, prof, dur, c.ExtraLossADB, c.ExtraLossBDB).
@@ -139,59 +142,56 @@ func (s *Spec) compileSpine(i int) core.Scenario {
 		return sc
 	}
 	d := s.Spine.Draw
-	return core.RandomScenarioSeverity(rng.Named(seed, d.Stream),
-		specImpairments[d.Impairment], prof, seed, d.Severity).
+	imp, _ := core.ImpairmentByName(d.Impairment)
+	return core.RandomScenarioSeverity(rng.Named(seed, d.Stream), imp, prof, seed, d.Severity).
 		WithDuration(dur)
 }
 
 // compileCorpus builds corpus scenario m: a paper-distribution draw at the
-// drawn severity, then the spec's explicit overrides applied field-wise
-// through core.ScenarioParams.
+// drawn severity, then the spec's explicit overrides applied field-wise.
 func (s *Spec) compileCorpus(m Meta, g *rng.Stream) core.Scenario {
 	c := s.Corpus
-	prof := specProfiles[s.Profile]
-	base := core.RandomScenarioSeverity(g, m.Impairment, prof, m.Seed, m.Severity).
+	sc := core.RandomScenarioSeverity(g, m.Impairment, s.TrafficProfile(), m.Seed, m.Severity).
 		WithDuration(sim.FromSeconds(s.DurationS))
-	p := base.Params()
-	p.MIMOOrder = m.MIMOOrder
+	sc.MIMOOrder = m.MIMOOrder
 
 	if t := c.Topology; t != nil {
-		applyTopology(&p, t, g)
+		applyTopology(&sc, t, g)
 	}
 	if ge := c.GE; ge != nil {
-		for _, l := range [2]*core.ScenarioLink{&p.LinkA, &p.LinkB} {
+		for _, l := range [2]*core.ScenarioLink{&sc.LinkA, &sc.LinkB} {
 			l.FadeGood = sim.FromMillis(drawRange(g, ge.GoodMS))
 			l.FadeBad = sim.FromMillis(drawRange(g, ge.BadMS))
 			l.FadeDepthDB = drawRange(g, ge.DepthDB)
 		}
 	}
-	if mw := c.Microwave; mw != nil && p.Oven {
+	if mw := c.Microwave; mw != nil && sc.Oven {
 		if mw.Region != nil {
-			p.OvenPos = drawPos(g, mw.Region)
+			sc.OvenPos = drawPos(g, mw.Region)
 		}
-		p.OvenStart = sim.Time(sim.FromSeconds(drawRange(g, mw.StartS)))
-		p.OvenDur = sim.FromSeconds(drawRange(g, mw.DurS))
+		sc.OvenStart = sim.Time(sim.FromSeconds(drawRange(g, mw.StartS)))
+		sc.OvenDur = sim.FromSeconds(drawRange(g, mw.DurS))
 	}
-	if cg := c.Congestion; cg != nil && p.CongestA {
-		p.CongestBusy = drawRange(g, cg.Busy)
-		p.CongestHit = drawRange(g, cg.Hit)
-		p.CongestB = g.Float64() < cg.BothProb
+	if cg := c.Congestion; cg != nil && sc.CongestA {
+		sc.CongestBusy = drawRange(g, cg.Busy)
+		sc.CongestHit = drawRange(g, cg.Hit)
+		sc.CongestB = g.Float64() < cg.BothProb
 	}
-	if mb := c.Mobility; mb != nil && p.Mobile {
-		p.WalkSpeed = drawRange(g, mb.SpeedMPS)
-		p.WalkPause = sim.FromSeconds(drawRange(g, mb.PauseS))
+	if mb := c.Mobility; mb != nil && sc.Mobile {
+		sc.WalkSpeed = drawRange(g, mb.SpeedMPS)
+		sc.WalkPause = sim.FromSeconds(drawRange(g, mb.PauseS))
 	}
-	return core.FromParams(p)
+	return sc
 }
 
 // applyTopology draws AP and client placements, honoring the minimum AP
 // separation with a bounded deterministic rejection loop (best draw wins
 // if the bound is never met).
-func applyTopology(p *core.ScenarioParams, t *TopologySpec, g *rng.Stream) {
+func applyTopology(sc *core.Scenario, t *TopologySpec, g *rng.Stream) {
 	if t.APA != nil || t.APB != nil {
-		bestA, bestB, bestDist := p.APA, p.APB, -1.0
+		bestA, bestB, bestDist := sc.APA, sc.APB, -1.0
 		for attempt := 0; attempt < 64; attempt++ {
-			a, b := p.APA, p.APB
+			a, b := sc.APA, sc.APB
 			if t.APA != nil {
 				a = drawPos(g, t.APA)
 			}
@@ -207,10 +207,10 @@ func applyTopology(p *core.ScenarioParams, t *TopologySpec, g *rng.Stream) {
 				break
 			}
 		}
-		p.APA, p.APB = bestA, bestB
+		sc.APA, sc.APB = bestA, bestB
 	}
 	if t.Client != nil {
-		p.ClientPos = drawPos(g, t.Client)
+		sc.ClientPos = drawPos(g, t.Client)
 	}
 }
 

@@ -83,7 +83,7 @@ func TestCorpusOverridesRespected(t *testing.T) {
 	c := s.Corpus
 	sawOven, sawCongest, sawMobile := false, false, false
 	for _, g := range s.GenerateAll() {
-		p := g.Scenario.Params()
+		p := g.Scenario
 		if !c.Severity.Contains(g.Severity) {
 			t.Fatalf("scenario %d: severity %g outside %+v", g.Index, g.Severity, c.Severity)
 		}
@@ -164,7 +164,7 @@ func TestSpineDrawMatchesSimtestDerivation(t *testing.T) {
 		core.ImpMicrowave, traffic.G711, 202, 1.0).WithDuration(5 * sim.Second)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("spine draw scenario differs from simtest derivation\n got %+v\nwant %+v",
-			got.Params(), want.Params())
+			got, want)
 	}
 }
 
@@ -182,13 +182,12 @@ func TestSpineControlledMatchesConstructor(t *testing.T) {
 		WithFading(true, 400*sim.Millisecond, 600*sim.Millisecond, 40)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("controlled spine differs from constructor\n got %+v\nwant %+v",
-			got.Params(), want.Params())
+			got, want)
 	}
 	// The millisecond encoding must land on the exact microsecond values the
 	// golden scenarios use (float seconds would truncate 0.6 s to 599999 µs).
-	p := got.Params()
-	if p.LinkA.FadeGood != 400*sim.Millisecond || p.LinkA.FadeBad != 600*sim.Millisecond {
-		t.Errorf("fading sojourns %v/%v not millisecond-exact", p.LinkA.FadeGood, p.LinkA.FadeBad)
+	if got.LinkA.FadeGood != 400*sim.Millisecond || got.LinkA.FadeBad != 600*sim.Millisecond {
+		t.Errorf("fading sojourns %v/%v not millisecond-exact", got.LinkA.FadeGood, got.LinkA.FadeBad)
 	}
 }
 

@@ -257,25 +257,15 @@ type ArrivalSpec struct {
 	BurstFrac   float64 `json:"burst_frac,omitempty"`   // default 0.5
 }
 
-var specProfiles = map[string]traffic.Profile{
-	"g711":     traffic.G711,
-	"highrate": traffic.HighRate,
-}
-
-var specImpairments = map[string]core.Impairment{
-	"none":       core.ImpNone,
-	"weak-link":  core.ImpWeakLink,
-	"mobility":   core.ImpMobility,
-	"microwave":  core.ImpMicrowave,
-	"congestion": core.ImpCongestion,
-}
-
 // deviceMIMO maps the population device classes onto spatial diversity
 // order, the same mapping the sweep engine uses.
 var deviceMIMO = map[string]int{"pc": 2, "mobile": 1}
 
 // TrafficProfile returns the spec's traffic profile.
-func (s *Spec) TrafficProfile() traffic.Profile { return specProfiles[s.Profile] }
+func (s *Spec) TrafficProfile() traffic.Profile {
+	p, _ := traffic.ProfileByKey(s.Profile)
+	return p
+}
 
 // normalize applies defaults, validates every field (naming it in the
 // error), and computes the canonical hash. Called by DecodeSpec.
@@ -295,7 +285,7 @@ func (s *Spec) normalize() error {
 	if s.Profile == "" {
 		s.Profile = "g711"
 	}
-	if _, ok := specProfiles[s.Profile]; !ok {
+	if _, ok := traffic.ProfileByKey(s.Profile); !ok {
 		return fmt.Errorf("scenario: profile: unknown %q (known: g711, highrate)", s.Profile)
 	}
 	if s.DurationS == 0 {
@@ -358,7 +348,7 @@ func (sp *SpineSpec) validate() error {
 		return nil
 	case sp.Draw != nil:
 		d := sp.Draw
-		if _, ok := specImpairments[d.Impairment]; !ok {
+		if _, ok := core.ImpairmentByName(d.Impairment); !ok {
 			return fmt.Errorf("scenario: spine.draw.impairment: unknown %q", d.Impairment)
 		}
 		if d.Severity == 0 {
@@ -402,8 +392,8 @@ func validateMix(field string, mix []Weighted, known map[string]bool) error {
 
 func (c *CorpusSpec) validate() error {
 	impKnown := map[string]bool{}
-	for name := range specImpairments {
-		impKnown[name] = true
+	for _, imp := range core.AllImpairments {
+		impKnown[imp.String()] = true
 	}
 	if err := validateMix("corpus.impairments", c.Impairments, impKnown); err != nil {
 		return err

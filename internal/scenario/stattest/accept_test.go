@@ -61,7 +61,7 @@ func TestAcceptGilbertElliottBursts(t *testing.T) {
 	var dutyRatios, burstRatios []float64
 	for i := 0; i < s.Count; i++ {
 		g := s.Generate(i)
-		p := g.Scenario.Params()
+		p := g.Scenario
 		link := p.LinkA
 		chain := phy.NewGilbertElliott(rng.Named(g.Seed, "stattest/ge"), link.FadeGood, link.FadeBad)
 
@@ -265,7 +265,7 @@ func TestAcceptTopologyPlacement(t *testing.T) {
 	}`)
 	var clientX []float64
 	for i := 0; i < s.Count; i++ {
-		p := s.Generate(i).Scenario.Params()
+		p := s.Generate(i).Scenario
 		if d := p.APA.DistanceTo(p.APB); d < 20 {
 			t.Fatalf("scenario %d: AP separation %.2f m < 20 m", i, d)
 		}

@@ -4,11 +4,10 @@ import (
 	"testing"
 )
 
-// The scheduling micro-benchmarks below are the perf contract for the
-// engine hot path: scripts/bench.sh records their ns/op and allocs/op into
-// BENCH_<date>.json, and TestSchedulingAllocCeiling pins allocs/op so CI
-// catches regressions. Keep them closure-light so they measure the engine,
-// not the caller.
+// The scheduling micro-benchmarks below measure the engine hot path.
+// TestSchedulingAllocCeiling pins their allocs/op, and `scripts/bench.sh
+// smoke` runs it and every benchmark once, so CI catches regressions. Keep
+// them closure-light so they measure the engine, not the caller.
 
 // BenchmarkScheduleChain measures steady-state self-rescheduling — the
 // shape of every Ticker, source, and MAC callback chain: one live event at
@@ -113,4 +112,18 @@ func BenchmarkRNGLookup(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = s.RNG("bench")
 	}
+}
+
+// BenchmarkSimEventThroughput measures scheduling and running many short
+// one-shot events, drained in batches of 1,024.
+func BenchmarkSimEventThroughput(b *testing.B) {
+	s := New(1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.After(Microsecond, func() {})
+		if i%1024 == 1023 {
+			s.RunAll()
+		}
+	}
+	s.RunAll()
 }

@@ -37,7 +37,7 @@ func TestSpecEquivalence(t *testing.T) {
 			gen := spec.Generate(0)
 			if !reflect.DeepEqual(gen.Scenario, sc.Core) {
 				t.Fatalf("spec compiles to a different scenario\n got: %+v\nwant: %+v",
-					gen.Scenario.Params(), sc.Core.Params())
+					gen.Scenario, sc.Core)
 			}
 
 			// Belt and braces: run the spec-compiled scenario through the
@@ -72,7 +72,7 @@ func TestSpecEquivalenceCoversSuite(t *testing.T) {
 		if spec.Spine == nil {
 			t.Errorf("%s: suite spec must be a spine spec", sc.Name)
 		}
-		if p := spec.Generate(0).Scenario.Params(); p.Duration != callDuration {
+		if p := spec.Generate(0).Scenario; p.Duration != callDuration {
 			t.Errorf("%s: compiled duration %v != harness callDuration %v",
 				sc.Name, p.Duration, callDuration)
 		}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/sketch"
 	"repro/internal/stats"
+	"repro/internal/traffic"
 )
 
 // CellAgg is one grid cell's mergeable aggregate: exact counters plus one
@@ -334,7 +335,7 @@ func Summarize(spec *Spec, agg *Aggregate) *Summary {
 		Profile:     spec.Profile,
 		TotalJobs:   spec.Total(),
 	}
-	if p, ok := profiles[spec.Profile]; ok && p.Spacing > 0 {
+	if p, ok := traffic.ProfileByKey(spec.Profile); ok && p.Spacing > 0 {
 		s.CallPackets = int64(sim.FromSeconds(spec.DurationS) / p.Spacing)
 		s.CallBytes = s.CallPackets * int64(p.PacketBytes)
 	}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/obs/flight"
 	"repro/internal/sim"
 	"repro/internal/sim/rng"
+	"repro/internal/traffic"
 	"repro/internal/voip"
 )
 
@@ -49,7 +50,7 @@ func (m Metrics) valid() bool {
 // for the paper's strategy, including its per-recovery delay decomposition.
 func RunJob(j Job) Metrics {
 	sc := j.Scenario()
-	profile := profiles[j.spec.Profile]
+	profile, _ := traffic.ProfileByKey(j.spec.Profile)
 	m := Metrics{
 		Schema:  MetricsSchema,
 		Scalars: map[string]float64{},
@@ -123,8 +124,9 @@ func (j Job) Scenario() core.Scenario {
 	}
 	scenarioSeed, callSeed := j.seeds()
 	sev := j.spec.Severity * densityByName(j.Density).Severity
-	sc := core.RandomScenarioSeverity(rng.New(scenarioSeed), impairments[j.Impairment],
-		profiles[j.spec.Profile], callSeed, sev)
+	imp, _ := core.ImpairmentByName(j.Impairment)
+	profile, _ := traffic.ProfileByKey(j.spec.Profile)
+	sc := core.RandomScenarioSeverity(rng.New(scenarioSeed), imp, profile, callSeed, sev)
 	sc.Duration = sim.FromSeconds(j.spec.DurationS)
 	return sc.WithMIMO(deviceByName(j.Device).MIMOOrder)
 }

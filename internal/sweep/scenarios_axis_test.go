@@ -203,7 +203,7 @@ func TestScenarioAxisScenarioDeterminism(t *testing.T) {
 	c.Seed = a.Seed
 	if !reflect.DeepEqual(a, c) {
 		t.Errorf("seed-axis neighbours differ beyond the seed\n got: %+v\nwant: %+v",
-			c.Params(), a.Params())
+			c, a)
 	}
 
 	d := j2.Scenario()
@@ -211,7 +211,7 @@ func TestScenarioAxisScenarioDeterminism(t *testing.T) {
 	gen.Seed = d.Seed
 	if !reflect.DeepEqual(d, gen) {
 		t.Errorf("job scenario != generator output for index 1\n got: %+v\nwant: %+v",
-			d.Params(), gen.Params())
+			d, gen)
 	}
 }
 

@@ -68,17 +68,6 @@ var (
 		{Name: "typical", Severity: 1.0},
 		{Name: "sparse", Severity: 1.3},
 	}
-	impairments = map[string]core.Impairment{
-		"none":       core.ImpNone,
-		"weak-link":  core.ImpWeakLink,
-		"mobility":   core.ImpMobility,
-		"microwave":  core.ImpMicrowave,
-		"congestion": core.ImpCongestion,
-	}
-	profiles = map[string]traffic.Profile{
-		"g711":     traffic.G711,
-		"highrate": traffic.HighRate,
-	}
 )
 
 // DeviceClassNames lists the known device classes in canonical order.
@@ -201,7 +190,7 @@ func (s *Spec) normalize() error {
 	if s.Profile == "" {
 		s.Profile = "g711"
 	}
-	if _, ok := profiles[s.Profile]; !ok {
+	if _, ok := traffic.ProfileByKey(s.Profile); !ok {
 		return fmt.Errorf("sweep: unknown profile %q (known: g711, highrate)", s.Profile)
 	}
 	if s.Severity == 0 {
@@ -218,7 +207,7 @@ func (s *Spec) normalize() error {
 	}
 	seen := map[string]bool{}
 	for _, name := range s.Impairments {
-		if _, ok := impairments[name]; !ok {
+		if _, ok := core.ImpairmentByName(name); !ok {
 			return fmt.Errorf("sweep: unknown impairment %q (known: %s)",
 				name, strings.Join(ImpairmentNames(), ", "))
 		}

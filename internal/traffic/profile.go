@@ -72,6 +72,18 @@ var (
 	}
 )
 
+// ProfileByKey returns the workload a flag or spec document names: "g711"
+// for G711 or "highrate" for HighRate. It allocates nothing.
+func ProfileByKey(key string) (Profile, bool) {
+	switch key {
+	case "g711":
+		return G711, true
+	case "highrate":
+		return HighRate, true
+	}
+	return Profile{}, false
+}
+
 // rtpProfiles maps RTP payload types to stream profiles, standing in for
 // the RFC 3551 table lookup the paper performs so applications need not be
 // modified.

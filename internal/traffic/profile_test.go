@@ -93,3 +93,21 @@ func TestTwoMinuteCallPacketCount(t *testing.T) {
 		t.Errorf("2-minute call = %d packets, want 6000", count)
 	}
 }
+
+// TestProfileByKey: the two workload keys resolve, anything else does not,
+// and a lookup allocates nothing (sweep.RunJob makes one per job).
+func TestProfileByKey(t *testing.T) {
+	for key, want := range map[string]Profile{"g711": G711, "highrate": HighRate} {
+		if got, ok := ProfileByKey(key); !ok || got != want {
+			t.Errorf("ProfileByKey(%q) = %v, %v", key, got.Name, ok)
+		}
+	}
+	for _, key := range []string{"g729", "HighRate", "G.711", ""} {
+		if _, ok := ProfileByKey(key); ok {
+			t.Errorf("ProfileByKey(%q) resolved", key)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { ProfileByKey("highrate") }); n != 0 {
+		t.Errorf("ProfileByKey allocates %v objects", n)
+	}
+}
