@@ -1,5 +1,6 @@
-// Command campaign runs fleets of experiments through the sharded,
-// resumable, cached scheduler in internal/campaign.
+// Command campaign runs fleets of jobs on the sweep engine
+// (internal/sweep): registered experiments, simulated-call grids and
+// scenario corpora, through one content-addressed result cache.
 //
 // Usage:
 //
@@ -18,41 +19,48 @@
 //	         [-cache DIR] [-no-cache] [-quiet] [-trace FILE] [-flight DIR[,N]]
 //	campaign cache stat|gc [-cache DIR] [-max-age D] [-max-bytes N]
 //
-// Every experiment registered in exp.Registry() is a job addressed by
-// (id, seed, n, config hash). Completed jobs persist their results under
-// the cache directory, so re-running a campaign is instant and an
-// interrupted campaign resumes from where it stopped. The process exits
-// nonzero if any job failed, but a failing job never aborts the fleet.
+// The plain form runs the experiments registered in exp.Registry() — the
+// paper's tables and figures — as an experiments-source sweep: one
+// in-process worker per -workers, one job per lease, each job addressed by
+// (id, seed, n) and resolved through the cache with panic isolation, one
+// retry and the -timeout. Re-running a campaign is instant and an
+// interrupted one resumes where it stopped. The process exits 1 if any
+// job failed, but a failing job never aborts the fleet. -json and -summary
+// write the sweep-summary-v2 document; -out writes its results as CSV.
 //
 // The observability flags (-metrics, -trace, -series, -pprof, -http) are
 // shared with cmd/experiments; see docs/OBSERVABILITY.md. Jobs run
 // concurrently, so simulator-level metrics aggregate across the fleet, with
 // trace lines distinguished by their per-simulation run label. With -http
-// set the driver additionally serves the live fleet view at
-// /campaign/status, which `campaign watch ADDR` renders as a refreshing
-// terminal table.
+// set the driver additionally serves the coordinator's control plane and
+// the live fleet view at /campaign/status, which `campaign watch ADDR`
+// renders as a refreshing terminal table.
 //
-// The sweep subcommands drive the fleet sweep engine (internal/sweep, see
-// docs/FLEET.md): `sweep` runs a declarative grid spec to a merged
-// sketch-backed summary (with -report, the full paper artifact of
-// docs/RESULTS.md — Tables 1-3 plus CDF figures), `sweep expand` previews
-// the lazy job stream, `sweep report` re-renders the artifact offline from
-// a saved -summary file, `worker` joins a remote coordinator's sweep over
-// its control plane, and `cache` inspects or prunes the shared
-// content-addressed result cache.
+// The sweep subcommands drive the same engine (see docs/FLEET.md): `sweep`
+// runs any spec to a merged sketch-backed summary (with -report, the
+// paper artifact of docs/RESULTS.md — Tables 1-3 plus CDF figures — or an
+// experiments spec's results as `experiments all` prints them), `sweep
+// expand` previews the lazy job stream, `sweep report` re-renders the
+// artifact offline from a saved -summary file, `worker` joins a remote
+// coordinator's sweep over its control plane, and `cache` inspects or
+// prunes the shared content-addressed result cache.
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/exp"
 	"repro/internal/obsflag"
+	"repro/internal/sweep"
 )
 
 func main() { os.Exit(run()) }
@@ -70,46 +78,56 @@ func run() int {
 			return runCacheCmd(os.Args[2:], os.Stdout, os.Stderr)
 		}
 	}
-	jobsSel := flag.String("jobs", "all", "fleet selector: all, a kind (table, figure, scaling, ablation, extension, calibration), or a comma-separated id list")
-	seed := flag.Int64("seed", 42, "root random seed")
-	n := flag.Int("n", 0, "corpus size override (0 = each experiment's paper size)")
-	workers := flag.Int("workers", 0, "concurrent jobs (0 = NumCPU)")
-	timeout := flag.Duration("timeout", 15*time.Minute, "per-job wall-clock timeout (0 = none)")
-	cacheDir := flag.String("cache", campaign.DefaultCacheDir, "result cache directory")
-	noCache := flag.Bool("no-cache", false, "bypass the result cache entirely")
-	outDir := flag.String("out", "", "also write each successful job's CSV to <dir>/<id>.csv")
-	summaryPath := flag.String("summary", "", "write the summary JSON to this file")
-	asJSON := flag.Bool("json", false, "print the summary as JSON instead of text")
-	quiet := flag.Bool("quiet", false, "suppress per-job progress lines")
-	list := flag.Bool("list", false, "list registered experiments and exit")
-	obsFlags := obsflag.Register(flag.CommandLine)
-	flag.Parse()
+	return runCampaign(os.Args[1:], os.Stdout, os.Stderr)
+}
+
+// runCampaign is plain `campaign [flags]`: the registered experiments
+// picked by -jobs, run as an experiments-source sweep.
+func runCampaign(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("campaign", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	jobsSel := fs.String("jobs", "all", "fleet selector: all, a kind (table, figure, scaling, ablation, extension, calibration), or a comma-separated id list")
+	seed := fs.Int64("seed", 42, "root random seed")
+	n := fs.Int("n", 0, "corpus size override (0 = each experiment's paper size)")
+	workers := fs.Int("workers", 0, "concurrent jobs (0 = NumCPU)")
+	timeout := fs.Duration("timeout", 15*time.Minute, "per-job wall-clock timeout (0 = none)")
+	cacheDir := fs.String("cache", campaign.DefaultCacheDir, "result cache directory")
+	noCache := fs.Bool("no-cache", false, "bypass the result cache entirely")
+	outDir := fs.String("out", "", "also write each successful job's CSV to <dir>/<id>.csv")
+	summaryPath := fs.String("summary", "", "write the summary JSON to this file")
+	asJSON := fs.Bool("json", false, "print the summary as JSON instead of text")
+	quiet := fs.Bool("quiet", false, "suppress per-job progress lines")
+	list := fs.Bool("list", false, "list registered experiments and exit")
+	obsFlags := obsflag.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if fs.NArg() != 0 {
+		fmt.Fprintf(stderr, "campaign: unexpected argument %q\n", fs.Arg(0))
+		return 2
+	}
 
 	if *list {
 		for _, s := range exp.Registry() {
-			fmt.Printf("%-24s %-12s n=%-4d %s\n", s.ID, s.Kind, s.DefaultN, s.Title)
+			fmt.Fprintf(stdout, "%-24s %-12s n=%-4d %s\n", s.ID, s.Kind, s.DefaultN, s.Title)
 		}
 		return 0
 	}
 
-	jobs, err := campaign.JobsFor(*jobsSel, *seed, *n)
+	spec, err := experimentsSpec(*jobsSel, *seed, *n)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "campaign:", err)
+		fmt.Fprintln(stderr, "campaign:", err)
 		return 2
 	}
 
-	var cache *campaign.Cache
-	if !*noCache {
-		cache, err = campaign.OpenCache(*cacheDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "campaign:", err)
-			return 1
-		}
+	cache, err := openCache(*cacheDir, *noCache)
+	if err != nil {
+		fmt.Fprintln(stderr, "campaign:", err)
+		return 1
 	}
-
 	sess, err := obsFlags.Setup()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "campaign:", err)
+		fmt.Fprintln(stderr, "campaign:", err)
 		return 1
 	}
 	defer sess.Close()
@@ -117,68 +135,49 @@ func run() int {
 
 	var progress io.Writer
 	if !*quiet {
-		progress = os.Stderr
+		progress = stderr
 	}
-	var onResult func(campaign.Job, *exp.Result)
+	if *workers <= 0 {
+		*workers = runtime.NumCPU()
+	}
+	sum, err := fleet{local: *workers, parallel: 1, batch: 1, timeout: *timeout,
+		cache: cache, progress: progress}.run(spec, sess)
+	if err != nil {
+		fmt.Fprintln(stderr, "campaign:", err)
+		return 1
+	}
 	if *outDir != "" {
-		if err := os.MkdirAll(*outDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "campaign:", err)
-			return 1
-		}
-		onResult = func(j campaign.Job, r *exp.Result) {
-			path := filepath.Join(*outDir, r.ID+".csv")
-			if err := os.WriteFile(path, []byte(r.CSV()), 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, "campaign: write csv:", err)
-			}
-		}
-	}
-
-	var status *campaign.Status
-	if srv := sess.HTTP(); srv != nil {
-		status = campaign.NewStatus()
-		srv.Handle("/campaign/status", status)
-	}
-
-	sum := campaign.Run(campaign.Options{
-		Jobs:      jobs,
-		Workers:   *workers,
-		Timeout:   *timeout,
-		Retries:   1,
-		Cache:     cache,
-		Progress:  progress,
-		OnResult:  onResult,
-		Obs:       sess.Reg,
-		Status:    status,
-		Flight:    sess.Flight(),
-		FlightDir: sess.FlightDir(),
-	})
-
-	if *summaryPath != "" {
-		data, err := sum.JSON()
-		if err == nil {
-			err = os.WriteFile(*summaryPath, data, 0o644)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "campaign: write summary:", err)
+		if err := writeCSVs(*outDir, sum.Results); err != nil {
+			fmt.Fprintln(stderr, "campaign: write csv:", err)
 			return 1
 		}
 	}
-	if *asJSON {
-		data, err := sum.JSON()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "campaign:", err)
-			return 1
+	return finish(sum, sess, *summaryPath, false, *asJSON, stdout, stderr)
+}
+
+// experimentsSpec is the sweep a registry campaign runs: the selected
+// experiments at one seed. An empty selector means all.
+func experimentsSpec(sel string, seed int64, n int) (*sweep.Spec, error) {
+	if strings.TrimSpace(sel) == "" {
+		sel = "all"
+	}
+	doc, err := json.Marshal(sweep.Spec{Name: "campaign", Experiments: strings.Split(sel, ","),
+		N: n, Seeds: sweep.SeedRange{Start: seed, Count: 1}})
+	if err != nil {
+		return nil, err
+	}
+	return sweep.ParseSpec(doc)
+}
+
+// writeCSVs writes each experiment result's tables to <dir>/<id>.csv.
+func writeCSVs(dir string, results []*exp.Result) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	for _, r := range results {
+		if err := os.WriteFile(filepath.Join(dir, r.ID+".csv"), []byte(r.CSV()), 0o644); err != nil {
+			return err
 		}
-		fmt.Println(string(data))
-	} else {
-		fmt.Print(sum.Text())
 	}
-	if err := sess.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, "campaign:", err)
-		return 1
-	}
-	if sum.Failed > 0 {
-		return 1
-	}
-	return 0
+	return nil
 }

@@ -63,15 +63,11 @@ func runSweep(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	var cache *campaign.Cache
-	if !*noCache {
-		cache, err = campaign.OpenCache(*cacheDir)
-		if err != nil {
-			fmt.Fprintln(stderr, "campaign:", err)
-			return 1
-		}
+	cache, err := openCache(*cacheDir, *noCache)
+	if err != nil {
+		fmt.Fprintln(stderr, "campaign:", err)
+		return 1
 	}
-
 	sess, err := obsFlags.Setup()
 	if err != nil {
 		fmt.Fprintln(stderr, "campaign:", err)
@@ -84,63 +80,96 @@ func runSweep(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
+	var progress io.Writer
+	if !*quiet {
+		progress = stderr
+	}
+	sum, err := fleet{local: *local, parallel: *parallel, batch: *batch, ttl: *ttl,
+		cache: cache, progress: progress}.run(spec, sess)
+	if err != nil {
+		fmt.Fprintln(stderr, "campaign:", err)
+		return 1
+	}
+	return finish(sum, sess, *summaryPath, *report, *asJSON, stdout, stderr)
+}
+
+// fleet configures one run of the sweep driver, which both `campaign` and
+// `campaign sweep` use.
+type fleet struct {
+	local    int           // in-process workers
+	parallel int           // job concurrency per worker (0 = NumCPU)
+	batch    int64         // max jobs per lease
+	ttl      time.Duration // lease TTL (0 = the coordinator's default)
+	timeout  time.Duration // per-attempt job timeout (0 = none)
+	cache    *campaign.Cache
+	progress io.Writer // per-lease lines and the header; nil = quiet
+}
+
+// run drives spec to completion: a coordinator, mounted on the session's
+// control plane when -http is set, and f.local in-process workers. With no
+// local workers every job runs on remote ones, so it blocks on the
+// coordinator instead of the (empty) local pool.
+func (f fleet) run(spec *sweep.Spec, sess *obsflag.Session) (*sweep.Summary, error) {
 	coord := sweep.NewCoordinator(spec, sweep.CoordinatorOptions{
-		Batch: *batch, TTL: *ttl,
+		Batch: f.batch, TTL: f.ttl,
 		Obs: sess.Reg, Flight: sess.Flight(), FlightDir: sess.FlightDir(),
 		SLO: sess.SLO().RuleSet(),
 	})
 	if srv := sess.HTTP(); srv != nil {
 		coord.Routes(srv)
 	}
-	if !*quiet {
-		fmt.Fprintf(stderr, "sweep %q: %s (spec %s)\n",
-			spec.Name, spec.Grid(), spec.Hash())
+	if f.progress != nil {
+		fmt.Fprintf(f.progress, "sweep %q: %s (spec %s)\n", spec.Name, spec.Grid(), spec.Hash())
 	}
-
-	var progress io.Writer
-	if !*quiet {
-		progress = stderr
-	}
+	runner := &sweep.Runner{Cache: f.cache, Timeout: f.timeout,
+		Flight: sess.Flight(), FlightDir: sess.FlightDir()}
 	var wg sync.WaitGroup
-	errs := make([]error, *local)
-	for w := 0; w < *local; w++ {
+	errs := make([]error, f.local)
+	for w := 0; w < f.local; w++ {
 		wg.Add(1)
 		go func(n int) {
 			defer wg.Done()
-			_, errs[n] = sweep.RunWorker(sweep.LocalTransport{C: coord},
-				&sweep.Runner{Cache: cache,
-					Flight: sess.Flight(), FlightDir: sess.FlightDir()},
+			_, errs[n] = sweep.RunWorker(sweep.LocalTransport{C: coord}, runner,
 				sweep.WorkerOptions{
 					Name:     fmt.Sprintf("local%d", n),
-					Parallel: *parallel,
-					Progress: progress,
+					Parallel: f.parallel,
+					Progress: f.progress,
 					SLO:      sess.SLO(),
 				})
 		}(w)
 	}
 	wg.Wait()
-	for _, werr := range errs {
-		if werr != nil {
-			fmt.Fprintln(stderr, "campaign:", werr)
-			return 1
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
 	}
-	// With -local 0 every job runs on remote workers; block on the
-	// coordinator instead of the (empty) local pool.
 	<-coord.Finished()
+	return coord.Summary(), nil
+}
 
-	sum := coord.Summary()
-	if *summaryPath != "" {
-		data, jerr := sum.JSON()
-		if jerr == nil {
-			jerr = os.WriteFile(*summaryPath, data, 0o644)
+// openCache opens the shared result cache, or returns nil with -no-cache.
+func openCache(dir string, off bool) (*campaign.Cache, error) {
+	if off {
+		return nil, nil
+	}
+	return campaign.OpenCache(dir)
+}
+
+// finish writes a finished fleet's -summary file and its output, closes
+// the session, and returns the exit code: 1 if any job failed.
+func finish(sum *sweep.Summary, sess *obsflag.Session, summaryPath string, report, asJSON bool, stdout, stderr io.Writer) int {
+	if summaryPath != "" {
+		data, err := sum.JSON()
+		if err == nil {
+			err = os.WriteFile(summaryPath, data, 0o644)
 		}
-		if jerr != nil {
-			fmt.Fprintln(stderr, "campaign: write summary:", jerr)
+		if err != nil {
+			fmt.Fprintln(stderr, "campaign: write summary:", err)
 			return 1
 		}
 	}
-	if err := emitSweepOutput(sum, *report, *asJSON, stdout); err != nil {
+	if err := emitSweepOutput(sum, report, asJSON, stdout); err != nil {
 		fmt.Fprintln(stderr, "campaign:", err)
 		return 1
 	}
@@ -290,14 +319,10 @@ func runWorkerCmd(args []string, stdout, stderr io.Writer) int {
 		}
 		*name = fmt.Sprintf("%s:%d", host, os.Getpid())
 	}
-	var cache *campaign.Cache
-	if !*noCache {
-		var err error
-		cache, err = campaign.OpenCache(*cacheDir)
-		if err != nil {
-			fmt.Fprintln(stderr, "campaign:", err)
-			return 1
-		}
+	cache, err := openCache(*cacheDir, *noCache)
+	if err != nil {
+		fmt.Fprintln(stderr, "campaign:", err)
+		return 1
 	}
 	sess, err := obsFlags.Setup()
 	if err != nil {
@@ -368,8 +393,12 @@ func runCacheCmd(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "campaign:", err)
 			return 1
 		}
-		fmt.Fprintf(stdout, "cache %s: %d entries, %s\n", st.Dir, st.Entries, fmtBytes(st.Bytes))
-		if st.Entries > 0 {
+		temp := ""
+		if st.Temp > 0 {
+			temp = fmt.Sprintf(" and %d temp files", st.Temp)
+		}
+		fmt.Fprintf(stdout, "cache %s: %d entries%s, %s\n", st.Dir, st.Entries, temp, fmtBytes(st.Bytes))
+		if st.Entries+st.Temp > 0 {
 			fmt.Fprintf(stdout, "oldest %s, newest %s\n",
 				(time.Duration(st.OldestAgeMS) * time.Millisecond).Round(time.Second),
 				(time.Duration(st.NewestAgeMS) * time.Millisecond).Round(time.Second))

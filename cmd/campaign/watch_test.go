@@ -10,6 +10,8 @@ import (
 	"testing"
 
 	"repro/internal/campaign"
+	"repro/internal/exp"
+	"repro/internal/sweep"
 )
 
 // scriptedStatus serves a sequence of fleet snapshots, one per request,
@@ -88,18 +90,31 @@ func TestWatchOnce(t *testing.T) {
 }
 
 func TestWatchAgainstRealTracker(t *testing.T) {
-	// End-to-end over the real Status handler: a finished fleet snapshot
-	// from campaign.Run must satisfy the watch client's schema check.
-	st := campaign.NewStatus()
-	sum := campaign.Run(campaign.Options{Status: st})
-	if sum.Total() != 0 {
-		t.Fatalf("empty fleet ran %d jobs", sum.Total())
+	// End to end over the real fleet view: a finished campaign's snapshot
+	// from the sweep coordinator must satisfy the watch client's schema
+	// check and name its jobs.
+	spec, err := experimentsSpec("fig7", 42, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	srv := httptest.NewServer(st)
+	c := sweep.NewCoordinator(spec, sweep.CoordinatorOptions{Batch: 1})
+	fake := func(j sweep.Job) sweep.Metrics { return sweep.Metrics{Result: &exp.Result{ID: j.Name()}} }
+	if _, err := sweep.RunWorker(sweep.LocalTransport{C: c}, &sweep.Runner{RunFunc: fake},
+		sweep.WorkerOptions{Name: "local0", Parallel: 1}); err != nil {
+		t.Fatal(err)
+	}
+	mux := http.NewServeMux()
+	c.Routes(mux)
+	srv := httptest.NewServer(mux)
 	defer srv.Close()
 	var out, errOut bytes.Buffer
 	if code := runWatch([]string{"-once", srv.URL}, &out, &errOut); code != 0 {
 		t.Fatalf("exit %d, stderr %q", code, errOut.String())
+	}
+	for _, want := range []string{"finished", "1/1", "Recently finished", "fig7"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("watch output missing %q:\n%s", want, out.String())
+		}
 	}
 }
 

@@ -6,20 +6,16 @@
 //	experiments [-seed N] [-n N] [-csv] [-metrics FILE] [-trace FILE]
 //	            [-series PATH[,WINDOW]] [-pprof DIR] [-http ADDR]
 //	            <experiment>|all
-//	experiments sweep SPEC.json
 //	experiments scenario validate SPEC...
 //	experiments scenario gen SPEC [-n N] [-out DIR]
 //	experiments scenario run SPEC [-i N] [-strategy all|dual|diversifi]
 //
-// The experiment set comes from exp.Registry(), the same table the
-// campaign scheduler (cmd/campaign) runs fleets from; `experiments all`
-// regenerates everything except the calibration sweeps, which are
-// diagnostic. Run `experiments list` for the full inventory.
-//
-// `experiments sweep` runs a fleet sweep spec in process and prints the
-// paper artifact — Tables 1-3 and the CDF figures of docs/RESULTS.md —
-// rendered from merged metric sketches. It shares the result cache and the
-// deterministic fingerprint with `campaign sweep` (see docs/FLEET.md).
+// The experiment set comes from exp.Registry(), the same table cmd/campaign
+// runs as cached, parallel sweep jobs; `experiments all` is the serial,
+// uncached reference that writes results_all.txt, and regenerates
+// everything except the calibration sweeps, which are diagnostic. Run
+// `experiments list` for the full inventory. The population-scale paper
+// artifact of docs/RESULTS.md comes from `campaign sweep -report`.
 //
 // `experiments scenario` validates, generates, and runs declarative
 // scenario-v1 specs (internal/scenario, docs/SCENARIOS.md): `validate`
@@ -41,7 +37,6 @@ import (
 	"path/filepath"
 	"strings"
 
-	"repro/internal/campaign"
 	"repro/internal/exp"
 	"repro/internal/obsflag"
 )
@@ -57,7 +52,6 @@ func run() int {
 	flag.Parse()
 	if flag.NArg() < 1 {
 		fmt.Fprintln(os.Stderr, "usage: experiments [-seed N] [-n N] [-csv] [-metrics FILE] [-trace FILE] [-series PATH[,WINDOW]] [-pprof DIR] <experiment>|all|list")
-		fmt.Fprintln(os.Stderr, "       experiments sweep SPEC.json")
 		fmt.Fprintln(os.Stderr, "       experiments scenario validate|gen|run SPEC...")
 		return 2
 	}
@@ -122,19 +116,6 @@ func run() int {
 				return 2
 			}
 			return 1
-		}
-	case "sweep":
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "usage: experiments sweep SPEC.json")
-			return 2
-		}
-		cache, cerr := campaign.OpenCache(campaign.DefaultCacheDir)
-		if cerr != nil {
-			fail(cerr)
-			break
-		}
-		if err := runSweepMode(flag.Arg(1), cache, sess.SLO().RuleSet(), os.Stdout, os.Stderr); err != nil {
-			fail(err)
 		}
 	default:
 		s, err := exp.Lookup(name)

@@ -1,23 +1,26 @@
+// Package campaign holds what the job engine (internal/sweep) shares with
+// its drivers: the content-addressed result cache every job resolves
+// through, so re-runs are instant and an interrupted run resumes where it
+// stopped, and the campaign-status-v1 fleet view the sweep coordinator
+// serves at /campaign/status and `campaign watch` renders.
 package campaign
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"time"
-
-	"repro/internal/exp"
 )
 
 // DefaultCacheDir is where cmd/campaign persists results unless told
 // otherwise.
 const DefaultCacheDir = ".campaign-cache"
 
-// Cache is a disk-backed result store keyed by Job.Key. One JSON file per
-// job; writes go through a temp file + rename so a campaign killed
-// mid-write never leaves a truncated entry, which is what makes an
-// interrupted campaign resumable.
+// Cache is a disk-backed result store keyed by a job's content address.
+// One file per job, in an encoding its caller owns; writes go through a
+// temp file + rename so a run killed mid-write never leaves a truncated
+// entry, which is what makes an interrupted run resumable.
 type Cache struct {
 	dir string
 }
@@ -41,63 +44,8 @@ func (c *Cache) Path(key string) string {
 	return filepath.Join(c.dir, key+".json")
 }
 
-// Load returns the cached result for key, or ok=false on a miss. An
-// unreadable or undecodable entry counts as a miss and is removed, so a
-// corrupted file costs one re-execution rather than a wedged campaign.
-func (c *Cache) Load(key string) (*exp.Result, bool) {
-	data, err := os.ReadFile(c.Path(key))
-	if err != nil {
-		return nil, false
-	}
-	var res exp.Result
-	if err := json.Unmarshal(data, &res); err != nil || res.ID == "" {
-		os.Remove(c.Path(key))
-		return nil, false
-	}
-	return &res, true
-}
-
-// Store persists a result under key atomically.
-func (c *Cache) Store(key string, res *exp.Result) error {
-	data, err := json.MarshalIndent(res, "", " ")
-	if err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(c.dir, key+".tmp-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), c.Path(key))
-}
-
-// Len reports how many entries the cache currently holds.
-func (c *Cache) Len() int {
-	ents, err := os.ReadDir(c.dir)
-	if err != nil {
-		return 0
-	}
-	n := 0
-	for _, e := range ents {
-		if filepath.Ext(e.Name()) == ".json" {
-			n++
-		}
-	}
-	return n
-}
-
 // LoadRaw returns the raw bytes cached under key, or ok=false on a miss.
-// Raw entries share the directory and key space with Result entries; the
-// caller owns the encoding (the sweep engine stores per-job metric records
-// this way, so sweep workers share one content-addressed cache).
+// The caller owns the encoding and evicts an entry it cannot decode.
 func (c *Cache) LoadRaw(key string) ([]byte, bool) {
 	data, err := os.ReadFile(c.Path(key))
 	if err != nil || len(data) == 0 {
@@ -106,8 +54,7 @@ func (c *Cache) LoadRaw(key string) ([]byte, bool) {
 	return data, true
 }
 
-// StoreRaw persists raw bytes under key atomically (temp file + rename,
-// like Store).
+// StoreRaw persists raw bytes under key atomically (temp file + rename).
 func (c *Cache) StoreRaw(key string, data []byte) error {
 	tmp, err := os.CreateTemp(c.dir, key+".tmp-*")
 	if err != nil {
@@ -132,36 +79,66 @@ func (c *Cache) RemoveRaw(key string) { os.Remove(c.Path(key)) }
 type CacheStat struct {
 	Dir     string `json:"dir"`
 	Entries int    `json:"entries"`
-	Bytes   int64  `json:"bytes"`
-	// OldestAgeMS / NewestAgeMS are entry ages relative to now (0 when
+	// Temp counts temp files a writer killed between create and rename
+	// left behind (or a live writer still owns); Bytes includes them.
+	Temp  int   `json:"temp,omitempty"`
+	Bytes int64 `json:"bytes"`
+	// OldestAgeMS / NewestAgeMS are file ages relative to now (0 when
 	// the cache is empty).
 	OldestAgeMS int64 `json:"oldest_age_ms"`
 	NewestAgeMS int64 `json:"newest_age_ms"`
 }
 
-// Stat scans the cache and reports entry count, total bytes, and age range.
-func (c *Cache) Stat() (CacheStat, error) {
-	st := CacheStat{Dir: c.dir}
+// cacheFile is one file the cache manages: an entry, or a temp file.
+type cacheFile struct {
+	name string
+	size int64
+	mod  time.Time
+	temp bool
+}
+
+// files lists the cache's entries (*.json) and temp files (<key>.tmp-*).
+func (c *Cache) files() ([]cacheFile, error) {
 	ents, err := os.ReadDir(c.dir)
 	if err != nil {
-		return st, err
+		return nil, err
 	}
-	now := time.Now()
+	var out []cacheFile
 	for _, e := range ents {
-		if filepath.Ext(e.Name()) != ".json" {
+		temp := strings.Contains(e.Name(), ".tmp-")
+		if !temp && filepath.Ext(e.Name()) != ".json" {
 			continue
 		}
 		info, err := e.Info()
 		if err != nil {
 			continue
 		}
-		st.Entries++
-		st.Bytes += info.Size()
-		age := now.Sub(info.ModTime()).Milliseconds()
+		out = append(out, cacheFile{e.Name(), info.Size(), info.ModTime(), temp})
+	}
+	return out, nil
+}
+
+// Stat scans the cache and reports entry and temp-file counts, total
+// bytes, and age range.
+func (c *Cache) Stat() (CacheStat, error) {
+	st := CacheStat{Dir: c.dir}
+	files, err := c.files()
+	if err != nil {
+		return st, err
+	}
+	now := time.Now()
+	for i, f := range files {
+		if f.temp {
+			st.Temp++
+		} else {
+			st.Entries++
+		}
+		st.Bytes += f.size
+		age := now.Sub(f.mod).Milliseconds()
 		if age > st.OldestAgeMS {
 			st.OldestAgeMS = age
 		}
-		if st.Entries == 1 || age < st.NewestAgeMS {
+		if i == 0 || age < st.NewestAgeMS {
 			st.NewestAgeMS = age
 		}
 	}
@@ -176,50 +153,39 @@ type GCResult struct {
 	KeptBytes    int64 `json:"kept_bytes"`
 }
 
-// GC prunes the cache: every entry older than maxAge goes (maxAge <= 0
+// GC prunes the cache: every file older than maxAge goes (maxAge <= 0
 // disables the age rule), then oldest-first until the remainder fits in
-// maxBytes (maxBytes <= 0 disables the size rule). Unbounded cache growth
-// is what kills overnight sweeps, so this is wired into `campaign cache
-// gc`. Removal errors are ignored per entry — a locked file costs one
+// maxBytes (maxBytes <= 0 disables the size rule). Both rules cover the
+// temp files a killed writer leaves behind, except that a temp file
+// inside the age window stays: a live writer may own it. Unbounded cache
+// growth is what kills overnight sweeps, so this is wired into `campaign
+// cache gc`. Removal errors are ignored per file — a locked file costs one
 // retry on the next pass, not the whole sweep.
 func (c *Cache) GC(maxAge time.Duration, maxBytes int64) (GCResult, error) {
 	var res GCResult
-	ents, err := os.ReadDir(c.dir)
+	all, err := c.files()
 	if err != nil {
 		return res, err
 	}
-	type entry struct {
-		name string
-		size int64
-		mod  time.Time
-	}
-	var all []entry
 	var total int64
-	for _, e := range ents {
-		if filepath.Ext(e.Name()) != ".json" {
-			continue
-		}
-		info, err := e.Info()
-		if err != nil {
-			continue
-		}
-		all = append(all, entry{e.Name(), info.Size(), info.ModTime()})
-		total += info.Size()
+	for _, f := range all {
+		total += f.size
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].mod.Before(all[j].mod) })
 	cutoff := time.Now().Add(-maxAge)
-	for _, e := range all {
-		evict := (maxAge > 0 && e.mod.Before(cutoff)) || (maxBytes > 0 && total > maxBytes)
-		if evict {
-			if err := os.Remove(filepath.Join(c.dir, e.name)); err == nil {
+	for _, f := range all {
+		aged := maxAge > 0 && f.mod.Before(cutoff)
+		overBudget := maxBytes > 0 && total > maxBytes && !(f.temp && maxAge > 0)
+		if aged || overBudget {
+			if err := os.Remove(filepath.Join(c.dir, f.name)); err == nil {
 				res.Removed++
-				res.RemovedBytes += e.size
-				total -= e.size
+				res.RemovedBytes += f.size
+				total -= f.size
 				continue
 			}
 		}
 		res.Kept++
-		res.KeptBytes += e.size
+		res.KeptBytes += f.size
 	}
 	return res, nil
 }

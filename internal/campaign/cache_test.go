@@ -2,52 +2,10 @@ package campaign
 
 import (
 	"os"
+	"path/filepath"
 	"testing"
 	"time"
 )
-
-func TestCacheRoundTrip(t *testing.T) {
-	c, err := OpenCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := okResult("fig9")
-	if err := c.Store("k1", want); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := c.Load("k1")
-	if !ok {
-		t.Fatal("stored entry missed")
-	}
-	if got.ID != want.ID || got.Title != want.Title ||
-		len(got.Tables) != 1 || got.Tables[0].Rows[0][1] != "2" ||
-		len(got.Plots) != 1 || len(got.Notes) != 1 {
-		t.Fatalf("round-trip mangled result: %+v", got)
-	}
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", c.Len())
-	}
-}
-
-func TestCacheMissAndCorruption(t *testing.T) {
-	c, err := OpenCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := c.Load("absent"); ok {
-		t.Fatal("miss reported as hit")
-	}
-	// A truncated/corrupt entry must read as a miss and be swept away.
-	if err := os.WriteFile(c.Path("bad"), []byte("{\"ID\":"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := c.Load("bad"); ok {
-		t.Fatal("corrupt entry reported as hit")
-	}
-	if _, err := os.Stat(c.Path("bad")); !os.IsNotExist(err) {
-		t.Fatal("corrupt entry not removed")
-	}
-}
 
 func TestCacheRawRoundTrip(t *testing.T) {
 	c, err := OpenCache(t.TempDir())
@@ -172,5 +130,45 @@ func TestCacheGCBySize(t *testing.T) {
 	}
 	if res.Removed != 0 || res.Kept != 2 {
 		t.Fatalf("idempotent gc: %+v", res)
+	}
+}
+
+// TestCacheGCTempFiles: a writer killed between creating its temp file and
+// renaming it leaves <key>.tmp-<n> behind. Stat counts such files and GC's
+// age rule removes them, while a fresh one stays — a live writer may own
+// it.
+func TestCacheGCTempFiles(t *testing.T) {
+	c, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"k.tmp-1", "k.tmp-2"} {
+		if err := os.WriteFile(filepath.Join(c.Dir(), name), make([]byte, 10), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	past := time.Now().Add(-time.Hour)
+	if err := os.Chtimes(filepath.Join(c.Dir(), "k.tmp-1"), past, past); err != nil {
+		t.Fatal(err)
+	}
+	st, err := c.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Temp != 2 || st.Entries != 0 || st.Bytes != 20 {
+		t.Fatalf("stat with temp files: %+v", st)
+	}
+	res, err := c.GC(time.Minute, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Removed != 1 || res.Kept != 1 {
+		t.Fatalf("gc: %+v", res)
+	}
+	if _, err := os.Stat(filepath.Join(c.Dir(), "k.tmp-1")); !os.IsNotExist(err) {
+		t.Error("hour-old temp file survived gc")
+	}
+	if _, err := os.Stat(filepath.Join(c.Dir(), "k.tmp-2")); err != nil {
+		t.Errorf("fresh temp file removed: %v", err)
 	}
 }

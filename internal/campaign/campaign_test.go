@@ -1,24 +1,30 @@
-package campaign
+package campaign_test
+
+// A registry campaign — every experiment of exp.Registry() a
+// content-addressed job — runs on the sweep engine (internal/sweep) over
+// this package's cache and fleet view. These tests pin what `campaign
+// -jobs` promises on that path. Fakes stand in for experiments through
+// sweep.Runner.RunFunc, so no test pays for a real simulation unless it
+// says so.
 
 import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"os"
+	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/campaign"
 	"repro/internal/exp"
-	"repro/internal/obs"
 	"repro/internal/stats"
+	"repro/internal/sweep"
 )
-
-// fakeJob builds a job around an arbitrary runner, bypassing the registry,
-// so scheduler tests don't pay for real simulations.
-func fakeJob(id string, seed int64, run func(n int, seed int64) *exp.Result) Job {
-	return Job{ID: id, Seed: seed, effN: 10, run: run}
-}
 
 func okResult(id string) *exp.Result {
 	t := stats.NewTable("t", "a", "b")
@@ -27,34 +33,71 @@ func okResult(id string) *exp.Result {
 		Plots: []string{"plot"}, Notes: []string{"note"}}
 }
 
+// fake is a RunFunc returning okResult for every job.
+func fake(j sweep.Job) sweep.Metrics { return sweep.Metrics{Result: okResult(j.Name())} }
+
+// experiments builds an experiments-source spec over the given selectors
+// at one seed.
+func experiments(t *testing.T, seed int64, sel ...string) *sweep.Spec {
+	t.Helper()
+	doc, err := json.Marshal(sweep.Spec{Name: "campaign", Experiments: sel,
+		Seeds: sweep.SeedRange{Start: seed, Count: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := sweep.ParseSpec(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// runCampaign drives spec the way cmd/campaign does: `workers` in-process
+// workers, one job per lease, no in-worker parallelism. Every worker
+// writes progress, so pass one only with a single worker.
+func runCampaign(t *testing.T, spec *sweep.Spec, r *sweep.Runner, workers int, progress io.Writer) (*sweep.Summary, *sweep.Coordinator) {
+	t.Helper()
+	c := sweep.NewCoordinator(spec, sweep.CoordinatorOptions{Batch: 1})
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(n int) {
+			defer wg.Done()
+			if _, err := sweep.RunWorker(sweep.LocalTransport{C: c}, r,
+				sweep.WorkerOptions{Name: fmt.Sprintf("local%d", n), Parallel: 1, Progress: progress}); err != nil {
+				t.Error(err)
+			}
+		}(w)
+	}
+	wg.Wait()
+	return c.Summary(), c
+}
+
+var fiveJobs = []string{"table1", "table2", "fig1", "fig3", "fig7"}
+
 func TestRunExecutesAndCaches(t *testing.T) {
-	cache, err := OpenCache(t.TempDir())
+	cache, err := campaign.OpenCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	var execs atomic.Int32
-	jobs := make([]Job, 5)
-	for i := range jobs {
-		id := fmt.Sprintf("job%d", i)
-		jobs[i] = fakeJob(id, 42, func(int, int64) *exp.Result {
-			execs.Add(1)
-			return okResult(id)
-		})
-	}
-	opts := Options{Jobs: jobs, Workers: 3, Cache: cache, Retries: 1}
+	r := &sweep.Runner{Cache: cache, RunFunc: func(j sweep.Job) sweep.Metrics {
+		execs.Add(1)
+		return fake(j)
+	}}
 
-	s1 := Run(opts)
+	s1, _ := runCampaign(t, experiments(t, 42, fiveJobs...), r, 3, nil)
 	if s1.Executed != 5 || s1.Cached != 0 || s1.Failed != 0 {
-		t.Fatalf("first run: %+v", s1)
+		t.Fatalf("first run: %d executed, %d cached, %d failed", s1.Executed, s1.Cached, s1.Failed)
 	}
 	if execs.Load() != 5 {
 		t.Fatalf("executed %d jobs, want 5", execs.Load())
 	}
 
 	// Second run must be pure cache hits: zero re-executions.
-	s2 := Run(opts)
+	s2, _ := runCampaign(t, experiments(t, 42, fiveJobs...), r, 3, nil)
 	if s2.Executed != 0 || s2.Cached != 5 || s2.Failed != 0 {
-		t.Fatalf("second run: %+v", s2)
+		t.Fatalf("second run: %d executed, %d cached, %d failed", s2.Executed, s2.Cached, s2.Failed)
 	}
 	if execs.Load() != 5 {
 		t.Fatalf("cache hit still executed jobs: %d total execs", execs.Load())
@@ -63,103 +106,98 @@ func TestRunExecutesAndCaches(t *testing.T) {
 
 func TestRunResumesAfterPartialCampaign(t *testing.T) {
 	// Simulate an interrupted campaign: only some jobs made it into the
-	// cache. The re-run must execute exactly the missing ones.
-	cache, err := OpenCache(t.TempDir())
+	// cache, in the encoding the registry cache has always written. The
+	// re-run must execute exactly the missing ones.
+	cache, err := campaign.OpenCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var execs atomic.Int32
-	jobs := make([]Job, 6)
-	for i := range jobs {
-		id := fmt.Sprintf("job%d", i)
-		jobs[i] = fakeJob(id, 7, func(int, int64) *exp.Result {
-			execs.Add(1)
-			return okResult(id)
-		})
-	}
-	for _, j := range jobs[:4] {
-		if err := cache.Store(j.Key(), okResult(j.ID)); err != nil {
+	spec := experiments(t, 7, "table1", "table2", "fig1", "fig3", "fig7", "table3")
+	for i := int64(0); i < 4; i++ {
+		j, _ := spec.JobAt(i)
+		data, err := json.MarshalIndent(okResult(j.Name()), "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cache.StoreRaw(j.Key(), data); err != nil {
 			t.Fatal(err)
 		}
 	}
-	s := Run(Options{Jobs: jobs, Workers: 2, Cache: cache})
+	var execs atomic.Int32
+	s, _ := runCampaign(t, spec, &sweep.Runner{Cache: cache, RunFunc: func(j sweep.Job) sweep.Metrics {
+		execs.Add(1)
+		return fake(j)
+	}}, 2, nil)
 	if s.Cached != 4 || s.Executed != 2 || execs.Load() != 2 {
-		t.Fatalf("resume ran %d execs (summary %+v), want exactly the 2 missing", execs.Load(), s)
+		t.Fatalf("resume ran %d execs (%d cached, %d executed), want exactly the 2 missing",
+			execs.Load(), s.Cached, s.Executed)
 	}
 }
 
 func TestPanicIsolatedRetriedAndReported(t *testing.T) {
 	var attempts atomic.Int32
-	jobs := []Job{
-		fakeJob("boom", 1, func(int, int64) *exp.Result {
+	r := &sweep.Runner{RunFunc: func(j sweep.Job) sweep.Metrics {
+		if j.Name() == "fig1" {
 			attempts.Add(1)
 			panic("synthetic failure")
-		}),
-		fakeJob("fine", 1, func(int, int64) *exp.Result { return okResult("fine") }),
-	}
-	s := Run(Options{Jobs: jobs, Workers: 2, Retries: 1})
+		}
+		return fake(j)
+	}}
+	s, _ := runCampaign(t, experiments(t, 1, "fig1", "fig7"), r, 2, nil)
 	if s.Failed != 1 || s.Executed != 1 {
-		t.Fatalf("summary %+v, want 1 failed + 1 ok", s)
+		t.Fatalf("%d failed, %d executed, want 1 + 1", s.Failed, s.Executed)
 	}
 	if attempts.Load() != 2 {
 		t.Fatalf("panicking job attempted %d times, want 2 (retry once)", attempts.Load())
 	}
-	rec := s.Jobs[0]
-	if rec.Status != StatusFailed || !strings.Contains(rec.Error, "panic") || rec.Attempts != 2 {
-		t.Fatalf("record %+v", rec)
+	if len(s.Failures) != 1 || !strings.Contains(s.Failures[0], "fig1") ||
+		!strings.Contains(s.Failures[0], "panic: synthetic failure") {
+		t.Fatalf("failure digest %q", s.Failures)
 	}
-	if len(s.Failures) != 1 || !strings.Contains(s.Failures[0], "boom") {
-		t.Fatalf("failure digest %v", s.Failures)
+	if len(s.Results) != 1 || s.Results[0].ID != "fig7" {
+		t.Fatalf("results %v, want fig7's only", s.Results)
 	}
 }
 
 func TestTimeoutFailsJobWithoutAbortingFleet(t *testing.T) {
 	block := make(chan struct{})
 	defer close(block)
-	jobs := []Job{
-		fakeJob("slow", 1, func(int, int64) *exp.Result { <-block; return okResult("slow") }),
-		fakeJob("fast", 1, func(int, int64) *exp.Result { return okResult("fast") }),
-	}
-	s := Run(Options{Jobs: jobs, Workers: 2, Timeout: 20 * time.Millisecond})
+	r := &sweep.Runner{Timeout: 20 * time.Millisecond, RunFunc: func(j sweep.Job) sweep.Metrics {
+		if j.Name() == "fig1" {
+			<-block
+		}
+		return fake(j)
+	}}
+	s, _ := runCampaign(t, experiments(t, 1, "fig1", "fig7"), r, 2, nil)
 	if s.Failed != 1 || s.Executed != 1 {
-		t.Fatalf("summary %+v", s)
+		t.Fatalf("%d failed, %d executed, want 1 + 1", s.Failed, s.Executed)
 	}
-	if rec := s.Jobs[0]; rec.Status != StatusFailed || !strings.Contains(rec.Error, "timeout") {
-		t.Fatalf("slow record %+v", rec)
-	}
-	if rec := s.Jobs[1]; rec.Status != StatusOK {
-		t.Fatalf("fast record %+v", rec)
+	if len(s.Failures) != 1 || !strings.Contains(s.Failures[0], "fig1") ||
+		!strings.Contains(s.Failures[0], "timeout after 20ms") {
+		t.Fatalf("failure digest %q", s.Failures)
 	}
 }
 
 func TestRetrySucceedsOnSecondAttempt(t *testing.T) {
 	var attempts atomic.Int32
-	j := fakeJob("flaky", 1, func(int, int64) *exp.Result {
+	r := &sweep.Runner{RunFunc: func(j sweep.Job) sweep.Metrics {
 		if attempts.Add(1) == 1 {
 			panic("first attempt fails")
 		}
-		return okResult("flaky")
-	})
-	s := Run(Options{Jobs: []Job{j}, Retries: 1})
-	if s.Executed != 1 || s.Failed != 0 || s.Jobs[0].Attempts != 2 {
-		t.Fatalf("summary %+v", s)
+		return fake(j)
+	}}
+	s, _ := runCampaign(t, experiments(t, 1, "fig7"), r, 1, nil)
+	if s.Executed != 1 || s.Failed != 0 || attempts.Load() != 2 {
+		t.Fatalf("%d executed, %d failed after %d attempts", s.Executed, s.Failed, attempts.Load())
 	}
 }
 
 // stripTiming zeroes the fields the determinism contract excludes.
-func stripTiming(t *testing.T, data []byte) []byte {
+func stripTiming(t *testing.T, s *sweep.Summary) []byte {
 	t.Helper()
-	var s Summary
-	if err := json.Unmarshal(data, &s); err != nil {
-		t.Fatal(err)
-	}
-	s.ElapsedMS = 0
-	s.JobsPerSec = 0
-	s.ElapsedP50MS, s.ElapsedP95MS, s.ElapsedP99MS, s.ElapsedP999MS = 0, 0, 0, 0
-	for i := range s.Jobs {
-		s.Jobs[i].ElapsedMS = 0
-	}
-	out, err := json.MarshalIndent(&s, "", "  ")
+	s.ElapsedMS, s.JobsPerSec = 0, 0
+	s.JobP50MS, s.JobP95MS, s.JobP99MS, s.JobP999MS = 0, 0, 0, 0
+	out, err := s.JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,23 +209,16 @@ func stripTiming(t *testing.T, data []byte) []byte {
 // zeroed the timing fields, so the test also proves timing is excluded.
 func TestSummaryJSONDeterministicAcrossColdRuns(t *testing.T) {
 	run := func(sleep time.Duration) []byte {
-		jobs := make([]Job, 4)
-		for i := range jobs {
-			id := fmt.Sprintf("job%d", i)
-			jobs[i] = fakeJob(id, 42, func(int, int64) *exp.Result {
-				time.Sleep(sleep)
-				return okResult(id)
-			})
-		}
-		cache, err := OpenCache(t.TempDir())
+		cache, err := campaign.OpenCache(t.TempDir())
 		if err != nil {
 			t.Fatal(err)
 		}
-		data, err := Run(Options{Jobs: jobs, Workers: 3, Cache: cache}).JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return stripTiming(t, data)
+		r := &sweep.Runner{Cache: cache, RunFunc: func(j sweep.Job) sweep.Metrics {
+			time.Sleep(sleep)
+			return fake(j)
+		}}
+		s, _ := runCampaign(t, experiments(t, 42, "table1", "fig1", "fig3", "fig7"), r, 3, nil)
+		return stripTiming(t, s)
 	}
 	a, b := run(0), run(3*time.Millisecond)
 	if !bytes.Equal(a, b) {
@@ -197,152 +228,113 @@ func TestSummaryJSONDeterministicAcrossColdRuns(t *testing.T) {
 
 func TestProgressAndTextSummary(t *testing.T) {
 	var buf bytes.Buffer
-	jobs := []Job{fakeJob("one", 1, func(int, int64) *exp.Result { return okResult("one") })}
-	s := Run(Options{Jobs: jobs, Progress: &buf})
-	if !strings.Contains(buf.String(), "one") || !strings.Contains(buf.String(), "jobs/s") {
+	s, _ := runCampaign(t, experiments(t, 1, "fig7"), &sweep.Runner{RunFunc: fake}, 1, &buf)
+	if !strings.Contains(buf.String(), "fig7") || !strings.Contains(buf.String(), "1 executed") {
 		t.Fatalf("progress output %q", buf.String())
 	}
 	text := s.Text()
-	if !strings.Contains(text, "Campaign summary") || !strings.Contains(text, "1 executed") {
+	if !strings.Contains(text, `Campaign "campaign"`) || !strings.Contains(text, "1 executed") {
 		t.Fatalf("text summary %q", text)
 	}
 }
 
 func TestOnResultDeliversCachedAndExecuted(t *testing.T) {
-	cache, err := OpenCache(t.TempDir())
+	cache, err := campaign.OpenCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobs := []Job{fakeJob("x", 1, func(int, int64) *exp.Result { return okResult("x") })}
 	for _, cold := range []bool{true, false} {
-		got := 0
-		Run(Options{Jobs: jobs, Cache: cache, OnResult: func(j Job, r *exp.Result) {
-			if r == nil || r.ID != "x" {
-				t.Fatalf("cold=%v: bad result %+v", cold, r)
-			}
-			got++
-		}})
-		if got != 1 {
-			t.Fatalf("cold=%v: OnResult called %d times", cold, got)
+		s, _ := runCampaign(t, experiments(t, 1, "fig7"), &sweep.Runner{Cache: cache, RunFunc: fake}, 1, nil)
+		if s.Cached != map[bool]int64{true: 0, false: 1}[cold] {
+			t.Fatalf("cold=%v: %d cached", cold, s.Cached)
+		}
+		if len(s.Results) != 1 || !reflect.DeepEqual(s.Results[0], okResult("fig7")) {
+			t.Fatalf("cold=%v: results %+v", cold, s.Results)
 		}
 	}
 }
 
 func TestJobKeyDistinguishesIDSeedN(t *testing.T) {
-	base := Job{ID: "fig2a", Seed: 42, effN: 458}
-	keys := map[string]bool{base.Key(): true}
-	for _, j := range []Job{
-		{ID: "fig2b", Seed: 42, effN: 458},
-		{ID: "fig2a", Seed: 43, effN: 458},
-		{ID: "fig2a", Seed: 42, effN: 100},
-	} {
-		if keys[j.Key()] {
-			t.Fatalf("key collision for %+v", j)
+	key := func(doc string) string {
+		t.Helper()
+		s, err := sweep.ParseSpec([]byte(doc))
+		if err != nil {
+			t.Fatal(err)
 		}
-		keys[j.Key()] = true
+		j, _ := s.JobAt(0)
+		return j.Key()
 	}
-	if base.Key() != (Job{ID: "fig2a", Seed: 42, effN: 458}).Key() {
+	base := `{"name":"k","experiments":["fig2a"],"seeds":{"start":42,"count":1}}`
+	keys := map[string]bool{key(base): true}
+	for _, doc := range []string{
+		`{"name":"k","experiments":["fig2b"],"seeds":{"start":42,"count":1}}`,
+		`{"name":"k","experiments":["fig2a"],"seeds":{"start":43,"count":1}}`,
+		`{"name":"k","experiments":["fig2a"],"n":100,"seeds":{"start":42,"count":1}}`,
+	} {
+		if keys[key(doc)] {
+			t.Fatalf("key collision for %s", doc)
+		}
+		keys[key(doc)] = true
+	}
+	if key(base) != key(`{"name":"other","experiments":["fig2a"],"seeds":{"start":42,"count":1}}`) {
 		t.Fatal("key not stable for identical jobs")
 	}
 }
 
-// TestSummarySurfacesSeriesPoints checks the per-job and fleet-total
-// series-window telemetry: windows captured while a job runs land in its
-// record and sum into the summary (and its text report grows the series
-// column and footer only then).
-func TestSummarySurfacesSeriesPoints(t *testing.T) {
-	reg := obs.NewRegistry()
-	se := obs.NewSeries(reg, 1000)
-	reg.SetSeries(se)
-	var clock atomic.Int64
-	tickThree := func(int, int64) *exp.Result {
-		base := clock.Add(10_000)
-		for i := int64(0); i < 3; i++ {
-			se.Tick(base + i*1000)
-		}
-		return okResult("x")
-	}
-	jobs := []Job{fakeJob("a", 1, tickThree), fakeJob("b", 1, tickThree)}
-	s := Run(Options{Jobs: jobs, Workers: 1, Obs: reg})
-	if s.SeriesPoints != 6 {
-		t.Fatalf("summary series points = %d, want 6", s.SeriesPoints)
-	}
-	for _, r := range s.Jobs {
-		if r.SeriesPoints != 3 {
-			t.Errorf("job %s series points = %d, want 3", r.ID, r.SeriesPoints)
-		}
-	}
-	text := s.Text()
-	if !strings.Contains(text, "series") || !strings.Contains(text, "series: 6 windows") {
-		t.Errorf("text summary missing series telemetry:\n%s", text)
-	}
-	data, err := s.JSON()
+// TestCacheRoundTrip: an experiment job's entry is the bare result in the
+// registry cache's indented encoding, and it reads back whole.
+func TestCacheRoundTrip(t *testing.T) {
+	c, err := campaign.OpenCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(data), `"series_points": 3`) {
-		t.Errorf("summary JSON missing per-job series_points:\n%s", data)
+	j, _ := experiments(t, 42, "fig7").JobAt(0)
+	r := &sweep.Runner{Cache: c, RunFunc: fake}
+	if _, cached, err := r.Do(j); err != nil || cached {
+		t.Fatalf("cold Do: cached=%v err=%v", cached, err)
 	}
-
-	// Without a collector the summary stays series-free: no column, no
-	// footer, and omitempty keeps the JSON schema unchanged.
-	s2 := Run(Options{Jobs: []Job{fakeJob("c", 1, func(int, int64) *exp.Result { return okResult("c") })}, Workers: 1})
-	if s2.SeriesPoints != 0 || strings.Contains(s2.Text(), "series") {
-		t.Errorf("series telemetry leaked into an uninstrumented campaign:\n%s", s2.Text())
+	want, _ := json.MarshalIndent(okResult("fig7"), "", " ")
+	if got, ok := c.LoadRaw(j.Key()); !ok || !bytes.Equal(got, want) {
+		t.Fatalf("entry bytes:\n%s\nwant\n%s", got, want)
 	}
-	if data, err := s2.JSON(); err != nil || strings.Contains(string(data), "series_points") {
-		t.Errorf("series_points present in uninstrumented summary JSON (err=%v)", err)
+	m, cached, err := r.Do(j)
+	if err != nil || !cached {
+		t.Fatalf("warm Do: cached=%v err=%v", cached, err)
+	}
+	if got := m.Result; got.ID != "fig7" || got.Title != "fake fig7" ||
+		len(got.Tables) != 1 || got.Tables[0].Rows[0][1] != "2" ||
+		len(got.Plots) != 1 || len(got.Notes) != 1 {
+		t.Fatalf("round-trip mangled result: %+v", got)
+	}
+	if st, err := c.Stat(); err != nil || st.Entries != 1 {
+		t.Fatalf("stat %+v, %v: want 1 entry", st, err)
 	}
 }
 
-func TestRunObsInstrumentation(t *testing.T) {
-	cache, err := OpenCache(t.TempDir())
+// TestCacheMissAndCorruption: a corrupt entry reads as a miss and is
+// evicted, even when the re-execution fails; a later run stores a good one.
+func TestCacheMissAndCorruption(t *testing.T) {
+	c, err := campaign.OpenCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobs := []Job{
-		fakeJob("ok1", 1, func(int, int64) *exp.Result { return okResult("ok1") }),
-		fakeJob("ok2", 1, func(int, int64) *exp.Result { return okResult("ok2") }),
-		fakeJob("boom", 1, func(int, int64) *exp.Result { panic("boom") }),
+	j, _ := experiments(t, 42, "fig7").JobAt(0)
+	if err := os.WriteFile(c.Path(j.Key()), []byte("{\"ID\":"), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	reg := obs.NewRegistry()
-	s := Run(Options{Jobs: jobs, Workers: 2, Cache: cache, Retries: 1, Obs: reg})
-	if s.Executed != 2 || s.Failed != 1 {
-		t.Fatalf("summary: %+v", s)
+	failing := &sweep.Runner{Cache: c, RunFunc: func(sweep.Job) sweep.Metrics { panic("down") }}
+	if _, cached, err := failing.Do(j); err == nil || cached {
+		t.Fatalf("corrupt entry reported as a hit: cached=%v err=%v", cached, err)
 	}
-	snap := reg.Snapshot()
-	if got := snap.Counters["campaign.jobs_executed"]; got != 2 {
-		t.Errorf("jobs_executed = %d, want 2", got)
+	if _, err := os.Stat(c.Path(j.Key())); !os.IsNotExist(err) {
+		t.Fatal("corrupt entry not removed")
 	}
-	if got := snap.Counters["campaign.jobs_failed"]; got != 1 {
-		t.Errorf("jobs_failed = %d, want 1", got)
+	if _, cached, err := (&sweep.Runner{Cache: c, RunFunc: fake}).Do(j); err != nil || cached {
+		t.Fatalf("miss: cached=%v err=%v", cached, err)
 	}
-	if got := snap.Counters["campaign.job_retries"]; got != 1 {
-		t.Errorf("job_retries = %d, want 1 (one retry before giving up)", got)
-	}
-	if got := snap.Histograms["campaign.job_elapsed_ms"].Count; got != 3 {
-		t.Errorf("job_elapsed_ms count = %d, want 3", got)
-	}
-	if s.ElapsedP50MS < 0 || s.ElapsedP95MS < s.ElapsedP50MS || s.ElapsedP99MS < s.ElapsedP95MS {
-		t.Errorf("percentiles not monotone: p50=%d p95=%d p99=%d",
-			s.ElapsedP50MS, s.ElapsedP95MS, s.ElapsedP99MS)
-	}
-	if !strings.Contains(s.Text(), "per-job elapsed: p50") {
-		t.Errorf("text summary missing percentile line:\n%s", s.Text())
-	}
-
-	// A cached re-run counts cache hits and leaves the execute counters
-	// for the successful jobs alone.
-	reg2 := obs.NewRegistry()
-	s2 := Run(Options{Jobs: jobs[:2], Workers: 2, Cache: cache, Retries: 1, Obs: reg2})
-	if s2.Cached != 2 {
-		t.Fatalf("second run: %+v", s2)
-	}
-	snap2 := reg2.Snapshot()
-	if got := snap2.Counters["campaign.jobs_cached"]; got != 2 {
-		t.Errorf("jobs_cached = %d, want 2", got)
-	}
-	if got := snap2.Counters["campaign.jobs_executed"]; got != 0 {
-		t.Errorf("jobs_executed = %d, want 0 on a warm cache", got)
+	data, _ := c.LoadRaw(j.Key())
+	var back exp.Result
+	if err := json.Unmarshal(data, &back); err != nil || back.ID != "fig7" {
+		t.Fatalf("re-stored entry %q: %v", data, err)
 	}
 }

@@ -1,50 +1,26 @@
 package campaign
 
 import (
-	"encoding/json"
 	"fmt"
-	"net/http"
-	"sort"
-	"sync"
+	"strings"
 	"time"
 
-	"repro/internal/sketch"
 	"repro/internal/stats"
 )
 
 // StatusSchema versions the /campaign/status JSON document.
 const StatusSchema = "campaign-status-v1"
 
-// Status is the live fleet tracker behind the /campaign/status endpoint: a
-// concurrency-safe view of a Run in flight — which jobs are active on which
-// workers, what finished with which outcome, and the same throughput/ETA
-// numbers the progress log prints, as one scrapeable document.
-//
-// Create one with NewStatus, point Options.Status at it, and mount it on
-// the introspection server (it implements http.Handler, serving its
-// Snapshot as JSON). All methods are safe on a nil *Status, so the
-// scheduler calls them unconditionally — the untracked path costs one nil
-// check per job.
-type Status struct {
-	mu       sync.Mutex
-	running  bool
-	workers  int
-	total    int
-	done     int
-	executed int
-	cached   int
-	failed   int
-	retries  int
-	start    time.Time
-	active   map[string]ActiveJob // by job key
-	recent   []JobRecord          // most recent first, capped
-	// elapsed sketches finished non-cached job wall clocks (ms). A digest
-	// instead of a raw slice keeps the tracker's memory O(compression)
-	// however many jobs a fleet runs (see internal/sketch).
-	elapsed *sketch.Digest
-}
+// Job statuses as a StatusSnapshot's Recent records report them.
+const (
+	StatusOK     = "ok"     // executed this run
+	StatusCached = "cached" // served from the result cache
+	StatusFailed = "failed" // failed after its retry
+)
 
-// ActiveJob is one in-flight job in a StatusSnapshot.
+// ActiveJob is one in-flight lease in a StatusSnapshot, named by its
+// first job: the experiment id, or the sweep cell. N is an experiment's
+// corpus size (0 otherwise).
 type ActiveJob struct {
 	ID        string `json:"id"`
 	Seed      int64  `json:"seed"`
@@ -52,9 +28,18 @@ type ActiveJob struct {
 	ElapsedMS int64  `json:"elapsed_ms"`
 }
 
-// StatusSnapshot is the JSON document Status serves: fleet totals,
-// in-flight jobs, recently finished jobs, and derived throughput. Schema
-// documented in docs/OBSERVABILITY.md ("Live endpoints").
+// JobRecord is one completed lease in a StatusSnapshot, named like
+// ActiveJob; ElapsedMS is wall clock from grant to completion.
+type JobRecord struct {
+	ID        string `json:"id"`
+	Status    string `json:"status"`
+	ElapsedMS int64  `json:"elapsed_ms"`
+}
+
+// StatusSnapshot is the JSON document the sweep coordinator serves at
+// /campaign/status: fleet totals, in-flight leases, recently completed
+// leases, and derived throughput. Schema documented in
+// docs/OBSERVABILITY.md ("Live endpoints").
 type StatusSnapshot struct {
 	Schema  string `json:"schema"`
 	Running bool   `json:"running"`
@@ -67,8 +52,8 @@ type StatusSnapshot struct {
 	Failed   int `json:"failed"`
 	Retries  int `json:"retries"`
 
-	// Active jobs, longest-running first. Recent holds the last finished
-	// jobs, most recent first (capped at recentCap).
+	// Active leases, longest-running first. Recent holds the last
+	// completed leases, most recent first (at most 16).
 	Active []ActiveJob `json:"active,omitempty"`
 	Recent []JobRecord `json:"recent,omitempty"`
 
@@ -77,22 +62,21 @@ type StatusSnapshot struct {
 	// ETAMS extrapolates the remaining wall clock from the finish rate so
 	// far; -1 before the first job finishes.
 	ETAMS int64 `json:"eta_ms"`
-	// Per-job wall-clock percentiles over finished non-cached jobs (zero
-	// until one finishes), mirroring the summary fields. Sketch-backed
-	// (relative error ≤ 1 %), so they stay cheap at fleet scale.
+	// Per-job wall-clock percentiles over finished jobs (zero until one
+	// finishes), mirroring the summary fields. Sketch-backed (relative
+	// error ≤ 1 %), so they stay cheap at fleet scale.
 	ElapsedP50MS  int64 `json:"elapsed_p50_ms"`
 	ElapsedP95MS  int64 `json:"elapsed_p95_ms"`
 	ElapsedP99MS  int64 `json:"elapsed_p99_ms"`
 	ElapsedP999MS int64 `json:"elapsed_p999_ms,omitempty"`
 
-	// Sketch telemetry for sweeps (zero for registry campaigns): how many
-	// metric digests the merged aggregate holds (cells × metric keys, plus
-	// timing) and their total bucket count — the aggregate's memory driver.
+	// Sketch telemetry: how many metric digests the merged aggregate holds
+	// (cells × metric keys, plus timing) and their total bucket count —
+	// the aggregate's memory driver.
 	MetricSketches int `json:"metric_sketches,omitempty"`
 	SketchBuckets  int `json:"sketch_buckets,omitempty"`
 
-	// Fleet is the per-worker view of a sharded sweep (empty for
-	// single-process campaigns): lease counts, completed jobs, and
+	// Fleet is the per-worker view: lease counts, completed jobs, and
 	// liveness derived from heartbeat recency.
 	Fleet []WorkerStatus `json:"fleet,omitempty"`
 }
@@ -124,157 +108,6 @@ type WorkerStatus struct {
 	SLOPending int64 `json:"slo_pending,omitempty"`
 	SLOFiring  int64 `json:"slo_firing,omitempty"`
 	SLOFired   int64 `json:"slo_fired,omitempty"`
-}
-
-// recentCap bounds the finished-job ring the snapshot reports.
-const recentCap = 16
-
-// NewStatus returns an empty tracker, ready to hand to Options.Status and
-// to mount on an introspection server.
-func NewStatus() *Status {
-	return &Status{active: map[string]ActiveJob{}, elapsed: sketch.New()}
-}
-
-// begin marks the start of a Run over total jobs on the given worker count.
-func (st *Status) begin(total, workers int) {
-	if st == nil {
-		return
-	}
-	st.mu.Lock()
-	st.running = true
-	st.workers = workers
-	st.total = total
-	st.done, st.executed, st.cached, st.failed, st.retries = 0, 0, 0, 0, 0
-	st.start = time.Now()
-	st.active = map[string]ActiveJob{}
-	st.recent = nil
-	st.elapsed = sketch.New()
-	st.mu.Unlock()
-}
-
-// jobStarted records a job entering a worker.
-func (st *Status) jobStarted(j Job, key string) {
-	if st == nil {
-		return
-	}
-	st.mu.Lock()
-	st.active[key] = ActiveJob{ID: j.ID, Seed: j.Seed, N: j.effN,
-		ElapsedMS: -time.Now().UnixMilli()} // sign flag: started-at, fixed in Snapshot
-	st.mu.Unlock()
-}
-
-// jobRetried counts one retry attempt.
-func (st *Status) jobRetried() {
-	if st == nil {
-		return
-	}
-	st.mu.Lock()
-	st.retries++
-	st.mu.Unlock()
-}
-
-// jobFinished records a job's outcome.
-func (st *Status) jobFinished(rec JobRecord) {
-	if st == nil {
-		return
-	}
-	st.mu.Lock()
-	delete(st.active, rec.Key)
-	st.done++
-	switch rec.Status {
-	case StatusOK:
-		st.executed++
-	case StatusCached:
-		st.cached++
-	default:
-		st.failed++
-	}
-	if rec.Status != StatusCached {
-		st.elapsed.Add(float64(rec.ElapsedMS))
-	}
-	st.recent = append([]JobRecord{rec}, st.recent...)
-	if len(st.recent) > recentCap {
-		st.recent = st.recent[:recentCap]
-	}
-	st.mu.Unlock()
-}
-
-// finish marks the Run complete.
-func (st *Status) finish() {
-	if st == nil {
-		return
-	}
-	st.mu.Lock()
-	st.running = false
-	st.mu.Unlock()
-}
-
-// Snapshot assembles the current fleet view. Safe on a nil tracker (returns
-// an empty, non-running snapshot).
-func (st *Status) Snapshot() *StatusSnapshot {
-	snap := &StatusSnapshot{Schema: StatusSchema, ETAMS: -1}
-	if st == nil {
-		return snap
-	}
-	now := time.Now()
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	snap.Running = st.running
-	snap.Workers = st.workers
-	snap.Total = st.total
-	snap.Done = st.done
-	snap.Executed = st.executed
-	snap.Cached = st.cached
-	snap.Failed = st.failed
-	snap.Retries = st.retries
-	if !st.start.IsZero() {
-		snap.ElapsedMS = now.Sub(st.start).Milliseconds()
-	}
-	for _, a := range st.active {
-		// jobStarted stores the negated start time; convert to elapsed.
-		a.ElapsedMS = now.UnixMilli() + a.ElapsedMS
-		if a.ElapsedMS < 0 {
-			a.ElapsedMS = 0
-		}
-		snap.Active = append(snap.Active, a)
-	}
-	sort.Slice(snap.Active, func(i, j int) bool {
-		if snap.Active[i].ElapsedMS != snap.Active[j].ElapsedMS {
-			return snap.Active[i].ElapsedMS > snap.Active[j].ElapsedMS
-		}
-		return snap.Active[i].ID < snap.Active[j].ID
-	})
-	snap.Recent = append(snap.Recent, st.recent...)
-	if secs := float64(snap.ElapsedMS) / 1000; secs > 0 && st.done > 0 {
-		snap.JobsPerSec = float64(st.done) / secs
-		// Remaining is never negative even if done overshoots total (a
-		// driver bug would otherwise surface here as a negative ETA).
-		if remaining := st.total - st.done; remaining > 0 && snap.JobsPerSec > 0 {
-			snap.ETAMS = int64(float64(remaining) / snap.JobsPerSec * 1000)
-		} else {
-			snap.ETAMS = 0
-		}
-	}
-	if st.elapsed != nil && st.elapsed.Count() > 0 {
-		snap.ElapsedP50MS = int64(st.elapsed.Quantile(0.50))
-		snap.ElapsedP95MS = int64(st.elapsed.Quantile(0.95))
-		snap.ElapsedP99MS = int64(st.elapsed.Quantile(0.99))
-		snap.ElapsedP999MS = int64(st.elapsed.Quantile(0.999))
-	}
-	return snap
-}
-
-// ServeHTTP serves the snapshot as indented JSON, making a *Status
-// mountable directly on the introspection server.
-func (st *Status) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	data, err := json.MarshalIndent(st.Snapshot(), "", "  ")
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Write(data)
-	w.Write([]byte("\n"))
 }
 
 // Text renders a snapshot as the terminal table `campaign watch` draws.
@@ -354,17 +187,6 @@ func progressBar(done, total int) string {
 	if total <= 0 {
 		return "(no jobs)"
 	}
-	fill := done * width / total
-	return fmt.Sprintf("[%s%s] %d/%d", repeatRune('#', fill), repeatRune('.', width-fill), done, total)
-}
-
-func repeatRune(c byte, n int) string {
-	if n < 0 {
-		n = 0
-	}
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = c
-	}
-	return string(b)
+	fill := min(done*width/total, width)
+	return fmt.Sprintf("[%s%s] %d/%d", strings.Repeat("#", fill), strings.Repeat(".", width-fill), done, total)
 }

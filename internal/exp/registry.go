@@ -5,7 +5,7 @@ import "fmt"
 // Kind classifies a registered experiment. The experiments CLI uses it to
 // decide what "all" regenerates (everything except calibration sweeps,
 // which are diagnostic rather than part of the paper's output), and the
-// campaign scheduler uses it for fleet selection.
+// sweep engine's experiments source accepts it as a selector.
 type Kind string
 
 const (
@@ -19,7 +19,8 @@ const (
 
 // Spec is one registered experiment: everything a runner needs to execute
 // it at an arbitrary (corpus size, seed) point. Specs are the single
-// source of truth shared by cmd/experiments and internal/campaign, so the
+// source of truth shared by cmd/experiments and the sweep engine's
+// experiments source (internal/sweep, which cmd/campaign drives), so the
 // two CLIs cannot drift apart.
 type Spec struct {
 	ID       string

@@ -17,7 +17,7 @@
 //   - /               — an index linking the above.
 //
 // Drivers add their own views with Handle/HandleJSON; cmd/campaign mounts
-// the fleet tracker at /campaign/status this way.
+// the sweep coordinator's fleet view at /campaign/status this way.
 //
 // Everything the server reads comes from atomic loads under the registry's
 // read lock — a scrape never writes simulator-visible state, so a

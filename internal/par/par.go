@@ -1,9 +1,8 @@
-// Package par provides the shared bounded worker pool used across the
-// repository: the experiment corpus runner (internal/exp) maps simulator
-// calls over scenario slices, and the campaign scheduler
-// (internal/campaign) maps job executions over experiment fleets. Both
-// need the same contract — results in input order, a bounded number of
-// workers, and safe behaviour on empty input — so it lives here once.
+// Package par provides the bounded worker pool the experiment corpus
+// runner (internal/exp) maps simulator calls over scenario slices with:
+// results in input order, a bounded number of workers, and safe behaviour
+// on empty input. Fleets of whole jobs run on the sweep engine
+// (internal/sweep) instead.
 package par
 
 import (

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/exp"
 	"repro/internal/sim"
 	"repro/internal/sketch"
 	"repro/internal/stats"
@@ -79,7 +80,9 @@ func (c *CellAgg) sketch(key string) *sketch.Digest {
 	return sk
 }
 
-func (c *CellAgg) merge(o *CellAgg) error {
+// merge folds o into c. Aggregate.Merge has checked every digest first,
+// so the sketch merges cannot fail.
+func (c *CellAgg) merge(o *CellAgg) {
 	c.Calls += o.Calls
 	c.Failed += o.Failed
 	if c.Poor == nil {
@@ -89,14 +92,10 @@ func (c *CellAgg) merge(o *CellAgg) error {
 		c.Poor[s] += n
 	}
 	for key, osk := range o.Sketches {
-		if osk == nil {
-			continue
-		}
-		if err := c.sketch(key).Merge(osk); err != nil {
-			return fmt.Errorf("metric %s: %w", key, err)
+		if osk != nil {
+			_ = c.sketch(key).Merge(osk)
 		}
 	}
-	return nil
 }
 
 // buckets returns the cell's total sketch bucket count (its memory driver).
@@ -116,6 +115,9 @@ type Aggregate struct {
 	// Elapsed sketches per-job wall-clock milliseconds (telemetry: it is
 	// excluded from Fingerprint, like every timing field).
 	Elapsed *sketch.Digest `json:"elapsed"`
+	// Results holds experiment jobs' results by job key (experiments
+	// source only). Keys are content addresses, so merging is a union.
+	Results map[string]*exp.Result `json:"results,omitempty"`
 }
 
 // NewAggregate returns an empty aggregate.
@@ -141,21 +143,69 @@ func (a *Aggregate) ObserveFailure(cellKey string) { a.cell(cellKey).Failed++ }
 // ObserveElapsed records one job's wall clock (telemetry).
 func (a *Aggregate) ObserveElapsed(ms float64) { a.Elapsed.Add(ms) }
 
+// ObserveResult records one experiment job's result under its job key.
+func (a *Aggregate) ObserveResult(jobKey string, r *exp.Result) {
+	if a.Results == nil {
+		a.Results = map[string]*exp.Result{}
+	}
+	a.Results[jobKey] = r
+}
+
 // Merge folds other into a. Deterministic and order-independent (sketch
 // merges are bucket-wise addition), which is what makes a sharded sweep's
-// summary equal a single-process run's.
+// summary equal a single-process run's. It is all or nothing: other is
+// checked whole before any of it lands, so a rejected report leaves a
+// exactly as it was.
 func (a *Aggregate) Merge(other *Aggregate) error {
 	if other == nil {
 		return nil
 	}
+	if err := a.checkMerge(other); err != nil {
+		return err
+	}
 	for key, oc := range other.Cells {
-		if err := a.cell(key).merge(oc); err != nil {
-			return fmt.Errorf("sweep: merge cell %s: %w", key, err)
+		a.cell(key).merge(oc)
+	}
+	_ = a.Elapsed.Merge(other.Elapsed)
+	for key, r := range other.Results {
+		a.ObserveResult(key, r)
+	}
+	return nil
+}
+
+// checkMerge reports why other cannot merge into a: a non-empty digest of
+// another resolution than the one it would fold into, or an empty result.
+func (a *Aggregate) checkMerge(other *Aggregate) error {
+	check := func(dst, src *sketch.Digest) error {
+		alpha := sketch.DefaultAlpha // a digest created by the merge
+		if dst != nil {
+			alpha = dst.Alpha()
+		}
+		if src != nil && src.Count() > 0 && src.Alpha() != alpha {
+			return fmt.Errorf("sketch alpha %v, want %v", src.Alpha(), alpha)
+		}
+		return nil
+	}
+	for key, oc := range other.Cells {
+		if oc == nil {
+			return fmt.Errorf("sweep: merge cell %s: empty cell", key)
+		}
+		var dst map[string]*sketch.Digest
+		if c := a.Cells[key]; c != nil {
+			dst = c.Sketches
+		}
+		for mk, osk := range oc.Sketches {
+			if err := check(dst[mk], osk); err != nil {
+				return fmt.Errorf("sweep: merge cell %s: metric %s: %w", key, mk, err)
+			}
 		}
 	}
-	if other.Elapsed != nil {
-		if err := a.Elapsed.Merge(other.Elapsed); err != nil {
-			return fmt.Errorf("sweep: merge elapsed: %w", err)
+	if err := check(a.Elapsed, other.Elapsed); err != nil {
+		return fmt.Errorf("sweep: merge elapsed: %w", err)
+	}
+	for key, r := range other.Results {
+		if r == nil || r.ID == "" {
+			return fmt.Errorf("sweep: merge result %s: empty result", key)
 		}
 	}
 	return nil
@@ -199,8 +249,9 @@ func (a *Aggregate) Footprint() int {
 }
 
 // Fingerprint hashes the deterministic content: every cell's counters,
-// poor-call counts, and sketch fingerprints, in sorted cell/key order.
-// Elapsed (timing telemetry) is excluded.
+// poor-call counts, and sketch fingerprints, in sorted cell/key order, then
+// the experiment results (only when there are any, so no call sweep's
+// fingerprint depends on them). Elapsed (timing telemetry) is excluded.
 func (a *Aggregate) Fingerprint() string {
 	h := sha256.New()
 	keys := make([]string, 0, len(a.Cells))
@@ -217,6 +268,10 @@ func (a *Aggregate) Fingerprint() string {
 		for _, mk := range sortedKeys(c.Sketches) {
 			fmt.Fprintf(h, "sketch:%s=%s\n", mk, c.Sketches[mk].Fingerprint())
 		}
+	}
+	for _, k := range sortedKeys(a.Results) {
+		data, _ := json.Marshal(a.Results[k])
+		fmt.Fprintf(h, "result:%s=%x\n", k, sha256.Sum256(data))
 	}
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
@@ -320,6 +375,10 @@ type Summary struct {
 	// only — never part of the fingerprint.
 	Failures      []string `json:"failures,omitempty"`
 	FailuresTotal int64    `json:"failures_total,omitempty"`
+
+	// Results lists the experiment results in job order (experiments
+	// source only; a failed job has none).
+	Results []*exp.Result `json:"results,omitempty"`
 }
 
 // maxSummaryFailures caps the failure messages a coordinator retains.
@@ -363,6 +422,14 @@ func Summarize(spec *Spec, agg *Aggregate) *Summary {
 		s.Cells = append(s.Cells, cs)
 		s.Done += int64(c.Calls + c.Failed)
 		s.Failed += int64(c.Failed)
+	}
+	if len(agg.Results) > 0 {
+		for i := int64(0); i < spec.Total(); i++ {
+			j, _ := spec.JobAt(i)
+			if r := agg.Results[j.Key()]; r != nil {
+				s.Results = append(s.Results, r)
+			}
+		}
 	}
 	if agg.Elapsed.Count() > 0 {
 		s.JobP50MS = agg.Elapsed.Quantile(0.50)
@@ -410,11 +477,49 @@ func (s *Summary) JSON() ([]byte, error) {
 	return json.MarshalIndent(s, "", "  ")
 }
 
+// experiments reports whether the summary comes from the experiments
+// source, whose cells all carry DensityExperiment.
+func (s *Summary) experiments() bool {
+	return len(s.Cells) > 0 && s.Cells[0].Density == DensityExperiment
+}
+
 // Text renders the Table-1-style fleet report: per-cell PCR for all three
 // strategies plus the sketch-backed quality tails. The per-strategy PCR
 // columns come from Strategies(), so the layout tracks the canonical
-// strategy list (metrickeys_test.go pins the coupling).
+// strategy list (metrickeys_test.go pins the coupling). An experiments
+// summary lists its experiments instead.
 func (s *Summary) Text() string {
+	var b strings.Builder
+	if s.experiments() {
+		t := stats.NewTable(fmt.Sprintf("Campaign %q: experiments (%d/%d jobs)", s.Name, s.Done, s.TotalJobs),
+			"experiment", "kind", "ok", "failed")
+		for i := range s.Cells {
+			c := &s.Cells[i]
+			t.AddRow(c.Impairment, c.Device, fmt.Sprint(c.Calls), fmt.Sprint(c.Failed))
+		}
+		b.WriteString(t.String())
+		b.WriteString("\n")
+	} else {
+		s.writeCells(&b)
+	}
+	fmt.Fprintf(&b, "%d executed, %d cached, %d failed — %.1fs wall, %.1f jobs/s (%d workers)\n",
+		s.Executed, s.Cached, s.Failed, float64(s.ElapsedMS)/1000, s.JobsPerSec, s.Workers)
+	if s.JobP50MS > 0 || s.JobP999MS > 0 {
+		fmt.Fprintf(&b, "per-job elapsed: p50 %.1fms, p95 %.1fms, p99 %.1fms, p999 %.1fms\n",
+			s.JobP50MS, s.JobP95MS, s.JobP99MS, s.JobP999MS)
+	}
+	if s.FailuresTotal > 0 {
+		fmt.Fprintf(&b, "job failures (%d total, first %d):\n", s.FailuresTotal, len(s.Failures))
+		for _, msg := range s.Failures {
+			fmt.Fprintf(&b, "  %s\n", firstLine(msg))
+		}
+	}
+	fmt.Fprintf(&b, "fingerprint %s (deterministic for spec %s)\n", s.Fingerprint, s.SpecHash)
+	return b.String()
+}
+
+// writeCells writes the per-cell PCR table and the overall PCR line.
+func (s *Summary) writeCells(b *strings.Builder) {
 	withVerdicts := false
 	for i := range s.Cells {
 		if len(s.Cells[i].Verdicts) > 0 {
@@ -452,32 +557,17 @@ func (s *Summary) Text() string {
 		}
 		t.AddRow(row...)
 	}
-	var b strings.Builder
 	b.WriteString(t.String())
 	if tot := s.CallsTotal(); tot > 0 {
-		fmt.Fprintf(&b, "\noverall PCR: ")
+		fmt.Fprintf(b, "\noverall PCR: ")
 		for i, strat := range Strategies() {
 			if i > 0 {
 				b.WriteString(", ")
 			}
-			fmt.Fprintf(&b, "%s %.2f%%", strat, 100*float64(s.PoorTotal(strat))/float64(tot))
+			fmt.Fprintf(b, "%s %.2f%%", strat, 100*float64(s.PoorTotal(strat))/float64(tot))
 		}
-		fmt.Fprintf(&b, " over %d calls\n", tot)
+		fmt.Fprintf(b, " over %d calls\n", tot)
 	}
-	fmt.Fprintf(&b, "%d executed, %d cached, %d failed — %.1fs wall, %.1f jobs/s (%d workers)\n",
-		s.Executed, s.Cached, s.Failed, float64(s.ElapsedMS)/1000, s.JobsPerSec, s.Workers)
-	if s.JobP50MS > 0 || s.JobP999MS > 0 {
-		fmt.Fprintf(&b, "per-job elapsed: p50 %.1fms, p95 %.1fms, p99 %.1fms, p999 %.1fms\n",
-			s.JobP50MS, s.JobP95MS, s.JobP99MS, s.JobP999MS)
-	}
-	if s.FailuresTotal > 0 {
-		fmt.Fprintf(&b, "job failures (%d total, first %d):\n", s.FailuresTotal, len(s.Failures))
-		for _, msg := range s.Failures {
-			fmt.Fprintf(&b, "  %s\n", firstLine(msg))
-		}
-	}
-	fmt.Fprintf(&b, "fingerprint %s (deterministic for spec %s)\n", s.Fingerprint, s.SpecHash)
-	return b.String()
 }
 
 // firstLine truncates a multi-line failure (panic stacks) for the table;

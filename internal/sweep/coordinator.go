@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -27,8 +28,27 @@ type lease struct {
 	id       string
 	worker   string
 	span     span
+	granted  time.Time
 	deadline time.Time
 }
+
+// doneLease is one completed lease in the fleet view's recent ring.
+type doneLease struct {
+	span    span
+	status  string
+	elapsed time.Duration
+}
+
+// recentLeases bounds the completed-lease ring the fleet view reports.
+const recentLeases = 16
+
+// Straggler verdict: a worker is flagged once its federated elapsed p50
+// exceeds stragglerFactor × the fleet-merged p50, given at least
+// stragglerMinSamples samples — below that its digest is noise.
+const (
+	stragglerFactor     = 2.0
+	stragglerMinSamples = 16
+)
 
 // workerInfo tracks one worker's fleet state for /campaign/status: lease
 // accounting plus the federated metric view merged from its heartbeats.
@@ -75,13 +95,6 @@ type CoordinatorOptions struct {
 	// FlightDir is where expiry dumps land ("" disables dumping).
 	FlightDir string
 
-	// StragglerFactor flags a worker as straggling when its federated
-	// elapsed p50 exceeds factor × the fleet-merged p50 (default 2.0).
-	StragglerFactor float64
-	// StragglerMinSamples is the minimum federated sample count before a
-	// worker can be flagged (default 16) — below it the digest is noise.
-	StragglerMinSamples int64
-
 	// SLO, when non-nil, stamps per-cell pass/fail verdicts on the summary:
 	// every cell-bound rule of the set (Rule.Cell, see internal/obs/slo) is
 	// evaluated against the cell's merged metric sketches at Summarize time.
@@ -118,6 +131,10 @@ type Coordinator struct {
 	// failures holds the first reported job errors, capped (Summary).
 	failures      []string
 	failuresTotal int64
+	// recent is a ring of the last recentLeases completed leases;
+	// completes counts every completed lease.
+	recent    [recentLeases]doneLease
+	completes int64
 
 	// Fleet observability plane (all nil-safe no-ops when disabled).
 	ft  *FleetTrace
@@ -152,12 +169,6 @@ func NewCoordinator(spec *Spec, opts CoordinatorOptions) *Coordinator {
 	}
 	if opts.TTL <= 0 {
 		opts.TTL = 30 * time.Second
-	}
-	if opts.StragglerFactor <= 1 {
-		opts.StragglerFactor = 2.0
-	}
-	if opts.StragglerMinSamples <= 0 {
-		opts.StragglerMinSamples = 16
 	}
 	c := &Coordinator{
 		spec:     spec,
@@ -262,14 +273,14 @@ func (c *Coordinator) Lease(workerName string, max int64) LeaseResponse {
 			c.requeued = c.requeued[1:]
 		}
 	case c.next < c.total:
-		sp = span{c.next, min64(c.next+max, c.total)}
+		sp = span{c.next, min(c.next+max, c.total)}
 		c.next = sp.To
 	default:
 		return LeaseResponse{Schema: ProtoSchema, Wait: true}
 	}
 	c.leaseSeq++
 	id := fmt.Sprintf("L%d", c.leaseSeq)
-	c.active[id] = &lease{id: id, worker: workerName, span: sp, deadline: now.Add(c.opts.TTL)}
+	c.active[id] = &lease{id: id, worker: workerName, span: sp, granted: now, deadline: now.Add(c.opts.TTL)}
 	w.leases++
 	c.ins.leasesGranted.Inc()
 	c.ft.Grant(workerName, c.leaseSeq, sp.From, sp.To, c.opts.TTL, reLease)
@@ -324,7 +335,9 @@ func (c *Coordinator) Heartbeat(req HeartbeatRequest) HeartbeatResponse {
 // Complete merges a finished lease's sketch report into the fleet
 // aggregate. A report for an expired (re-queued) lease is ignored — its
 // span has been or will be re-run by another worker, and counting it twice
-// would break the sharded-equals-single-process determinism contract.
+// would break the sharded-equals-single-process determinism contract. A
+// report whose aggregate cannot merge is rejected whole, before it changes
+// anything; its lease re-queues at TTL.
 func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 	if req.Schema != ProtoSchema {
 		// Version negotiation is a flat refusal: merging a different
@@ -381,6 +394,15 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 			c.failures = append(c.failures, msg)
 		}
 	}
+	status := campaign.StatusOK
+	switch {
+	case req.Failed > 0:
+		status = campaign.StatusFailed
+	case req.Cached == l.span.size():
+		status = campaign.StatusCached
+	}
+	c.recent[c.completes%recentLeases] = doneLease{span: l.span, status: status, elapsed: now.Sub(l.granted)}
+	c.completes++
 	c.ins.jobsDone.Add(l.span.size())
 	c.ft.Complete(req.Worker, leaseSeq(l.id), l.span.From, l.span.To,
 		req.Executed, req.Cached, req.Failed)
@@ -414,9 +436,11 @@ func (c *Coordinator) Releases() int64 {
 // shown as dead in the fleet view.
 const aliveWindow = 3
 
-// Snapshot assembles the live fleet view in the campaign-status-v1 schema,
-// so `campaign watch` renders sweeps exactly like registry campaigns —
-// plus the per-worker fleet table.
+// Snapshot assembles the live fleet view in the campaign-status-v1 schema
+// that `campaign watch` renders: totals and rates, the live leases
+// (Active, longest-running first) and the last completed ones (Recent,
+// most recent first), each named by its span's first job, plus the
+// per-worker fleet table.
 func (c *Coordinator) Snapshot() *campaign.StatusSnapshot {
 	now := time.Now()
 	c.mu.Lock()
@@ -446,6 +470,26 @@ func (c *Coordinator) Snapshot() *campaign.StatusSnapshot {
 	}
 	snap.MetricSketches = c.agg.Sketches()
 	snap.SketchBuckets = c.agg.Buckets()
+	for _, l := range c.active {
+		j, _ := c.spec.JobAt(l.span.From)
+		a := campaign.ActiveJob{ID: j.Name(), Seed: j.Seed, ElapsedMS: now.Sub(l.granted).Milliseconds()}
+		if j.experiment != nil {
+			a.N = j.corpusN()
+		}
+		snap.Active = append(snap.Active, a)
+	}
+	sort.Slice(snap.Active, func(i, k int) bool {
+		if snap.Active[i].ElapsedMS != snap.Active[k].ElapsedMS {
+			return snap.Active[i].ElapsedMS > snap.Active[k].ElapsedMS
+		}
+		return snap.Active[i].ID < snap.Active[k].ID
+	})
+	for i := c.completes - 1; i >= 0 && i >= c.completes-recentLeases; i-- {
+		d := c.recent[i%recentLeases]
+		j, _ := c.spec.JobAt(d.span.From)
+		snap.Recent = append(snap.Recent, campaign.JobRecord{ID: j.Name(), Status: d.status,
+			ElapsedMS: d.elapsed.Milliseconds()})
+	}
 
 	// Straggler detection: merge every worker's federated elapsed digest
 	// into a fleet distribution, then flag workers whose own p50 deviates
@@ -481,28 +525,20 @@ func (c *Coordinator) Snapshot() *campaign.StatusSnapshot {
 			ws.Samples = int64(w.fedElapsed.Count())
 			p50 := w.fedElapsed.Quantile(0.50)
 			ws.ElapsedP50MS = int64(p50)
-			if ws.Samples >= c.opts.StragglerMinSamples && fleetP50 > 0 &&
-				p50 > c.opts.StragglerFactor*fleetP50 {
+			if ws.Samples >= stragglerMinSamples && fleetP50 > 0 &&
+				p50 > stragglerFactor*fleetP50 {
 				ws.Straggler = true
 				straggling++
 			}
 		}
 		snap.Fleet = append(snap.Fleet, ws)
 	}
-	sortFleet(snap.Fleet)
+	sort.Slice(snap.Fleet, func(i, k int) bool { return snap.Fleet[i].Name < snap.Fleet[k].Name })
 	snap.Workers = len(snap.Fleet)
 	c.ins.workersSeen.Set(int64(len(c.workers)))
 	c.ins.workersStraggling.Set(straggling)
 	c.ins.leasesActive.Set(int64(len(c.active)))
 	return snap
-}
-
-func sortFleet(ws []campaign.WorkerStatus) {
-	for i := 1; i < len(ws); i++ {
-		for j := i; j > 0 && ws[j].Name < ws[j-1].Name; j-- {
-			ws[j], ws[j-1] = ws[j-1], ws[j]
-		}
-	}
 }
 
 // Summary renders the final merged report. Valid at any point; before
@@ -522,11 +558,4 @@ func (c *Coordinator) Summary() *Summary {
 	s.Failures = append([]string(nil), c.failures...)
 	s.FailuresTotal = c.failuresTotal
 	return s
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

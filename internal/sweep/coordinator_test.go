@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/obs/expose"
+	"repro/internal/sketch"
 )
 
 // TestSingleWorkerDrainsSweep: the local transport + worker engine runs a
@@ -330,5 +331,33 @@ func TestCompleteSchemaMismatch(t *testing.T) {
 	if _, err := c.Complete(CompleteRequest{Schema: ProtoSchema, Worker: "old",
 		LeaseID: grant.LeaseID, Executed: grant.To - grant.From, Agg: agg}); err != nil {
 		t.Fatalf("retry with correct schema rejected: %v", err)
+	}
+}
+
+// TestRejectedReportLeavesAggregate: a lease report whose aggregate cannot
+// merge is refused whole. Its valid cells must not land either, or the
+// lease's re-run after TTL would count them a second time.
+func TestRejectedReportLeavesAggregate(t *testing.T) {
+	s := synthSpec(t, `{"name":"rej","seeds":{"count":4},
+		"impairments":["none"],"device_classes":["pc"],"ap_densities":["typical"]}`)
+	c := NewCoordinator(s, CoordinatorOptions{Batch: 4})
+	before := c.Summary().Fingerprint
+	grant := c.Lease("w", 4)
+	agg := NewAggregate()
+	for i := grant.From; i < grant.To; i++ {
+		j, _ := s.JobAt(i)
+		agg.Observe(j.CellKey(), synthMetrics(j))
+	}
+	agg.Elapsed = sketch.NewAlpha(0.05)
+	agg.Elapsed.Add(12)
+	if _, err := c.Complete(CompleteRequest{Schema: ProtoSchema, Worker: "w", LeaseID: grant.LeaseID,
+		Executed: grant.To - grant.From, Agg: agg}); err == nil {
+		t.Fatal("a report with an alpha-0.05 digest was accepted")
+	}
+	if got := c.Summary().Fingerprint; got != before {
+		t.Errorf("the rejected report changed the fingerprint: %s, want %s", got, before)
+	}
+	if c.Summary().Done != 0 {
+		t.Error("the rejected report's jobs were counted")
 	}
 }

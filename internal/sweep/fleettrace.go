@@ -50,14 +50,6 @@ func NewFleetTrace(reg *obs.Registry, rec *flight.Recorder, specHash, src string
 		epoch: time.Now()}
 }
 
-// Recorder exposes the flight ring for dumps (nil when disabled).
-func (t *FleetTrace) Recorder() *flight.Recorder {
-	if t == nil {
-		return nil
-	}
-	return t.rec
-}
-
 // emit stamps and fans out one event. The mutex makes stamping and the
 // sink write one atomic step: a worker's heartbeat goroutine and its
 // lease loop share this tracer, and without the lock a later-stamped

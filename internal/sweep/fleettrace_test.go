@@ -280,7 +280,7 @@ func TestStragglerDetection(t *testing.T) {
 		Metrics: &WorkerMetrics{Executed: 30, Elapsed: digestOf(t, repeat(10, 30)...)}})
 	c.Heartbeat(HeartbeatRequest{Worker: "slow", LeaseID: slow.LeaseID, Seq: 1,
 		Metrics: &WorkerMetrics{Executed: 16, Elapsed: digestOf(t, repeat(200, 16)...)}})
-	// As slow as "slow", but below StragglerMinSamples — noise, not flagged.
+	// As slow as "slow", but below stragglerMinSamples — noise, not flagged.
 	c.Heartbeat(HeartbeatRequest{Worker: "thin", LeaseID: thin.LeaseID, Seq: 1,
 		Metrics: &WorkerMetrics{Executed: 3, Elapsed: digestOf(t, repeat(200, 3)...)}})
 

@@ -1,12 +1,13 @@
 package sweep
 
 import (
-	"encoding/json"
 	"fmt"
 	"runtime/debug"
+	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/core"
+	"repro/internal/exp"
 	"repro/internal/obs/flight"
 	"repro/internal/sim"
 	"repro/internal/sim/rng"
@@ -36,6 +37,9 @@ type Metrics struct {
 	Series map[string][]float64 `json:"series,omitempty"`
 	// Poor flags the poor-call verdict (MOS < threshold) per strategy.
 	Poor map[string]bool `json:"poor"`
+
+	// Result is an experiment job's outcome (experiments source only).
+	Result *exp.Result `json:"result,omitempty"`
 }
 
 // valid reports whether a decoded record is structurally usable.
@@ -48,7 +52,11 @@ func (m Metrics) valid() bool {
 // stronger-selection and cross-link-replication receivers), then replay the
 // same scenario through the single-NIC DiversiFi client (custom-AP mode)
 // for the paper's strategy, including its per-recovery delay decomposition.
+// An experiment job runs its registered experiment instead.
 func RunJob(j Job) Metrics {
+	if j.experiment != nil {
+		return Metrics{Schema: MetricsSchema, Result: j.experiment.Run(j.corpusN(), j.Seed)}
+	}
 	sc := j.Scenario()
 	profile, _ := traffic.ProfileByKey(j.spec.Profile)
 	m := Metrics{
@@ -137,9 +145,12 @@ func (j Job) Scenario() core.Scenario {
 type Runner struct {
 	RunFunc func(Job) Metrics
 	Cache   *campaign.Cache // nil disables caching
+	// Timeout bounds each attempt's wall clock (0 = none). The simulator
+	// has no cancellation points, so a timed-out job runs on, abandoned.
+	Timeout time.Duration
 
-	// Flight, when non-nil, is dumped to FlightDir when a job panics, so
-	// the postmortem carries the lifecycle events leading up to the crash.
+	// Flight, when non-nil, is dumped to FlightDir when a job panics or
+	// times out, so the postmortem carries the events leading up to it.
 	Flight    *flight.Recorder
 	FlightDir string
 }
@@ -149,35 +160,71 @@ type Runner struct {
 // reports (CompleteRequest carries these errors over the wire).
 const panicStackLimit = 4 << 10
 
-// Do resolves one job: cache hit, or execute + store. Panics in the
-// simulator are recovered into an error — carrying the goroutine stack and
-// the flight-recorder dump path — so one pathological grid point cannot
-// take down a worker, and the panic stays diagnosable after the fact.
+// Do resolves one job: cache hit, or execute + store. A failed attempt (a
+// panic, a timeout, an experiment returning nil) is retried once; what
+// still fails comes back as an error carrying the panic stack and the
+// flight-dump path, so one pathological job cannot take down a worker and
+// stays diagnosable after the fact.
 func (r *Runner) Do(j Job) (m Metrics, cached bool, err error) {
 	key := j.Key()
 	if r.Cache != nil {
 		if data, ok := r.Cache.LoadRaw(key); ok {
-			if jerr := json.Unmarshal(data, &m); jerr == nil && m.valid() {
+			if m, ok := decodeEntry(j, data); ok {
 				return m, true, nil
 			}
-			m = Metrics{}
 			r.Cache.RemoveRaw(key) // stale schema or corruption: one re-execution
 		}
 	}
+	m, err = r.attempt(j)
+	if err != nil {
+		m, err = r.attempt(j) // one retry
+	}
+	if err != nil {
+		return Metrics{}, false, err
+	}
+	if r.Cache != nil {
+		if data, jerr := encodeEntry(j, m); jerr == nil {
+			// A cache write failure degrades re-run speed, not correctness.
+			_ = r.Cache.StoreRaw(key, data)
+		}
+	}
+	return m, false, nil
+}
+
+// attempt runs the job once: inline, or with a timeout on a goroutine of
+// its own.
+func (r *Runner) attempt(j Job) (Metrics, error) {
+	if r.Timeout <= 0 {
+		return r.run(j)
+	}
+	type outcome struct {
+		m   Metrics
+		err error
+	}
+	ch := make(chan outcome, 1)
+	go func() {
+		m, err := r.run(j)
+		ch <- outcome{m, err}
+	}()
+	select {
+	case o := <-ch:
+		return o.m, o.err
+	case <-time.After(r.Timeout):
+		return Metrics{}, fmt.Errorf("job %d (%s seed %d): timeout after %s%s",
+			j.Index, j.Name(), j.Seed, r.Timeout, r.dump(fmt.Sprintf("timeout-job-%d", j.Index)))
+	}
+}
+
+// run calls the job body with panic recovery.
+func (r *Runner) run(j Job) (m Metrics, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			stack := debug.Stack()
 			if len(stack) > panicStackLimit {
 				stack = stack[:panicStackLimit]
 			}
-			dump := ""
-			if r.Flight != nil && r.FlightDir != "" {
-				if path, derr := r.Flight.Dump(r.FlightDir, fmt.Sprintf("panic-job-%d", j.Index)); derr == nil {
-					dump = "\nflight dump: " + path
-				}
-			}
 			err = fmt.Errorf("job %d (%s seed %d): panic: %v%s\n%s",
-				j.Index, j.CellKey(), j.Seed, p, dump, stack)
+				j.Index, j.Name(), j.Seed, p, r.dump(fmt.Sprintf("panic-job-%d", j.Index)), stack)
 		}
 	}()
 	run := r.RunFunc
@@ -185,12 +232,22 @@ func (r *Runner) Do(j Job) (m Metrics, cached bool, err error) {
 		run = RunJob
 	}
 	m = run(j)
-	m.Schema = MetricsSchema
-	if r.Cache != nil {
-		if data, jerr := json.Marshal(m); jerr == nil {
-			// A cache write failure degrades re-run speed, not correctness.
-			_ = r.Cache.StoreRaw(key, data)
-		}
+	if j.experiment != nil && m.Result == nil {
+		return Metrics{}, fmt.Errorf("job %d (%s seed %d): experiment returned nil result",
+			j.Index, j.Name(), j.Seed)
 	}
-	return m, false, nil
+	m.Schema = MetricsSchema
+	return m, nil
+}
+
+// dump writes the flight ring, returning the failure message's suffix.
+func (r *Runner) dump(tag string) string {
+	if r.Flight == nil || r.FlightDir == "" {
+		return ""
+	}
+	path, err := r.Flight.Dump(r.FlightDir, tag)
+	if err != nil {
+		return ""
+	}
+	return "\nflight dump: " + path
 }

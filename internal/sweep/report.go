@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/exp"
 	"repro/internal/sketch"
 	"repro/internal/stats"
 )
@@ -17,7 +18,8 @@ const ReportSchema = "sweep-report-v1"
 // per-cell sketches (never from raw per-job records, which no longer exist
 // by the time a sweep finishes). Because a Summary carries the digests
 // themselves, a report can be rebuilt from a saved summary JSON offline —
-// that is how docs/RESULTS.md regenerates.
+// that is how docs/RESULTS.md regenerates. An experiments summary reports
+// its experiment results instead.
 type Report struct {
 	Schema      string `json:"schema"`
 	Name        string `json:"name"`
@@ -40,6 +42,10 @@ type Report struct {
 	// CDF carries the raw figure curves (y = cumulative fraction), keyed
 	// "<figure>/<series>"; Text renders them as ASCII plots.
 	CDF map[string][]stats.Point `json:"cdf"`
+
+	// Results are an experiments summary's results in job order, which
+	// the report carries in place of the tables and figures above.
+	Results []*exp.Result `json:"results,omitempty"`
 }
 
 // cdfSamples is how many points each CDF curve carries.
@@ -63,6 +69,10 @@ func (s *Summary) Report() (*Report, error) {
 		Calls:       s.CallsTotal(),
 		Failed:      s.Failed,
 		CDF:         map[string][]stats.Point{},
+	}
+	if s.experiments() {
+		r.Results = s.Results
+		return r, nil
 	}
 
 	// Population-wide digests, one per metric key.
@@ -259,9 +269,17 @@ func (r *Report) cdfSeries(figure string, order []string) (map[string][]stats.Po
 
 // Text renders the full paper artifact: the three tables, the MOS quantile
 // table, and the two CDF figures as ASCII plots, with the reproducibility
-// footer (fingerprint + spec hash) last.
+// footer (fingerprint + spec hash) last. An experiments report prints each
+// result exactly as `experiments all` does, so the paper's experiments
+// reproduce results_all.txt byte for byte.
 func (r *Report) Text() string {
 	var b strings.Builder
+	if r.Table1 == nil {
+		for _, res := range r.Results {
+			b.WriteString(renderResult(res))
+		}
+		return b.String()
+	}
 	fmt.Fprintf(&b, "Paper artifact for sweep %q — %d calls (%d failed jobs)\n\n",
 		r.Name, r.Calls, r.Failed)
 	b.WriteString(r.Table1.String())

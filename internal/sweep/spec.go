@@ -1,9 +1,12 @@
-// Package sweep is the fleet sweep engine: a declarative sweep spec
+// Package sweep is the repository's job engine: a declarative sweep spec
 // expands a grid of impairment × device class × AP density × seed range
 // into a deterministic, content-addressed job stream; jobs run real
 // simulator calls whose per-call quality metrics aggregate into mergeable
 // sketches (internal/sketch), so a million-job sweep summarizes in
-// O(cells × compression) memory with no per-job record retention.
+// O(cells × compression) memory with no per-job record retention. Two
+// other job sources share the engine: an embedded scenario-v1 corpus, and
+// the registered experiments of internal/exp (the paper's tables and
+// figures), whose results ride the aggregate to the summary.
 //
 // The engine has three moving parts:
 //
@@ -36,6 +39,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/exp"
 	"repro/internal/scenario"
 	"repro/internal/traffic"
 )
@@ -129,8 +133,21 @@ type Spec struct {
 	// exclusive with the classic axes.
 	Scenarios json.RawMessage `json:"scenarios,omitempty"`
 
+	// Experiments selects registered experiments (internal/exp) as the job
+	// source, crossed with the seed axis: ids, kind names (table, figure,
+	// scaling, ablation, extension, calibration) or "all". Each experiment
+	// fixes its own call shape, so the grid axes, scenarios, profile,
+	// severity and duration_s must be left out.
+	Experiments []string `json:"experiments,omitempty"`
+	// N overrides the corpus size of sized experiments (0 = the paper's
+	// size). Only the experiments source takes it.
+	N int `json:"n,omitempty"`
+
 	// scn is the parsed embedded scenario spec (set by normalize).
 	scn *scenario.Spec
+	// exps are the selected experiments in registry order (set by
+	// normalize).
+	exps []exp.Spec
 }
 
 // ScenarioSpec returns the parsed embedded scenario spec, or nil when the
@@ -171,6 +188,12 @@ func LoadSpec(path string) (*Spec, error) {
 func (s *Spec) normalize() error {
 	if s.Name == "" {
 		return fmt.Errorf("sweep: spec needs a name")
+	}
+	if len(s.Experiments) > 0 {
+		return s.normalizeExperiments()
+	}
+	if s.N != 0 {
+		return fmt.Errorf("sweep: n applies only to the experiments source")
 	}
 	if len(s.Scenarios) > 0 {
 		return s.normalizeScenarios()
@@ -306,15 +329,22 @@ func (s *Spec) Hash() string {
 		// scenario documents share job streams.
 		fmt.Fprintf(h, "|scn=%s", s.scn.Hash())
 	}
+	if s.exps != nil {
+		fmt.Fprintf(h, "|exp=%s|n=%d", strings.Join(s.Experiments, ","), s.N)
+	}
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 
 // CellCount returns how many (impairment, device, density) cells the grid
-// can produce. For the classic axes Total() = CellCount() × Seeds.Count;
-// for the scenarios axis the cells are the cross product of the embedded
-// spec's impairment and device mixes (an upper bound — a small corpus may
-// not realize every cell) and Total() counts scenarios × seeds instead.
+// can produce. For the classic axes and the experiments source (one cell
+// per experiment) Total() = CellCount() × Seeds.Count; for the scenarios
+// axis the cells are the cross product of the embedded spec's impairment
+// and device mixes (an upper bound — a small corpus may not realize every
+// cell) and Total() counts scenarios × seeds instead.
 func (s *Spec) CellCount() int64 {
+	if s.exps != nil {
+		return int64(len(s.exps))
+	}
 	if s.scn != nil {
 		return int64(len(s.CellKeys()))
 	}
@@ -334,6 +364,10 @@ func (s *Spec) Total() int64 {
 // scenario-axis grids are scenarios × seeds (cells there are only an
 // aggregation bound, not a factor of the job count).
 func (s *Spec) Grid() string {
+	if s.exps != nil {
+		return fmt.Sprintf("%d experiments × %d seeds = %d jobs",
+			len(s.exps), s.Seeds.Count, s.Total())
+	}
 	if s.scn != nil {
 		return fmt.Sprintf("%d scenarios × %d seeds = %d jobs",
 			s.scn.Count, s.Seeds.Count, s.Total())
@@ -345,7 +379,11 @@ func (s *Spec) Grid() string {
 // CellKeys returns every cell key in canonical (spec axis) order.
 func (s *Spec) CellKeys() []string {
 	var out []string
-	if s.scn != nil {
+	if s.exps != nil {
+		for _, e := range s.exps {
+			out = append(out, cellKey(e.ID, string(e.Kind), DensityExperiment))
+		}
+	} else if s.scn != nil {
 		for _, imp := range s.scn.ImpairmentMix() {
 			for _, dev := range s.scn.DeviceMix() {
 				out = append(out, cellKey(imp.Name, dev.Name, DensityScenario))
@@ -370,8 +408,11 @@ func cellKey(imp, dev, dens string) string {
 	return imp + "/" + dev + "/" + dens
 }
 
-// Job is one grid point: a fully determined simulated call. Jobs are
-// derived on demand from their index — the stream is never materialized.
+// Job is one grid point: a fully determined simulated call, or one
+// registered experiment at one seed. Jobs are derived on demand from their
+// index — the stream is never materialized. Impairment, Device and Density
+// name the job's cell; an experiment job's cell is its id, its kind and
+// DensityExperiment.
 type Job struct {
 	Index      int64
 	Impairment string
@@ -382,7 +423,8 @@ type Job struct {
 	// (scenario-axis sweeps only; 0 otherwise).
 	ScenarioIndex int64
 
-	spec *Spec
+	spec       *Spec
+	experiment *exp.Spec // experiments source only
 }
 
 // JobAt computes the grid point at index i (0 ≤ i < Total). The layout is
@@ -392,6 +434,18 @@ type Job struct {
 func (s *Spec) JobAt(i int64) (Job, error) {
 	if i < 0 || i >= s.Total() {
 		return Job{}, fmt.Errorf("sweep: job index %d out of range [0,%d)", i, s.Total())
+	}
+	if s.exps != nil {
+		e := &s.exps[i/s.Seeds.Count]
+		return Job{
+			Index:      i,
+			Impairment: e.ID,
+			Device:     string(e.Kind),
+			Density:    DensityExperiment,
+			Seed:       s.Seeds.Start + i%s.Seeds.Count,
+			spec:       s,
+			experiment: e,
+		}, nil
 	}
 	if s.scn != nil {
 		seedIdx := i % s.Seeds.Count
@@ -431,8 +485,12 @@ func (j Job) CellKey() string { return cellKey(j.Impairment, j.Device, j.Density
 // Key returns the job's content address. It hashes only the physics of the
 // call — impairment, device, density severity, profile, duration, seed —
 // never the spec name or axis layout, so overlapping grids from different
-// specs share cache entries.
+// specs share cache entries. An experiment job's key covers its id, seed
+// and effective corpus size.
 func (j Job) Key() string {
+	if j.experiment != nil {
+		return j.experimentKey()
+	}
 	if j.spec.scn != nil {
 		// The scenario spec hash covers the whole generated space, so
 		// (hash, index, seed) is the complete physics of the call.

@@ -21,14 +21,8 @@ type WorkerOptions struct {
 	Parallel int
 	// Batch is the max jobs requested per lease (0 = coordinator's cap).
 	Batch int64
-	// Poll is the wait-state poll interval (default 100 ms).
-	Poll time.Duration
 	// Progress, when non-nil, receives one line per completed lease.
 	Progress io.Writer
-	// MaxErrors aborts the worker after this many consecutive transport
-	// failures (default 10) — a vanished coordinator should kill the
-	// worker, not spin it.
-	MaxErrors int
 
 	// Obs, when non-nil, receives this worker's side of the lease
 	// lifecycle as fleet-trace-v1 events (src=worker). Purely
@@ -47,6 +41,13 @@ type WorkerOptions struct {
 	// or firing mid-sweep. Purely observational.
 	SLO *slo.Engine
 }
+
+// workerPoll is the wait-state poll interval.
+const workerPoll = 100 * time.Millisecond
+
+// maxTransportErrors aborts a worker after this many consecutive transport
+// failures — a vanished coordinator should kill the worker, not spin it.
+const maxTransportErrors = 10
 
 // workerMeter accumulates the metric snapshot a worker piggybacks on
 // heartbeats: lifetime job-outcome counters and the per-job elapsed
@@ -121,12 +122,6 @@ func RunWorker(transport Transport, runner *Runner, opts WorkerOptions) (WorkerS
 	if opts.Parallel <= 0 {
 		opts.Parallel = runtime.NumCPU()
 	}
-	if opts.Poll <= 0 {
-		opts.Poll = 100 * time.Millisecond
-	}
-	if opts.MaxErrors <= 0 {
-		opts.MaxErrors = 10
-	}
 	spec, err := transport.FetchSpec()
 	if err != nil {
 		return stats, fmt.Errorf("sweep: fetch spec: %w", err)
@@ -139,10 +134,10 @@ func RunWorker(transport Transport, runner *Runner, opts WorkerOptions) (WorkerS
 		grant, err := transport.Lease(opts.Name, opts.Batch)
 		if err != nil {
 			errs++
-			if errs >= opts.MaxErrors {
+			if errs >= maxTransportErrors {
 				return stats, fmt.Errorf("sweep: lease: %w (%d consecutive failures)", err, errs)
 			}
-			time.Sleep(opts.Poll)
+			time.Sleep(workerPoll)
 			continue
 		}
 		errs = 0
@@ -150,7 +145,7 @@ func RunWorker(transport Transport, runner *Runner, opts WorkerOptions) (WorkerS
 		case grant.Done:
 			return stats, nil
 		case grant.Wait:
-			time.Sleep(opts.Poll)
+			time.Sleep(workerPoll)
 			continue
 		}
 		ft.Grant(opts.Name, leaseSeq(grant.LeaseID), grant.From, grant.To,
@@ -164,7 +159,7 @@ func RunWorker(transport Transport, runner *Runner, opts WorkerOptions) (WorkerS
 			// re-leases at TTL expiry (possibly back to this worker, where
 			// the cache makes the re-run cheap).
 			errs++
-			if errs >= opts.MaxErrors {
+			if errs >= maxTransportErrors {
 				return stats, fmt.Errorf("sweep: complete: %w (%d consecutive failures)", err, errs)
 			}
 			continue
@@ -189,8 +184,9 @@ func RunWorker(transport Transport, runner *Runner, opts WorkerOptions) (WorkerS
 			if resp.Ignored {
 				tag = "  (expired, discarded)"
 			}
-			fmt.Fprintf(opts.Progress, "%s: lease %s jobs [%d,%d) in %s — %d executed, %d cached, %d failed%s\n",
-				opts.Name, grant.LeaseID, grant.From, grant.To, leaseElapsed.Round(time.Millisecond),
+			first, _ := spec.JobAt(grant.From)
+			fmt.Fprintf(opts.Progress, "%s: lease %s %s jobs [%d,%d) in %s — %d executed, %d cached, %d failed%s\n",
+				opts.Name, grant.LeaseID, first.Name(), grant.From, grant.To, leaseElapsed.Round(time.Millisecond),
 				report.Executed, report.Cached, report.Failed, tag)
 		}
 		if resp.Done {
@@ -278,6 +274,9 @@ func runLease(transport Transport, runner *Runner, spec *Spec, grant LeaseRespon
 					}
 				} else {
 					agg.Observe(job.CellKey(), m)
+					if m.Result != nil {
+						agg.ObserveResult(job.Key(), m.Result)
+					}
 					if cached {
 						req.Cached++
 					} else {
