@@ -5,10 +5,12 @@
 package exp
 
 import (
+	"runtime"
+	"sync"
+
 	"repro/internal/sim/rng"
 
 	"repro/internal/core"
-	"repro/internal/par"
 	"repro/internal/traffic"
 )
 
@@ -92,10 +94,29 @@ func ImpairmentCorpus(imp core.Impairment, n int, seed int64, profile traffic.Pr
 	return out
 }
 
-// parallelMap runs f over every scenario using all CPUs; results keep
-// input order. Each call owns its own simulator, so this is safe.
-func parallelMap[T any](scenarios []core.Scenario, f func(core.Scenario) T) []T {
-	return par.Map(scenarios, f)
+// parallelMap runs f over every item on up to runtime.NumCPU() goroutines
+// and returns the results in input order: out[i] = f(items[i]). An empty
+// input starts no goroutine. f must be safe to call concurrently; a
+// simulated call owns its own simulator, so every corpus runner's is.
+func parallelMap[I, O any](items []I, f func(I) O) []O {
+	out := make([]O, len(items))
+	next := make(chan int)
+	var wg sync.WaitGroup
+	for w := min(runtime.NumCPU(), len(items)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				out[i] = f(items[i])
+			}
+		}()
+	}
+	for i := range items {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
+	return out
 }
 
 // RunDualCorpus executes two-NIC calls for every scenario in parallel.

@@ -41,16 +41,6 @@ func TestImpairmentCorpusHomogeneous(t *testing.T) {
 	}
 }
 
-func TestParallelMapPreservesOrder(t *testing.T) {
-	scens := BuildCorpus(CorpusWild, 16, 3, traffic.G711)
-	seeds := parallelMap(scens, func(sc core.Scenario) int64 { return sc.Seed })
-	for i, s := range seeds {
-		if s != scens[i].Seed {
-			t.Fatal("parallelMap scrambled results")
-		}
-	}
-}
-
 // TestStrategyOrdering is the headline §4 check: over a mixed corpus,
 // cross-link replication must dominate selection strategies. A corpus of
 // 100 calls keeps the p75 tail stable (tiny corpora can land a microwave

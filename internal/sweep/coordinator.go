@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -136,6 +137,11 @@ type Coordinator struct {
 	recent    [recentLeases]doneLease
 	completes int64
 
+	// wake is closed (and cleared) when a lease completes or a span
+	// re-queues, releasing every Lease call waiting for work; a waiter
+	// creates it, so nothing is allocated while nobody waits.
+	wake chan struct{}
+
 	// Fleet observability plane (all nil-safe no-ops when disabled).
 	ft  *FleetTrace
 	ins coordInstruments
@@ -204,24 +210,42 @@ func (c *Coordinator) Spec() *Spec { return c.spec }
 
 // reap moves expired leases back onto the requeue list. Called under mu
 // from every entry point, so a dead worker's jobs become available the
-// next time any live worker asks for work — no background timer needed.
+// next time any live worker asks for work; a Lease call waiting for work
+// also wakes at the earliest deadline to reap it. There is no background
+// timer.
+func (c *Coordinator) reap(now time.Time) {
+	for _, l := range c.active {
+		if now.After(l.deadline) {
+			c.requeue(l, "ttl")
+		}
+	}
+}
+
+// requeue ends lease l without a result, under mu: its span goes back on
+// the requeue list, ahead of fresh work, and waiting Lease calls wake to
+// take it.
 //
-// Expiry is also the coordinator-side postmortem trigger: a SIGKILL'd
+// This is also the coordinator-side postmortem trigger: a SIGKILL'd
 // worker cannot dump its own flight ring, so the coordinator dumps its
 // ring (the lease lifecycle as this side saw it) when a lease dies.
-func (c *Coordinator) reap(now time.Time) {
-	for id, l := range c.active {
-		if now.After(l.deadline) {
-			delete(c.active, id)
-			c.requeued = append(c.requeued, l.span)
-			c.releases++
-			if w := c.workers[l.worker]; w != nil && w.leases > 0 {
-				w.leases--
-			}
-			c.ins.leasesExpired.Inc()
-			c.ft.Expire(l.worker, leaseSeq(id), l.span.From, l.span.To, "ttl")
-			c.dumpFlight("expire-" + l.worker + "-" + id)
-		}
+func (c *Coordinator) requeue(l *lease, reason string) {
+	delete(c.active, l.id)
+	c.requeued = append(c.requeued, l.span)
+	c.releases++
+	if w := c.workers[l.worker]; w != nil && w.leases > 0 {
+		w.leases--
+	}
+	c.ins.leasesExpired.Inc()
+	c.ft.Expire(l.worker, leaseSeq(l.id), l.span.From, l.span.To, reason)
+	c.dumpFlight("expire-" + l.worker + "-" + l.id)
+	c.wakeWaiters()
+}
+
+// wakeWaiters releases every Lease call waiting for work. Called under mu.
+func (c *Coordinator) wakeWaiters() {
+	if c.wake != nil {
+		close(c.wake)
+		c.wake = nil
 	}
 }
 
@@ -245,16 +269,69 @@ func (c *Coordinator) worker(name string, now time.Time) *workerInfo {
 	return w
 }
 
+// maxLeaseWait caps how long one Lease call waits for work; the bound per
+// call is min(TTL, maxLeaseWait). It must stay under the HTTP client's
+// 30 s timeout (NewHTTPTransport). Capping it at the TTL keeps a waiting
+// worker's lastSeen, which each call and each wake-up refreshes, inside
+// the fleet view's aliveWindow of 3 TTLs: under -ttl 2s a flat 10 s wait
+// would show the worker as dead.
+const maxLeaseWait = 10 * time.Second
+
 // Lease grants the next available span to a worker. The response is one of
-// Done (sweep complete — worker should exit), Wait (no work available but
-// leases are outstanding — poll again), or a grant.
+// Done (sweep complete — worker should exit), a grant, or Wait: every span
+// stayed leased out for the whole bounded wait (see lease), so the worker
+// should ask again.
 func (c *Coordinator) Lease(workerName string, max int64) LeaseResponse {
+	resp, _ := c.lease(context.Background(), workerName, max)
+	return resp
+}
+
+// lease is Lease for a caller that can go away. When nothing is free it
+// waits, holding no lock, until a lease completes or a span re-queues, the
+// earliest active lease reaches its deadline, min(TTL, maxLeaseWait) has
+// passed, or ctx ends; then it reaps and tries again. A caller whose ctx
+// ended gets ctx.Err() and no span, so an HTTP client that hung up mid-wait
+// never strands a span until its TTL.
+func (c *Coordinator) lease(ctx context.Context, workerName string, max int64) (LeaseResponse, error) {
 	if max <= 0 || max > c.opts.Batch {
 		max = c.opts.Batch
 	}
-	now := time.Now()
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	giveUp := time.Now().Add(min(c.opts.TTL, maxLeaseWait))
+	for {
+		c.mu.Lock()
+		now := time.Now()
+		resp := c.grant(workerName, max, now)
+		if !resp.Wait || !now.Before(giveUp) {
+			c.mu.Unlock()
+			return resp, nil
+		}
+		if c.wake == nil {
+			c.wake = make(chan struct{})
+		}
+		wake, until := c.wake, giveUp
+		for _, l := range c.active {
+			if l.deadline.Before(until) {
+				until = l.deadline
+			}
+		}
+		c.mu.Unlock()
+
+		timer := time.NewTimer(until.Sub(now))
+		select {
+		case <-wake:
+		case <-timer.C:
+		case <-ctx.Done():
+		}
+		timer.Stop()
+		if err := ctx.Err(); err != nil {
+			return LeaseResponse{}, err
+		}
+	}
+}
+
+// grant answers workerName's lease request without waiting, under mu:
+// Done, the next available span, or Wait when every span is leased out.
+func (c *Coordinator) grant(workerName string, max int64, now time.Time) LeaseResponse {
 	c.reap(now)
 	w := c.worker(workerName, now)
 	if c.done >= c.total {
@@ -336,8 +413,9 @@ func (c *Coordinator) Heartbeat(req HeartbeatRequest) HeartbeatResponse {
 // aggregate. A report for an expired (re-queued) lease is ignored — its
 // span has been or will be re-run by another worker, and counting it twice
 // would break the sharded-equals-single-process determinism contract. A
-// report whose aggregate cannot merge is rejected whole, before it changes
-// anything; its lease re-queues at TTL.
+// report whose job counts or aggregate do not cover its span is refused
+// and the span re-queued at once. A report whose aggregate cannot merge is
+// rejected whole, before it changes anything; its lease re-queues at TTL.
 func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 	if req.Schema != ProtoSchema {
 		// Version negotiation is a flat refusal: merging a different
@@ -358,26 +436,26 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 		c.ft.RejectStale(req.Worker, leaseSeq(req.LeaseID))
 		return CompleteResponse{Ignored: true}, nil
 	}
+	// A worker that cannot account for its whole span, in its counts and
+	// in its aggregate alike, gets its lease re-queued rather than
+	// corrupting the aggregate or ending the sweep on an empty one.
+	var refusal error
 	reported := req.Executed + req.Cached + req.Failed
-	if reported != l.span.size() {
-		// A worker that cannot account for its whole span gets its lease
-		// re-queued rather than corrupting the aggregate.
-		delete(c.active, l.id)
-		c.requeued = append(c.requeued, l.span)
-		c.releases++
-		if w.leases > 0 {
-			w.leases--
-		}
-		c.ins.leasesExpired.Inc()
-		c.ft.Expire(l.worker, leaseSeq(l.id), l.span.From, l.span.To, "mismatch")
-		c.dumpFlight("expire-" + l.worker + "-" + l.id)
-		return CompleteResponse{Ignored: true},
-			fmt.Errorf("sweep: lease %s reports %d jobs for a %d-job span", l.id, reported, l.span.size())
+	switch {
+	case reported != l.span.size():
+		refusal = fmt.Errorf("sweep: lease %s reports %d jobs for a %d-job span", l.id, reported, l.span.size())
+	case req.Agg == nil:
+		refusal = fmt.Errorf("sweep: lease %s reports no aggregate for its %d-job span", l.id, l.span.size())
+	case req.Agg.Jobs() != reported:
+		refusal = fmt.Errorf("sweep: lease %s aggregate counts %d jobs for a %d-job span",
+			l.id, req.Agg.Jobs(), l.span.size())
 	}
-	if req.Agg != nil {
-		if err := c.agg.Merge(req.Agg); err != nil {
-			return CompleteResponse{}, err
-		}
+	if refusal != nil {
+		c.requeue(l, "mismatch")
+		return CompleteResponse{Ignored: true}, refusal
+	}
+	if err := c.agg.Merge(req.Agg); err != nil {
+		return CompleteResponse{}, err
 	}
 	delete(c.active, l.id)
 	if w.leases > 0 {
@@ -406,6 +484,7 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 	c.ins.jobsDone.Add(l.span.size())
 	c.ft.Complete(req.Worker, leaseSeq(l.id), l.span.From, l.span.To,
 		req.Executed, req.Cached, req.Failed)
+	c.wakeWaiters()
 	if c.done >= c.total {
 		c.finOnce.Do(func() { close(c.finished) })
 		// Tell the finishing worker directly: a follow-up Lease call would

@@ -139,24 +139,51 @@ func TestDeadWorkerRelease(t *testing.T) {
 }
 
 // TestIncompleteReportRequeued: a Complete that cannot account for its
-// whole span is rejected and the span re-leased.
+// whole span, in its job counts or in its aggregate (missing, or counting
+// one job too many), is rejected before it merges and the span re-leased.
+// Accepting the missing aggregate would end a sweep on an empty artifact.
 func TestIncompleteReportRequeued(t *testing.T) {
 	s := synthSpec(t, `{"name":"short","seeds":{"count":10},
 		"impairments":["none"],"device_classes":["pc"],"ap_densities":["typical"]}`)
 	c := NewCoordinator(s, CoordinatorOptions{Batch: 10})
-	grant := c.Lease("w", 10)
-	resp, err := c.Complete(CompleteRequest{Schema: ProtoSchema, Worker: "w", LeaseID: grant.LeaseID,
-		Executed: 3, Agg: NewAggregate()}) // claims 3 of a 10-job span
-	if err == nil {
-		t.Fatal("short report accepted")
-	}
-	if !resp.Ignored {
-		t.Error("short report not ignored")
+	before := c.Summary().Fingerprint
+	whole := LeaseResponse{From: 0, To: 10}
+	extra := spanReport(t, s, "w", whole).Agg
+	j, _ := s.JobAt(0)
+	extra.Observe(j.CellKey(), synthMetrics(j))
+	for _, r := range []struct {
+		name     string
+		executed int64
+		agg      *Aggregate
+	}{
+		{"claims 3 of a 10-job span", 3, NewAggregate()},
+		{"no aggregate", 10, nil},
+		{"aggregate of 11 jobs", 10, extra},
+	} {
+		grant := c.Lease("w", 10)
+		if grant.From != whole.From || grant.To != whole.To {
+			t.Fatalf("before the %q report: got [%d,%d), want [%d,%d) (re-)leased",
+				r.name, grant.From, grant.To, whole.From, whole.To)
+		}
+		resp, err := c.Complete(CompleteRequest{Schema: ProtoSchema, Worker: "w", LeaseID: grant.LeaseID,
+			Executed: r.executed, Agg: r.agg})
+		if err == nil {
+			t.Fatalf("%s: report accepted", r.name)
+		}
+		if !resp.Ignored {
+			t.Errorf("%s: report not ignored", r.name)
+		}
+		if got := c.Summary().Fingerprint; got != before {
+			t.Errorf("%s: the refused report changed the fingerprint: %s, want %s", r.name, got, before)
+		}
+		if c.Snapshot().Done != 0 {
+			t.Errorf("%s: the refused report's jobs were counted", r.name)
+		}
 	}
 	regrant := c.Lease("w2", 10)
-	if regrant.From != grant.From || regrant.To != grant.To {
+	if regrant.From != whole.From || regrant.To != whole.To {
 		t.Errorf("span not re-leased: got [%d,%d), want [%d,%d)",
-			regrant.From, regrant.To, grant.From, grant.To)
+			regrant.From, regrant.To, whole.From, whole.To)
 	}
 }
 

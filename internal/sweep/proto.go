@@ -2,9 +2,12 @@ package sweep
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"strings"
 	"time"
 
 	"repro/internal/sketch"
@@ -37,6 +40,8 @@ type LeaseRequest struct {
 }
 
 // LeaseResponse grants a job span, asks the worker to wait, or ends it.
+// The coordinator answers Wait only after waiting min(TTL, 10 s) itself
+// with every span leased out.
 type LeaseResponse struct {
 	Schema  string `json:"schema"`
 	Done    bool   `json:"done,omitempty"`
@@ -141,7 +146,7 @@ type routeMounter interface {
 // server (internal/obs/expose):
 //
 //	GET  /sweep/spec       — the spec workers should run
-//	POST /sweep/lease      — pull a job span
+//	POST /sweep/lease      — pull a job span (waits while all are leased)
 //	POST /sweep/heartbeat  — keep a lease alive
 //	POST /sweep/complete   — report a finished span's sketches
 //	GET  /sweep/summary    — current merged summary (partial mid-run)
@@ -151,16 +156,16 @@ func (c *Coordinator) Routes(srv routeMounter) {
 	srv.Handle("/sweep/spec", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		serveJSON(w, SpecResponse{Schema: ProtoSchema, Hash: c.spec.Hash(), Spec: c.spec})
 	}))
-	srv.Handle("/sweep/lease", postHandler(func(req LeaseRequest) (LeaseResponse, error) {
+	srv.Handle("/sweep/lease", postHandler(func(ctx context.Context, req LeaseRequest) (LeaseResponse, error) {
 		if req.Worker == "" {
 			return LeaseResponse{}, fmt.Errorf("lease request needs a worker name")
 		}
-		return c.Lease(req.Worker, req.Max), nil
+		return c.lease(ctx, req.Worker, req.Max)
 	}))
-	srv.Handle("/sweep/heartbeat", postHandler(func(req HeartbeatRequest) (HeartbeatResponse, error) {
+	srv.Handle("/sweep/heartbeat", postHandler(func(_ context.Context, req HeartbeatRequest) (HeartbeatResponse, error) {
 		return c.Heartbeat(req), nil
 	}))
-	srv.Handle("/sweep/complete", postHandler(func(req CompleteRequest) (CompleteResponse, error) {
+	srv.Handle("/sweep/complete", postHandler(func(_ context.Context, req CompleteRequest) (CompleteResponse, error) {
 		return c.Complete(req)
 	}))
 	srv.Handle("/sweep/summary", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -172,7 +177,8 @@ func (c *Coordinator) Routes(srv routeMounter) {
 }
 
 // postHandler adapts a typed request/response function to an HTTP route.
-func postHandler[Req, Resp any](fn func(Req) (Resp, error)) http.Handler {
+// fn gets the request's context, which ends when the client goes away.
+func postHandler[Req, Resp any](fn func(context.Context, Req) (Resp, error)) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -183,7 +189,7 @@ func postHandler[Req, Resp any](fn func(Req) (Resp, error)) http.Handler {
 			http.Error(w, "decode: "+err.Error(), http.StatusBadRequest)
 			return
 		}
-		resp, err := fn(req)
+		resp, err := fn(r.Context(), req)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
@@ -253,7 +259,7 @@ func (t *HTTPTransport) FetchSpec() (*Spec, error) {
 	}
 	defer res.Body.Close()
 	if res.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET /sweep/spec: %s", res.Status)
+		return nil, statusError("GET /sweep/spec", res)
 	}
 	var sr SpecResponse
 	if err := json.NewDecoder(res.Body).Decode(&sr); err != nil {
@@ -307,7 +313,21 @@ func (t *HTTPTransport) post(path string, req, resp any) error {
 	}
 	defer res.Body.Close()
 	if res.StatusCode != http.StatusOK {
-		return fmt.Errorf("POST %s: %s", path, res.Status)
+		return statusError("POST "+path, res)
 	}
 	return json.NewDecoder(res.Body).Decode(resp)
+}
+
+// maxErrorBody caps how much of a refusal's body an error quotes.
+const maxErrorBody = 512
+
+// statusError describes a non-200 answer with the reason the coordinator
+// wrote in its body, so a remote worker sees the refusal an in-process one
+// would get as an error.
+func statusError(op string, res *http.Response) error {
+	body, _ := io.ReadAll(io.LimitReader(res.Body, maxErrorBody)) // a short read still names the status
+	if msg := strings.TrimSpace(string(body)); msg != "" {
+		return fmt.Errorf("%s: %s: %s", op, res.Status, msg)
+	}
+	return fmt.Errorf("%s: %s", op, res.Status)
 }

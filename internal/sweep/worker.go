@@ -42,7 +42,10 @@ type WorkerOptions struct {
 	SLO *slo.Engine
 }
 
-// workerPoll is the wait-state poll interval.
+// workerPoll is the pause after a failed transport call or a Wait answer.
+// A coordinator answers Wait only after waiting min(TTL, 10 s) itself, so
+// the pause adds little there; it keeps a worker from spinning against a
+// sweep-proto-v4 coordinator that answers Wait at once.
 const workerPoll = 100 * time.Millisecond
 
 // maxTransportErrors aborts a worker after this many consecutive transport
