@@ -112,7 +112,7 @@ type fleet struct {
 func (f fleet) run(spec *sweep.Spec, sess *obsflag.Session) (*sweep.Summary, error) {
 	coord := sweep.NewCoordinator(spec, sweep.CoordinatorOptions{
 		Batch: f.batch, TTL: f.ttl,
-		Obs: sess.Reg, Flight: sess.Flight(), FlightDir: sess.FlightDir(),
+		Obs: sess.Reg, Flight: sess.Flight(),
 		SLO: sess.SLO().RuleSet(),
 	})
 	if srv := sess.HTTP(); srv != nil {
@@ -121,8 +121,7 @@ func (f fleet) run(spec *sweep.Spec, sess *obsflag.Session) (*sweep.Summary, err
 	if f.progress != nil {
 		fmt.Fprintf(f.progress, "sweep %q: %s (spec %s)\n", spec.Name, spec.Grid(), spec.Hash())
 	}
-	runner := &sweep.Runner{Cache: f.cache, Timeout: f.timeout,
-		Flight: sess.Flight(), FlightDir: sess.FlightDir()}
+	runner := &sweep.Runner{Cache: f.cache, Timeout: f.timeout, Flight: sess.Flight()}
 	var wg sync.WaitGroup
 	errs := make([]error, f.local)
 	for w := 0; w < f.local; w++ {
@@ -336,11 +335,9 @@ func runWorkerCmd(args []string, stdout, stderr io.Writer) int {
 		progress = stderr
 	}
 	stats, err := sweep.RunWorker(sweep.NewHTTPTransport(*connect),
-		&sweep.Runner{Cache: cache,
-			Flight: sess.Flight(), FlightDir: sess.FlightDir()},
+		&sweep.Runner{Cache: cache, Flight: sess.Flight()},
 		sweep.WorkerOptions{Name: *name, Parallel: *parallel, Batch: *batch, Progress: progress,
-			Obs: sess.Reg, Flight: sess.Flight(), FlightDir: sess.FlightDir(),
-			SLO: sess.SLO()})
+			Obs: sess.Reg, Flight: sess.Flight(), SLO: sess.SLO()})
 	if err != nil {
 		fmt.Fprintln(stderr, "campaign:", err)
 		return 1

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"repro/internal/sim/rng"
 
+	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -48,7 +49,7 @@ func main() {
 		result.Client.Recovered, result.Client.LossesDetected)
 	fmt.Printf("switching links %d times and wasting only %.2f%% of transmissions.\n",
 		result.Client.RecoverySwitches, 100*result.WastefulRate)
-	fmt.Printf("Mean recovery delay: %s.\n", meanDelay(result.RecoveryDelays))
+	fmt.Printf("Mean recovery delay: %s.\n", meanDelay(result.Recoveries))
 }
 
 func yesNo(b bool) string {
@@ -58,13 +59,13 @@ func yesNo(b bool) string {
 	return "no"
 }
 
-func meanDelay(ds []sim.Duration) string {
-	if len(ds) == 0 {
+func meanDelay(evs []client.RecoveryEvent) string {
+	if len(evs) == 0 {
 		return "n/a"
 	}
 	var sum sim.Duration
-	for _, d := range ds {
-		sum += d
+	for _, ev := range evs {
+		sum += ev.Total
 	}
-	return fmt.Sprintf("%.1f ms", float64(sum)/float64(len(ds))/1000)
+	return fmt.Sprintf("%.1f ms", float64(sum)/float64(len(evs))/1000)
 }

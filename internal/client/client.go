@@ -141,7 +141,6 @@ type Client struct {
 	visitStart     sim.Time
 	visitTrigger   int // seq whose loss initiated the visit; -1 for keepalives
 	visitDelivered bool
-	recoveryDelays []sim.Duration
 	recoveryEvents []RecoveryEvent
 
 	// futile-visit backoff: when the secondary keeps yielding nothing,
@@ -168,13 +167,6 @@ type Client struct {
 	hRecDelay   *obs.Histogram
 }
 
-// RecoveryDelays returns, for each loss-triggered secondary visit that
-// yielded at least one packet, the delay from switch initiation to the
-// first secondary delivery (Table 3's "total" column).
-func (c *Client) RecoveryDelays() []sim.Duration {
-	return append([]sim.Duration(nil), c.recoveryDelays...)
-}
-
 // RecoveryEvent decomposes one successful loss-triggered recovery into the
 // paper's Table 3 components, mirroring the trace analyzer's episode
 // semantics (internal/obs/analyze):
@@ -185,7 +177,7 @@ func (c *Client) RecoveryDelays() []sim.Duration {
 //   - Switch: the fixed link-move cost (PSM sleep signal + channel retune).
 //   - Retrieve: arrival on the secondary → first useful delivery.
 //   - Total: switch initiation → first useful delivery (= Switch +
-//     Retrieve, the exact value RecoveryDelays reports).
+//     Retrieve; Table 3's "total" column).
 type RecoveryEvent struct {
 	Detect   sim.Duration
 	Switch   sim.Duration
@@ -194,7 +186,8 @@ type RecoveryEvent struct {
 }
 
 // RecoveryEvents returns the per-recovery delay decomposition, one entry
-// per RecoveryDelays element and in the same order.
+// for each loss-triggered secondary visit that yielded at least one
+// packet, in order.
 func (c *Client) RecoveryEvents() []RecoveryEvent {
 	return append([]RecoveryEvent(nil), c.recoveryEvents...)
 }
@@ -263,11 +256,12 @@ func (c *Client) Absences() []Interval {
 	return out
 }
 
-// AbsentDuring returns the total time within [from, to) that the NIC was
-// away from the primary channel.
-func (c *Client) AbsentDuring(from, to sim.Time) sim.Duration {
+// AbsentDuring returns the total time within [from, to) that the
+// intervals ivs cover: with a client's Absences, the time the NIC was away
+// from the primary channel.
+func AbsentDuring(ivs []Interval, from, to sim.Time) sim.Duration {
 	var total sim.Duration
-	for _, iv := range c.Absences() {
+	for _, iv := range ivs {
 		lo, hi := iv.From, iv.To
 		if lo < from {
 			lo = from
@@ -361,7 +355,6 @@ func (c *Client) OnDelivery(from *ap.AP, p pkt.Packet, at sim.Time) {
 			if !c.visitDelivered {
 				c.visitDelivered = true
 				total := at.Sub(c.visitStart)
-				c.recoveryDelays = append(c.recoveryDelays, total)
 				c.hRecDelay.Observe(int64(total))
 				ev := RecoveryEvent{Switch: switchCost(), Total: total}
 				ev.Retrieve = total - ev.Switch

@@ -185,16 +185,16 @@ func TestRunDiversiFiMiddleboxMode(t *testing.T) {
 	if dLoss > 0.02 {
 		t.Errorf("middlebox-mode residual loss = %v", dLoss)
 	}
-	if len(r.RecoveryDelays) == 0 {
+	if len(r.Recoveries) == 0 {
 		t.Fatal("no recovery delays measured")
 	}
 	// Middlebox recoveries include the request round trip: slower than
 	// the bare switch cost, still well under the 100 ms deadline.
-	for _, d := range r.RecoveryDelays {
-		if d > 100*sim.Millisecond {
+	for _, ev := range r.Recoveries {
+		if d := ev.Total; d > 100*sim.Millisecond {
 			t.Errorf("recovery delay %v exceeds deadline", d)
 		}
-		if d < 2800*sim.Microsecond {
+		if d := ev.Total; d < 2800*sim.Microsecond {
 			t.Errorf("recovery delay %v below the physical switch cost", d)
 		}
 	}
@@ -203,8 +203,8 @@ func TestRunDiversiFiMiddleboxMode(t *testing.T) {
 	// ModeMiddlebox, so this is tier-1's only exact check of the
 	// simulated middlebox's buffering, selection and timing.
 	var delaySum sim.Duration
-	for _, d := range r.RecoveryDelays {
-		delaySum += d
+	for _, ev := range r.Recoveries {
+		delaySum += ev.Total
 	}
 	lost := 0
 	for _, l := range r.Trace.LostWithDeadline(traffic.G711.Deadline) {
@@ -212,7 +212,7 @@ func TestRunDiversiFiMiddleboxMode(t *testing.T) {
 			lost++
 		}
 	}
-	got := [...]int{r.Client.Recovered, len(r.RecoveryDelays), int(delaySum / sim.Microsecond),
+	got := [...]int{r.Client.Recovered, len(r.Recoveries), int(delaySum / sim.Microsecond),
 		r.Client.DuplicatesReceived, lost, r.Secondary.Transmitted, r.Secondary.WastedTransmissions}
 	want := [...]int{67, 33, 156658, 45, 2, 131, 15}
 	if got != want {
@@ -240,11 +240,11 @@ func TestRecoveryDelaysPlausible(t *testing.T) {
 	sc := ControlledScenario(14, traffic.G711, 60*sim.Second, 0, 0).
 		WithFading(true, 1500*sim.Millisecond, 30*sim.Millisecond, 60)
 	r := RunDiversiFi(sc, DiversiFiOptions{Mode: ModeCustomAP})
-	if len(r.RecoveryDelays) == 0 {
+	if len(r.Recoveries) == 0 {
 		t.Skip("no recoveries this seed")
 	}
-	for _, d := range r.RecoveryDelays {
-		if d < 2800*sim.Microsecond || d > 50*sim.Millisecond {
+	for _, ev := range r.Recoveries {
+		if d := ev.Total; d < 2800*sim.Microsecond || d > 50*sim.Millisecond {
 			t.Errorf("AP recovery delay %v outside plausible range", d)
 		}
 	}
@@ -271,7 +271,8 @@ func TestScenarioAccessors(t *testing.T) {
 	if sc.PacketCount() != 6000 {
 		t.Errorf("2-minute G.711 call = %d packets", sc.PacketCount())
 	}
-	hs := sc.WithProfile(traffic.HighRate)
+	hs := sc
+	hs.Profile = traffic.HighRate
 	if hs.PacketCount() != 75000 {
 		t.Errorf("2-minute 5 Mbps call = %d packets", hs.PacketCount())
 	}

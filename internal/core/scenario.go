@@ -271,13 +271,6 @@ func (sc Scenario) WithMIMO(order int) Scenario {
 	return sc
 }
 
-// WithProfile returns a copy of the scenario carrying a different stream
-// profile (Figure 2e's 5 Mbps workload).
-func (sc Scenario) WithProfile(p traffic.Profile) Scenario {
-	sc.Profile = p
-	return sc
-}
-
 // WithDuration returns a copy with a different call length.
 func (sc Scenario) WithDuration(d sim.Duration) Scenario {
 	sc.Duration = d

@@ -162,10 +162,9 @@ type DiversiFiResult struct {
 	Primary          ap.Stats
 	Secondary        ap.Stats
 	PrimaryIsA       bool
-	// RecoveryDelays holds switch-to-first-secondary-packet delays.
-	RecoveryDelays []sim.Duration
-	// Recoveries decomposes each RecoveryDelays entry into the paper's
-	// detect / switch / retrieve components (same order).
+	// Recoveries holds one entry per loss-triggered recovery: its
+	// switch-to-first-secondary-packet delay (Total) and the paper's
+	// detect / switch / retrieve components.
 	Recoveries []client.RecoveryEvent
 	// WastefulRate is unnecessary secondary transmissions (client already
 	// had the packet, or nobody was listening) over total stream packets.
@@ -323,7 +322,6 @@ func RunDiversiFi(sc Scenario, opts DiversiFiOptions) DiversiFiResult {
 		Primary:          primAP.Stats(),
 		Secondary:        secAP.Stats(),
 		PrimaryIsA:       primaryIsA,
-		RecoveryDelays:   c.RecoveryDelays(),
 		Recoveries:       c.RecoveryEvents(),
 		Absences:         c.Absences(),
 	}
@@ -388,22 +386,7 @@ func TCPCoexistence(sc Scenario) (withKbps, withoutKbps, absentFrac float64) {
 	from, to := sim.Time(0), sim.Time(sc.Duration)
 	cfg := traffic.DefaultTCPConfig()
 
-	absent := func(a, b sim.Time) sim.Duration {
-		var total sim.Duration
-		for _, iv := range res.Absences {
-			lo, hi := iv.From, iv.To
-			if lo < a {
-				lo = a
-			}
-			if hi > b {
-				hi = b
-			}
-			if hi > lo {
-				total += hi.Sub(lo)
-			}
-		}
-		return total
-	}
+	absent := func(a, b sim.Time) sim.Duration { return client.AbsentDuring(res.Absences, a, b) }
 	withKbps = traffic.TCPThroughputKbps(def, from, to, cfg, absent, s.RNG("tcp/with"))
 	withoutKbps = traffic.TCPThroughputKbps(def, from, to, cfg, nil, s.RNG("tcp/without"))
 	absentFrac = float64(absent(from, to)) / float64(to.Sub(from))

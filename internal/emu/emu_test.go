@@ -229,34 +229,6 @@ func TestLinkLoss(t *testing.T) {
 	}
 }
 
-func TestLinkReconfigure(t *testing.T) {
-	sink := newSink(t)
-	link, err := NewLink("127.0.0.1:0", sink.addr(), LinkConfig{Loss: 1.0, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer link.Close()
-	conn, _ := net.Dial("udp", link.Addr())
-	defer conn.Close()
-	for i := 0; i < 20; i++ {
-		fmt.Fprintf(conn, "x%d", i)
-	}
-	if !waitFor(func() bool { return link.Stats().Received == 20 }) {
-		t.Fatalf("forwarder stuck at %+v", link.Stats())
-	}
-	link.SetConfig(LinkConfig{Loss: 0, Seed: 3})
-	for i := 0; i < 20; i++ {
-		fmt.Fprintf(conn, "y%d", i)
-	}
-	got := sink.drain(20, patience)
-	if !waitFor(func() bool { return link.Stats().Received == 40 }) {
-		t.Fatalf("forwarder stuck at %+v", link.Stats())
-	}
-	if st := link.Stats(); len(got) != 20 || st.Forwarded != 20 || st.Dropped != 20 {
-		t.Fatalf("after reconfigure delivered %d (stats %+v), want exactly the 20 post-change packets", len(got), st)
-	}
-}
-
 func TestReplicatorFansOut(t *testing.T) {
 	a, b := newSink(t), newSink(t)
 	rep, err := NewReplicator("127.0.0.1:0", a.addr(), b.addr())

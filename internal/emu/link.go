@@ -90,18 +90,6 @@ func (l *Link) Stats() LinkStats {
 	return l.stats
 }
 
-// SetConfig atomically replaces the loss/delay parameters — used to move a
-// link between good and bad conditions mid-run.
-func (l *Link) SetConfig(cfg LinkConfig) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	seed := cfg.Seed
-	l.cfg = cfg
-	if seed != 0 {
-		l.rng = rng.New(seed)
-	}
-}
-
 // Close stops the link.
 func (l *Link) Close() error {
 	select {

@@ -181,7 +181,9 @@ func Table3(seed int64) *Result {
 			sc := core.ControlledScenario(seed+i, traffic.G711, 2*sim.Minute, 0, 0).
 				WithFading(true, 1500*sim.Millisecond, 30*sim.Millisecond, 60)
 			r := core.RunDiversiFi(sc, core.DiversiFiOptions{Mode: mode})
-			delays = append(delays, r.RecoveryDelays...)
+			for _, ev := range r.Recoveries {
+				delays = append(delays, ev.Total)
+			}
 		}
 		return delays
 	}
@@ -233,7 +235,9 @@ func MiddleboxScaling(seed int64) *Result {
 			sc := core.ControlledScenario(seed+i, traffic.G711, time90s(), 0, 0).
 				WithFading(true, 1500*sim.Millisecond, 30*sim.Millisecond, 60)
 			r := core.RunDiversiFi(sc, core.DiversiFiOptions{Mode: core.ModeMiddlebox, MiddleboxLoad: load})
-			delays = append(delays, r.RecoveryDelays...)
+			for _, ev := range r.Recoveries {
+				delays = append(delays, ev.Total)
+			}
 		}
 		var sum sim.Duration
 		for _, d := range delays {

@@ -153,7 +153,9 @@ func Validate(n int, seed int64) *Result {
 			sc := core.ControlledScenario(seed+i, traffic.G711, sim.Minute, 0, 0).
 				WithFading(true, 1500*sim.Millisecond, 30*sim.Millisecond, 60)
 			r := core.RunDiversiFi(sc, core.DiversiFiOptions{Mode: mode})
-			ds = append(ds, r.RecoveryDelays...)
+			for _, ev := range r.Recoveries {
+				ds = append(ds, ev.Total)
+			}
 		}
 		return mean(ds)
 	}

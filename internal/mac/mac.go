@@ -1,7 +1,8 @@
 // Package mac models the parts of the 802.11 MAC that shape packet delivery
 // for DiversiFi: DCF medium access with binary exponential backoff, the
 // retransmission chain with rate fallback, rate adaptation driven by slow
-// RSSI, power-save (PSM) signalling, and channel-switch timing.
+// RSSI, and the fixed latencies of power-save (PSM) signalling and channel
+// switching.
 //
 // The key property this layer must reproduce is *temporal diversity at the
 // micro scale*: the MAC retries a lost frame within a few milliseconds, so
@@ -218,37 +219,4 @@ func (t *Transmitter) Transmit(now sim.Time, payloadBytes int) TxOutcome {
 			Attempt: RetryLimit, Detail: "retry-limit"})
 	}
 	return TxOutcome{Delivered: false, At: cur, Attempts: RetryLimit, Airtime: totalAir, Rate: rate}
-}
-
-// PSMResult is the outcome of delivering a power-save Null frame.
-type PSMResult struct {
-	Delivered bool
-	At        sim.Time
-	Attempts  int
-}
-
-// SendPSM delivers a Null frame with the Power Management bit to the AP.
-// Null frames are tiny and sent at a robust rate, but they can still be
-// lost; the paper's implementation adds 5 driver-level retries to make the
-// sleep transition reliable (§5.4), which we reproduce: up to 5 chains of
-// MAC retries before giving up.
-func (t *Transmitter) SendPSM(now sim.Time) PSMResult {
-	cur := now
-	attempts := 0
-	for driverTry := 0; driverTry < 5; driverTry++ {
-		cw := CWMin
-		for attempt := 0; attempt < 4; attempt++ {
-			attempts++
-			cur = cur.Add(t.accessDelay(cur, cw))
-			ok := t.Link.Attempt(cur, phy.RateTable[0])
-			cur = cur.Add(sim.Duration(phy.AirtimeUS(0, phy.RateTable[0])))
-			if ok {
-				return PSMResult{Delivered: true, At: cur, Attempts: attempts}
-			}
-			if cw < CWMax {
-				cw *= 2
-			}
-		}
-	}
-	return PSMResult{Delivered: false, At: cur, Attempts: attempts}
 }

@@ -155,33 +155,6 @@ func TestRateAdaptationTracksLinkQuality(t *testing.T) {
 	}
 }
 
-func TestSendPSMGoodLink(t *testing.T) {
-	tx := NewTransmitter(goodLink(11), rng.New(11))
-	res := tx.SendPSM(0)
-	if !res.Delivered {
-		t.Fatal("PSM frame lost on clean link")
-	}
-	if res.Attempts != 1 {
-		t.Errorf("clean-link PSM took %d attempts", res.Attempts)
-	}
-	if res.At <= 0 || res.At > sim.Time(sim.Millisecond) {
-		t.Errorf("PSM latency %v out of range", res.At)
-	}
-}
-
-func TestSendPSMRetriesOnBadLink(t *testing.T) {
-	tx := NewTransmitter(awfulLink(12), rng.New(12))
-	res := tx.SendPSM(0)
-	if res.Attempts <= 1 {
-		t.Errorf("bad-link PSM used %d attempts, expected retries", res.Attempts)
-	}
-	// Whether it ultimately delivers is stochastic; the retry budget is
-	// capped at 5 driver tries × 4 MAC attempts.
-	if res.Attempts > 20 {
-		t.Errorf("PSM exceeded retry budget: %d attempts", res.Attempts)
-	}
-}
-
 func TestSwitchConstantsMatchPaper(t *testing.T) {
 	// Table 3: 2.3 ms switch + 0.5 ms PSM signalling = 2.8 ms total.
 	if ChannelSwitchLatency != 2300*sim.Microsecond {

@@ -242,47 +242,3 @@ func TestMiddleboxUnknownStream(t *testing.T) {
 		t.Error("nil output port should be rejected")
 	}
 }
-
-func TestRelayOverload(t *testing.T) {
-	s := sim.New(10)
-	r := NewRelay(s, "r1", 10, sim.Millisecond)
-	if r.LossProb() != 0 {
-		t.Error("idle relay should not shed")
-	}
-	baseDelay := r.Delay()
-	var releases []func()
-	for i := 0; i < 15; i++ {
-		releases = append(releases, r.Attach())
-	}
-	if r.Utilization() != 1.5 {
-		t.Errorf("utilization = %v", r.Utilization())
-	}
-	if r.LossProb() <= 0 {
-		t.Error("overloaded relay should shed")
-	}
-	if r.Delay() <= baseDelay {
-		t.Error("overloaded relay delay should grow")
-	}
-	for _, rel := range releases {
-		rel()
-		rel() // double release must be harmless
-	}
-	if r.Utilization() != 0 {
-		t.Errorf("utilization after release = %v", r.Utilization())
-	}
-}
-
-func TestRelayForward(t *testing.T) {
-	s := sim.New(11)
-	r := NewRelay(s, "r2", 10, sim.Millisecond)
-	got := 0
-	s.Schedule(0, func() {
-		for i := 0; i < 100; i++ {
-			r.Forward(pkt.Packet{Seq: i}, func(pkt.Packet) { got++ })
-		}
-	})
-	s.RunAll()
-	if got != 100 {
-		t.Errorf("unloaded relay delivered %d/100", got)
-	}
-}

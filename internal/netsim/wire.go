@@ -1,6 +1,6 @@
 // Package netsim models the wired side of DiversiFi's deployments: LAN and
-// WAN paths, the SDN-capable switch that replicates real-time flows, the
-// buffering middlebox of §5.3.2, and the relay nodes of the NetTest study.
+// WAN paths, the SDN-capable switch that replicates real-time flows, and the
+// buffering middlebox of §5.3.2.
 package netsim
 
 import (

@@ -16,7 +16,7 @@
 //   - GET /debug/pprof/* — the standard runtime profiles.
 //   - /               — an index linking the above.
 //
-// Drivers add their own views with Handle/HandleJSON; cmd/campaign mounts
+// Drivers add their own views with Handle; cmd/campaign mounts
 // the sweep coordinator's fleet view at /campaign/status this way.
 //
 // Everything the server reads comes from atomic loads under the registry's
@@ -63,7 +63,7 @@ type Server struct {
 	ln    net.Listener
 	srv   *http.Server
 
-	// extra routes registered via Handle/HandleJSON, for the index page.
+	// extra routes registered via Handle, for the index page.
 	extraMu sync.Mutex
 	extra   []string
 
@@ -100,13 +100,6 @@ func (s *Server) Handle(pattern string, h http.Handler) {
 	s.extraMu.Lock()
 	s.extra = append(s.extra, pattern)
 	s.extraMu.Unlock()
-}
-
-// HandleJSON mounts a handler that serves fn()'s indented-JSON encoding.
-func (s *Server) HandleJSON(pattern string, fn func() any) {
-	s.Handle(pattern, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, fn())
-	}))
 }
 
 // ServeHTTP serves the server's routes directly (without a listener), so

@@ -175,12 +175,12 @@ func TestServerNilRegistry(t *testing.T) {
 
 func TestHandleJSONAndIndexListing(t *testing.T) {
 	s := New(nil)
-	s.HandleJSON("/campaign/status", func() any {
-		return map[string]int{"done": 3}
-	})
+	s.Handle("/campaign/status", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, `{"done": 3}`)
+	}))
 	res, body := get(t, s, "/campaign/status")
 	if res.StatusCode != 200 || !strings.Contains(body, `"done": 3`) {
-		t.Errorf("custom JSON route = %d %q", res.StatusCode, body)
+		t.Errorf("custom route = %d %q", res.StatusCode, body)
 	}
 	if _, body = get(t, s, "/"); !strings.Contains(body, "/campaign/status") {
 		t.Errorf("index does not list custom route:\n%s", body)

@@ -30,9 +30,11 @@ import (
 // a job's simulation events, small enough to stay resident per process.
 const DefaultCapacity = 256
 
-// Recorder is a bounded ring of the most recent events. All methods are
-// goroutine-safe and safe on a nil receiver (the disabled state).
+// Recorder is a bounded ring of the most recent events and the directory
+// its dumps land in. All methods are goroutine-safe and safe on a nil
+// receiver (the disabled state).
 type Recorder struct {
+	dir   string
 	mu    sync.Mutex
 	buf   []obs.Event // ring storage, preallocated to fixed capacity
 	next  int         // write index once the ring is full (= oldest entry)
@@ -40,12 +42,12 @@ type Recorder struct {
 }
 
 // New returns a Recorder holding the last capacity events (DefaultCapacity
-// if capacity <= 0).
-func New(capacity int) *Recorder {
+// if capacity <= 0) that dumps into dir.
+func New(dir string, capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Recorder{buf: make([]obs.Event, 0, capacity)}
+	return &Recorder{dir: dir, buf: make([]obs.Event, 0, capacity)}
 }
 
 // Record stores one event, evicting the oldest when full. No-op (and
@@ -123,16 +125,17 @@ func (r *Recorder) WriteJSONL(w io.Writer) error {
 	return nil
 }
 
-// Dump writes the ring to dir/flight-<tag>.jsonl and returns the path.
+// Dump writes the ring to flight-<tag>.jsonl in the Recorder's directory
+// and returns the path.
 // The tag is sanitized to a filename-safe token; an existing file gets a
 // -2, -3, ... suffix rather than being overwritten, so repeated failures
 // each keep their postmortem. Returns ("", nil) on a nil Recorder — a
 // disabled flight recorder has nothing to say.
-func (r *Recorder) Dump(dir, tag string) (string, error) {
+func (r *Recorder) Dump(tag string) (string, error) {
 	if r == nil {
 		return "", nil
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := os.MkdirAll(r.dir, 0o755); err != nil {
 		return "", fmt.Errorf("flight: %w", err)
 	}
 	base := "flight-" + sanitizeTag(tag)
@@ -141,7 +144,7 @@ func (r *Recorder) Dump(dir, tag string) (string, error) {
 		if n > 1 {
 			name = fmt.Sprintf("%s-%d", base, n)
 		}
-		path := filepath.Join(dir, name+".jsonl")
+		path := filepath.Join(r.dir, name+".jsonl")
 		f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 		if os.IsExist(err) {
 			continue

@@ -18,7 +18,7 @@ func fleetEvent(i int) obs.Event {
 }
 
 func TestRingKeepsLastN(t *testing.T) {
-	r := New(4)
+	r := New("", 4)
 	for i := 0; i < 10; i++ {
 		r.Record(fleetEvent(i))
 	}
@@ -37,7 +37,7 @@ func TestRingKeepsLastN(t *testing.T) {
 }
 
 func TestRingBelowCapacity(t *testing.T) {
-	r := New(8)
+	r := New("", 8)
 	for i := 0; i < 3; i++ {
 		r.Record(fleetEvent(i))
 	}
@@ -58,7 +58,7 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	if r.Len() != 0 || r.Total() != 0 || r.Cap() != 0 || r.Events() != nil {
 		t.Error("nil recorder should report empty state")
 	}
-	path, err := r.Dump(t.TempDir(), "x")
+	path, err := r.Dump("x")
 	if err != nil || path != "" {
 		t.Errorf("nil Dump = (%q, %v), want empty no-op", path, err)
 	}
@@ -74,7 +74,7 @@ func TestDisabledRecordAddsNoAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, func() { disabled.Record(ev) }); n != 0 {
 		t.Errorf("disabled Record allocates %.1f/op, want 0", n)
 	}
-	enabled := New(16)
+	enabled := New("", 16)
 	if n := testing.AllocsPerRun(1000, func() { enabled.Record(ev) }); n != 0 {
 		t.Errorf("enabled Record allocates %.1f/op, want 0", n)
 	}
@@ -83,7 +83,7 @@ func TestDisabledRecordAddsNoAllocs(t *testing.T) {
 // TestDumpIsValidTrace holds a dump to the trace contract: every line must
 // pass the strict decoder, oldest-first.
 func TestDumpIsValidTrace(t *testing.T) {
-	r := New(8)
+	r := New("", 8)
 	for i, ev := range obs.SampleFleetEvents() {
 		_ = i
 		r.Record(ev)
@@ -114,16 +114,16 @@ func TestDumpIsValidTrace(t *testing.T) {
 
 func TestDumpFileNamingAndCollisions(t *testing.T) {
 	dir := t.TempDir()
-	r := New(4)
+	r := New(dir, 4)
 	r.Record(fleetEvent(1))
-	p1, err := r.Dump(dir, "expire-w0/L7")
+	p1, err := r.Dump("expire-w0/L7")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := filepath.Join(dir, "flight-expire-w0-L7.jsonl"); p1 != want {
 		t.Errorf("dump path = %q, want %q (sanitized tag)", p1, want)
 	}
-	p2, err := r.Dump(dir, "expire-w0/L7")
+	p2, err := r.Dump("expire-w0/L7")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestDumpFileNamingAndCollisions(t *testing.T) {
 }
 
 func TestConcurrentRecord(t *testing.T) {
-	r := New(32)
+	r := New("", 32)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)

@@ -88,9 +88,9 @@ func (f *Flags) Enabled() bool {
 }
 
 // parseFlightSpec splits a -flight value into its dump directory and ring
-// capacity. The capacity is the suffix after the last comma when that
-// suffix parses as a positive integer; otherwise the whole spec is the
-// directory and the capacity defaults to flight.DefaultCapacity.
+// capacity. With no comma the whole spec is the directory and the capacity
+// is flight.DefaultCapacity; otherwise the capacity is the suffix after the
+// last comma, and a suffix that is not a positive integer is an error.
 func parseFlightSpec(spec string) (dir string, capacity int, err error) {
 	capacity = flight.DefaultCapacity
 	i := strings.LastIndexByte(spec, ',')
@@ -108,9 +108,9 @@ func parseFlightSpec(spec string) (dir string, capacity int, err error) {
 }
 
 // parseSeriesSpec splits a -series value into its output path and window.
-// The window is the suffix after the last comma when that suffix parses as a
-// positive Go duration; otherwise the whole spec is the path and the window
-// defaults to one simulated second.
+// With no comma the whole spec is the path and the window is one simulated
+// second; otherwise the window is the suffix after the last comma, and a
+// suffix that is not a positive Go duration is an error.
 func parseSeriesSpec(spec string) (path string, windowUS int64, err error) {
 	windowUS = obs.DefaultSeriesWindowUS
 	i := strings.LastIndexByte(spec, ',')
@@ -145,7 +145,6 @@ type Session struct {
 	sloSeries  *obs.Series // engine-owned series when -slo is set without -series
 	http       *expose.Server
 	flight     *flight.Recorder
-	flightDir  string
 	cpuFile    *os.File
 	closeMu    sync.Mutex
 	closed     bool
@@ -257,8 +256,7 @@ func (f *Flags) Setup() (*Session, error) {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, fmt.Errorf("flight: %w", err)
 		}
-		s.flight = flight.New(capacity)
-		s.flightDir = dir
+		s.flight = flight.New(dir, capacity)
 	}
 	if f.Pprof != "" {
 		if err := os.MkdirAll(f.Pprof, 0o755); err != nil {
@@ -305,14 +303,6 @@ func (s *Session) Flight() *flight.Recorder {
 	return s.flight
 }
 
-// FlightDir returns the flight dump directory ("" unless -flight was set).
-func (s *Session) FlightDir() string {
-	if s == nil {
-		return ""
-	}
-	return s.flightDir
-}
-
 // HTTP returns the live introspection server (nil unless -http was set).
 // Drivers use it to mount their own views (e.g. /campaign/status) before
 // the fleet starts.
@@ -349,12 +339,10 @@ func (s *Session) HandleSignals(tag string) {
 		sig := <-ch
 		signal.Stop(ch) // restore default handling for a second signal
 		fmt.Fprintf(s.stderr(), "obsflag: %v — flushing observability state\n", sig)
-		if s.flight != nil && s.flightDir != "" {
-			if path, err := s.flight.Dump(s.flightDir, "interrupt-"+tag); err != nil {
-				fmt.Fprintln(s.stderr(), "obsflag: flight dump:", err)
-			} else if path != "" {
-				fmt.Fprintf(s.stderr(), "obsflag: flight ring dumped to %s\n", path)
-			}
+		if path, err := s.flight.Dump("interrupt-" + tag); err != nil {
+			fmt.Fprintln(s.stderr(), "obsflag: flight dump:", err)
+		} else if path != "" {
+			fmt.Fprintf(s.stderr(), "obsflag: flight ring dumped to %s\n", path)
 		}
 		if err := s.Close(); err != nil {
 			fmt.Fprintln(s.stderr(), "obsflag:", err)

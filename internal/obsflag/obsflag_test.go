@@ -417,9 +417,6 @@ func TestFlightSession(t *testing.T) {
 	if rec.Cap() != 32 {
 		t.Errorf("ring capacity = %d, want 32", rec.Cap())
 	}
-	if sess.FlightDir() != dir {
-		t.Errorf("FlightDir() = %q, want %q", sess.FlightDir(), dir)
-	}
 	if st, err := os.Stat(dir); err != nil || !st.IsDir() {
 		t.Errorf("dump directory not created: %v", err)
 	}
@@ -429,9 +426,12 @@ func TestFlightSession(t *testing.T) {
 
 	// The armed ring records and dumps through the standard JSONL path.
 	rec.Record(obs.Event{TUS: 1, Ev: obs.EvLeaseGrant, Node: "w0", Seq: 1, Detail: "src=coord span=0:4"})
-	path, err := rec.Dump(sess.FlightDir(), "test")
+	path, err := rec.Dump("test")
 	if err != nil {
 		t.Fatal(err)
+	}
+	if filepath.Dir(path) != dir {
+		t.Errorf("dump %q not in the -flight directory %q", path, dir)
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -451,8 +451,8 @@ func TestFlightSession(t *testing.T) {
 		t.Errorf("default ring capacity = %d, want %d", got, flight.DefaultCapacity)
 	}
 	var nilSess *Session
-	if nilSess.Flight() != nil || nilSess.FlightDir() != "" {
-		t.Error("nil session flight accessors not inert")
+	if nilSess.Flight() != nil {
+		t.Error("nil session flight accessor not inert")
 	}
 }
 

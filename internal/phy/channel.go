@@ -70,21 +70,6 @@ func (c Channel) Overlaps(o Channel) bool {
 	return c.Number == o.Number
 }
 
-// CenterFreqMHz returns the channel's center frequency in MHz.
-func (c Channel) CenterFreqMHz() float64 {
-	switch c.Band {
-	case Band2G4:
-		if c.Number == 14 {
-			return 2484
-		}
-		return 2407 + 5*float64(c.Number)
-	case Band5G:
-		return 5000 + 5*float64(c.Number)
-	default:
-		return 0
-	}
-}
-
 // Common channel constants used throughout the experiments. The paper's
 // evaluation places the two APs on 2.4 GHz channels 1 and 11.
 var (

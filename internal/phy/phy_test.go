@@ -44,21 +44,6 @@ func TestChannelValidity(t *testing.T) {
 	}
 }
 
-func TestCenterFreq(t *testing.T) {
-	if f := Chan1.CenterFreqMHz(); f != 2412 {
-		t.Errorf("ch1 = %v MHz, want 2412", f)
-	}
-	if f := Chan6.CenterFreqMHz(); f != 2437 {
-		t.Errorf("ch6 = %v MHz, want 2437", f)
-	}
-	if f := Chan36.CenterFreqMHz(); f != 5180 {
-		t.Errorf("ch36 = %v MHz, want 5180", f)
-	}
-	if f := (Channel{Band2G4, 14}).CenterFreqMHz(); f != 2484 {
-		t.Errorf("ch14 = %v MHz, want 2484", f)
-	}
-}
-
 func TestPathLossMonotone(t *testing.T) {
 	prev := PathLossDB(1, Band2G4)
 	for d := 2.0; d <= 100; d += 1 {

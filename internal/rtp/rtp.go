@@ -1,9 +1,8 @@
-// Package rtp implements the RFC 3550 RTP fixed header. DiversiFi
-// identifies real-time streams and their profiles without application
-// support by reading the RTP payload-type field (§5.2.1) and addresses
-// packets for explicit middlebox selection by sequence number and
-// timestamp (§5.2.5); this package provides the parsing and serialization
-// both need.
+// Package rtp implements the RFC 3550 RTP fixed header. The live emulator
+// carries an unmodified application's RTP packets (§5.2.1): its sender
+// frames a stream as RTP, and emu.DecodeStream keys a stream by its SSRC
+// and orders it by the RTP sequence number. This package provides the
+// parsing and serialization both need.
 package rtp
 
 import (
@@ -128,24 +127,4 @@ func (p *Packet) Marshal(buf []byte) ([]byte, error) {
 	}
 	copy(buf[HeaderLen+4*len(p.CSRC):], p.Payload)
 	return buf, nil
-}
-
-// SeqLess reports whether sequence a precedes b in RFC 3550's wrapping
-// 16-bit sequence space.
-func SeqLess(a, b uint16) bool {
-	return a != b && b-a < 0x8000
-}
-
-// SeqDiff returns the forward distance from a to b in the wrapping
-// sequence space (0 if equal; negative results are folded to the shorter
-// backward distance as a negative count).
-func SeqDiff(a, b uint16) int {
-	d := int(b) - int(a)
-	switch {
-	case d > 0x7fff:
-		d -= 0x10000
-	case d < -0x8000:
-		d += 0x10000
-	}
-	return d
 }

@@ -127,41 +127,3 @@ func TestMarshalValidation(t *testing.T) {
 		t.Error("payload type 200 accepted")
 	}
 }
-
-func TestSeqArithmetic(t *testing.T) {
-	if !SeqLess(1, 2) || SeqLess(2, 1) {
-		t.Error("basic SeqLess broken")
-	}
-	if !SeqLess(65535, 0) {
-		t.Error("wrap-around SeqLess broken")
-	}
-	if SeqLess(5, 5) {
-		t.Error("equal SeqLess should be false")
-	}
-	if d := SeqDiff(65534, 2); d != 4 {
-		t.Errorf("wrap diff = %d, want 4", d)
-	}
-	if d := SeqDiff(2, 65534); d != -4 {
-		t.Errorf("backward diff = %d, want -4", d)
-	}
-	if d := SeqDiff(7, 7); d != 0 {
-		t.Errorf("self diff = %d", d)
-	}
-}
-
-func TestSeqDiffConsistencyProperty(t *testing.T) {
-	f := func(a, b uint16) bool {
-		d := SeqDiff(a, b)
-		if d > 0 && !SeqLess(a, b) {
-			return false
-		}
-		if d < 0 && !SeqLess(b, a) {
-			return false
-		}
-		// Advancing a by d lands on b (mod 2^16).
-		return uint16(int(a)+d) == b
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -114,33 +114,6 @@ func (d *Digest) Add(v float64) {
 	}
 }
 
-// AddN ingests the same value n times (used when replaying aggregated
-// counts); equivalent to calling Add(v) n times.
-func (d *Digest) AddN(v float64, n uint64) {
-	if n == 0 || math.IsNaN(v) {
-		return
-	}
-	d.count += n
-	d.sum += v * float64(n)
-	if v < d.min {
-		d.min = v
-	}
-	if v > d.max {
-		d.max = v
-	}
-	switch {
-	case v > ZeroThreshold:
-		d.pos[d.bucket(v)] += n
-	case v < -ZeroThreshold:
-		d.neg[d.bucket(-v)] += n
-	default:
-		d.zero += n
-	}
-	if len(d.pos)+len(d.neg) > maxBuckets {
-		d.collapse()
-	}
-}
-
 // bucket returns the log-bucket index of a positive value.
 func (d *Digest) bucket(v float64) int32 {
 	return int32(math.Ceil(math.Log(v) / d.lgGamma))

@@ -249,17 +249,6 @@ func TestEmptyDigest(t *testing.T) {
 	}
 }
 
-func TestAddN(t *testing.T) {
-	a, b := New(), New()
-	for i := 0; i < 17; i++ {
-		a.Add(3.25)
-	}
-	b.AddN(3.25, 17)
-	if a.Fingerprint() != b.Fingerprint() || a.Sum() != b.Sum() {
-		t.Fatal("AddN(v,n) must equal n Add(v) calls")
-	}
-}
-
 func TestNaNIgnored(t *testing.T) {
 	d := New()
 	d.Add(math.NaN())

@@ -90,11 +90,9 @@ type CoordinatorOptions struct {
 	// summary fingerprint are identical with or without it.
 	Obs *obs.Registry
 	// Flight, when non-nil, records lifecycle events into a bounded ring
-	// dumped to FlightDir on lease expiry — the postmortem for a worker
-	// that died without writing its own.
+	// dumped on lease expiry — the postmortem for a worker that died
+	// without writing its own.
 	Flight *flight.Recorder
-	// FlightDir is where expiry dumps land ("" disables dumping).
-	FlightDir string
 
 	// SLO, when non-nil, stamps per-cell pass/fail verdicts on the summary:
 	// every cell-bound rule of the set (Rule.Cell, see internal/obs/slo) is
@@ -230,6 +228,7 @@ func (c *Coordinator) reap(now time.Time) {
 // ring (the lease lifecycle as this side saw it) when a lease dies.
 func (c *Coordinator) requeue(l *lease, reason string) {
 	delete(c.active, l.id)
+	c.ins.leasesActive.Set(int64(len(c.active)))
 	c.requeued = append(c.requeued, l.span)
 	c.releases++
 	if w := c.workers[l.worker]; w != nil && w.leases > 0 {
@@ -237,7 +236,9 @@ func (c *Coordinator) requeue(l *lease, reason string) {
 	}
 	c.ins.leasesExpired.Inc()
 	c.ft.Expire(l.worker, leaseSeq(l.id), l.span.From, l.span.To, reason)
-	c.dumpFlight("expire-" + l.worker + "-" + l.id)
+	// A failed dump is not worth failing lease bookkeeping over: the dump
+	// is a best-effort postmortem.
+	_, _ = c.opts.Flight.Dump("expire-" + l.worker + "-" + l.id)
 	c.wakeWaiters()
 }
 
@@ -249,21 +250,12 @@ func (c *Coordinator) wakeWaiters() {
 	}
 }
 
-// dumpFlight writes the flight ring to the configured dump directory.
-// Dump failures are not worth failing lease bookkeeping over — the dump
-// is a best-effort postmortem — so the error only reaches the trace.
-func (c *Coordinator) dumpFlight(tag string) {
-	if c.opts.Flight == nil || c.opts.FlightDir == "" {
-		return
-	}
-	_, _ = c.opts.Flight.Dump(c.opts.FlightDir, tag)
-}
-
 func (c *Coordinator) worker(name string, now time.Time) *workerInfo {
 	w := c.workers[name]
 	if w == nil {
 		w = &workerInfo{}
 		c.workers[name] = w
+		c.ins.workersSeen.Set(int64(len(c.workers)))
 	}
 	w.lastSeen = now
 	return w
@@ -358,6 +350,7 @@ func (c *Coordinator) grant(workerName string, max int64, now time.Time) LeaseRe
 	c.leaseSeq++
 	id := fmt.Sprintf("L%d", c.leaseSeq)
 	c.active[id] = &lease{id: id, worker: workerName, span: sp, granted: now, deadline: now.Add(c.opts.TTL)}
+	c.ins.leasesActive.Set(int64(len(c.active)))
 	w.leases++
 	c.ins.leasesGranted.Inc()
 	c.ft.Grant(workerName, c.leaseSeq, sp.From, sp.To, c.opts.TTL, reLease)
@@ -397,6 +390,7 @@ func (c *Coordinator) Heartbeat(req HeartbeatRequest) HeartbeatResponse {
 				// The snapshot digest is self-contained (workers deep-copy
 				// before sending), so replacing the pointer is safe.
 				w.fedElapsed = m.Elapsed
+				c.setStraggling()
 			}
 		}
 	}
@@ -458,6 +452,7 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 		return CompleteResponse{}, err
 	}
 	delete(c.active, l.id)
+	c.ins.leasesActive.Set(int64(len(c.active)))
 	if w.leases > 0 {
 		w.leases--
 	}
@@ -570,21 +565,7 @@ func (c *Coordinator) Snapshot() *campaign.StatusSnapshot {
 			ElapsedMS: d.elapsed.Milliseconds()})
 	}
 
-	// Straggler detection: merge every worker's federated elapsed digest
-	// into a fleet distribution, then flag workers whose own p50 deviates
-	// past the configured factor. Sketch merges are bucket-additive, so
-	// the fleet digest is exact over whatever the heartbeats delivered.
-	fleet := sketch.New()
-	for _, w := range c.workers {
-		if w.fedElapsed != nil {
-			_ = fleet.Merge(w.fedElapsed)
-		}
-	}
-	fleetP50 := 0.0
-	if fleet.Count() > 0 {
-		fleetP50 = fleet.Quantile(0.50)
-	}
-	straggling := int64(0)
+	fleetP50 := c.fleetP50()
 	for name, w := range c.workers {
 		ws := campaign.WorkerStatus{
 			Name:       name,
@@ -602,22 +583,54 @@ func (c *Coordinator) Snapshot() *campaign.StatusSnapshot {
 		}
 		if w.fedElapsed != nil && w.fedElapsed.Count() > 0 {
 			ws.Samples = int64(w.fedElapsed.Count())
-			p50 := w.fedElapsed.Quantile(0.50)
-			ws.ElapsedP50MS = int64(p50)
-			if ws.Samples >= stragglerMinSamples && fleetP50 > 0 &&
-				p50 > stragglerFactor*fleetP50 {
-				ws.Straggler = true
-				straggling++
-			}
+			ws.ElapsedP50MS = int64(w.fedElapsed.Quantile(0.50))
+			ws.Straggler = w.straggles(fleetP50)
 		}
 		snap.Fleet = append(snap.Fleet, ws)
 	}
 	sort.Slice(snap.Fleet, func(i, k int) bool { return snap.Fleet[i].Name < snap.Fleet[k].Name })
 	snap.Workers = len(snap.Fleet)
-	c.ins.workersSeen.Set(int64(len(c.workers)))
-	c.ins.workersStraggling.Set(straggling)
-	c.ins.leasesActive.Set(int64(len(c.active)))
 	return snap
+}
+
+// fleetP50 merges every worker's federated elapsed digest into a fleet
+// distribution and returns its median (0 before any sample). Sketch
+// merges are bucket-additive, so the fleet digest is exact over whatever
+// the heartbeats delivered. Called under mu.
+func (c *Coordinator) fleetP50() float64 {
+	fleet := sketch.New()
+	for _, w := range c.workers {
+		if w.fedElapsed != nil {
+			_ = fleet.Merge(w.fedElapsed)
+		}
+	}
+	if fleet.Count() == 0 {
+		return 0
+	}
+	return fleet.Quantile(0.50)
+}
+
+// straggles is the straggler verdict for w against the fleet median.
+func (w *workerInfo) straggles(fleetP50 float64) bool {
+	return w.fedElapsed != nil && w.fedElapsed.Count() >= stragglerMinSamples &&
+		fleetP50 > 0 && w.fedElapsed.Quantile(0.50) > stragglerFactor*fleetP50
+}
+
+// setStraggling recomputes the sweep.workers_straggling gauge, whose
+// verdicts move whenever any worker's federated digest does. Called under
+// mu; without a registry it skips the fleet merge.
+func (c *Coordinator) setStraggling() {
+	if c.ins.workersStraggling == nil {
+		return
+	}
+	fleetP50 := c.fleetP50()
+	n := int64(0)
+	for _, w := range c.workers {
+		if w.straggles(fleetP50) {
+			n++
+		}
+	}
+	c.ins.workersStraggling.Set(n)
 }
 
 // Summary renders the final merged report. Valid at any point; before

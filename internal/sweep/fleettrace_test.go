@@ -34,10 +34,10 @@ func TestFleetPlaneNoPerturb(t *testing.T) {
 	sink := obs.NewSink(&buf)
 	reg := obs.NewRegistry()
 	reg.SetSink(sink)
-	rec := flight.New(0)
 	dir := t.TempDir()
+	rec := flight.New(dir, 0)
 	c := NewCoordinator(synthSpec(t, doc), CoordinatorOptions{
-		Batch: 13, Obs: reg, Flight: rec, FlightDir: dir})
+		Batch: 13, Obs: reg, Flight: rec})
 	srv := expose.New(reg)
 	c.Routes(srv)
 
@@ -78,7 +78,7 @@ func TestFleetPlaneNoPerturb(t *testing.T) {
 			defer wg.Done()
 			_, err := RunWorker(LocalTransport{C: c}, &Runner{RunFunc: synthMetrics},
 				WorkerOptions{Name: fmt.Sprintf("w%d", n), Parallel: 2,
-					Obs: reg, Flight: rec, FlightDir: dir})
+					Obs: reg, Flight: rec})
 			if err != nil {
 				t.Error(err)
 			}
@@ -284,6 +284,10 @@ func TestStragglerDetection(t *testing.T) {
 	c.Heartbeat(HeartbeatRequest{Worker: "thin", LeaseID: thin.LeaseID, Seq: 1,
 		Metrics: &WorkerMetrics{Executed: 3, Elapsed: digestOf(t, repeat(200, 3)...)}})
 
+	// The heartbeats set the gauge; a scrape needs no fleet view first.
+	if got := reg.Gauge("sweep.workers_straggling").Value(); got != 1 {
+		t.Errorf("straggler gauge = %d, want 1", got)
+	}
 	snap := c.Snapshot()
 	flagged := map[string]bool{}
 	for _, w := range snap.Fleet {
@@ -298,8 +302,31 @@ func TestStragglerDetection(t *testing.T) {
 	if flagged["thin"] {
 		t.Error("under-sampled worker flagged as straggler")
 	}
-	if got := reg.Gauge("sweep.workers_straggling").Value(); got != 1 {
-		t.Errorf("straggler gauge = %d, want 1", got)
+}
+
+// TestFleetGaugesTrackLeases: the lease and worker gauges move with the
+// coordinator's state, so a /metrics scrape alone reads them. Nothing here
+// calls Coordinator.Snapshot, the fleet view.
+func TestFleetGaugesTrackLeases(t *testing.T) {
+	s := synthSpec(t, `{"name":"gauges","seeds":{"count":16},
+		"impairments":["none"],"device_classes":["pc"],"ap_densities":["typical"]}`)
+	reg := obs.NewRegistry()
+	c := NewCoordinator(s, CoordinatorOptions{Batch: 8, Obs: reg})
+	gauges := func() (active, workers int64) {
+		g := reg.Snapshot().Gauges
+		return g["sweep.leases_active"].Value, g["sweep.workers"].Value
+	}
+
+	a := c.Lease("a", 8)
+	c.Lease("b", 8)
+	if active, workers := gauges(); active != 2 || workers != 2 {
+		t.Errorf("after two grants: leases_active=%d workers=%d, want 2 and 2", active, workers)
+	}
+	if _, err := c.Complete(spanReport(t, s, "a", a)); err != nil {
+		t.Fatal(err)
+	}
+	if active, workers := gauges(); active != 1 || workers != 2 {
+		t.Errorf("after one complete: leases_active=%d workers=%d, want 1 and 2", active, workers)
 	}
 }
 
@@ -346,10 +373,10 @@ func TestHeartbeatVsExpireRace(t *testing.T) {
 	want := runSequential(t, s, &Runner{RunFunc: synthMetrics}).Fingerprint()
 
 	reg := obs.NewRegistry()
-	rec := flight.New(64)
 	dir := t.TempDir()
+	rec := flight.New(dir, 64)
 	c := NewCoordinator(synthSpec(t, doc), CoordinatorOptions{
-		Batch: 16, TTL: 5 * time.Millisecond, Obs: reg, Flight: rec, FlightDir: dir})
+		Batch: 16, TTL: 5 * time.Millisecond, Obs: reg, Flight: rec})
 
 	doomed := c.Lease("doomed", 16)
 	if doomed.LeaseID == "" {

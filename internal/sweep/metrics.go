@@ -149,10 +149,9 @@ type Runner struct {
 	// has no cancellation points, so a timed-out job runs on, abandoned.
 	Timeout time.Duration
 
-	// Flight, when non-nil, is dumped to FlightDir when a job panics or
-	// times out, so the postmortem carries the events leading up to it.
-	Flight    *flight.Recorder
-	FlightDir string
+	// Flight, when non-nil, is dumped when a job panics or times out, so
+	// the postmortem carries the events leading up to it.
+	Flight *flight.Recorder
 }
 
 // panicStackLimit caps the stack captured into a panic error message —
@@ -242,11 +241,8 @@ func (r *Runner) run(j Job) (m Metrics, err error) {
 
 // dump writes the flight ring, returning the failure message's suffix.
 func (r *Runner) dump(tag string) string {
-	if r.Flight == nil || r.FlightDir == "" {
-		return ""
-	}
-	path, err := r.Flight.Dump(r.FlightDir, tag)
-	if err != nil {
+	path, err := r.Flight.Dump(tag)
+	if err != nil || path == "" {
 		return ""
 	}
 	return "\nflight dump: " + path

@@ -186,10 +186,10 @@ func TestSLOPlaneNoPerturb(t *testing.T) {
 	reg.SetSeries(series)
 	eng := slo.NewEngine(rs)
 	eng.Arm(reg, series)
-	rec := flight.New(0)
 	dir := t.TempDir()
+	rec := flight.New(dir, 0)
 	c := NewCoordinator(synthSpec(t, doc), CoordinatorOptions{
-		Batch: 13, Obs: reg, Flight: rec, FlightDir: dir, SLO: rs})
+		Batch: 13, Obs: reg, Flight: rec, SLO: rs})
 	srv := expose.New(reg)
 	c.Routes(srv)
 	srv.Handle("/alerts", eng)
@@ -254,7 +254,7 @@ func TestSLOPlaneNoPerturb(t *testing.T) {
 			defer wg.Done()
 			_, err := RunWorker(LocalTransport{C: c}, &Runner{RunFunc: synthMetrics},
 				WorkerOptions{Name: fmt.Sprintf("w%d", n), Parallel: 2,
-					Obs: reg, Flight: rec, FlightDir: dir, SLO: eng})
+					Obs: reg, Flight: rec, SLO: eng})
 			if err != nil {
 				t.Error(err)
 			}

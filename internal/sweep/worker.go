@@ -28,12 +28,10 @@ type WorkerOptions struct {
 	// lifecycle as fleet-trace-v1 events (src=worker). Purely
 	// observational — job results are identical with or without it.
 	Obs *obs.Registry
-	// Flight records lifecycle events into a bounded ring, dumped to
-	// FlightDir when the worker learns a lease died under it (a heartbeat
-	// answered OK=false or a completion discarded as stale).
+	// Flight records lifecycle events into a bounded ring, dumped when
+	// the worker learns a lease died under it (a heartbeat answered
+	// OK=false or a completion discarded as stale).
 	Flight *flight.Recorder
-	// FlightDir is where dumps land ("" disables dumping).
-	FlightDir string
 
 	// SLO, when non-nil, is the worker's armed streaming SLO engine; its
 	// live alert counts ride every heartbeat snapshot (sweep-proto-v4) so
@@ -173,9 +171,7 @@ func RunWorker(transport Transport, runner *Runner, opts WorkerOptions) (WorkerS
 			// The coordinator discarded this report as stale: record the
 			// worker-side view and dump the ring for the postmortem.
 			ft.RejectStale(opts.Name, leaseSeq(grant.LeaseID))
-			if opts.Flight != nil && opts.FlightDir != "" {
-				_, _ = opts.Flight.Dump(opts.FlightDir, "stale-"+opts.Name+"-"+grant.LeaseID)
-			}
+			_, _ = opts.Flight.Dump("stale-" + opts.Name + "-" + grant.LeaseID)
 		} else {
 			stats.Jobs += grant.To - grant.From
 			stats.Executed += report.Executed
@@ -239,9 +235,7 @@ func runLease(transport Transport, runner *Runner, spec *Spec, grant LeaseRespon
 					if err == nil && !resp.OK && !dumped {
 						dumped = true
 						ft.Expire(opts.Name, leaseSeq(grant.LeaseID), grant.From, grant.To, "notified")
-						if opts.Flight != nil && opts.FlightDir != "" {
-							_, _ = opts.Flight.Dump(opts.FlightDir, "expire-"+opts.Name+"-"+grant.LeaseID)
-						}
+						_, _ = opts.Flight.Dump("expire-" + opts.Name + "-" + grant.LeaseID)
 					}
 				}
 			}

@@ -1,13 +1,11 @@
 // Package traffic defines the workloads of the paper's experiments: the
 // G.711-like VoIP stream (64 kbps, 160-byte packets, 20 ms spacing), the
 // high-rate interactive stream of §4.5 (5 Mbps, 1000-byte packets, 1.6 ms
-// spacing), the RTP-profile lookup used for stream initialization (§5.2.1),
-// and the fluid TCP flow used for the coexistence experiment (§6.3).
+// spacing), and the fluid TCP flow used for the coexistence experiment
+// (§6.3).
 package traffic
 
 import (
-	"fmt"
-
 	"repro/internal/pkt"
 	"repro/internal/sim"
 )
@@ -82,24 +80,6 @@ func ProfileByKey(key string) (Profile, bool) {
 		return HighRate, true
 	}
 	return Profile{}, false
-}
-
-// rtpProfiles maps RTP payload types to stream profiles, standing in for
-// the RFC 3551 table lookup the paper performs so applications need not be
-// modified.
-var rtpProfiles = map[int]Profile{
-	G711.PayloadType:     G711,
-	8:                    {Name: "G.711-A", PayloadType: 8, PacketBytes: 160, Spacing: 20 * sim.Millisecond, Deadline: 100 * sim.Millisecond},
-	HighRate.PayloadType: HighRate,
-}
-
-// ProfileForPayloadType looks up the profile for an RTP payload type.
-func ProfileForPayloadType(pt int) (Profile, error) {
-	p, ok := rtpProfiles[pt]
-	if !ok {
-		return Profile{}, fmt.Errorf("traffic: unknown RTP payload type %d", pt)
-	}
-	return p, nil
 }
 
 // Source emits a CBR stream of packets into a sink on the simulator.

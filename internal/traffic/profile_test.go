@@ -26,16 +26,6 @@ func TestProfileDerivedQuantities(t *testing.T) {
 	}
 }
 
-func TestProfileForPayloadType(t *testing.T) {
-	p, err := ProfileForPayloadType(0)
-	if err != nil || p.Name != "G.711" {
-		t.Errorf("PT 0 lookup = %v, %v", p.Name, err)
-	}
-	if _, err := ProfileForPayloadType(77); err == nil {
-		t.Error("unknown payload type should error")
-	}
-}
-
 func TestSourceEmission(t *testing.T) {
 	s := sim.New(1)
 	var seqs []int

@@ -140,24 +140,3 @@ func PCR(calls []Quality) float64 {
 	}
 	return float64(poor) / float64(len(calls))
 }
-
-// RatingFromMOS maps a MOS onto the 5-point user-rating scale of §3.1,
-// with deterministic thresholds; used by the population model.
-func RatingFromMOS(mos float64) int {
-	switch {
-	case mos >= 4.0:
-		return 5
-	case mos >= 3.6:
-		return 4
-	case mos >= 3.1:
-		return 3
-	case mos >= 2.6:
-		return 2
-	default:
-		return 1
-	}
-}
-
-// MOSIsPoorRating reports whether a 5-point rating counts as poor (the two
-// lowest ratings, per §3.1).
-func MOSIsPoorRating(rating int) bool { return rating <= 2 }

@@ -182,25 +182,6 @@ func TestPCR(t *testing.T) {
 	}
 }
 
-func TestRatingFromMOS(t *testing.T) {
-	cases := []struct {
-		mos  float64
-		want int
-		poor bool
-	}{
-		{4.4, 5, false}, {3.8, 4, false}, {3.3, 3, false}, {2.7, 2, true}, {1.5, 1, true},
-	}
-	for _, c := range cases {
-		r := RatingFromMOS(c.mos)
-		if r != c.want {
-			t.Errorf("rating(%v) = %d, want %d", c.mos, r, c.want)
-		}
-		if MOSIsPoorRating(r) != c.poor {
-			t.Errorf("poor(%d) = %v", r, MOSIsPoorRating(r))
-		}
-	}
-}
-
 func TestMOSMonotoneInLoss(t *testing.T) {
 	// More loss must never raise MOS.
 	prev := 5.0
@@ -219,88 +200,5 @@ func TestMOSMonotoneInLoss(t *testing.T) {
 			t.Fatalf("MOS rose with loss: %v after %v", q.MOS, prev)
 		}
 		prev = q.MOS
-	}
-}
-
-func TestPlayoutInOrderDelivery(t *testing.T) {
-	s := sim.New(1)
-	var frames []Frame
-	p := NewPlayout(s, traffic.G711, 100*sim.Millisecond, 10, func(f Frame) {
-		frames = append(frames, f)
-	})
-	// Deliver packets out of order and with a duplicate; all in time.
-	s.Schedule(sim.Time(5*sim.Millisecond), func() {
-		for _, seq := range []int{2, 0, 1, 3, 4, 4, 5, 6, 7, 8, 9} {
-			p.Receive(seq)
-		}
-	})
-	s.RunAll()
-	if len(frames) != 10 {
-		t.Fatalf("emitted %d frames", len(frames))
-	}
-	for i, f := range frames {
-		if f.Seq != i {
-			t.Fatalf("frame order broken: %v", frames)
-		}
-		if f.Status != FramePlayed {
-			t.Fatalf("frame %d status %v", i, f.Status)
-		}
-		want := sim.Time(sim.Duration(i)*traffic.G711.Spacing + 100*sim.Millisecond)
-		if f.PlayAt != want {
-			t.Fatalf("frame %d played at %v, want %v", i, f.PlayAt, want)
-		}
-	}
-	if st := p.Stats(); st.Played != 10 || st.Interpolated != 0 {
-		t.Errorf("stats %+v", st)
-	}
-}
-
-func TestPlayoutConcealment(t *testing.T) {
-	s := sim.New(2)
-	var frames []Frame
-	p := NewPlayout(s, traffic.G711, 50*sim.Millisecond, 6, func(f Frame) {
-		frames = append(frames, f)
-	})
-	// Packets 2 and 3 never arrive: 2 interpolated, 3 extrapolated.
-	s.Schedule(0, func() {
-		for _, seq := range []int{0, 1, 4, 5} {
-			p.Receive(seq)
-		}
-	})
-	s.RunAll()
-	want := []FrameStatus{FramePlayed, FramePlayed, FrameInterpolated, FrameExtrapolated, FramePlayed, FramePlayed}
-	for i, w := range want {
-		if frames[i].Status != w {
-			t.Fatalf("frame %d = %v, want %v (all: %v)", i, frames[i].Status, w, frames)
-		}
-	}
-	st := p.Stats()
-	if st.Played != 4 || st.Interpolated != 1 || st.Extrapolated != 1 {
-		t.Errorf("stats %+v", st)
-	}
-}
-
-func TestPlayoutLatePacketConcealed(t *testing.T) {
-	s := sim.New(3)
-	var frames []Frame
-	p := NewPlayout(s, traffic.G711, 40*sim.Millisecond, 2, func(f Frame) {
-		frames = append(frames, f)
-	})
-	s.Schedule(0, func() { p.Receive(0) })
-	// Packet 1 arrives 30 ms after its playout slot (slot = 60 ms).
-	s.Schedule(sim.Time(90*sim.Millisecond), func() { p.Receive(1) })
-	s.RunAll()
-	if frames[0].Status != FramePlayed {
-		t.Errorf("frame 0 = %v", frames[0].Status)
-	}
-	if frames[1].Status == FramePlayed {
-		t.Error("late packet was played")
-	}
-}
-
-func TestFrameStatusStrings(t *testing.T) {
-	if FramePlayed.String() != "played" || FrameInterpolated.String() != "interpolated" ||
-		FrameExtrapolated.String() != "extrapolated" || FrameStatus(9).String() != "unknown" {
-		t.Error("status strings broken")
 	}
 }

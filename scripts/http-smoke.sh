@@ -4,7 +4,8 @@
 # while the fleet is running, and validate the exposition with the in-repo
 # promcheck (no external promtool needed). A second phase runs a sweep
 # coordinator and scrapes its merged /metrics mid-sweep, asserting the
-# fleet federation counters (sweep_fleet_*, docs/FLEET.md) are exposed and
+# fleet federation counters (sweep_fleet_*, docs/FLEET.md) are exposed,
+# that the sweep_workers gauge counts the workers holding leases, and that
 # the exposition still validates. CI runs this on every push.
 #
 # The campaign binds 127.0.0.1:0 and announces the picked port on stderr
@@ -130,10 +131,24 @@ fi
 echo "http-smoke: scraping sweep coordinator on http://$addr"
 
 "$tmp/promcheck" -retry 20 -interval 100ms "http://$addr/metrics"
-curl -fsS --max-time 5 "http://$addr/metrics" >"$tmp/sweep-metrics.txt" || {
-    echo "http-smoke: GET sweep /metrics failed" >&2
+# Scrape until the coordinator has granted a lease (at most 5 s).
+granted=0
+i=0
+while [ $i -lt 50 ]; do
+    curl -fsS --max-time 5 "http://$addr/metrics" >"$tmp/sweep-metrics.txt" || {
+        echo "http-smoke: GET sweep /metrics failed" >&2
+        exit 1
+    }
+    granted=$(awk '$1 == "sweep_leases_granted" { print $2 }' "$tmp/sweep-metrics.txt")
+    [ "${granted:-0}" -ge 1 ] && break
+    sleep 0.1
+    i=$((i + 1))
+done
+if [ "${granted:-0}" -lt 1 ]; then
+    echo "http-smoke: no lease granted within 5s" >&2
+    cat "$tmp/sweep-metrics.txt" >&2
     exit 1
-}
+fi
 for name in sweep_leases_granted sweep_heartbeats sweep_fleet_jobs_executed \
     sweep_fleet_jobs_cached sweep_fleet_jobs_failed sweep_workers; do
     grep -q "^$name" "$tmp/sweep-metrics.txt" || {
@@ -142,7 +157,17 @@ for name in sweep_leases_granted sweep_heartbeats sweep_fleet_jobs_executed \
         exit 1
     }
 done
-echo "http-smoke: fleet federation counters exposed mid-sweep"
+# A registered gauge prints 0, so its name alone proves nothing: with a
+# lease granted, the workers gauge must count its holder on a scrape that
+# never asked for /campaign/status. (sweep_leases_active can read 0
+# between two leases, so it is not checked.)
+workers=$(awk '$1 == "sweep_workers" { print $2 }' "$tmp/sweep-metrics.txt")
+if [ "${workers:-0}" -lt 1 ]; then
+    echo "http-smoke: sweep_workers = ${workers:-missing} after $granted lease grants, want >= 1" >&2
+    cat "$tmp/sweep-metrics.txt" >&2
+    exit 1
+fi
+echo "http-smoke: fleet federation counters and gauges exposed mid-sweep"
 
 if ! wait "$sweep_pid"; then
     echo "http-smoke: sweep exited nonzero" >&2
