@@ -3,6 +3,7 @@ package emu
 import (
 	"fmt"
 	"net"
+	"net/netip"
 	"strings"
 	"testing"
 	"time"
@@ -292,6 +293,29 @@ func TestMiddleboxProtocol(t *testing.T) {
 
 	if stats := cmd("STATS 9"); stats != "OK sent=3 dropped=3 buffered=1" {
 		t.Fatalf("stats: %s", stats)
+	}
+}
+
+// TestMiddleboxForwardsWithoutAllocating: a started stream's datagram goes
+// from the read buffer straight to the client. Only a stopped stream, which
+// holds the datagram past the read, copies it.
+func TestMiddleboxForwardsWithoutAllocating(t *testing.T) {
+	mb, err := NewMiddlebox("127.0.0.1:0", "127.0.0.1:0", MiddleboxConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mb.Close()
+	sink := newSink(t)
+	cmd := dialCtrl(t, mb.CtrlAddr())
+	for _, c := range []string{"REGISTER 9 " + sink.addr(), "START 9"} {
+		if got := cmd(c); got != "OK" {
+			t.Fatalf("%s: %s", c, got)
+		}
+	}
+	pkt := (&Packet{Stream: 9, Seq: 1, Payload: make([]byte, 160)}).Marshal(nil)
+	from := netip.MustParseAddrPort("127.0.0.1:9")
+	if n := testing.AllocsPerRun(1000, func() { mb.onData(pkt, from) }); n != 0 {
+		t.Errorf("forwarding a datagram allocates %v times, want 0", n)
 	}
 }
 

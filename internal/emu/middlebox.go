@@ -159,7 +159,15 @@ func (m *Middlebox) onData(b []byte, _ netip.AddrPort) {
 	st := m.streams[stream]
 	// Unregistered streams drop, as the paper's switch rule scopes
 	// replication.
-	if st == nil || !st.hold.Offer(int64(seq), append([]byte(nil), b...)) {
+	if st == nil {
+		m.mu.Unlock()
+		return
+	}
+	p := b
+	if !st.hold.Started() {
+		p = append([]byte(nil), b...) // held past this call; serve reuses b
+	}
+	if !st.hold.Offer(int64(seq), p) {
 		m.mu.Unlock()
 		return
 	}

@@ -76,6 +76,10 @@ func (s *Stream[P]) Start(fromSeq int64, emit func(P)) {
 // Stop stops the stream: later offers are held again.
 func (s *Stream[P]) Stop() { s.started = false }
 
+// Started reports whether the stream is started. A started stream keeps
+// nothing Offer is given; a stopped one may hold it until a later Start.
+func (s *Stream[P]) Started() bool { return s.started }
+
 // Counts returns the packets forwarded or emitted so far, the packets
 // evicted by head drop, and the packets held now.
 func (s *Stream[P]) Counts() (sent, dropped, held int) {

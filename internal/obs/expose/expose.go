@@ -62,6 +62,9 @@ type Server struct {
 	srvMu sync.Mutex
 	ln    net.Listener
 	srv   *http.Server
+	// cancel ends the context of every request srv serves, so a handler
+	// waiting on its request (a long-poll) returns as Close begins.
+	cancel context.CancelFunc
 
 	// extra routes registered via Handle, for the index page.
 	extraMu sync.Mutex
@@ -122,8 +125,10 @@ func (s *Server) Start(addr string) error {
 		ln.Close()
 		return fmt.Errorf("expose: server already started on %s", s.ln.Addr())
 	}
-	s.ln = ln
-	s.srv = &http.Server{Handler: s.mux, ReadHeaderTimeout: 5 * time.Second}
+	base, cancel := context.WithCancel(context.Background())
+	s.ln, s.cancel = ln, cancel
+	s.srv = &http.Server{Handler: s.mux, ReadHeaderTimeout: 5 * time.Second,
+		BaseContext: func(net.Listener) context.Context { return base }}
 	srv := s.srv
 	s.srvMu.Unlock()
 	go srv.Serve(ln) // Serve returns ErrServerClosed on Close; nothing to report
@@ -140,21 +145,22 @@ func (s *Server) Addr() string {
 	return s.ln.Addr().String()
 }
 
-// Close shuts the server down, letting in-flight requests finish for up to
-// one second before forcing the listener closed. Safe to call on a nil or
-// never-started server, and idempotent.
+// Close shuts the server down: it ends every in-flight request's context,
+// so handlers waiting on one return at once, then lets the requests finish
+// for up to one second before forcing the listener closed. Safe to call on
+// a nil or never-started server, and idempotent.
 func (s *Server) Close() error {
 	if s == nil {
 		return nil
 	}
 	s.srvMu.Lock()
-	srv := s.srv
-	s.srv = nil
-	s.ln = nil
+	srv, cancelRequests := s.srv, s.cancel
+	s.srv, s.ln, s.cancel = nil, nil, nil
 	s.srvMu.Unlock()
 	if srv == nil {
 		return nil
 	}
+	cancelRequests()
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {

@@ -181,58 +181,67 @@ func (d *Digest) Buckets() int { return len(d.pos) + len(d.neg) }
 // empty digest. The estimate is clamped to [Min, Max], so Quantile(0) and
 // Quantile(1) are exact.
 func (d *Digest) Quantile(q float64) float64 {
-	if d.count == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(d.count-1) // 0-based fractional rank
-	// Nearest rank, not floor: flooring under-reports upper quantiles on
-	// small counts (p95 of {0,0,32} would return 0, not 32), which is
-	// exactly where a human reads the campaign summary most literally.
-	want := uint64(rank + 0.5) // index of the value we walk to
+	qs, out := [1]float64{q}, [1]float64{}
+	return d.Quantiles(qs[:], out[:0])[0]
+}
 
-	// Ascending value order: negatives from most negative (largest |v|
-	// bucket index) down, then zeros, then positives ascending.
-	var cum uint64
-	est, found := 0.0, false
-	if len(d.neg) > 0 {
-		idxs := sortedKeys(d.neg)
-		for i := len(idxs) - 1; i >= 0; i-- {
-			cum += d.neg[idxs[i]]
-			if cum > want {
-				est, found = -d.value(idxs[i]), true
-				break
-			}
+// Quantiles appends the estimate of each q in qs to dst, as Quantile
+// would return it, and returns the extended slice. It orders the buckets
+// once for all of qs, where each Quantile call orders them anew.
+func (d *Digest) Quantiles(qs, dst []float64) []float64 {
+	if d.count == 0 {
+		for range qs {
+			dst = append(dst, 0)
 		}
+		return dst
 	}
-	if !found {
-		cum += d.zero
-		if cum > want {
-			est, found = 0, true
+	// The buckets in ascending value order, with running counts:
+	// negatives from most negative (largest |v| bucket index) down, then
+	// the zero bucket at position len(neg), then positives ascending.
+	neg, pos := sortedKeys(d.neg), sortedKeys(d.pos)
+	cum := make([]uint64, 0, len(neg)+1+len(pos))
+	var n uint64
+	for i := len(neg) - 1; i >= 0; i-- {
+		n += d.neg[neg[i]]
+		cum = append(cum, n)
+	}
+	n += d.zero
+	cum = append(cum, n)
+	for _, idx := range pos {
+		n += d.pos[idx]
+		cum = append(cum, n)
+	}
+	for _, q := range qs {
+		if q < 0 {
+			q = 0
 		}
-	}
-	if !found {
-		for _, idx := range sortedKeys(d.pos) {
-			cum += d.pos[idx]
-			if cum > want {
-				est = d.value(idx)
-				break
-			}
+		if q > 1 {
+			q = 1
 		}
+		rank := q * float64(d.count-1) // 0-based fractional rank
+		// Nearest rank, not floor: flooring under-reports upper quantiles
+		// on small counts (p95 of {0,0,32} would return 0, not 32), which
+		// is exactly where a human reads the campaign summary most
+		// literally.
+		want := uint64(rank + 0.5) // index of the value to find
+		// The first bucket whose running count passes want holds it.
+		est := 0.0
+		switch i := sort.Search(len(cum), func(i int) bool { return cum[i] > want }); {
+		case i < len(neg):
+			est = -d.value(neg[len(neg)-1-i])
+		case i > len(neg) && i < len(cum):
+			est = d.value(pos[i-len(neg)-1])
+		}
+		// Clamp into the exact observed range.
+		if est < d.min {
+			est = d.min
+		}
+		if est > d.max {
+			est = d.max
+		}
+		dst = append(dst, est)
 	}
-	// Clamp into the exact observed range.
-	if est < d.min {
-		est = d.min
-	}
-	if est > d.max {
-		est = d.max
-	}
-	return est
+	return dst
 }
 
 // Merge folds other into d. Both digests must share the same alpha — the

@@ -257,3 +257,57 @@ func TestNaNIgnored(t *testing.T) {
 		t.Fatalf("NaN must be ignored: count=%d", d.Count())
 	}
 }
+
+// walkQuantile is the reference Quantiles must equal bit for bit: one
+// walk over freshly sorted buckets per q, in ascending value order.
+func walkQuantile(d *Digest, q float64) float64 {
+	if d.count == 0 {
+		return 0
+	}
+	want := uint64(math.Min(math.Max(q, 0), 1)*float64(d.count-1) + 0.5)
+	var cum uint64
+	est, found := 0.0, false
+	neg := sortedKeys(d.neg)
+	for i := len(neg) - 1; i >= 0 && !found; i-- {
+		if cum += d.neg[neg[i]]; cum > want {
+			est, found = -d.value(neg[i]), true
+		}
+	}
+	if cum += d.zero; !found && cum > want {
+		found = true
+	}
+	for _, idx := range sortedKeys(d.pos) {
+		if cum += d.pos[idx]; !found && cum > want {
+			est, found = d.value(idx), true
+		}
+	}
+	return math.Min(math.Max(est, d.min), d.max)
+}
+
+// TestQuantilesMatchesWalk: Quantiles answers every q of an unsorted list,
+// out-of-range ones included, exactly as the per-q walk does, and appends
+// the answers to dst in the order of qs.
+func TestQuantilesMatchesWalk(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	qs := append([]float64{1.5, -0.2}, quantiles...)
+	r.Shuffle(len(qs), func(i, j int) { qs[i], qs[j] = qs[j], qs[i] })
+	for name, xs := range distributions(r, 5000) {
+		d := New()
+		for _, v := range xs[:len(xs)/2] {
+			d.Add(v)
+			d.Add(-v / 3)
+		}
+		got := d.Quantiles(qs, []float64{-7})
+		if len(got) != len(qs)+1 || got[0] != -7 {
+			t.Fatalf("%s: Quantiles returned %v, want dst's -7 and then %d estimates", name, got, len(qs))
+		}
+		for i, q := range qs {
+			if want := walkQuantile(d, q); got[i+1] != want || d.Quantile(q) != want {
+				t.Errorf("%s q=%v: Quantiles %v, Quantile %v, walk %v", name, q, got[i+1], d.Quantile(q), want)
+			}
+		}
+	}
+	if got := New().Quantiles(qs[:3], nil); len(got) != 3 || got[0] != 0 || got[1] != 0 || got[2] != 0 {
+		t.Errorf("empty digest: Quantiles = %v, want three zeros", got)
+	}
+}

@@ -283,7 +283,9 @@ func (c *Coordinator) Lease(workerName string, max int64) LeaseResponse {
 // earliest active lease reaches its deadline, min(TTL, maxLeaseWait) has
 // passed, or ctx ends; then it reaps and tries again. A caller whose ctx
 // ended gets ctx.Err() and no span, so an HTTP client that hung up mid-wait
-// never strands a span until its TTL.
+// never strands a span until its TTL; once the sweep is done it hears Done
+// all the same, so a server shutting down (which ends every request's ctx)
+// cannot turn the final wake-up into an error.
 func (c *Coordinator) lease(ctx context.Context, workerName string, max int64) (LeaseResponse, error) {
 	if max <= 0 || max > c.opts.Batch {
 		max = c.opts.Batch
@@ -291,6 +293,10 @@ func (c *Coordinator) lease(ctx context.Context, workerName string, max int64) (
 	giveUp := time.Now().Add(min(c.opts.TTL, maxLeaseWait))
 	for {
 		c.mu.Lock()
+		if err := ctx.Err(); err != nil && c.done < c.total {
+			c.mu.Unlock()
+			return LeaseResponse{}, err
+		}
 		now := time.Now()
 		resp := c.grant(workerName, max, now)
 		if !resp.Wait || !now.Before(giveUp) {
@@ -315,14 +321,17 @@ func (c *Coordinator) lease(ctx context.Context, workerName string, max int64) (
 		case <-ctx.Done():
 		}
 		timer.Stop()
-		if err := ctx.Err(); err != nil {
-			return LeaseResponse{}, err
-		}
 	}
 }
 
 // grant answers workerName's lease request without waiting, under mu:
 // Done, the next available span, or Wait when every span is leased out.
+//
+// A re-queued span is re-leased whole, up to max. A fresh span takes at
+// most ⌈R/(W+1)⌉ of the R never-leased jobs, where W counts the workers
+// seen so far, the asker included: spans shrink toward the end of the
+// sweep, so the workers finish together rather than all waiting on
+// whoever holds the last full batch.
 func (c *Coordinator) grant(workerName string, max int64, now time.Time) LeaseResponse {
 	c.reap(now)
 	w := c.worker(workerName, now)
@@ -342,7 +351,8 @@ func (c *Coordinator) grant(workerName string, max int64, now time.Time) LeaseRe
 			c.requeued = c.requeued[1:]
 		}
 	case c.next < c.total:
-		sp = span{c.next, min(c.next+max, c.total)}
+		share := int64(len(c.workers)) + 1
+		sp = span{c.next, c.next + min(max, (c.total-c.next+share-1)/share)}
 		c.next = sp.To
 	default:
 		return LeaseResponse{Schema: ProtoSchema, Wait: true}

@@ -143,7 +143,8 @@ func TestDeadWorkerRelease(t *testing.T) {
 // one job too many), is rejected before it merges and the span re-leased.
 // Accepting the missing aggregate would end a sweep on an empty artifact.
 func TestIncompleteReportRequeued(t *testing.T) {
-	s := synthSpec(t, `{"name":"short","seeds":{"count":10},
+	// 20 jobs, so the first grant is a whole 10-job batch.
+	s := synthSpec(t, `{"name":"short","seeds":{"count":20},
 		"impairments":["none"],"device_classes":["pc"],"ap_densities":["typical"]}`)
 	c := NewCoordinator(s, CoordinatorOptions{Batch: 10})
 	before := c.Summary().Fingerprint
@@ -184,6 +185,27 @@ func TestIncompleteReportRequeued(t *testing.T) {
 	if regrant.From != whole.From || regrant.To != whole.To {
 		t.Errorf("span not re-leased: got [%d,%d), want [%d,%d)",
 			regrant.From, regrant.To, whole.From, whole.To)
+	}
+}
+
+// TestLeaseSizesShrinkTowardEnd: a fresh span takes at most ⌈R/(W+1)⌉ of
+// the R never-leased jobs, W counting the workers seen so far, so spans
+// shrink toward the end of the sweep; they still tile it.
+func TestLeaseSizesShrinkTowardEnd(t *testing.T) {
+	s := synthSpec(t, `{"name":"tail","seeds":{"count":100},
+		"impairments":["none"],"device_classes":["pc"],"ap_densities":["typical"]}`)
+	c := NewCoordinator(s, CoordinatorOptions{})
+	from := int64(0)
+	for i, size := range []int64{50, 17, 11, 8, 5, 3, 2, 2, 1, 1} {
+		w := []string{"A", "B"}[i%2]
+		g := c.Lease(w, 0)
+		if g.From != from || g.To != from+size {
+			t.Fatalf("grant %d, to %s: [%d,%d), want [%d,%d)", i+1, w, g.From, g.To, from, from+size)
+		}
+		from = g.To
+	}
+	if from != s.Total() {
+		t.Errorf("the spans cover [0,%d) of a %d-job sweep", from, s.Total())
 	}
 }
 

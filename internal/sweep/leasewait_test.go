@@ -10,10 +10,11 @@ import (
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/obs/expose"
 )
 
-// leaseWaitSpec is a 6-job sweep: one default-batch lease covers all of it.
-const leaseWaitSpec = `{"name":"lw","seeds":{"count":6},
+// leaseWaitSpec is a 1-job sweep: its first lease covers all of it.
+const leaseWaitSpec = `{"name":"lw","seeds":{"count":1},
 	"impairments":["none"],"device_classes":["pc"],"ap_densities":["typical"]}`
 
 // spanReport is a worker's full, honest report of a granted span.
@@ -145,7 +146,7 @@ func TestLeaseWaitClientGone(t *testing.T) {
 	// A's short report is refused, which frees its span; B is gone, so
 	// the next caller takes it.
 	if _, err := c.Complete(CompleteRequest{Schema: ProtoSchema, Worker: "A", LeaseID: a.LeaseID,
-		Executed: 1, Agg: NewAggregate()}); err == nil {
+		Executed: 0, Agg: NewAggregate()}); err == nil {
 		t.Fatal("A's short report was accepted")
 	}
 	if row := fleetRow(c, "B"); row == nil || row.Leases != 0 {
@@ -179,6 +180,53 @@ func TestLeaseWaitClientGone(t *testing.T) {
 	}
 	if last := c.Lease("E", 0); last.From != a.From || last.To != a.To {
 		t.Fatalf("E got %+v, want the freed span [%d,%d)", last, a.From, a.To)
+	}
+}
+
+// TestLeaseWaitEndsOnServerClose: closing the coordinator's server ends a
+// lease request still waiting on it at once, so Close does not wait out
+// its one-second grace; the waiting worker gets an error and no span. Once
+// the sweep is done, a request whose context has ended hears done all the
+// same, as a waiter does when the Complete that wakes it and the server's
+// shutdown land together.
+func TestLeaseWaitEndsOnServerClose(t *testing.T) {
+	s := synthSpec(t, leaseWaitSpec)
+	c := NewCoordinator(s, CoordinatorOptions{})
+	srv := expose.New(nil)
+	c.Routes(srv)
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	a := c.Lease("A", 0)
+	got := make(chan error, 1)
+	go func() {
+		_, err := NewHTTPTransport(srv.Addr()).Lease("B", 0)
+		got <- err
+	}()
+	waitFor(t, "B's Lease to reach the coordinator", func() bool { return fleetRow(c, "B") != nil })
+	start := time.Now()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d >= 250*time.Millisecond {
+		t.Errorf("Close took %v with a lease waiting, want under 250 ms", d)
+	}
+	if err := <-got; err == nil {
+		t.Error("B's Lease succeeded against a closed server")
+	}
+	if row := fleetRow(c, "B"); row == nil || row.Leases != 0 {
+		t.Errorf("B, cut off mid-wait, holds a lease: %+v", row)
+	}
+
+	if _, err := c.Complete(spanReport(t, s, "A", a)); err != nil {
+		t.Fatal(err)
+	}
+	ended, cancel := context.WithCancel(context.Background())
+	cancel()
+	if resp, err := c.lease(ended, "B", 0); err != nil || !resp.Done {
+		t.Errorf("after the sweep, a lease whose context ended got %+v, %v; want done", resp, err)
 	}
 }
 

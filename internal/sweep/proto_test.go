@@ -13,7 +13,8 @@ import (
 // refused it, as an in-process one does, not only the HTTP status; a long
 // reason is cut to maxErrorBody bytes.
 func TestHTTPRefusalCarriesReason(t *testing.T) {
-	s := synthSpec(t, `{"name":"why","seeds":{"count":10},
+	// 20 jobs, so the first grant is a whole 10-job batch.
+	s := synthSpec(t, `{"name":"why","seeds":{"count":20},
 		"impairments":["none"],"device_classes":["pc"],"ap_densities":["typical"]}`)
 	c := NewCoordinator(s, CoordinatorOptions{Batch: 10})
 	mux := http.NewServeMux()
@@ -54,7 +55,7 @@ func FuzzCompleteRoute(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	const batch = 6 // of 8 jobs, so an accepted report does not end the sweep
+	const batch = 4 // of 8 jobs: the first grant, and an accepted report does not end the sweep
 	encode := func(req CompleteRequest) []byte {
 		b, err := json.Marshal(req)
 		if err != nil {

@@ -51,11 +51,21 @@ type Report struct {
 // cdfSamples is how many points each CDF curve carries.
 const cdfSamples = 64
 
-// reportQuantiles are the tail points the report tables print.
-var reportQuantiles = []struct {
-	q     float64
-	label string
-}{{0.50, "p50"}, {0.95, "p95"}, {0.99, "p99"}, {0.999, "p999"}}
+// reportQuantiles are the tail points the report tables print, under
+// reportLabels.
+var (
+	reportQuantiles = []float64{0.50, 0.95, 0.99, 0.999}
+	reportLabels    = []string{"p50", "p95", "p99", "p999"}
+)
+
+// cdfQuantiles are the cdfSamples+1 evenly spaced points of a CDF curve.
+var cdfQuantiles = func() []float64 {
+	qs := make([]float64, cdfSamples+1)
+	for i := range qs {
+		qs[i] = float64(i) / float64(cdfSamples)
+	}
+	return qs
+}()
 
 // Report renders the summary into the paper-artifact report. It fails only
 // if per-cell digests cannot merge (mixed sketch resolutions — impossible
@@ -188,8 +198,8 @@ func (s *Summary) table2(overall map[string]*sketch.Digest) *stats.Table {
 // the secondary queue wait by design — see docs/RESULTS.md).
 func table3(overall map[string]*sketch.Digest) *stats.Table {
 	headers := []string{"component", "events", "mean ms"}
-	for _, rq := range reportQuantiles {
-		headers = append(headers, rq.label+" ms")
+	for _, label := range reportLabels {
+		headers = append(headers, label+" ms")
 	}
 	t := stats.NewTable("Table 3 — recovery delay decomposition (DiversiFi)", headers...)
 	for _, key := range []string{"recovery_detect_ms", "recovery_switch_ms",
@@ -201,21 +211,24 @@ func table3(overall map[string]*sketch.Digest) *stats.Table {
 			continue
 		}
 		row := []string{name, fmt.Sprint(sk.Count()), fmt.Sprintf("%.2f", sk.Mean())}
-		for _, rq := range reportQuantiles {
-			row = append(row, fmt.Sprintf("%.2f", sk.Quantile(rq.q)))
-		}
-		t.AddRow(row...)
+		t.AddRow(append(row, quantileCells(sk)...)...)
 	}
 	return t
+}
+
+// quantileCells formats a digest's reportQuantiles for a table row.
+func quantileCells(sk *sketch.Digest) []string {
+	var cells []string
+	for _, v := range sk.Quantiles(reportQuantiles, nil) {
+		cells = append(cells, fmt.Sprintf("%.2f", v))
+	}
+	return cells
 }
 
 // mosQuantiles tabulates the MOS distribution per strategy — the numbers
 // behind the MOS CDF figure.
 func mosQuantiles(overall map[string]*sketch.Digest) *stats.Table {
-	headers := []string{"strategy", "calls", "mean"}
-	for _, rq := range reportQuantiles {
-		headers = append(headers, rq.label)
-	}
+	headers := append([]string{"strategy", "calls", "mean"}, reportLabels...)
 	t := stats.NewTable("MOS quantiles by strategy", headers...)
 	for _, strat := range Strategies() {
 		sk := overall[metricKey(strat, "mos")]
@@ -224,10 +237,7 @@ func mosQuantiles(overall map[string]*sketch.Digest) *stats.Table {
 			continue
 		}
 		row := []string{strat, fmt.Sprint(sk.Count()), fmt.Sprintf("%.2f", sk.Mean())}
-		for _, rq := range reportQuantiles {
-			row = append(row, fmt.Sprintf("%.2f", sk.Quantile(rq.q)))
-		}
-		t.AddRow(row...)
+		t.AddRow(append(row, quantileCells(sk)...)...)
 	}
 	return t
 }
@@ -245,10 +255,10 @@ func digestCDF(sk *sketch.Digest) []stats.Point {
 	if sk == nil || sk.Count() == 0 {
 		return nil
 	}
-	pts := make([]stats.Point, 0, cdfSamples+1)
-	for i := 0; i <= cdfSamples; i++ {
-		q := float64(i) / float64(cdfSamples)
-		pts = append(pts, stats.Point{X: sk.Quantile(q), Y: q})
+	xs := sk.Quantiles(cdfQuantiles, nil)
+	pts := make([]stats.Point, len(xs))
+	for i, x := range xs {
+		pts[i] = stats.Point{X: x, Y: cdfQuantiles[i]}
 	}
 	return pts
 }
