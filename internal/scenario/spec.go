@@ -26,6 +26,7 @@
 package scenario
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -48,10 +49,14 @@ type Range struct {
 	Lo, Hi float64
 }
 
-// UnmarshalJSON accepts 3, [3] and [1, 5].
+// UnmarshalJSON accepts 3, [3] and [1, 5]. It decodes the value once, as
+// the form its first byte names.
 func (r *Range) UnmarshalJSON(data []byte) error {
-	var one float64
-	if err := json.Unmarshal(data, &one); err == nil {
+	if v := bytes.TrimLeft(data, " \t\r\n"); len(v) == 0 || v[0] != '[' {
+		var one float64
+		if err := json.Unmarshal(data, &one); err != nil {
+			return fmt.Errorf("want a number or [lo, hi]")
+		}
 		*r = Range{Lo: one, Hi: one}
 		return nil
 	}

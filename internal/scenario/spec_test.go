@@ -155,6 +155,35 @@ func TestHashCanonical(t *testing.T) {
 	}
 }
 
+// TestRangeForms pins what Range.UnmarshalJSON makes of each form a range
+// may take, and its error for each it may not.
+func TestRangeForms(t *testing.T) {
+	cases := []struct {
+		in   string
+		want Range
+		err  string
+	}{
+		{in: "2", want: Range{2, 2}},
+		{in: "[1]", want: Range{1, 1}},
+		{in: "[1, 2]", want: Range{1, 2}},
+		{in: "[1,2,3]", err: "want a number or [lo, hi], got 3 elements"},
+		{in: `"x"`, err: "want a number or [lo, hi]"},
+		{in: "null", want: Range{}},
+	}
+	for _, c := range cases {
+		r := Range{Lo: -1, Hi: -1}
+		err := r.UnmarshalJSON([]byte(c.in))
+		switch {
+		case c.err != "" && (err == nil || err.Error() != c.err):
+			t.Errorf("%s: error %v, want %q", c.in, err, c.err)
+		case c.err == "" && err != nil:
+			t.Errorf("%s: %v", c.in, err)
+		case c.err == "" && r != c.want:
+			t.Errorf("%s: got %+v, want %+v", c.in, r, c.want)
+		}
+	}
+}
+
 func TestRangeUnmarshal(t *testing.T) {
 	cases := []struct {
 		in   string

@@ -24,12 +24,13 @@
 package sketch
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -39,13 +40,21 @@ const (
 	// ZeroThreshold: values with |v| below it land in the exact zero
 	// bucket instead of a log bucket (log is unbounded near zero).
 	ZeroThreshold = 1e-9
-	// maxBuckets bounds digest memory. With α = 1 % the bucket span
-	// covers [1e-9, 1e18] in ≈ 3100 buckets, so the collapse safety
-	// valve (fold lowest buckets together) never triggers for the
-	// magnitudes this repo produces; it exists so a hostile input cannot
-	// grow a digest without bound.
+	// maxBuckets bounds digest memory: the non-empty buckets of both signs
+	// together. With α = 1 % the bucket span covers [1e-9, 1e18] in ≈ 3100
+	// buckets, so the collapse safety valve (fold the lowest positive
+	// buckets together) never triggers for the magnitudes this repo
+	// produces; it exists so a hostile input cannot grow a digest without
+	// bound.
 	maxBuckets = 4096
 )
+
+// bucket is one non-empty log bucket: its index and how many values it
+// holds.
+type bucket struct {
+	idx int32
+	n   uint64
+}
 
 // Digest is a mergeable quantile sketch. The zero value is not usable;
 // create digests with New or NewAlpha.
@@ -59,8 +68,10 @@ type Digest struct {
 	sum   float64
 	min   float64
 	max   float64
-	pos   map[int32]uint64 // bucket index -> count, v > 0
-	neg   map[int32]uint64 // bucket index over |v|, v < 0
+	// pos and neg hold one entry per non-empty bucket, in ascending index
+	// order: pos over v > 0, neg over |v| of v < 0.
+	pos []bucket
+	neg []bucket
 }
 
 // New returns an empty digest with the default 1 % relative-error bound.
@@ -72,15 +83,20 @@ func NewAlpha(alpha float64) *Digest {
 	if !(alpha > 0 && alpha < 1) {
 		panic(fmt.Sprintf("sketch: alpha %v out of (0,1)", alpha))
 	}
+	d := &Digest{}
+	d.reset(alpha)
+	return d
+}
+
+// reset makes d an empty digest with relative-error bound alpha.
+func (d *Digest) reset(alpha float64) {
 	gamma := (1 + alpha) / (1 - alpha)
-	return &Digest{
+	*d = Digest{
 		alpha:   alpha,
 		gamma:   gamma,
 		lgGamma: math.Log(gamma),
 		min:     math.Inf(1),
 		max:     math.Inf(-1),
-		pos:     map[int32]uint64{},
-		neg:     map[int32]uint64{},
 	}
 }
 
@@ -103,15 +119,32 @@ func (d *Digest) Add(v float64) {
 	}
 	switch {
 	case v > ZeroThreshold:
-		d.pos[d.bucket(v)]++
+		d.pos = incr(d.pos, d.bucket(v))
 	case v < -ZeroThreshold:
-		d.neg[d.bucket(-v)]++
+		d.neg = incr(d.neg, d.bucket(-v))
 	default:
 		d.zero++
 	}
 	if len(d.pos)+len(d.neg) > maxBuckets {
 		d.collapse()
 	}
+}
+
+// incr counts one value into bucket idx of bs, inserting the bucket in
+// index order when it is new, and returns the updated slice.
+func incr(bs []bucket, idx int32) []bucket {
+	i, found := slices.BinarySearchFunc(bs, idx, func(b bucket, idx int32) int { return cmp.Compare(b.idx, idx) })
+	if found {
+		bs[i].n++
+		return bs
+	}
+	if bs == nil {
+		// Start with room for four: a cell's digest over one lease holds a
+		// handful of buckets, and growing from one would take three
+		// allocations to reach them.
+		bs = make([]bucket, 0, 4)
+	}
+	return slices.Insert(bs, i, bucket{idx: idx, n: 1})
 }
 
 // bucket returns the log-bucket index of a positive value.
@@ -125,22 +158,19 @@ func (d *Digest) value(idx int32) float64 {
 	return 2 * math.Pow(d.gamma, float64(idx)) / (d.gamma + 1)
 }
 
-// collapse folds the lowest-magnitude positive buckets together until the
-// digest is back under its bucket budget. Only the low tail loses its
-// error bound, and only in the pathological inputs that trigger it.
+// collapse folds the lowest positive bucket into the next one until the
+// digest is back under its bucket budget or one positive bucket is left.
+// Only the low tail loses its error bound, and only in the pathological
+// inputs that trigger it.
 func (d *Digest) collapse() {
-	for len(d.pos)+len(d.neg) > maxBuckets && len(d.pos) > 1 {
-		lo, lo2 := int32(math.MaxInt32), int32(math.MaxInt32)
-		for i := range d.pos {
-			if i < lo {
-				lo2, lo = lo, i
-			} else if i < lo2 {
-				lo2 = i
-			}
-		}
-		d.pos[lo2] += d.pos[lo]
-		delete(d.pos, lo)
+	k := min(len(d.pos)+len(d.neg)-maxBuckets, len(d.pos)-1)
+	if k <= 0 {
+		return
 	}
+	for _, b := range d.pos[:k] {
+		d.pos[k].n += b.n
+	}
+	d.pos = append(d.pos[:0], d.pos[k:]...)
 }
 
 // Count returns how many values were ingested.
@@ -186,8 +216,8 @@ func (d *Digest) Quantile(q float64) float64 {
 }
 
 // Quantiles appends the estimate of each q in qs to dst, as Quantile
-// would return it, and returns the extended slice. It orders the buckets
-// once for all of qs, where each Quantile call orders them anew.
+// would return it, and returns the extended slice. It sums the bucket
+// counts once for all of qs.
 func (d *Digest) Quantiles(qs, dst []float64) []float64 {
 	if d.count == 0 {
 		for range qs {
@@ -198,17 +228,17 @@ func (d *Digest) Quantiles(qs, dst []float64) []float64 {
 	// The buckets in ascending value order, with running counts:
 	// negatives from most negative (largest |v| bucket index) down, then
 	// the zero bucket at position len(neg), then positives ascending.
-	neg, pos := sortedKeys(d.neg), sortedKeys(d.pos)
+	neg, pos := d.neg, d.pos
 	cum := make([]uint64, 0, len(neg)+1+len(pos))
 	var n uint64
 	for i := len(neg) - 1; i >= 0; i-- {
-		n += d.neg[neg[i]]
+		n += neg[i].n
 		cum = append(cum, n)
 	}
 	n += d.zero
 	cum = append(cum, n)
-	for _, idx := range pos {
-		n += d.pos[idx]
+	for _, b := range pos {
+		n += b.n
 		cum = append(cum, n)
 	}
 	for _, q := range qs {
@@ -228,9 +258,9 @@ func (d *Digest) Quantiles(qs, dst []float64) []float64 {
 		est := 0.0
 		switch i := sort.Search(len(cum), func(i int) bool { return cum[i] > want }); {
 		case i < len(neg):
-			est = -d.value(neg[len(neg)-1-i])
+			est = -d.value(neg[len(neg)-1-i].idx)
 		case i > len(neg) && i < len(cum):
-			est = d.value(pos[i-len(neg)-1])
+			est = d.value(pos[i-len(neg)-1].idx)
 		}
 		// Clamp into the exact observed range.
 		if est < d.min {
@@ -245,9 +275,9 @@ func (d *Digest) Quantiles(qs, dst []float64) []float64 {
 }
 
 // Merge folds other into d. Both digests must share the same alpha — the
-// bucket layouts are incompatible otherwise — and other is left untouched.
-// Merging is commutative and associative on everything except Sum's float
-// rounding; see the package comment.
+// bucket layouts are incompatible otherwise — and other is left untouched;
+// d never shares storage with it. Merging is commutative and associative
+// on everything except Sum's float rounding; see the package comment.
 func (d *Digest) Merge(other *Digest) error {
 	if other == nil || other.count == 0 {
 		return nil
@@ -264,16 +294,58 @@ func (d *Digest) Merge(other *Digest) error {
 	if other.max > d.max {
 		d.max = other.max
 	}
-	for i, c := range other.pos {
-		d.pos[i] += c
-	}
-	for i, c := range other.neg {
-		d.neg[i] += c
-	}
+	d.pos = mergeBuckets(d.pos, other.pos)
+	d.neg = mergeBuckets(d.neg, other.neg)
 	if len(d.pos)+len(d.neg) > maxBuckets {
 		d.collapse()
 	}
 	return nil
+}
+
+// mergeBuckets adds src's counts into dst, both in ascending index order,
+// and returns the result. Counts of indices dst already holds add in
+// place; when src brings new indices, dst grows by that many and the two
+// merge from the back, so every bucket moves at most once.
+func mergeBuckets(dst, src []bucket) []bucket {
+	fresh, i := 0, 0
+	for _, b := range src {
+		for i < len(dst) && dst[i].idx < b.idx {
+			i++
+		}
+		if i < len(dst) && dst[i].idx == b.idx {
+			dst[i].n += b.n
+		} else {
+			fresh++
+		}
+	}
+	if fresh == 0 {
+		return dst
+	}
+	i, j := len(dst)-1, len(src)-1
+	dst = slices.Grow(dst, fresh)[:len(dst)+fresh]
+	for k := len(dst) - 1; j >= 0; k-- {
+		switch {
+		case i >= 0 && dst[i].idx > src[j].idx:
+			dst[k] = dst[i]
+			i--
+		case i >= 0 && dst[i].idx == src[j].idx: // already summed above
+			dst[k] = dst[i]
+			i--
+			j--
+		default:
+			dst[k] = src[j]
+			j--
+		}
+	}
+	return dst
+}
+
+// Clone returns a deep copy of d that shares no storage with it.
+func (d *Digest) Clone() *Digest {
+	c := *d
+	c.pos = slices.Clone(d.pos)
+	c.neg = slices.Clone(d.neg)
+	return &c
 }
 
 // Fingerprint returns a hex digest over the deterministic content: alpha,
@@ -295,85 +367,12 @@ func (d *Digest) Fingerprint() string {
 		w(math.Float64bits(d.min))
 		w(math.Float64bits(d.max))
 	}
-	for _, side := range []map[int32]uint64{d.neg, d.pos} {
-		for _, idx := range sortedKeys(side) {
-			w(uint64(uint32(idx)))
-			w(side[idx])
+	for _, side := range [2][]bucket{d.neg, d.pos} {
+		for _, b := range side {
+			w(uint64(uint32(b.idx)))
+			w(b.n)
 		}
 		w(^uint64(0)) // separator between sides
 	}
 	return hex.EncodeToString(h.Sum(nil)[:16])
-}
-
-// digestJSON is the wire form: bucket maps flattened to index-sorted
-// [index, count] pairs so the encoding is canonical (map iteration order
-// never leaks into bytes on the wire).
-type digestJSON struct {
-	Alpha float64     `json:"alpha"`
-	Count uint64      `json:"count"`
-	Zero  uint64      `json:"zero,omitempty"`
-	Sum   float64     `json:"sum"`
-	Min   float64     `json:"min"`
-	Max   float64     `json:"max"`
-	Pos   [][2]uint64 `json:"pos,omitempty"` // [uint32(index), count]
-	Neg   [][2]uint64 `json:"neg,omitempty"`
-}
-
-func packBuckets(m map[int32]uint64) [][2]uint64 {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make([][2]uint64, 0, len(m))
-	for _, idx := range sortedKeys(m) {
-		out = append(out, [2]uint64{uint64(uint32(idx)), m[idx]})
-	}
-	return out
-}
-
-func unpackBuckets(pairs [][2]uint64) map[int32]uint64 {
-	m := make(map[int32]uint64, len(pairs))
-	for _, p := range pairs {
-		m[int32(uint32(p[0]))] += p[1]
-	}
-	return m
-}
-
-// MarshalJSON encodes the digest canonically (sorted buckets).
-func (d *Digest) MarshalJSON() ([]byte, error) {
-	j := digestJSON{
-		Alpha: d.alpha, Count: d.count, Zero: d.zero, Sum: d.sum,
-		Pos: packBuckets(d.pos), Neg: packBuckets(d.neg),
-	}
-	if d.count > 0 {
-		j.Min, j.Max = d.min, d.max
-	}
-	return json.Marshal(j)
-}
-
-// UnmarshalJSON decodes a digest previously produced by MarshalJSON.
-func (d *Digest) UnmarshalJSON(data []byte) error {
-	var j digestJSON
-	if err := json.Unmarshal(data, &j); err != nil {
-		return err
-	}
-	if !(j.Alpha > 0 && j.Alpha < 1) {
-		return fmt.Errorf("sketch: decoded alpha %v out of (0,1)", j.Alpha)
-	}
-	nd := NewAlpha(j.Alpha)
-	nd.count, nd.zero, nd.sum = j.Count, j.Zero, j.Sum
-	nd.pos, nd.neg = unpackBuckets(j.Pos), unpackBuckets(j.Neg)
-	if j.Count > 0 {
-		nd.min, nd.max = j.Min, j.Max
-	}
-	*d = *nd
-	return nil
-}
-
-func sortedKeys(m map[int32]uint64) []int32 {
-	out := make([]int32, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

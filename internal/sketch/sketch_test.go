@@ -259,7 +259,7 @@ func TestNaNIgnored(t *testing.T) {
 }
 
 // walkQuantile is the reference Quantiles must equal bit for bit: one
-// walk over freshly sorted buckets per q, in ascending value order.
+// walk over the index-ordered buckets per q, in ascending value order.
 func walkQuantile(d *Digest, q float64) float64 {
 	if d.count == 0 {
 		return 0
@@ -267,18 +267,17 @@ func walkQuantile(d *Digest, q float64) float64 {
 	want := uint64(math.Min(math.Max(q, 0), 1)*float64(d.count-1) + 0.5)
 	var cum uint64
 	est, found := 0.0, false
-	neg := sortedKeys(d.neg)
-	for i := len(neg) - 1; i >= 0 && !found; i-- {
-		if cum += d.neg[neg[i]]; cum > want {
-			est, found = -d.value(neg[i]), true
+	for i := len(d.neg) - 1; i >= 0 && !found; i-- {
+		if cum += d.neg[i].n; cum > want {
+			est, found = -d.value(d.neg[i].idx), true
 		}
 	}
 	if cum += d.zero; !found && cum > want {
 		found = true
 	}
-	for _, idx := range sortedKeys(d.pos) {
-		if cum += d.pos[idx]; !found && cum > want {
-			est, found = d.value(idx), true
+	for _, b := range d.pos {
+		if cum += b.n; !found && cum > want {
+			est, found = d.value(b.idx), true
 		}
 	}
 	return math.Min(math.Max(est, d.min), d.max)

@@ -243,8 +243,8 @@ func (a *Aggregate) Buckets() int {
 // bucket counts. The bounded-memory regression test asserts this does not
 // scale with job count.
 func (a *Aggregate) Footprint() int {
-	const perBucket = 16  // map entry: int32 key + uint64 count + overhead
-	const perDigest = 112 // digest header + map header
+	const perBucket = 16  // slice entry: int32 index, 4 B of padding, uint64 count
+	const perDigest = 112 // digest header: eight 8-byte fields and two slice headers
 	return a.Sketches()*perDigest + a.Buckets()*perBucket + len(a.Cells)*128
 }
 
@@ -384,7 +384,8 @@ type Summary struct {
 // maxSummaryFailures caps the failure messages a coordinator retains.
 const maxSummaryFailures = 32
 
-// Summarize renders an aggregate into the final report.
+// Summarize renders an aggregate into the final report. The summary's
+// digests are copies, so it stays valid while the aggregate merges on.
 func Summarize(spec *Spec, agg *Aggregate) *Summary {
 	s := &Summary{
 		Schema:      SummarySchema,
@@ -405,7 +406,7 @@ func Summarize(spec *Spec, agg *Aggregate) *Summary {
 			Cell: k, Calls: c.Calls, Failed: c.Failed,
 			Poor:     map[string]uint64{},
 			PCR:      map[string]float64{},
-			Sketches: c.Sketches,
+			Sketches: cloneDigests(c.Sketches),
 		}
 		if len(parts) == 3 {
 			cs.Impairment, cs.Device, cs.Density = parts[0], parts[1], parts[2]
@@ -438,6 +439,21 @@ func Summarize(spec *Spec, agg *Aggregate) *Summary {
 		s.JobP999MS = agg.Elapsed.Quantile(0.999)
 	}
 	return s
+}
+
+// cloneDigests deep-copies a digest map.
+func cloneDigests(m map[string]*sketch.Digest) map[string]*sketch.Digest {
+	if m == nil {
+		return nil
+	}
+	out := make(map[string]*sketch.Digest, len(m))
+	for key, sk := range m {
+		if sk != nil {
+			sk = sk.Clone()
+		}
+		out[key] = sk
+	}
+	return out
 }
 
 // MergedDigest merges one metric's digests across every cell — the

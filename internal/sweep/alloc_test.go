@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"encoding/json"
 	"runtime"
 	"testing"
 )
@@ -44,5 +45,78 @@ func TestRunJobByteCeiling(t *testing.T) {
 	t.Logf("RunJob: %.0f B per job", got)
 	if got > ceilRunJobBytes {
 		t.Errorf("RunJob allocates %.0f B per job, ceiling %d", got, ceilRunJobBytes)
+	}
+}
+
+// leaseReport is a worker's report of a 50-job lease over 10 cells of
+// synthMetrics jobs, each job's elapsed time included: the shape of
+// fleet-http's first warm-up lease.
+func leaseReport(tb testing.TB) CompleteRequest {
+	tb.Helper()
+	s, err := ParseSpec([]byte(`{"name":"report","seeds":{"count":5},
+		"impairments":["none","weak-link","mobility","microwave","congestion"],
+		"device_classes":["pc","mobile"],"ap_densities":["typical"]}`))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	req := spanReport(tb, s, "w", LeaseResponse{LeaseID: "L1", From: 0, To: s.Total()})
+	for i := int64(0); i < s.Total(); i++ {
+		req.Agg.ObserveElapsed(40 + float64(i%7)*3.5)
+	}
+	return req
+}
+
+// Ceilings on encoding and decoding leaseReport's 151 digests as JSON.
+// With the digests on sorted slices and their one-pass codec, Go 1.24 on
+// linux/amd64 measures 424 objects and 75,698 B to encode, and 821
+// objects and 56,025 B to decode. The map-backed digests, which re-entered
+// encoding/json for each digest, took 1,139 objects and 100,267 B to
+// encode, and 3,184 objects and 187,803 B to decode.
+const (
+	ceilReportEncodeAllocs = 550
+	ceilReportEncodeBytes  = 90_000
+	ceilReportDecodeAllocs = 1_100
+	ceilReportDecodeBytes  = 80_000
+)
+
+var (
+	sinkReport      CompleteRequest
+	sinkReportBytes []byte
+)
+
+// TestLeaseReportAllocCeiling holds a lease report's codec, the bulk of
+// what a lease costs the coordinator, to its allocation ceilings. Under
+// the race detector only decoding is held: encoding/json encodes through
+// a sync.Pool, which the detector makes drop items at random.
+func TestLeaseReportAllocCeiling(t *testing.T) {
+	req := leaseReport(t)
+	data, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	encode := func() { sinkReportBytes, _ = json.Marshal(req) }
+	decode := func() {
+		var back CompleteRequest
+		if err := json.Unmarshal(data, &back); err != nil {
+			t.Fatal(err)
+		}
+		sinkReport = back
+	}
+	for _, c := range []struct {
+		name              string
+		f                 func()
+		ceilAllocs, ceilB float64
+	}{
+		{"encode", encode, ceilReportEncodeAllocs, ceilReportEncodeBytes},
+		{"decode", decode, ceilReportDecodeAllocs, ceilReportDecodeBytes},
+	} {
+		if raceEnabled && c.name == "encode" {
+			continue
+		}
+		allocs, bytes := testing.AllocsPerRun(20, c.f), bytesPerRun(20, c.f)
+		t.Logf("%s a %d-byte report of %d digests: %.0f objects, %.0f B", c.name, len(data), req.Agg.Sketches(), allocs, bytes)
+		if allocs > c.ceilAllocs || bytes > c.ceilB {
+			t.Errorf("%s: %.0f objects and %.0f B, ceilings %.0f and %.0f", c.name, allocs, bytes, c.ceilAllocs, c.ceilB)
+		}
 	}
 }

@@ -644,7 +644,9 @@ func (c *Coordinator) setStraggling() {
 }
 
 // Summary renders the final merged report. Valid at any point; before
-// Finished it covers the jobs completed so far.
+// Finished it covers the jobs completed so far. It is a snapshot: its
+// digests are copied under the lock, so a caller may read or encode it
+// while later reports merge.
 func (c *Coordinator) Summary() *Summary {
 	c.mu.Lock()
 	defer c.mu.Unlock()

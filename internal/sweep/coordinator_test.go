@@ -1,7 +1,10 @@
 package sweep
 
 import (
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -408,5 +411,85 @@ func TestRejectedReportLeavesAggregate(t *testing.T) {
 	}
 	if c.Summary().Done != 0 {
 		t.Error("the rejected report's jobs were counted")
+	}
+}
+
+// TestSummaryWhileCompleting: a summary is a snapshot. Reading it while a
+// worker completes leases, in process or through /sweep/summary, races
+// nothing, and every summary read agrees with itself: each cell's MOS
+// digest holds one value per call the cell counts.
+func TestSummaryWhileCompleting(t *testing.T) {
+	const doc = `{"name":"live","seeds":{"count":100},
+		"impairments":["none","weak-link"],"device_classes":["pc","mobile"],"ap_densities":["typical"]}`
+	check := func(sum *Summary) error {
+		for i := range sum.Cells {
+			cell := &sum.Cells[i]
+			if sk := cell.Sketches["stronger_mos"]; sk == nil || sk.Count() != cell.Calls {
+				return fmt.Errorf("cell %s counts %d calls, its MOS digest %v", cell.Cell, cell.Calls, sk)
+			}
+		}
+		if _, err := json.Marshal(sum); err != nil {
+			return err
+		}
+		rep, err := sum.Report()
+		if err == nil {
+			_ = rep.Text()
+		}
+		return err
+	}
+	reads := map[string]func(c *Coordinator, mux *http.ServeMux) error{
+		"in-process": func(c *Coordinator, _ *http.ServeMux) error { return check(c.Summary()) },
+		"route": func(_ *Coordinator, mux *http.ServeMux) error {
+			rec := httptest.NewRecorder()
+			mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/sweep/summary", nil))
+			if rec.Code != http.StatusOK {
+				return fmt.Errorf("GET /sweep/summary: %d %s", rec.Code, rec.Body.String())
+			}
+			sum, err := LoadSummary(rec.Body.Bytes())
+			if err != nil {
+				return err
+			}
+			return check(sum)
+		},
+	}
+	for name, read := range reads {
+		t.Run(name, func(t *testing.T) {
+			s := synthSpec(t, doc)
+			c := NewCoordinator(s, CoordinatorOptions{Batch: 4})
+			mux := http.NewServeMux()
+			c.Routes(mux)
+			stop, started, done := make(chan struct{}), make(chan struct{}), make(chan error, 1)
+			go func() {
+				for n := 0; ; n++ {
+					err := read(c, mux)
+					if n == 0 {
+						close(started)
+					}
+					if err != nil {
+						done <- err
+						return
+					}
+					select {
+					case <-stop:
+						done <- nil
+						return
+					default:
+					}
+				}
+			}()
+			<-started
+			_, err := RunWorker(LocalTransport{C: c}, &Runner{RunFunc: synthMetrics},
+				WorkerOptions{Name: "w", Parallel: 2})
+			close(stop)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := <-done; err != nil {
+				t.Fatalf("summary read mid-sweep: %v", err)
+			}
+			if got := c.Summary().Done; got != s.Total() {
+				t.Errorf("done %d, want %d", got, s.Total())
+			}
+		})
 	}
 }

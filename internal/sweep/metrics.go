@@ -61,14 +61,14 @@ func RunJob(j Job) Metrics {
 	profile, _ := traffic.ProfileByKey(j.spec.Profile)
 	m := Metrics{
 		Schema:  MetricsSchema,
-		Scalars: map[string]float64{},
-		Series:  map[string][]float64{},
-		Poor:    map[string]bool{},
+		Scalars: make(map[string]float64, scalarMetrics),
+		Series:  make(map[string][]float64, seriesMetrics),
+		Poor:    make(map[string]bool, len(Strategies())),
 	}
 
 	d := core.RunDualCall(sc)
-	observeQuality(&m, StrategyStronger, voip.Assess(d.Stronger(), profile))
-	observeQuality(&m, StrategyCross, voip.AssessMerged(d.TraceA, d.TraceB, profile))
+	observeQuality(&m, strongerKeys, voip.Assess(d.Stronger(), profile))
+	observeQuality(&m, crossKeys, voip.AssessMerged(d.TraceA, d.TraceB, profile))
 
 	// Cross-link duplication cost: every packet delivered on both links
 	// bought airtime without buying recovery.
@@ -79,13 +79,12 @@ func RunJob(j Job) Metrics {
 				both++
 			}
 		}
-		m.Scalars[metricKey(StrategyCross, "dup_bytes")] =
-			float64(both) * float64(profile.PacketBytes)
+		m.Scalars[crossDupKey] = float64(both) * float64(profile.PacketBytes)
 	}
 
 	r := core.RunDiversiFi(sc, core.DiversiFiOptions{Mode: core.ModeCustomAP})
-	observeQuality(&m, StrategyDiversiFi, voip.Assess(r.Trace, profile))
-	m.Scalars[metricKey(StrategyDiversiFi, "dup_bytes")] =
+	observeQuality(&m, diversifiKeys, voip.Assess(r.Trace, profile))
+	m.Scalars[diversifiDupKey] =
 		r.WastefulRate * float64(r.Trace.Len()) * float64(profile.PacketBytes)
 	if n := len(r.Recoveries); n > 0 {
 		detect, sw, retrieve, total := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
@@ -103,13 +102,47 @@ func RunJob(j Job) Metrics {
 	return m
 }
 
+// qualityKeys are one strategy's quality metric keys.
+type qualityKeys struct {
+	strategy, mos, worst, missPct string
+}
+
+func newQualityKeys(strategy string) qualityKeys {
+	return qualityKeys{strategy: strategy, mos: metricKey(strategy, "mos"),
+		worst: metricKey(strategy, "worst"), missPct: metricKey(strategy, "miss_pct")}
+}
+
+// The keys RunJob writes, each built once; metricKey panics at package
+// init on a key missing from the table. scalarMetrics and seriesMetrics
+// size a job's record.
+var (
+	strongerKeys                 = newQualityKeys(StrategyStronger)
+	crossKeys                    = newQualityKeys(StrategyCross)
+	diversifiKeys                = newQualityKeys(StrategyDiversiFi)
+	crossDupKey                  = metricKey(StrategyCross, "dup_bytes")
+	diversifiDupKey              = metricKey(StrategyDiversiFi, "dup_bytes")
+	scalarMetrics, seriesMetrics = countMetricKinds()
+)
+
+// countMetricKinds counts the table's scalar and series metrics.
+func countMetricKinds() (scalars, series int) {
+	for _, d := range metricDefs {
+		if d.Kind == KindSeries {
+			series++
+		} else {
+			scalars++
+		}
+	}
+	return scalars, series
+}
+
 // observeQuality folds one receiver's assessed call quality into the
 // strategy's scalar metrics and poor-call flag.
-func observeQuality(m *Metrics, strategy string, q voip.Quality) {
-	m.Scalars[metricKey(strategy, "mos")] = q.MOS
-	m.Scalars[metricKey(strategy, "worst")] = q.WorstWindowLoss
-	m.Scalars[metricKey(strategy, "miss_pct")] = 100 * q.LossRate
-	m.Poor[strategy] = q.Poor
+func observeQuality(m *Metrics, k qualityKeys, q voip.Quality) {
+	m.Scalars[k.mos] = q.MOS
+	m.Scalars[k.worst] = q.WorstWindowLoss
+	m.Scalars[k.missPct] = 100 * q.LossRate
+	m.Poor[k.strategy] = q.Poor
 }
 
 func toMS(d sim.Duration) float64 { return float64(d) / 1000 }

@@ -149,7 +149,7 @@ type routeMounter interface {
 //	POST /sweep/lease      — pull a job span (waits while all are leased)
 //	POST /sweep/heartbeat  — keep a lease alive
 //	POST /sweep/complete   — report a finished span's sketches
-//	GET  /sweep/summary    — current merged summary (partial mid-run)
+//	GET  /sweep/summary    — a snapshot of the merged summary (partial mid-run)
 //	GET  /campaign/status  — fleet view (campaign-status-v1; `campaign
 //	                         watch` renders it, including per-worker state)
 func (c *Coordinator) Routes(srv routeMounter) {
@@ -178,6 +178,7 @@ func (c *Coordinator) Routes(srv routeMounter) {
 
 // postHandler adapts a typed request/response function to an HTTP route.
 // fn gets the request's context, which ends when the client goes away.
+// The body must be one JSON value, with nothing but space after it.
 func postHandler[Req, Resp any](fn func(context.Context, Req) (Resp, error)) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -185,7 +186,11 @@ func postHandler[Req, Resp any](fn func(context.Context, Req) (Resp, error)) htt
 			return
 		}
 		var req Req
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		body, err := readBody(r)
+		if err == nil {
+			err = json.Unmarshal(body, &req)
+		}
+		if err != nil {
 			http.Error(w, "decode: "+err.Error(), http.StatusBadRequest)
 			return
 		}
@@ -196,6 +201,23 @@ func postHandler[Req, Resp any](fn func(context.Context, Req) (Resp, error)) htt
 		}
 		serveJSON(w, resp)
 	})
+}
+
+// maxBodyPrealloc caps the buffer a POST body is read into up front. A
+// body declaring a larger Content-Length, or none, is read into a buffer
+// that grows as its bytes arrive, so a client cannot make the coordinator
+// allocate more than it sends.
+const maxBodyPrealloc = 1 << 20
+
+// readBody reads a request body in one allocation when its length is
+// known and at most maxBodyPrealloc.
+func readBody(r *http.Request) ([]byte, error) {
+	if n := r.ContentLength; n >= 0 && n <= maxBodyPrealloc {
+		body := make([]byte, n)
+		_, err := io.ReadFull(r.Body, body)
+		return body, err
+	}
+	return io.ReadAll(r.Body)
 }
 
 func serveJSON(w http.ResponseWriter, v any) {

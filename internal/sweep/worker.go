@@ -93,11 +93,8 @@ func (m *workerMeter) snapshot() (int64, *WorkerMetrics) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.hb++
-	cp := sketch.New()
-	// Merge only fails across alpha mismatches; both sides use New().
-	_ = cp.Merge(m.elapsed)
 	return m.hb, &WorkerMetrics{
-		Executed: m.executed, Cached: m.cached, Failed: m.failed, Elapsed: cp,
+		Executed: m.executed, Cached: m.cached, Failed: m.failed, Elapsed: m.elapsed.Clone(),
 	}
 }
 
