@@ -81,12 +81,12 @@ type StatusSnapshot struct {
 	Fleet []WorkerStatus `json:"fleet,omitempty"`
 }
 
-// WorkerStatus is one sweep worker's row in the fleet view. Beyond lease
-// accounting it carries the heartbeat-federated metrics (sweep-proto-v4):
-// mid-lease job counters, the elapsed p50 from the worker's own digest,
-// the coordinator's straggler verdict (worker p50 far above the
-// fleet-merged p50; see docs/FLEET.md for the thresholds), and the
-// worker's streaming SLO alert state when it runs with -slo.
+// WorkerStatus is one sweep worker's row in the fleet view, built from the
+// lease reports the coordinator accepted for it (sweep-proto-v5): lease
+// accounting, job counters, the elapsed p50 from the worker's own digest,
+// the coordinator's straggler verdict (worker p50 far above the sweep's
+// p50; see docs/FLEET.md for the thresholds), and the worker's streaming
+// SLO alert state from its latest report when it runs with -slo.
 type WorkerStatus struct {
 	Name       string `json:"name"`
 	JobsDone   int64  `json:"jobs_done"`
@@ -101,9 +101,10 @@ type WorkerStatus struct {
 	ElapsedP50MS int64 `json:"elapsed_p50_ms,omitempty"`
 	Straggler    bool  `json:"straggler,omitempty"`
 
-	// SLO alert federation: SLOArmed marks a worker running a streaming
-	// SLO engine; Pending/Firing are its current alert counts and Fired
-	// the cumulative episodes that reached firing (internal/obs/slo).
+	// SLO alert state: SLOArmed marks a worker running a streaming SLO
+	// engine; Pending/Firing are its alert counts as of its latest report
+	// and Fired the cumulative episodes that reached firing
+	// (internal/obs/slo).
 	SLOArmed   bool  `json:"slo_armed,omitempty"`
 	SLOPending int64 `json:"slo_pending,omitempty"`
 	SLOFiring  int64 `json:"slo_firing,omitempty"`

@@ -323,8 +323,8 @@ func p95of(vals []int64) float64 {
 }
 
 // Counts returns the number of rules currently pending and firing, and the
-// cumulative count of episodes that reached firing — the compact state the
-// sweep heartbeat federates. Zeros on a nil engine.
+// cumulative count of episodes that reached firing — the compact state a
+// sweep worker stamps on its lease reports. Zeros on a nil engine.
 func (e *Engine) Counts() (pending, firing, fired int64) {
 	if e == nil {
 		return 0, 0, 0

@@ -285,8 +285,8 @@ func (s *Session) Series() *obs.Series {
 }
 
 // SLO returns the armed streaming SLO engine (nil unless -slo was set;
-// the slo.Engine API is nil-safe). Drivers use it to federate alert state
-// over sweep heartbeats and stamp per-cell verdicts on summaries.
+// the slo.Engine API is nil-safe). cmd/campaign uses it to stamp alert
+// state on sweep lease reports and per-cell verdicts on summaries.
 func (s *Session) SLO() *slo.Engine {
 	if s == nil {
 		return nil

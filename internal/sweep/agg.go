@@ -384,8 +384,9 @@ type Summary struct {
 // maxSummaryFailures caps the failure messages a coordinator retains.
 const maxSummaryFailures = 32
 
-// Summarize renders an aggregate into the final report. The summary's
-// digests are copies, so it stays valid while the aggregate merges on.
+// Summarize renders an aggregate into the final report. The summary shares
+// the aggregate's digests: a caller that lets the aggregate merge on while
+// the summary is read must copy them (Coordinator.Summary does).
 func Summarize(spec *Spec, agg *Aggregate) *Summary {
 	s := &Summary{
 		Schema:      SummarySchema,
@@ -406,7 +407,7 @@ func Summarize(spec *Spec, agg *Aggregate) *Summary {
 			Cell: k, Calls: c.Calls, Failed: c.Failed,
 			Poor:     map[string]uint64{},
 			PCR:      map[string]float64{},
-			Sketches: cloneDigests(c.Sketches),
+			Sketches: c.Sketches,
 		}
 		if len(parts) == 3 {
 			cs.Impairment, cs.Device, cs.Density = parts[0], parts[1], parts[2]

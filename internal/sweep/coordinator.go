@@ -43,37 +43,25 @@ type doneLease struct {
 // recentLeases bounds the completed-lease ring the fleet view reports.
 const recentLeases = 16
 
-// Straggler verdict: a worker is flagged once its federated elapsed p50
-// exceeds stragglerFactor × the fleet-merged p50, given at least
-// stragglerMinSamples samples — below that its digest is noise.
+// Straggler verdict: a worker is flagged once the elapsed p50 of its
+// accepted reports exceeds stragglerFactor × the sweep's elapsed p50,
+// given at least stragglerMinSamples samples — below that its digest is
+// noise.
 const (
 	stragglerFactor     = 2.0
 	stragglerMinSamples = 16
 )
 
-// workerInfo tracks one worker's fleet state for /campaign/status: lease
-// accounting plus the federated metric view merged from its heartbeats.
+// workerInfo is one worker's row of the fleet view (/campaign/status).
+// Apart from lastSeen, which any call refreshes, it is built from the
+// leases granted to the worker and the reports accepted for them.
 type workerInfo struct {
-	jobsDone int64
 	leases   int
 	lastSeen time.Time
 
-	// Heartbeat federation (sweep-proto-v3): the worker's latest cumulative
-	// metric snapshot. fedSeq is the snapshot's sequence; an older or
-	// retransmitted snapshot (same or lower seq) is acked but not applied,
-	// so lost responses and reordering can never double-count work.
-	fedSeq      int64
-	fedExecuted int64
-	fedCached   int64
-	fedFailed   int64
-	fedElapsed  *sketch.Digest
-
-	// SLO alert federation (sweep-proto-v4): the worker's latest streaming
-	// SLO engine snapshot, applied under the same Seq guard.
-	fedSLOArmed   bool
-	fedSLOPending int64
-	fedSLOFiring  int64
-	fedSLOFired   int64
+	executed, cached, failed int64
+	elapsed                  *sketch.Digest // per-job wall clock (ms)
+	slo                      *SLOCounts     // from the latest report; nil without -slo
 }
 
 // CoordinatorOptions tunes leasing and the fleet observability plane.
@@ -149,9 +137,8 @@ type Coordinator struct {
 }
 
 // coordInstruments is the coordinator's /metrics surface. Counters track
-// lease-protocol traffic; the fleet_* counters aggregate the heartbeat
-// federation, so a scrape mid-sweep sees fleet-wide progress without
-// waiting for leases to complete.
+// lease-protocol traffic; the fleet_* counters add up the job outcomes of
+// accepted reports.
 type coordInstruments struct {
 	leasesGranted     *obs.Counter
 	leasesExpired     *obs.Counter
@@ -231,9 +218,7 @@ func (c *Coordinator) requeue(l *lease, reason string) {
 	c.ins.leasesActive.Set(int64(len(c.active)))
 	c.requeued = append(c.requeued, l.span)
 	c.releases++
-	if w := c.workers[l.worker]; w != nil && w.leases > 0 {
-		w.leases--
-	}
+	c.workers[l.worker].leases--
 	c.ins.leasesExpired.Inc()
 	c.ft.Expire(l.worker, leaseSeq(l.id), l.span.From, l.span.To, reason)
 	// A failed dump is not worth failing lease bookkeeping over: the dump
@@ -253,7 +238,7 @@ func (c *Coordinator) wakeWaiters() {
 func (c *Coordinator) worker(name string, now time.Time) *workerInfo {
 	w := c.workers[name]
 	if w == nil {
-		w = &workerInfo{}
+		w = &workerInfo{elapsed: sketch.New()}
 		c.workers[name] = w
 		c.ins.workersSeen.Set(int64(len(c.workers)))
 	}
@@ -368,58 +353,33 @@ func (c *Coordinator) grant(workerName string, max int64, now time.Time) LeaseRe
 		TTLMS: c.opts.TTL.Milliseconds()}
 }
 
-// Heartbeat extends a lease's deadline and applies the piggybacked metric
-// snapshot. OK=false tells the worker its lease expired and was re-queued
-// (its eventual Complete will be ignored). The snapshot is applied whether
-// or not the lease survived — the work it describes really happened on
-// that worker — but only when req.Seq advances past the last applied
-// sequence; snapshots are cumulative, so a stale or retransmitted one is
-// simply superseded and never double-counts. The fleet_* counters advance
-// by the counter deltas the new snapshot implies.
+// Heartbeat extends a lease's deadline. OK=false tells the worker its
+// lease expired and was re-queued (its eventual Complete will be ignored).
 func (c *Coordinator) Heartbeat(req HeartbeatRequest) HeartbeatResponse {
 	now := time.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.reap(now)
-	w := c.worker(req.Worker, now)
+	c.worker(req.Worker, now)
 	c.ins.heartbeats.Inc()
-	if req.Seq > w.fedSeq {
-		w.fedSeq = req.Seq
-		if m := req.Metrics; m != nil {
-			c.ins.fleetExecuted.Add(m.Executed - w.fedExecuted)
-			c.ins.fleetCached.Add(m.Cached - w.fedCached)
-			c.ins.fleetFailed.Add(m.Failed - w.fedFailed)
-			w.fedExecuted = m.Executed
-			w.fedCached = m.Cached
-			w.fedFailed = m.Failed
-			w.fedSLOArmed = m.SLOArmed
-			w.fedSLOPending = m.SLOPending
-			w.fedSLOFiring = m.SLOFiring
-			w.fedSLOFired = m.SLOFired
-			if m.Elapsed != nil {
-				// The snapshot digest is self-contained (workers deep-copy
-				// before sending), so replacing the pointer is safe.
-				w.fedElapsed = m.Elapsed
-				c.setStraggling()
-			}
-		}
-	}
 	l, ok := c.active[req.LeaseID]
 	c.ft.Heartbeat(req.Worker, leaseSeq(req.LeaseID), ok)
-	if !ok {
-		return HeartbeatResponse{OK: false, Seq: w.fedSeq}
+	if ok {
+		l.deadline = now.Add(c.opts.TTL)
 	}
-	l.deadline = now.Add(c.opts.TTL)
-	return HeartbeatResponse{OK: true, Seq: w.fedSeq}
+	return HeartbeatResponse{OK: ok}
 }
 
 // Complete merges a finished lease's sketch report into the fleet
-// aggregate. A report for an expired (re-queued) lease is ignored — its
-// span has been or will be re-run by another worker, and counting it twice
-// would break the sharded-equals-single-process determinism contract. A
-// report whose job counts or aggregate do not cover its span is refused
-// and the span re-queued at once. A report whose aggregate cannot merge is
-// rejected whole, before it changes anything; its lease re-queues at TTL.
+// aggregate, and its job counts, elapsed digest and SLO state into the
+// fleet-view row of the worker the lease was granted to; the reporter's
+// name only refreshes its own last-seen time. A report for an expired
+// (re-queued) lease is ignored — its span has been or will be re-run by
+// another worker, and counting it twice would break the
+// sharded-equals-single-process determinism contract. A report whose job
+// counts or aggregate do not cover its span is refused and the span
+// re-queued at once. A report whose aggregate cannot merge is rejected
+// whole, before it changes anything; its lease re-queues at TTL.
 func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 	if req.Schema != ProtoSchema {
 		// Version negotiation is a flat refusal: merging a different
@@ -432,7 +392,7 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.reap(now)
-	w := c.worker(req.Worker, now)
+	c.worker(req.Worker, now)
 	l, ok := c.active[req.LeaseID]
 	if !ok {
 		c.stale++
@@ -463,10 +423,14 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 	}
 	delete(c.active, l.id)
 	c.ins.leasesActive.Set(int64(len(c.active)))
-	if w.leases > 0 {
-		w.leases--
-	}
-	w.jobsDone += l.span.size()
+	w := c.workers[l.worker]
+	w.leases--
+	w.executed += req.Executed
+	w.cached += req.Cached
+	w.failed += req.Failed
+	_ = w.elapsed.Merge(req.Agg.Elapsed) // its alpha passed c.agg.Merge
+	w.slo = req.SLO
+	c.setStraggling()
 	c.done += l.span.size()
 	c.executed += req.Executed
 	c.cached += req.Cached
@@ -487,7 +451,10 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 	c.recent[c.completes%recentLeases] = doneLease{span: l.span, status: status, elapsed: now.Sub(l.granted)}
 	c.completes++
 	c.ins.jobsDone.Add(l.span.size())
-	c.ft.Complete(req.Worker, leaseSeq(l.id), l.span.From, l.span.To,
+	c.ins.fleetExecuted.Add(req.Executed)
+	c.ins.fleetCached.Add(req.Cached)
+	c.ins.fleetFailed.Add(req.Failed)
+	c.ft.Complete(l.worker, leaseSeq(l.id), l.span.From, l.span.To,
 		req.Executed, req.Cached, req.Failed)
 	c.wakeWaiters()
 	if c.done >= c.total {
@@ -575,26 +542,24 @@ func (c *Coordinator) Snapshot() *campaign.StatusSnapshot {
 			ElapsedMS: d.elapsed.Milliseconds()})
 	}
 
-	fleetP50 := c.fleetP50()
+	fleetP50 := c.agg.Elapsed.Quantile(0.50)
 	for name, w := range c.workers {
 		ws := campaign.WorkerStatus{
-			Name:       name,
-			JobsDone:   w.jobsDone,
-			Leases:     w.leases,
-			LastSeenMS: now.Sub(w.lastSeen).Milliseconds(),
-			Alive:      now.Sub(w.lastSeen) <= aliveWindow*c.opts.TTL,
-			Executed:   w.fedExecuted,
-			Cached:     w.fedCached,
-			Failed:     w.fedFailed,
-			SLOArmed:   w.fedSLOArmed,
-			SLOPending: w.fedSLOPending,
-			SLOFiring:  w.fedSLOFiring,
-			SLOFired:   w.fedSLOFired,
+			Name:         name,
+			JobsDone:     w.executed + w.cached + w.failed,
+			Leases:       w.leases,
+			LastSeenMS:   now.Sub(w.lastSeen).Milliseconds(),
+			Alive:        now.Sub(w.lastSeen) <= aliveWindow*c.opts.TTL,
+			Executed:     w.executed,
+			Cached:       w.cached,
+			Failed:       w.failed,
+			Samples:      int64(w.elapsed.Count()),
+			ElapsedP50MS: int64(w.elapsed.Quantile(0.50)),
+			Straggler:    w.straggles(fleetP50),
 		}
-		if w.fedElapsed != nil && w.fedElapsed.Count() > 0 {
-			ws.Samples = int64(w.fedElapsed.Count())
-			ws.ElapsedP50MS = int64(w.fedElapsed.Quantile(0.50))
-			ws.Straggler = w.straggles(fleetP50)
+		if w.slo != nil {
+			ws.SLOArmed = true
+			ws.SLOPending, ws.SLOFiring, ws.SLOFired = w.slo.Pending, w.slo.Firing, w.slo.Fired
 		}
 		snap.Fleet = append(snap.Fleet, ws)
 	}
@@ -603,37 +568,21 @@ func (c *Coordinator) Snapshot() *campaign.StatusSnapshot {
 	return snap
 }
 
-// fleetP50 merges every worker's federated elapsed digest into a fleet
-// distribution and returns its median (0 before any sample). Sketch
-// merges are bucket-additive, so the fleet digest is exact over whatever
-// the heartbeats delivered. Called under mu.
-func (c *Coordinator) fleetP50() float64 {
-	fleet := sketch.New()
-	for _, w := range c.workers {
-		if w.fedElapsed != nil {
-			_ = fleet.Merge(w.fedElapsed)
-		}
-	}
-	if fleet.Count() == 0 {
-		return 0
-	}
-	return fleet.Quantile(0.50)
-}
-
-// straggles is the straggler verdict for w against the fleet median.
+// straggles is the straggler verdict for w against the sweep's elapsed
+// median, which merges every worker's accepted reports.
 func (w *workerInfo) straggles(fleetP50 float64) bool {
-	return w.fedElapsed != nil && w.fedElapsed.Count() >= stragglerMinSamples &&
-		fleetP50 > 0 && w.fedElapsed.Quantile(0.50) > stragglerFactor*fleetP50
+	return w.elapsed.Count() >= stragglerMinSamples && fleetP50 > 0 &&
+		w.elapsed.Quantile(0.50) > stragglerFactor*fleetP50
 }
 
 // setStraggling recomputes the sweep.workers_straggling gauge, whose
-// verdicts move whenever any worker's federated digest does. Called under
-// mu; without a registry it skips the fleet merge.
+// verdicts move with every accepted report. Called under mu; a no-op
+// without a registry.
 func (c *Coordinator) setStraggling() {
 	if c.ins.workersStraggling == nil {
 		return
 	}
-	fleetP50 := c.fleetP50()
+	fleetP50 := c.agg.Elapsed.Quantile(0.50)
 	n := int64(0)
 	for _, w := range c.workers {
 		if w.straggles(fleetP50) {
@@ -644,13 +593,19 @@ func (c *Coordinator) setStraggling() {
 }
 
 // Summary renders the final merged report. Valid at any point; before
-// Finished it covers the jobs completed so far. It is a snapshot: its
-// digests are copied under the lock, so a caller may read or encode it
-// while later reports merge.
+// Finished it covers the jobs completed so far, and its digests are
+// copied under the lock, so a caller may read or encode it while later
+// reports merge. Once every job is done nothing merges any more, and the
+// summary shares the aggregate's digests.
 func (c *Coordinator) Summary() *Summary {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := Summarize(c.spec, c.agg)
+	if c.done < c.total {
+		for i := range s.Cells {
+			s.Cells[i].Sketches = cloneDigests(s.Cells[i].Sketches)
+		}
+	}
 	s.ApplyVerdicts(c.opts.SLO)
 	s.Executed = c.executed
 	s.Cached = c.cached

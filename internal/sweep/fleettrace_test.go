@@ -13,7 +13,6 @@ import (
 	"repro/internal/obs/analyze"
 	"repro/internal/obs/expose"
 	"repro/internal/obs/flight"
-	"repro/internal/sketch"
 )
 
 // TestFleetPlaneNoPerturb is the observer-effect gate for the fleet
@@ -42,7 +41,7 @@ func TestFleetPlaneNoPerturb(t *testing.T) {
 	c.Routes(srv)
 
 	// Scrapers hammer the exposition and the fleet view mid-sweep; under
-	// -race this also proves federation bookkeeping is data-race-free
+	// -race this also proves fleet-view bookkeeping is data-race-free
 	// against the lease hot path.
 	done := make(chan struct{})
 	var scrapeWG sync.WaitGroup
@@ -165,126 +164,99 @@ func TestLeaseSeqParse(t *testing.T) {
 	}
 }
 
-// digestOf builds a self-contained elapsed digest from sample values.
-func digestOf(t *testing.T, values ...float64) *sketch.Digest {
-	t.Helper()
-	d := sketch.New()
-	for _, v := range values {
-		d.Add(v)
-	}
-	return d
-}
-
-// repeat returns n copies of v, for building digests with known medians.
-func repeat(v float64, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = v
-	}
-	return out
-}
-
-// TestHeartbeatFederationIdempotent pins the sweep-proto-v4 federation
-// semantics: a snapshot applies only when its sequence advances, the
-// coordinator derives counter deltas from consecutive cumulative
-// snapshots, and retransmitted or stale snapshots never double-count.
-func TestHeartbeatFederationIdempotent(t *testing.T) {
-	s := synthSpec(t, `{"name":"fed","seeds":{"count":64},
-		"impairments":["none"],"device_classes":["pc"],"ap_densities":["typical"]}`)
+// TestFleetViewFromReports: the fleet view is built from the accepted
+// lease reports alone. A sweep that drains before the first heartbeat
+// still shows every worker's executed/cached/failed counts and elapsed
+// samples, each row adds up to its jobs, and the rows and the
+// sweep.fleet_jobs_executed counter add up to the sweep.
+func TestFleetViewFromReports(t *testing.T) {
+	s := synthSpec(t, `{"name":"rows","seeds":{"count":40},
+		"impairments":["none","mobility"],"device_classes":["pc"],"ap_densities":["typical"]}`)
 	reg := obs.NewRegistry()
-	c := NewCoordinator(s, CoordinatorOptions{Batch: 8, Obs: reg})
-	grant := c.Lease("w0", 8)
+	c := NewCoordinator(s, CoordinatorOptions{Obs: reg})
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(n int) {
+			defer wg.Done()
+			_, err := RunWorker(LocalTransport{C: c}, &Runner{RunFunc: synthMetrics},
+				WorkerOptions{Name: fmt.Sprintf("w%d", n), Parallel: 2})
+			if err != nil {
+				t.Error(err)
+			}
+		}(w)
+	}
+	wg.Wait()
 
-	executed := reg.Counter("sweep.fleet_jobs_executed")
-	cached := reg.Counter("sweep.fleet_jobs_cached")
-
-	hb := func(seq int64, m *WorkerMetrics) HeartbeatResponse {
-		return c.Heartbeat(HeartbeatRequest{Worker: "w0", LeaseID: grant.LeaseID, Seq: seq, Metrics: m})
+	if got := reg.Counter("sweep.heartbeats").Value(); got != 0 {
+		t.Errorf("sweep.heartbeats = %d: the sweep outlived a 10 s heartbeat interval", got)
 	}
-
-	resp := hb(1, &WorkerMetrics{Executed: 5, Cached: 2, Elapsed: digestOf(t, repeat(10, 7)...)})
-	if !resp.OK || resp.Seq != 1 {
-		t.Fatalf("first heartbeat: ok=%v seq=%d", resp.OK, resp.Seq)
+	var sum int64
+	for _, w := range c.Snapshot().Fleet {
+		if jobs := w.Executed + w.Cached + w.Failed; jobs != w.JobsDone || w.Samples != w.JobsDone {
+			t.Errorf("worker %s: executed/cached/failed %d/%d/%d, jobs_done %d, samples %d; want all to add up",
+				w.Name, w.Executed, w.Cached, w.Failed, w.JobsDone, w.Samples)
+		}
+		sum += w.JobsDone
 	}
-	if executed.Value() != 5 || cached.Value() != 2 {
-		t.Errorf("after seq 1: executed=%d cached=%d, want 5/2", executed.Value(), cached.Value())
+	if sum != s.Total() {
+		t.Errorf("fleet rows add up to %d jobs, want %d", sum, s.Total())
 	}
-
-	// Retransmit of the same sequence: acked, not applied.
-	resp = hb(1, &WorkerMetrics{Executed: 7, Cached: 3})
-	if resp.Seq != 1 {
-		t.Errorf("retransmit ack seq=%d, want 1", resp.Seq)
-	}
-	if executed.Value() != 5 {
-		t.Errorf("retransmitted snapshot was re-applied: executed=%d", executed.Value())
-	}
-
-	// The next cumulative snapshot advances by its deltas — including the
-	// work that accrued while the earlier response was in flight.
-	resp = hb(3, &WorkerMetrics{Executed: 9, Cached: 4, Elapsed: digestOf(t, repeat(10, 13)...)})
-	if resp.Seq != 3 {
-		t.Errorf("ack seq=%d, want 3", resp.Seq)
-	}
-	if executed.Value() != 9 || cached.Value() != 4 {
-		t.Errorf("after seq 3: executed=%d cached=%d, want 9/4", executed.Value(), cached.Value())
-	}
-
-	// An out-of-order stale snapshot is superseded, not merged.
-	hb(2, &WorkerMetrics{Executed: 100, Cached: 100})
-	if executed.Value() != 9 || cached.Value() != 4 {
-		t.Errorf("stale snapshot applied: executed=%d cached=%d", executed.Value(), cached.Value())
-	}
-
-	// A pure keepalive (seq 0, no metrics) changes nothing.
-	resp = c.Heartbeat(HeartbeatRequest{Worker: "w0", LeaseID: grant.LeaseID})
-	if !resp.OK || resp.Seq != 3 {
-		t.Errorf("keepalive: ok=%v seq=%d, want true/3", resp.OK, resp.Seq)
-	}
-
-	// The snapshot lands in the fleet view even though no lease completed.
-	snap := c.Snapshot()
-	if len(snap.Fleet) != 1 {
-		t.Fatalf("fleet rows = %d, want 1", len(snap.Fleet))
-	}
-	w := snap.Fleet[0]
-	if w.Executed != 9 || w.Cached != 4 || w.Samples != 13 {
-		t.Errorf("worker row executed=%d cached=%d samples=%d, want 9/4/13",
-			w.Executed, w.Cached, w.Samples)
-	}
-
-	// Heartbeats for a dead lease still federate: the work they describe
-	// really happened on that worker.
-	resp = c.Heartbeat(HeartbeatRequest{Worker: "w0", LeaseID: "L999",
-		Seq: 4, Metrics: &WorkerMetrics{Executed: 11, Cached: 4}})
-	if resp.OK {
-		t.Error("heartbeat for an unknown lease reported OK")
-	}
-	if executed.Value() != 11 {
-		t.Errorf("dead-lease snapshot dropped: executed=%d, want 11", executed.Value())
+	if got := reg.Counter("sweep.fleet_jobs_executed").Value(); got != s.Total() {
+		t.Errorf("sweep.fleet_jobs_executed = %d, want %d", got, s.Total())
 	}
 }
 
-// TestStragglerDetection: a worker whose federated p50 exceeds the
-// configured factor over the fleet-merged p50 (with enough samples) is
-// flagged in the fleet view and counted on the gauge.
+// TestReportCreditsLeaseHolder: a report is credited to the worker its
+// lease was granted to, whatever name the report carries, so the
+// holder's row neither keeps the lease nor misses its jobs.
+func TestReportCreditsLeaseHolder(t *testing.T) {
+	s := synthSpec(t, `{"name":"holder","seeds":{"count":16},
+		"impairments":["none"],"device_classes":["pc"],"ap_densities":["typical"]}`)
+	c := NewCoordinator(s, CoordinatorOptions{Batch: 8})
+	grant := c.Lease("a", 8)
+	if _, err := c.Complete(spanReport(t, s, "b", grant)); err != nil {
+		t.Fatal(err)
+	}
+	span := grant.To - grant.From
+	if a := fleetRow(c, "a"); a == nil || a.Leases != 0 || a.JobsDone != span || a.Executed != span {
+		t.Errorf("holder a: %+v, want 0 leases and %d jobs executed", a, span)
+	}
+	if b := fleetRow(c, "b"); b == nil || b.Leases != 0 || b.JobsDone != 0 {
+		t.Errorf("reporter b: %+v, want a row with no leases and no jobs", b)
+	}
+}
+
+// TestStragglerDetection: a worker whose reports' elapsed p50 exceeds the
+// configured factor over the sweep's p50 (with enough samples) is flagged
+// in the fleet view and counted on the gauge.
 func TestStragglerDetection(t *testing.T) {
-	s := synthSpec(t, `{"name":"strag","seeds":{"count":64},
+	s := synthSpec(t, `{"name":"strag","seeds":{"count":200},
 		"impairments":["none"],"device_classes":["pc"],"ap_densities":["typical"]}`)
 	reg := obs.NewRegistry()
-	c := NewCoordinator(s, CoordinatorOptions{Batch: 8, Obs: reg})
-
-	fast := c.Lease("fast", 8)
-	slow := c.Lease("slow", 8)
-	thin := c.Lease("thin", 8)
-	c.Heartbeat(HeartbeatRequest{Worker: "fast", LeaseID: fast.LeaseID, Seq: 1,
-		Metrics: &WorkerMetrics{Executed: 30, Elapsed: digestOf(t, repeat(10, 30)...)}})
-	c.Heartbeat(HeartbeatRequest{Worker: "slow", LeaseID: slow.LeaseID, Seq: 1,
-		Metrics: &WorkerMetrics{Executed: 16, Elapsed: digestOf(t, repeat(200, 16)...)}})
+	c := NewCoordinator(s, CoordinatorOptions{Obs: reg})
+	// report leases a span of jobs to worker and reports each job as
+	// taking ms milliseconds.
+	report := func(worker string, jobs int64, ms float64) {
+		t.Helper()
+		grant := c.Lease(worker, jobs)
+		if grant.To-grant.From != jobs {
+			t.Fatalf("%s leased [%d,%d), want %d jobs", worker, grant.From, grant.To, jobs)
+		}
+		req := spanReport(t, s, worker, grant)
+		for range jobs {
+			req.Agg.ObserveElapsed(ms)
+		}
+		if _, err := c.Complete(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	report("fast", 30, 10)
+	report("slow", 16, 200)
 	// As slow as "slow", but below stragglerMinSamples — noise, not flagged.
-	c.Heartbeat(HeartbeatRequest{Worker: "thin", LeaseID: thin.LeaseID, Seq: 1,
-		Metrics: &WorkerMetrics{Executed: 3, Elapsed: digestOf(t, repeat(200, 3)...)}})
+	report("thin", 3, 200)
 
-	// The heartbeats set the gauge; a scrape needs no fleet view first.
+	// The reports set the gauge; a scrape needs no fleet view first.
 	if got := reg.Gauge("sweep.workers_straggling").Value(); got != 1 {
 		t.Errorf("straggler gauge = %d, want 1", got)
 	}
@@ -330,42 +302,13 @@ func TestFleetGaugesTrackLeases(t *testing.T) {
 	}
 }
 
-// TestWorkerMeterSnapshotIsolated: a snapshot is self-contained — the
-// digest is deep-copied, so observations after the snapshot never mutate
-// what a coordinator may still be holding.
-func TestWorkerMeterSnapshotIsolated(t *testing.T) {
-	m := newWorkerMeter()
-	m.observe(5, false, false) // executed
-	m.observe(5, true, false)  // cached
-	m.observe(5, true, true)   // failed wins over cached
-	seq, snap := m.snapshot()
-	if seq != 1 {
-		t.Errorf("first snapshot seq = %d", seq)
-	}
-	if snap.Executed != 1 || snap.Cached != 1 || snap.Failed != 1 {
-		t.Errorf("snapshot counters %d/%d/%d, want 1/1/1", snap.Executed, snap.Cached, snap.Failed)
-	}
-	if got := snap.Elapsed.Count(); got != 3 {
-		t.Errorf("snapshot digest count = %d, want 3", got)
-	}
-	for i := 0; i < 10; i++ {
-		m.observe(5, false, false)
-	}
-	if got := snap.Elapsed.Count(); got != 3 {
-		t.Errorf("snapshot digest mutated by later observes: count = %d", got)
-	}
-	if seq2, snap2 := m.snapshot(); seq2 != 2 || snap2.Executed != 11 {
-		t.Errorf("second snapshot seq=%d executed=%d, want 2/11", seq2, snap2.Executed)
-	}
-}
-
 // TestHeartbeatVsExpireRace is the -race gate for the keepalive path: a
 // worker heartbeating slower than the TTL races the reaper (driven
 // concurrently through Snapshot) until the coordinator reports the lease
 // dead; the doomed worker's late Complete is discarded, a survivor
-// (heartbeating every TTL/3 with federated snapshots) drains the sweep,
-// and the fingerprint still equals the sequential run. The expiry must
-// also have produced the coordinator-side postmortem flight dump.
+// (heartbeating every TTL/3) drains the sweep, and the fingerprint still
+// equals the sequential run. The expiry must also have produced the
+// coordinator-side postmortem flight dump.
 func TestHeartbeatVsExpireRace(t *testing.T) {
 	doc := `{"name":"hbrace","seeds":{"count":40},
 		"impairments":["none","mobility"],"device_classes":["pc"],"ap_densities":["typical"]}`
@@ -391,9 +334,8 @@ func TestHeartbeatVsExpireRace(t *testing.T) {
 	// races the reaper; stops once the coordinator says the lease died.
 	go func() {
 		defer wg.Done()
-		for seq := int64(1); ; seq++ {
-			resp := c.Heartbeat(HeartbeatRequest{Worker: "doomed", LeaseID: doomed.LeaseID,
-				Seq: seq, Metrics: &WorkerMetrics{Executed: seq, Elapsed: digestOf(t, 1)}})
+		for {
+			resp := c.Heartbeat(HeartbeatRequest{Worker: "doomed", LeaseID: doomed.LeaseID})
 			if !resp.OK {
 				close(dead)
 				return
@@ -402,7 +344,7 @@ func TestHeartbeatVsExpireRace(t *testing.T) {
 		}
 	}()
 	// Concurrent reaper/observer: Snapshot reaps expired leases and reads
-	// the federation state the heartbeater is writing.
+	// the worker rows the heartbeater is writing.
 	go func() {
 		defer wg.Done()
 		for {

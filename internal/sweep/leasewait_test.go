@@ -235,7 +235,7 @@ func TestLeaseWaitEndsOnServerClose(t *testing.T) {
 // here, and far under the HTTP client's timeout — then answers Wait; and
 // the fleet view shows the waiting worker alive throughout.
 func TestLeaseWaitBoundedAndAlive(t *testing.T) {
-	const ttl = 50 * time.Millisecond
+	const ttl = 200 * time.Millisecond
 	s := synthSpec(t, leaseWaitSpec)
 	c := NewCoordinator(s, CoordinatorOptions{TTL: ttl})
 	a := c.Lease("A", 0)

@@ -9,8 +9,6 @@ import (
 	"net/http"
 	"strings"
 	"time"
-
-	"repro/internal/sketch"
 )
 
 // ProtoSchema versions the worker wire protocol. Every response carries it
@@ -18,13 +16,14 @@ import (
 // CompleteRequest carries it back so a coordinator rejects reports from a
 // worker speaking a different protocol generation. v2 widened the cell
 // aggregate from five fixed digests to the keyed metric set of
-// metrickeys.go; v3 added heartbeat metric federation (sequenced
-// cumulative WorkerMetrics snapshots piggybacked on heartbeats) and
-// per-lease failure reporting on Complete; v4 added SLO alert federation
-// (the slo_* snapshot fields of WorkerMetrics, surfaced as the fleet
-// view's alerts column). Older workers and coordinators are mutually
-// rejected (there is no down-negotiation — rebuild the older binary).
-const ProtoSchema = "sweep-proto-v4"
+// metrickeys.go; v3 added per-lease failure reporting on Complete and
+// metric snapshots on heartbeats; v4 added SLO alert state to those
+// snapshots; v5 dropped the snapshots: a heartbeat is a bare keepalive,
+// the fleet view is built from accepted lease reports, and a report
+// carries the worker's SLO alert state (CompleteRequest.SLO). Older
+// workers and coordinators are mutually rejected (there is no
+// down-negotiation — rebuild the older binary).
+const ProtoSchema = "sweep-proto-v5"
 
 // SpecResponse is GET /sweep/spec: the sweep a worker should run.
 type SpecResponse struct {
@@ -52,57 +51,16 @@ type LeaseResponse struct {
 	TTLMS   int64  `json:"ttl_ms,omitempty"`
 }
 
-// HeartbeatRequest is POST /sweep/heartbeat. Beyond the keepalive it
-// carries the worker's metric federation: a *cumulative* snapshot of its
-// lifetime job counters and elapsed digest, tagged with a worker-local
-// sequence number. Cumulative-plus-sequence makes the protocol idempotent
-// under loss and reordering — the coordinator applies a snapshot only when
-// Seq advances, derives counter deltas itself, and a snapshot whose
-// response was lost is simply superseded by the next one (no ack/reset
-// handshake in which work could be dropped or double-counted).
+// HeartbeatRequest is POST /sweep/heartbeat: a bare keepalive for one
+// lease. What the worker did is reported once, in the lease's Complete.
 type HeartbeatRequest struct {
 	Worker  string `json:"worker"`
 	LeaseID string `json:"lease_id"`
-	// Seq is the worker's monotone heartbeat sequence (1-based). Zero
-	// means "no federation" — the coordinator treats the heartbeat as a
-	// pure keepalive.
-	Seq int64 `json:"seq,omitempty"`
-	// Metrics is the cumulative snapshot (nil on a pure keepalive).
-	Metrics *WorkerMetrics `json:"metrics,omitempty"`
-}
-
-// WorkerMetrics is one worker's cumulative federated snapshot: lifetime
-// job-outcome counters and the per-job wall-clock digest across every
-// lease it has run. Digests merge bucket-additively (internal/sketch), so
-// the coordinator's fleet-wide view stays O(compression) per worker
-// however many jobs the fleet runs.
-type WorkerMetrics struct {
-	Executed int64 `json:"executed"`
-	Cached   int64 `json:"cached"`
-	Failed   int64 `json:"failed"`
-	// Elapsed sketches per-job wall clocks (ms) over the worker lifetime.
-	Elapsed *sketch.Digest `json:"elapsed,omitempty"`
-
-	// SLO alert federation (sweep-proto-v4): the worker's local streaming
-	// SLO engine state (internal/obs/slo, armed with -slo). SLOArmed
-	// distinguishes "no engine" from "engine armed, all quiet"; Pending and
-	// Firing are the rule counts in those states right now, Fired is the
-	// cumulative count of episodes that reached firing. Like the rest of
-	// the snapshot these are cumulative-or-instantaneous values the
-	// coordinator applies only when Seq advances.
-	SLOArmed   bool  `json:"slo_armed,omitempty"`
-	SLOPending int64 `json:"slo_pending,omitempty"`
-	SLOFiring  int64 `json:"slo_firing,omitempty"`
-	SLOFired   int64 `json:"slo_fired,omitempty"`
 }
 
 // HeartbeatResponse: OK=false means the lease expired and was re-queued.
-// Seq echoes the highest snapshot sequence the coordinator has applied
-// for this worker (informational — cumulative snapshots need no reset
-// handshake on the worker side).
 type HeartbeatResponse struct {
-	OK  bool  `json:"ok"`
-	Seq int64 `json:"seq,omitempty"`
+	OK bool `json:"ok"`
 }
 
 // CompleteRequest is POST /sweep/complete: a finished lease's merged
@@ -121,6 +79,19 @@ type CompleteRequest struct {
 	// stacks included, truncated), so a fleet panic is diagnosable from
 	// the coordinator summary alone.
 	Errors []string `json:"errors,omitempty"`
+	// SLO is the worker's streaming SLO alert state as it sends the
+	// report, nil unless it runs an engine (-slo). Fleet-view telemetry:
+	// it never reaches the aggregate.
+	SLO *SLOCounts `json:"slo,omitempty"`
+}
+
+// SLOCounts is a worker's streaming SLO engine state (internal/obs/slo):
+// the rules pending and firing now, and the episodes that reached firing
+// so far.
+type SLOCounts struct {
+	Pending int64 `json:"pending"`
+	Firing  int64 `json:"firing"`
+	Fired   int64 `json:"fired"`
 }
 
 // maxLeaseErrors caps the failure messages one lease report carries.
@@ -163,9 +134,15 @@ func (c *Coordinator) Routes(srv routeMounter) {
 		return c.lease(ctx, req.Worker, req.Max)
 	}))
 	srv.Handle("/sweep/heartbeat", postHandler(func(_ context.Context, req HeartbeatRequest) (HeartbeatResponse, error) {
+		if req.Worker == "" {
+			return HeartbeatResponse{}, fmt.Errorf("heartbeat needs a worker name")
+		}
 		return c.Heartbeat(req), nil
 	}))
 	srv.Handle("/sweep/complete", postHandler(func(_ context.Context, req CompleteRequest) (CompleteResponse, error) {
+		if req.Worker == "" {
+			return CompleteResponse{}, fmt.Errorf("lease report needs a worker name")
+		}
 		return c.Complete(req)
 	}))
 	srv.Handle("/sweep/summary", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

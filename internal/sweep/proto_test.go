@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // TestHTTPRefusalCarriesReason: a remote worker learns why the coordinator
@@ -39,6 +41,40 @@ func TestHTTPRefusalCarriesReason(t *testing.T) {
 	_, err = tr.Complete(CompleteRequest{Schema: "sweep-proto-v1", Worker: long})
 	if err == nil || !strings.Contains(err.Error(), "xxx") || len(err.Error()) > 2*maxErrorBody {
 		t.Errorf("long refusal over HTTP: %d bytes, want the reason cut to about %d", len(err.Error()), maxErrorBody)
+	}
+}
+
+// TestRoutesRefuseNamelessWorker: /sweep/heartbeat and /sweep/complete
+// refuse a request that names no worker with 400, as /sweep/lease does,
+// so outside input can neither open a fleet row named "" nor hand a lease
+// report in for nobody.
+func TestRoutesRefuseNamelessWorker(t *testing.T) {
+	s := synthSpec(t, `{"name":"anon","seeds":{"count":16},
+		"impairments":["none"],"device_classes":["pc"],"ap_densities":["typical"]}`)
+	reg := obs.NewRegistry()
+	c := NewCoordinator(s, CoordinatorOptions{Batch: 8, Obs: reg})
+	grant := c.Lease("w", 8)
+	mux := http.NewServeMux()
+	c.Routes(mux)
+	for path, req := range map[string]any{
+		"/sweep/heartbeat": HeartbeatRequest{LeaseID: grant.LeaseID},
+		"/sweep/complete":  spanReport(t, s, "", grant),
+	} {
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "needs a worker name") {
+			t.Errorf("nameless POST %s: %d %q, want 400 naming the missing worker", path, rec.Code, rec.Body.String())
+		}
+	}
+	if snap := c.Snapshot(); len(snap.Fleet) != 1 || snap.Done != 0 {
+		t.Errorf("after nameless requests: fleet %+v, done %d; want w's row alone and no jobs done", snap.Fleet, snap.Done)
+	}
+	if got := reg.Gauge("sweep.workers").Value(); got != 1 {
+		t.Errorf("sweep.workers = %d, want 1", got)
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
 	"repro/internal/obs/slo"
-	"repro/internal/sketch"
 )
 
 // WorkerOptions tunes one worker engine.
@@ -35,68 +34,21 @@ type WorkerOptions struct {
 	Flight *flight.Recorder
 
 	// SLO, when non-nil, is the worker's armed streaming SLO engine; its
-	// live alert counts ride every heartbeat snapshot (sweep-proto-v4) so
-	// the coordinator's fleet view shows which workers have alerts pending
-	// or firing mid-sweep. Purely observational.
+	// alert counts ride every lease report (CompleteRequest.SLO), so the
+	// coordinator's fleet view shows which workers have alerts pending or
+	// firing mid-sweep. Purely observational.
 	SLO *slo.Engine
 }
 
 // workerPoll is the pause after a failed transport call or a Wait answer.
 // A coordinator answers Wait only after waiting min(TTL, 10 s) itself, so
-// the pause adds little there; it keeps a worker from spinning against a
-// sweep-proto-v4 coordinator that answers Wait at once.
+// the pause adds little there; after a failed call it keeps a worker from
+// spinning against a coordinator that cannot answer.
 const workerPoll = 100 * time.Millisecond
 
 // maxTransportErrors aborts a worker after this many consecutive transport
 // failures — a vanished coordinator should kill the worker, not spin it.
 const maxTransportErrors = 10
-
-// workerMeter accumulates the metric snapshot a worker piggybacks on
-// heartbeats: lifetime job-outcome counters and the per-job elapsed
-// digest. Snapshots are cumulative and sequenced — the coordinator
-// applies one only when its sequence advances and derives the counter
-// deltas itself — so a snapshot retransmitted after a lost response (or
-// arriving out of order) is idempotent and work observed between
-// retransmits is never lost or double-counted.
-type workerMeter struct {
-	mu       sync.Mutex
-	hb       int64 // heartbeat sequence, incremented per snapshot
-	executed int64
-	cached   int64
-	failed   int64
-	elapsed  *sketch.Digest
-}
-
-func newWorkerMeter() *workerMeter {
-	return &workerMeter{elapsed: sketch.New()}
-}
-
-// observe folds one finished job into the lifetime snapshot.
-func (m *workerMeter) observe(elapsedMS float64, cached, failed bool) {
-	m.mu.Lock()
-	switch {
-	case failed:
-		m.failed++
-	case cached:
-		m.cached++
-	default:
-		m.executed++
-	}
-	m.elapsed.Add(elapsedMS)
-	m.mu.Unlock()
-}
-
-// snapshot returns the next sequence number and a self-contained copy of
-// the cumulative metrics (the digest is deep-copied, so an in-process
-// coordinator can hold it while this worker keeps observing).
-func (m *workerMeter) snapshot() (int64, *WorkerMetrics) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.hb++
-	return m.hb, &WorkerMetrics{
-		Executed: m.executed, Cached: m.cached, Failed: m.failed, Elapsed: m.elapsed.Clone(),
-	}
-}
 
 // WorkerStats is one worker's lifetime accounting.
 type WorkerStats struct {
@@ -131,8 +83,7 @@ func RunWorker(transport Transport, runner *Runner, opts WorkerOptions) (WorkerS
 		return WorkerStats{}, fmt.Errorf("sweep: fetch spec: %w", err)
 	}
 	w := &worker{transport: transport, runner: runner, spec: spec, opts: opts,
-		ft:    NewFleetTrace(opts.Obs, opts.Flight, spec.Hash(), "worker"),
-		meter: newWorkerMeter()}
+		ft: NewFleetTrace(opts.Obs, opts.Flight, spec.Hash(), "worker")}
 	w.ft.SpecFetch(opts.Name, spec.Hash())
 	var wg sync.WaitGroup
 	for range opts.Parallel {
@@ -169,7 +120,6 @@ type worker struct {
 	spec      *Spec
 	opts      WorkerOptions
 	ft        *FleetTrace
-	meter     *workerMeter
 
 	// takeMu is held by the slot taking a job, through the Lease call when
 	// it asks for the next span, so the other free slots wait for that span.
@@ -253,7 +203,6 @@ func (w *worker) run(lr *leaseRun, i int64) (last bool) {
 		m, cached, err = w.runner.Do(job)
 	}
 	elapsed := float64(time.Since(jobStart).Microseconds()) / 1000
-	w.meter.observe(elapsed, cached, err != nil)
 	lr.mu.Lock()
 	defer lr.mu.Unlock()
 	req := &lr.req
@@ -279,9 +228,10 @@ func (w *worker) run(lr *leaseRun, i int64) (last bool) {
 	return lr.left == 0
 }
 
-// report stops a finished lease's heartbeat and sends its Complete. A
-// stopped worker sends nothing: its lease was re-leased (the sweep is
-// done) or cannot be reported (the coordinator is gone).
+// report stops a finished lease's heartbeat and sends its Complete,
+// stamped with the SLO engine's alert counts when one is armed. A stopped
+// worker sends nothing: its lease was re-leased (the sweep is done) or
+// cannot be reported (the coordinator is gone).
 func (w *worker) report(lr *leaseRun) {
 	lr.stopHeartbeat()
 	if w.stopped.Load() {
@@ -289,6 +239,10 @@ func (w *worker) report(lr *leaseRun) {
 	}
 	leaseElapsed := time.Since(lr.start)
 	grant, report := lr.grant, lr.req
+	if w.opts.SLO != nil {
+		report.SLO = &SLOCounts{}
+		report.SLO.Pending, report.SLO.Firing, report.SLO.Fired = w.opts.SLO.Counts()
+	}
 	w.ft.Complete(w.opts.Name, leaseSeq(grant.LeaseID), grant.From, grant.To,
 		report.Executed, report.Cached, report.Failed)
 	resp, err := w.transport.Complete(report)
@@ -361,9 +315,8 @@ func (w *worker) tally(op string, err error) {
 	}
 }
 
-// heartbeat keeps grant's lease alive at TTL/3, carrying the worker's
-// cumulative metric snapshot so the coordinator's fleet view advances
-// mid-lease. The returned stop ends it and waits for it.
+// heartbeat keeps grant's lease alive at TTL/3 with bare keepalives. The
+// returned stop ends it and waits for it.
 func (w *worker) heartbeat(grant LeaseResponse) (stop func()) {
 	if grant.TTLMS <= 0 {
 		return func() {}
@@ -385,16 +338,8 @@ func (w *worker) heartbeat(grant LeaseResponse) (stop func()) {
 				// lease still counts. But an OK=false answer is the
 				// worker's earliest notice its lease died, so it narrates
 				// the expiry and dumps the ring once for the postmortem.
-				seq, metrics := w.meter.snapshot()
-				if w.opts.SLO != nil {
-					metrics.SLOArmed = true
-					metrics.SLOPending, metrics.SLOFiring, metrics.SLOFired = w.opts.SLO.Counts()
-				}
 				w.ft.Heartbeat(w.opts.Name, leaseSeq(grant.LeaseID), true)
-				resp, err := w.transport.Heartbeat(HeartbeatRequest{
-					Worker: w.opts.Name, LeaseID: grant.LeaseID,
-					Seq: seq, Metrics: metrics,
-				})
+				resp, err := w.transport.Heartbeat(HeartbeatRequest{Worker: w.opts.Name, LeaseID: grant.LeaseID})
 				if err == nil && !resp.OK && !dumped {
 					dumped = true
 					w.ft.Expire(w.opts.Name, leaseSeq(grant.LeaseID), grant.From, grant.To, "notified")

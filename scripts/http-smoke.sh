@@ -4,7 +4,7 @@
 # while the fleet is running, and validate the exposition with the in-repo
 # promcheck (no external promtool needed). A second phase runs a sweep
 # coordinator and scrapes its merged /metrics mid-sweep, asserting the
-# fleet federation counters (sweep_fleet_*, docs/FLEET.md) are exposed,
+# fleet job counters (sweep_fleet_*, docs/FLEET.md) are exposed,
 # that the sweep_workers gauge counts the workers holding leases, and that
 # the exposition still validates. CI runs this on every push.
 #
@@ -90,10 +90,11 @@ if ! wait "$campaign_pid"; then
 fi
 campaign_pid=""
 
-# Phase 2: the sweep coordinator's merged fleet exposition. Local workers
-# heartbeat every TTL/3, piggybacking cumulative metric snapshots the
-# coordinator federates into the sweep_fleet_* counters — those families
-# must appear on /metrics mid-sweep and the exposition must still validate.
+# Phase 2: the sweep coordinator's merged fleet exposition. The coordinator
+# adds each accepted lease report's job outcomes to the sweep_fleet_*
+# counters and counts the workers' keepalives in sweep_heartbeats — those
+# families are registered up front, so they must appear on /metrics
+# mid-sweep, and the exposition must still validate.
 cat >"$tmp/sweep-spec.json" <<'SPEC'
 {
   "name": "http-smoke",
@@ -167,7 +168,7 @@ if [ "${workers:-0}" -lt 1 ]; then
     cat "$tmp/sweep-metrics.txt" >&2
     exit 1
 fi
-echo "http-smoke: fleet federation counters and gauges exposed mid-sweep"
+echo "http-smoke: fleet job counters and gauges exposed mid-sweep"
 
 if ! wait "$sweep_pid"; then
     echo "http-smoke: sweep exited nonzero" >&2
