@@ -3,6 +3,7 @@ package emu
 import (
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 	"time"
 )
@@ -44,23 +45,21 @@ type ClientStats struct {
 // detects sequence gaps, and asks the middlebox for exactly the missing
 // packets — the explicit packet selection of §5.2.5.
 type Client struct {
+	sock *sockets
 	conn *net.UDPConn
-	ctrl *net.UDPConn // connection to middlebox control
+	ctrl *net.UDPConn   // control socket; nil without a middlebox
+	box  netip.AddrPort // the middlebox's control address
 	cfg  ClientConfig
 
 	mu    sync.Mutex
 	cmdMu sync.Mutex // serializes control-protocol exchanges
 
-	got      map[uint32]time.Time
-	dup      int
-	losses   int
-	recov    int
-	nextSeq  uint32
-	active   bool
-	lastRecv time.Time
-
-	wg     sync.WaitGroup
-	closed chan struct{}
+	got     map[uint32]time.Time
+	dup     int
+	losses  int
+	recov   int
+	nextSeq uint32
+	active  bool
 }
 
 // NewClient starts a receiver on listenAddr (use "127.0.0.1:0").
@@ -74,42 +73,28 @@ func NewClient(listenAddr string, cfg ClientConfig) (*Client, error) {
 	if cfg.Deadline <= 0 {
 		cfg.Deadline = 100 * time.Millisecond
 	}
-	laddr, err := net.ResolveUDPAddr("udp", listenAddr)
-	if err != nil {
-		return nil, err
+	c := &Client{sock: newSockets(), cfg: cfg, got: map[uint32]time.Time{}}
+	var err error
+	if cfg.MiddleboxCtrl != "" {
+		if c.box, err = resolve(cfg.MiddleboxCtrl); err != nil {
+			return nil, err
+		}
 	}
-	conn, err := net.ListenUDP("udp", laddr)
-	if err != nil {
+	if c.conn, err = c.sock.listen(listenAddr); err != nil {
 		return nil, err
-	}
-	_ = conn.SetReadBuffer(1 << 21)
-	c := &Client{
-		conn:   conn,
-		cfg:    cfg,
-		got:    map[uint32]time.Time{},
-		closed: make(chan struct{}),
 	}
 	if cfg.MiddleboxCtrl != "" {
-		caddr, err := net.ResolveUDPAddr("udp", cfg.MiddleboxCtrl)
+		if c.ctrl, err = c.sock.listen(":0"); err == nil {
+			// Register: recovered packets go to our data socket.
+			err = c.command(fmt.Sprintf("%s %d %s", CmdRegister, cfg.Stream, c.conn.LocalAddr()))
+		}
 		if err != nil {
-			conn.Close()
+			c.sock.close()
 			return nil, err
 		}
-		c.ctrl, err = net.DialUDP("udp", nil, caddr)
-		if err != nil {
-			conn.Close()
-			return nil, err
-		}
-		// Register: recovered packets go to our data socket.
-		if err := c.command(fmt.Sprintf("%s %d %s", CmdRegister, cfg.Stream, conn.LocalAddr())); err != nil {
-			conn.Close()
-			c.ctrl.Close()
-			return nil, err
-		}
+		c.sock.every(cfg.Interval, c.detect)
 	}
-	c.wg.Add(2)
-	go c.runRecv()
-	go c.runDetect()
+	c.sock.serve(c.conn, 64*1024, c.onData)
 	return c, nil
 }
 
@@ -123,12 +108,12 @@ func (c *Client) command(cmd string) error {
 	}
 	c.cmdMu.Lock()
 	defer c.cmdMu.Unlock()
-	if _, err := c.ctrl.Write([]byte(cmd)); err != nil {
+	if _, err := c.ctrl.WriteToUDPAddrPort([]byte(cmd), c.box); err != nil {
 		return err
 	}
 	_ = c.ctrl.SetReadDeadline(time.Now().Add(500 * time.Millisecond))
 	buf := make([]byte, 256)
-	n, err := c.ctrl.Read(buf)
+	n, _, err := c.ctrl.ReadFromUDPAddrPort(buf)
 	if err != nil {
 		return err
 	}
@@ -166,115 +151,77 @@ func (c *Client) LossRate() float64 {
 	return float64(lost) / float64(c.cfg.Expected)
 }
 
-// Close stops the client, sending a final STOP to the middlebox.
+// Close stops the client, sending a final STOP to the middlebox. A second
+// Close sends nothing, as the control socket is closed by then.
 func (c *Client) Close() error {
-	select {
-	case <-c.closed:
-		return nil
-	default:
-	}
-	if c.ctrl != nil {
-		_ = c.command(fmt.Sprintf("%s %d", CmdStop, c.cfg.Stream))
-	}
-	close(c.closed)
-	err := c.conn.Close()
-	if c.ctrl != nil {
-		c.ctrl.Close()
-	}
-	c.wg.Wait()
-	return err
+	_ = c.command(fmt.Sprintf("%s %d", CmdStop, c.cfg.Stream))
+	return c.sock.close()
 }
 
-func (c *Client) runRecv() {
-	defer c.wg.Done()
-	buf := make([]byte, 64*1024)
-	for {
-		n, _, err := c.conn.ReadFromUDP(buf)
-		if err != nil {
-			select {
-			case <-c.closed:
-				return
-			default:
-				continue
-			}
-		}
-		stream, seq, ok := DecodeStream(buf[:n])
-		if !ok || stream != c.cfg.Stream {
-			continue
-		}
-		c.mu.Lock()
-		c.lastRecv = time.Now()
-		if _, dup := c.got[seq]; dup {
-			c.dup++
-		} else {
-			c.got[seq] = time.Now()
-			if seq < c.nextSeq {
-				// Filled a sequence gap: this copy came via the
-				// middlebox path (the primary delivers in order).
-				c.recov++
-			}
-		}
-		if seq >= c.nextSeq {
-			c.nextSeq = seq + 1
-		}
-		c.mu.Unlock()
-	}
-}
-
-// runDetect periodically looks for sequence gaps older than PLT and asks
-// the middlebox for them, then stops delivery once caught up.
-func (c *Client) runDetect() {
-	defer c.wg.Done()
-	if c.ctrl == nil {
+func (c *Client) onData(b []byte, _ netip.AddrPort) {
+	stream, seq, ok := DecodeStream(b)
+	if !ok || stream != c.cfg.Stream {
 		return
 	}
-	tick := time.NewTicker(c.cfg.Interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-c.closed:
-			return
-		case <-tick.C:
-		}
-		c.mu.Lock()
-		var missing []uint32
-		// A gap below nextSeq that is old enough to be declared lost but
-		// young enough to still be useful.
-		horizon := uint32(0)
-		if span := uint32(c.cfg.Deadline / c.cfg.Interval); c.nextSeq > span {
-			horizon = c.nextSeq - span
-		}
-		pltSpan := uint32(c.cfg.PLT/c.cfg.Interval) + 1
-		upper := uint32(0)
-		if c.nextSeq > pltSpan {
-			upper = c.nextSeq - pltSpan
-		}
-		for seq := horizon; seq < upper; seq++ {
-			if _, ok := c.got[seq]; !ok {
-				missing = append(missing, seq)
-			}
-		}
-		active := c.active
-		c.mu.Unlock()
-
-		switch {
-		case len(missing) > 0 && !active:
-			c.mu.Lock()
-			c.losses += len(missing)
-			c.active = true
-			c.mu.Unlock()
-			// Recovered packets arrive on the data socket and are counted
-			// there when they fill a gap.
-			from := int64(missing[0])
-			if c.cfg.ImplicitSelection {
-				from = -1
-			}
-			_ = c.command(fmt.Sprintf("%s %d %d", CmdStart, c.cfg.Stream, from))
-		case len(missing) == 0 && active:
-			c.mu.Lock()
-			c.active = false
-			c.mu.Unlock()
-			_ = c.command(fmt.Sprintf("%s %d", CmdStop, c.cfg.Stream))
+	c.mu.Lock()
+	if _, dup := c.got[seq]; dup {
+		c.dup++
+	} else {
+		c.got[seq] = time.Now()
+		if seq < c.nextSeq {
+			// Filled a sequence gap: this copy came via the
+			// middlebox path (the primary delivers in order).
+			c.recov++
 		}
 	}
+	if seq >= c.nextSeq {
+		c.nextSeq = seq + 1
+	}
+	c.mu.Unlock()
+}
+
+// detect runs every Interval: it looks for sequence gaps older than PLT
+// and asks the middlebox for them, then stops delivery once caught up.
+func (c *Client) detect() bool {
+	c.mu.Lock()
+	var missing []uint32
+	// A gap below nextSeq that is old enough to be declared lost but
+	// young enough to still be useful.
+	horizon := uint32(0)
+	if span := uint32(c.cfg.Deadline / c.cfg.Interval); c.nextSeq > span {
+		horizon = c.nextSeq - span
+	}
+	pltSpan := uint32(c.cfg.PLT/c.cfg.Interval) + 1
+	upper := uint32(0)
+	if c.nextSeq > pltSpan {
+		upper = c.nextSeq - pltSpan
+	}
+	for seq := horizon; seq < upper; seq++ {
+		if _, ok := c.got[seq]; !ok {
+			missing = append(missing, seq)
+		}
+	}
+	active := c.active
+	c.mu.Unlock()
+
+	switch {
+	case len(missing) > 0 && !active:
+		c.mu.Lock()
+		c.losses += len(missing)
+		c.active = true
+		c.mu.Unlock()
+		// Recovered packets arrive on the data socket and are counted
+		// there when they fill a gap.
+		from := int64(missing[0])
+		if c.cfg.ImplicitSelection {
+			from = -1
+		}
+		_ = c.command(fmt.Sprintf("%s %d %d", CmdStart, c.cfg.Stream, from))
+	case len(missing) == 0 && active:
+		c.mu.Lock()
+		c.active = false
+		c.mu.Unlock()
+		_ = c.command(fmt.Sprintf("%s %d", CmdStop, c.cfg.Stream))
+	}
+	return true
 }

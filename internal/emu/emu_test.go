@@ -2,8 +2,10 @@ package emu
 
 import (
 	"fmt"
+	"io"
 	"net"
 	"net/netip"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -316,6 +318,88 @@ func TestMiddleboxForwardsWithoutAllocating(t *testing.T) {
 	from := netip.MustParseAddrPort("127.0.0.1:9")
 	if n := testing.AllocsPerRun(1000, func() { mb.onData(pkt, from) }); n != 0 {
 		t.Errorf("forwarding a datagram allocates %v times, want 0", n)
+	}
+
+	// The replicator's fan-out and a link that does not delay forward from
+	// the read buffer as well.
+	rep, err := NewReplicator("127.0.0.1:0", sink.addr(), sink.addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rep.Close()
+	if n := testing.AllocsPerRun(1000, func() { rep.onData(pkt, from) }); n != 0 {
+		t.Errorf("replicating a datagram allocates %v times, want 0", n)
+	}
+	link, err := NewLink("127.0.0.1:0", sink.addr(), LinkConfig{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer link.Close()
+	if n := testing.AllocsPerRun(1000, func() { link.onData(pkt, from) }); n != 0 {
+		t.Errorf("an undelayed link allocates %v times per datagram, want 0", n)
+	}
+}
+
+// TestCloseWaitsAndRepeats: each role's Close returns only once the role's
+// goroutines are gone, a link's pending delayed sends included, and a
+// second Close returns nil.
+func TestCloseWaitsAndRepeats(t *testing.T) {
+	sink := newSink(t)
+	mb, err := NewMiddlebox("127.0.0.1:0", "127.0.0.1:0", MiddleboxConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mb.Close()
+	const delay = 100 * time.Millisecond
+	var fed time.Time // when the link's datagrams were sent
+	for _, role := range []struct {
+		name string
+		open func() (io.Closer, error)
+	}{
+		{"replicator", func() (io.Closer, error) { return NewReplicator("127.0.0.1:0", sink.addr()) }},
+		{"middlebox", func() (io.Closer, error) {
+			return NewMiddlebox("127.0.0.1:0", "127.0.0.1:0", MiddleboxConfig{})
+		}},
+		{"client", func() (io.Closer, error) {
+			return NewClient("127.0.0.1:0", ClientConfig{Stream: 3, MiddleboxCtrl: mb.CtrlAddr()})
+		}},
+		{"sender", func() (io.Closer, error) {
+			return NewSender(sink.addr(), SenderConfig{Stream: 3, Interval: time.Millisecond})
+		}},
+		{"link", func() (io.Closer, error) {
+			link, err := NewLink("127.0.0.1:0", sink.addr(), LinkConfig{Delay: delay, Seed: 1})
+			if err != nil {
+				return nil, err
+			}
+			fed = time.Now()
+			feed(t, link.Addr(), 3, 0, 1, 2)
+			if !waitFor(func() bool { return link.Stats().Received == 3 }) {
+				t.Fatalf("link received %+v, want 3 datagrams", link.Stats())
+			}
+			return link, nil
+		}},
+	} {
+		base := runtime.NumGoroutine()
+		r, err := role.open()
+		if err != nil {
+			t.Fatalf("%s: %v", role.name, err)
+		}
+		if err := r.Close(); err != nil {
+			t.Errorf("%s: Close: %v", role.name, err)
+		}
+		if role.name == "link" && time.Since(fed) < delay {
+			t.Errorf("link Close returned %v after its datagrams were sent, before their %v delay",
+				time.Since(fed), delay)
+		}
+		if err := r.Close(); err != nil {
+			t.Errorf("%s: second Close: %v", role.name, err)
+		}
+		// A goroutine counts until it has returned from its last
+		// deferred call, a moment after Close saw it finish.
+		if !waitFor(func() bool { return runtime.NumGoroutine() <= base }) {
+			t.Errorf("%s: %d goroutines after Close, %d before the role opened",
+				role.name, runtime.NumGoroutine(), base)
+		}
 	}
 }
 

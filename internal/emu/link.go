@@ -2,9 +2,11 @@ package emu
 
 import (
 	"net"
-	"repro/internal/sim/rng"
+	"net/netip"
 	"sync"
 	"time"
+
+	"repro/internal/sim/rng"
 )
 
 // LinkConfig shapes the emulated WiFi link.
@@ -28,17 +30,15 @@ type LinkConfig struct {
 // listens on its own socket and relays each datagram to a fixed downstream
 // address, dropping and delaying per the configured loss process.
 type Link struct {
+	sock *sockets
 	conn *net.UDPConn
-	dst  *net.UDPAddr
+	dst  netip.AddrPort
 
 	mu    sync.Mutex
 	cfg   LinkConfig
 	rng   *rng.Stream
 	bad   bool
 	stats LinkStats
-
-	wg     sync.WaitGroup
-	closed chan struct{}
 }
 
 // LinkStats counts the link's activity.
@@ -51,32 +51,19 @@ type LinkStats struct {
 // NewLink starts a link listening on listenAddr (e.g. "127.0.0.1:0") that
 // forwards to dst.
 func NewLink(listenAddr, dst string, cfg LinkConfig) (*Link, error) {
-	laddr, err := net.ResolveUDPAddr("udp", listenAddr)
+	daddr, err := resolve(dst)
 	if err != nil {
 		return nil, err
 	}
-	daddr, err := net.ResolveUDPAddr("udp", dst)
-	if err != nil {
-		return nil, err
-	}
-	conn, err := net.ListenUDP("udp", laddr)
-	if err != nil {
-		return nil, err
-	}
-	_ = conn.SetReadBuffer(1 << 21)
 	seed := cfg.Seed
 	if seed == 0 {
 		seed = time.Now().UnixNano()
 	}
-	l := &Link{
-		conn:   conn,
-		dst:    daddr,
-		cfg:    cfg,
-		rng:    rng.New(seed),
-		closed: make(chan struct{}),
+	l := &Link{sock: newSockets(), dst: daddr, cfg: cfg, rng: rng.New(seed)}
+	if l.conn, err = l.sock.listen(listenAddr); err != nil {
+		return nil, err
 	}
-	l.wg.Add(1)
-	go l.run()
+	l.sock.serve(l.conn, 64*1024, l.onData)
 	return l, nil
 }
 
@@ -90,51 +77,19 @@ func (l *Link) Stats() LinkStats {
 	return l.stats
 }
 
-// Close stops the link.
-func (l *Link) Close() error {
-	select {
-	case <-l.closed:
-		return nil
-	default:
-	}
-	close(l.closed)
-	err := l.conn.Close()
-	l.wg.Wait()
-	return err
-}
+// Close stops the link. It returns once every delayed datagram has come
+// due; those due after Close are not sent.
+func (l *Link) Close() error { return l.sock.close() }
 
-func (l *Link) run() {
-	defer l.wg.Done()
-	buf := make([]byte, 64*1024)
-	for {
-		n, _, err := l.conn.ReadFromUDP(buf)
-		if err != nil {
-			select {
-			case <-l.closed:
-				return
-			default:
-				continue
-			}
-		}
-		drop, delay := l.decide()
-		if drop {
-			continue
-		}
-		pkt := make([]byte, n)
-		copy(pkt, buf[:n])
-		if delay <= 0 {
-			_, _ = l.conn.WriteToUDP(pkt, l.dst)
-			continue
-		}
-		l.wg.Add(1)
-		time.AfterFunc(delay, func() {
-			defer l.wg.Done()
-			select {
-			case <-l.closed:
-			default:
-				_, _ = l.conn.WriteToUDP(pkt, l.dst)
-			}
-		})
+func (l *Link) onData(b []byte, _ netip.AddrPort) {
+	drop, delay := l.decide()
+	switch {
+	case drop:
+	case delay <= 0:
+		_, _ = l.conn.WriteToUDPAddrPort(b, l.dst)
+	default:
+		pkt := append([]byte(nil), b...) // sent after serve reuses b
+		l.sock.after(delay, func() { _, _ = l.conn.WriteToUDPAddrPort(pkt, l.dst) })
 	}
 }
 

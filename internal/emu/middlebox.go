@@ -24,6 +24,7 @@ type MiddleboxConfig struct {
 // control protocol on a control socket. While a stream is started,
 // buffered and fresh packets flow to the registered client address.
 type Middlebox struct {
+	sock *sockets
 	data *net.UDPConn
 	ctrl *net.UDPConn
 	cfg  MiddleboxConfig
@@ -33,20 +34,17 @@ type Middlebox struct {
 
 	mu      sync.Mutex
 	streams map[uint32]*mbStream
-
-	wg     sync.WaitGroup
-	closed chan struct{}
 }
 
 type mbStream struct {
-	client *net.UDPAddr
+	client netip.AddrPort
 	hold   *holdbuf.Stream[[]byte] // marshalled packets
 }
 
 // NewMiddlebox starts a middlebox with data and control sockets on the
 // given addresses (use "127.0.0.1:0" for ephemeral ports).
 func NewMiddlebox(dataAddr, ctrlAddr string, cfg MiddleboxConfig) (*Middlebox, error) {
-	return listen(dataAddr, ctrlAddr, cfg, false)
+	return newMiddlebox(dataAddr, ctrlAddr, cfg, false)
 }
 
 // NewAPEmu starts the live counterpart of the paper's "Customized AP"
@@ -55,41 +53,28 @@ func NewMiddlebox(dataAddr, ctrlAddr string, cfg MiddleboxConfig) (*Middlebox, e
 // because an AP can only do implicit selection; set
 // ClientConfig.ImplicitSelection when pairing a Client with it.
 func NewAPEmu(dataAddr, ctrlAddr string, depth int) (*Middlebox, error) {
-	return listen(dataAddr, ctrlAddr, MiddleboxConfig{BufferDepth: depth}, true)
+	return newMiddlebox(dataAddr, ctrlAddr, MiddleboxConfig{BufferDepth: depth}, true)
 }
 
-func listen(dataAddr, ctrlAddr string, cfg MiddleboxConfig, implicit bool) (*Middlebox, error) {
-	da, err := net.ResolveUDPAddr("udp", dataAddr)
-	if err != nil {
-		return nil, err
-	}
-	ca, err := net.ResolveUDPAddr("udp", ctrlAddr)
-	if err != nil {
-		return nil, err
-	}
-	data, err := net.ListenUDP("udp", da)
-	if err != nil {
-		return nil, err
-	}
-	_ = data.SetReadBuffer(1 << 21)
-	ctrl, err := net.ListenUDP("udp", ca)
-	if err != nil {
-		data.Close()
-		return nil, err
-	}
+func newMiddlebox(dataAddr, ctrlAddr string, cfg MiddleboxConfig, implicit bool) (*Middlebox, error) {
 	m := &Middlebox{
-		data:     data,
-		ctrl:     ctrl,
+		sock:     newSockets(),
 		cfg:      cfg,
 		implicit: implicit,
 		streams:  make(map[uint32]*mbStream),
-		closed:   make(chan struct{}),
 	}
-	m.wg.Add(2)
-	go m.serve(data, 64*1024, m.onData)
-	go m.serve(ctrl, 2048, func(b []byte, from netip.AddrPort) {
+	var err error
+	if m.data, err = m.sock.listen(dataAddr); err != nil {
+		return nil, err
+	}
+	if m.ctrl, err = m.sock.listen(ctrlAddr); err != nil {
+		m.sock.close()
+		return nil, err
+	}
+	m.sock.serve(m.data, 64*1024, m.onData)
+	m.sock.serve(m.ctrl, 2048, func(b []byte, from netip.AddrPort) {
 		reply := m.handleCommand(strings.TrimSpace(string(b)), from)
-		_, _ = ctrl.WriteToUDPAddrPort([]byte(reply), from)
+		_, _ = m.ctrl.WriteToUDPAddrPort([]byte(reply), from)
 	})
 	return m, nil
 }
@@ -113,42 +98,7 @@ func (m *Middlebox) Counts() (sent, dropped int) {
 }
 
 // Close shuts the middlebox down.
-func (m *Middlebox) Close() error {
-	select {
-	case <-m.closed:
-		return nil
-	default:
-	}
-	close(m.closed)
-	err1 := m.data.Close()
-	err2 := m.ctrl.Close()
-	m.wg.Wait()
-	if err1 != nil {
-		return err1
-	}
-	return err2
-}
-
-// serve passes each datagram read from conn to handle until Close. The
-// buffer is reused, so handle copies what it keeps. The sender's address
-// is a netip.AddrPort because a *net.UDPAddr would cost an allocation per
-// datagram.
-func (m *Middlebox) serve(conn *net.UDPConn, size int, handle func([]byte, netip.AddrPort)) {
-	defer m.wg.Done()
-	buf := make([]byte, size)
-	for {
-		n, from, err := conn.ReadFromUDPAddrPort(buf)
-		if err != nil {
-			select {
-			case <-m.closed:
-				return
-			default:
-				continue
-			}
-		}
-		handle(buf[:n], from)
-	}
-}
+func (m *Middlebox) Close() error { return m.sock.close() }
 
 func (m *Middlebox) onData(b []byte, _ netip.AddrPort) {
 	stream, seq, ok := DecodeStream(b)
@@ -173,7 +123,7 @@ func (m *Middlebox) onData(b []byte, _ netip.AddrPort) {
 	}
 	client := st.client
 	m.mu.Unlock()
-	_, _ = m.data.WriteToUDP(b, client)
+	_, _ = m.data.WriteToUDPAddrPort(b, client)
 }
 
 // handleCommand executes one control command and returns the reply.
@@ -194,10 +144,9 @@ func (m *Middlebox) handleCommand(cmd string, from netip.AddrPort) string {
 	switch fields[0] {
 	case CmdRegister:
 		// REGISTER <stream> [client-addr]; default to the caller.
-		client := net.UDPAddrFromAddrPort(from)
+		client := unmap(from)
 		if len(fields) >= 3 {
-			client, err = net.ResolveUDPAddr("udp", fields[2])
-			if err != nil {
+			if client, err = resolve(fields[2]); err != nil {
 				return "ERR addr"
 			}
 		}
@@ -214,7 +163,7 @@ func (m *Middlebox) handleCommand(cmd string, from netip.AddrPort) string {
 				return "ERR seq"
 			}
 		}
-		st.hold.Start(fromSeq, func(b []byte) { _, _ = m.data.WriteToUDP(b, st.client) })
+		st.hold.Start(fromSeq, func(b []byte) { _, _ = m.data.WriteToUDPAddrPort(b, st.client) })
 		return "OK"
 	case CmdStop:
 		if st != nil {

@@ -2,6 +2,7 @@ package emu
 
 import (
 	"net"
+	"net/netip"
 	"sync"
 	"time"
 
@@ -22,15 +23,17 @@ type SenderConfig struct {
 
 // Sender emits a G.711-like CBR stream toward one destination.
 type Sender struct {
+	sock *sockets
 	conn *net.UDPConn
+	dst  netip.AddrPort
 	cfg  SenderConfig
+	// payload and buf are the stream goroutine's own.
+	payload, buf []byte
 
 	mu   sync.Mutex
 	sent int
 
-	wg     sync.WaitGroup
-	closed chan struct{}
-	done   chan struct{}
+	done chan struct{}
 }
 
 // NewSender starts the stream immediately.
@@ -41,22 +44,21 @@ func NewSender(dst string, cfg SenderConfig) (*Sender, error) {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 20 * time.Millisecond
 	}
-	daddr, err := net.ResolveUDPAddr("udp", dst)
-	if err != nil {
-		return nil, err
-	}
-	conn, err := net.DialUDP("udp", nil, daddr)
+	daddr, err := resolve(dst)
 	if err != nil {
 		return nil, err
 	}
 	s := &Sender{
-		conn:   conn,
-		cfg:    cfg,
-		closed: make(chan struct{}),
-		done:   make(chan struct{}),
+		sock:    newSockets(),
+		dst:     daddr,
+		cfg:     cfg,
+		payload: make([]byte, cfg.PayloadSize),
+		done:    make(chan struct{}),
 	}
-	s.wg.Add(1)
-	go s.run()
+	if s.conn, err = s.sock.listen(":0"); err != nil {
+		return nil, err
+	}
+	s.sock.every(cfg.Interval, s.emit)
 	return s, nil
 }
 
@@ -71,64 +73,36 @@ func (s *Sender) Sent() int {
 func (s *Sender) Done() <-chan struct{} { return s.done }
 
 // Close stops the stream.
-func (s *Sender) Close() error {
-	select {
-	case <-s.closed:
-		return nil
-	default:
-	}
-	close(s.closed)
-	err := s.conn.Close()
-	s.wg.Wait()
-	return err
-}
+func (s *Sender) Close() error { return s.sock.close() }
 
-func (s *Sender) run() {
-	defer s.wg.Done()
-	payload := make([]byte, s.cfg.PayloadSize)
-	var buf []byte
-	ticker := time.NewTicker(s.cfg.Interval)
-	defer ticker.Stop()
-	seq := uint32(0)
-	for {
-		select {
-		case <-s.closed:
-			return
-		case <-ticker.C:
+// emit sends the next packet, and reports whether the stream goes on.
+func (s *Sender) emit() bool {
+	seq := uint32(s.Sent()) // only emit writes sent
+	if s.cfg.UseRTP {
+		rp := rtp.Packet{
+			Header: rtp.Header{
+				PayloadType: 0, // PCMU / G.711
+				Sequence:    uint16(seq),
+				Timestamp:   seq * 160,
+				SSRC:        s.cfg.Stream,
+			},
+			Payload: s.payload,
 		}
-		if s.cfg.UseRTP {
-			rp := rtp.Packet{
-				Header: rtp.Header{
-					PayloadType: 0, // PCMU / G.711
-					Sequence:    uint16(seq),
-					Timestamp:   seq * 160,
-					SSRC:        s.cfg.Stream,
-				},
-				Payload: payload,
-			}
-			var err error
-			buf, err = rp.Marshal(buf)
-			if err != nil {
-				return
-			}
-		} else {
-			p := Packet{Stream: s.cfg.Stream, Seq: seq, SentAt: time.Now(), Payload: payload}
-			buf = p.Marshal(buf)
+		var err error
+		if s.buf, err = rp.Marshal(s.buf); err != nil {
+			return false
 		}
-		if _, err := s.conn.Write(buf); err != nil {
-			select {
-			case <-s.closed:
-				return
-			default:
-			}
-		}
-		seq++
-		s.mu.Lock()
-		s.sent = int(seq)
-		s.mu.Unlock()
-		if s.cfg.Count > 0 && int(seq) >= s.cfg.Count {
-			close(s.done)
-			return
-		}
+	} else {
+		p := Packet{Stream: s.cfg.Stream, Seq: seq, SentAt: time.Now(), Payload: s.payload}
+		s.buf = p.Marshal(s.buf)
 	}
+	_, _ = s.conn.WriteToUDPAddrPort(s.buf, s.dst)
+	s.mu.Lock()
+	s.sent++
+	s.mu.Unlock()
+	if s.cfg.Count > 0 && int(seq)+1 >= s.cfg.Count {
+		close(s.done)
+		return false
+	}
+	return true
 }

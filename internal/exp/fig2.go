@@ -32,9 +32,11 @@ func cdfSummary(title string, order []string, series map[string][]float64) ([]*s
 	return []*stats.Table{sum, cdf}, plot
 }
 
-// wildDuals runs the two-NIC wild corpus once; Figures 2a, 2b, 4, 5 and 6
-// all derive from this corpus, exactly as the paper's do from its 458
-// calls.
+// wildDuals simulates the two-NIC wild corpus, from which Figures 2, 4, 5
+// and 6 derive, as the paper's do from its 458 calls. It keeps nothing:
+// each caller (Figures 2a, 2b and 4, Figure 6's overall row and the
+// validation claims) simulates the corpus again, and Figures 2c and 5
+// build and simulate it themselves.
 func wildDuals(n int, seed int64) []core.DualCall {
 	return RunDualCorpus(BuildCorpus(CorpusWild, n, seed, traffic.G711))
 }

@@ -98,63 +98,10 @@ func (h *Histogram) Count() int64 {
 	return h.count.Load()
 }
 
-// Quantile estimates the q-th quantile (0 <= q <= 1) by linear
-// interpolation within the bucket that holds the target rank. Values in
-// the overflow bucket are attributed to the observed maximum. Returns 0
-// when the histogram is empty or nil.
-func (h *Histogram) Quantile(q float64) int64 {
-	if h == nil {
-		return 0
-	}
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	var cum float64
-	for i := range h.counts {
-		n := float64(h.counts[i].Load())
-		if n == 0 {
-			continue
-		}
-		if cum+n >= rank {
-			lo, hi := h.bucketRange(i)
-			frac := (rank - cum) / n
-			return lo + int64(frac*float64(hi-lo))
-		}
-		cum += n
-	}
-	return h.max.Load()
-}
-
-// bucketRange returns the value range [lo, hi] covered by bucket i,
-// clamped to the observed min/max so estimates never leave the data.
-func (h *Histogram) bucketRange(i int) (lo, hi int64) {
-	switch {
-	case i == 0:
-		lo, hi = 0, h.bounds[0]
-	case i == len(h.bounds):
-		lo, hi = h.bounds[i-1], h.max.Load()
-	default:
-		lo, hi = h.bounds[i-1], h.bounds[i]
-	}
-	if mn := h.min.Load(); lo < mn {
-		lo = mn
-	}
-	if mx := h.max.Load(); hi > mx {
-		hi = mx
-	}
-	if hi < lo {
-		hi = lo
-	}
-	return lo, hi
-}
+// Quantile estimates the q-th quantile (0 <= q <= 1) of the histogram's
+// snapshot, by the rule HistSnapshot.Summary states. Returns 0 when the
+// histogram is empty or nil.
+func (h *Histogram) Quantile(q float64) int64 { return h.Snapshot().quantile(q) }
 
 // HistSnapshot is a point-in-time copy of a histogram's raw bucket state:
 // the bounds, the per-bucket counts (len(Bounds)+1; the last entry is the
@@ -222,31 +169,16 @@ type HistSummary struct {
 	P99   int64   `json:"p99"`
 }
 
-// Summary returns the histogram's summary statistics.
-func (h *Histogram) Summary() HistSummary {
-	if h == nil {
-		return HistSummary{}
-	}
-	n := h.count.Load()
-	if n == 0 {
-		return HistSummary{}
-	}
-	return HistSummary{
-		Count: n,
-		Min:   h.min.Load(),
-		Max:   h.max.Load(),
-		Mean:  float64(h.sum.Load()) / float64(n),
-		P50:   h.Quantile(0.50),
-		P95:   h.Quantile(0.95),
-		P99:   h.Quantile(0.99),
-	}
-}
+// Summary returns the histogram's summary statistics: its snapshot's, so
+// that a metrics dump and the live /statusz view agree.
+func (h *Histogram) Summary() HistSummary { return h.Snapshot().Summary() }
 
-// Summary condenses a snapshot into HistSummary form. Quantiles are
-// interpolated on the snapshot's bucket counts (overflow attributed to the
-// last bound, since a snapshot's Max may trail its buckets), so a consumer
-// holding only a snapshot — the live /statusz view — gets the same shape
-// every metrics dump reports.
+// Summary condenses a snapshot into HistSummary form. Each quantile is
+// interpolated linearly within the bucket that holds the target rank,
+// with the bucket clamped to the observed min and max so estimates never
+// leave the data; the overflow bucket reaches up to the max. Series
+// windows, which have no min or max, interpolate over whole buckets
+// instead (quantileFromBuckets).
 func (s HistSnapshot) Summary() HistSummary {
 	if s.Count == 0 {
 		return HistSummary{}
@@ -256,8 +188,58 @@ func (s HistSnapshot) Summary() HistSummary {
 		Min:   s.Min,
 		Max:   s.Max,
 		Mean:  float64(s.Sum) / float64(s.Count),
-		P50:   quantileFromBuckets(s.Bounds, s.Counts, s.Count, 0.50),
-		P95:   quantileFromBuckets(s.Bounds, s.Counts, s.Count, 0.95),
-		P99:   quantileFromBuckets(s.Bounds, s.Counts, s.Count, 0.99),
+		P50:   s.quantile(0.50),
+		P95:   s.quantile(0.95),
+		P99:   s.quantile(0.99),
 	}
+}
+
+func (s HistSnapshot) quantile(q float64) int64 {
+	if s.Count == 0 {
+		return 0
+	}
+	if q < 0 {
+		q = 0
+	}
+	if q > 1 {
+		q = 1
+	}
+	rank := q * float64(s.Count)
+	var cum float64
+	for i, c := range s.Counts {
+		n := float64(c)
+		if n == 0 {
+			continue
+		}
+		if cum+n >= rank {
+			lo, hi := s.bucketRange(i)
+			frac := (rank - cum) / n
+			return lo + int64(frac*float64(hi-lo))
+		}
+		cum += n
+	}
+	return s.Max
+}
+
+// bucketRange returns the value range [lo, hi] covered by bucket i,
+// clamped to the observed min/max.
+func (s HistSnapshot) bucketRange(i int) (lo, hi int64) {
+	switch {
+	case i == 0:
+		lo, hi = 0, s.Bounds[0]
+	case i == len(s.Bounds):
+		lo, hi = s.Bounds[i-1], s.Max
+	default:
+		lo, hi = s.Bounds[i-1], s.Bounds[i]
+	}
+	if lo < s.Min {
+		lo = s.Min
+	}
+	if hi > s.Max {
+		hi = s.Max
+	}
+	if hi < lo {
+		hi = lo
+	}
+	return lo, hi
 }

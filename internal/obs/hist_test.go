@@ -190,3 +190,22 @@ func TestHistSnapshotNil(t *testing.T) {
 		t.Fatalf("empty cumulative = %v", cum)
 	}
 }
+
+// TestHistSnapshotSummaryClamps: the live /statusz view summarises a
+// snapshot, and -metrics the registry's snapshot. Both clamp each bucket
+// to the observed min and max, so ten observations of 60 µs read 60 at
+// every quantile in both, not a point inside the 50–100 µs bucket.
+func TestHistSnapshotSummaryClamps(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("lat", nil)
+	for i := 0; i < 10; i++ {
+		h.Observe(60)
+	}
+	want := HistSummary{Count: 10, Min: 60, Max: 60, Mean: 60, P50: 60, P95: 60, P99: 60}
+	if got := h.Snapshot().Summary(); got != want {
+		t.Errorf("snapshot summary %+v, want %+v", got, want)
+	}
+	if got := r.Snapshot().Histograms["lat"]; got != want {
+		t.Errorf("registry snapshot %+v, want %+v", got, want)
+	}
+}

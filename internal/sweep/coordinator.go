@@ -353,8 +353,10 @@ func (c *Coordinator) grant(workerName string, max int64, now time.Time) LeaseRe
 		TTLMS: c.opts.TTL.Milliseconds()}
 }
 
-// Heartbeat extends a lease's deadline. OK=false tells the worker its
-// lease expired and was re-queued (its eventual Complete will be ignored).
+// Heartbeat extends the deadline of a lease granted to the heartbeat's
+// worker. OK=false tells the worker its lease expired and was re-queued
+// (its eventual Complete will be ignored), or that the lease is not its
+// own, whose deadline it leaves alone.
 func (c *Coordinator) Heartbeat(req HeartbeatRequest) HeartbeatResponse {
 	now := time.Now()
 	c.mu.Lock()
@@ -363,6 +365,7 @@ func (c *Coordinator) Heartbeat(req HeartbeatRequest) HeartbeatResponse {
 	c.worker(req.Worker, now)
 	c.ins.heartbeats.Inc()
 	l, ok := c.active[req.LeaseID]
+	ok = ok && l.worker == req.Worker
 	c.ft.Heartbeat(req.Worker, leaseSeq(req.LeaseID), ok)
 	if ok {
 		l.deadline = now.Add(c.opts.TTL)

@@ -227,6 +227,32 @@ func TestReportCreditsLeaseHolder(t *testing.T) {
 	}
 }
 
+// TestHeartbeatRenewsOnlyHoldersLease: a heartbeat naming another worker
+// is refused and leaves the lease's deadline alone, so a lease whose holder
+// went silent re-queues at its TTL however often others name it.
+func TestHeartbeatRenewsOnlyHoldersLease(t *testing.T) {
+	const ttl = 50 * time.Millisecond
+	s := synthSpec(t, `{"name":"hbholder","seeds":{"count":16},
+		"impairments":["none"],"device_classes":["pc"],"ap_densities":["typical"]}`)
+	c := NewCoordinator(s, CoordinatorOptions{Batch: 8, TTL: ttl})
+	granted := time.Now()
+	grant := c.Lease("a", 8)
+	// Only a stall longer than the TTL may expire the lease first.
+	if ok := c.Heartbeat(HeartbeatRequest{Worker: "a", LeaseID: grant.LeaseID}).OK; !ok && time.Since(granted) < ttl {
+		t.Fatal("the holder's heartbeat was refused")
+	}
+	for time.Since(granted) < 3*ttl {
+		if c.Heartbeat(HeartbeatRequest{Worker: "b", LeaseID: grant.LeaseID}).OK {
+			t.Fatal("a heartbeat naming b renewed a's lease")
+		}
+		time.Sleep(ttl / 6)
+	}
+	c.Snapshot() // reaps
+	if got := c.Releases(); got != 1 {
+		t.Errorf("Releases() = %d after 3 TTLs of b's heartbeats, want 1 (a's lease re-queued)", got)
+	}
+}
+
 // TestStragglerDetection: a worker whose reports' elapsed p50 exceeds the
 // configured factor over the sweep's p50 (with enough samples) is flagged
 // in the fleet view and counted on the gauge.

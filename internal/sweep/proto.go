@@ -58,7 +58,8 @@ type HeartbeatRequest struct {
 	LeaseID string `json:"lease_id"`
 }
 
-// HeartbeatResponse: OK=false means the lease expired and was re-queued.
+// HeartbeatResponse: OK=false means the lease expired and was re-queued,
+// or was granted to another worker.
 type HeartbeatResponse struct {
 	OK bool `json:"ok"`
 }

@@ -167,6 +167,11 @@ func ParseSpec(data []byte) (*Spec, error) {
 	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("sweep: parse spec: %w", err)
 	}
+	// A second document (or trailing garbage) is a malformed spec, not an
+	// extension point.
+	if dec.More() {
+		return nil, fmt.Errorf("sweep: parse spec: trailing content after document")
+	}
 	if err := s.normalize(); err != nil {
 		return nil, err
 	}

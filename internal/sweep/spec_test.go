@@ -35,6 +35,8 @@ func TestParseSpecRejects(t *testing.T) {
 		{"negative severity", `{"name":"t","seeds":{"count":1},"severity":-1}`, "severity"},
 		{"short call", `{"name":"t","seeds":{"count":1},"duration_s":0.5}`, "duration_s"},
 		{"unknown field", `{"name":"t","seeds":{"count":1},"wat":true}`, "wat"},
+		{"trailing garbage", `{"name":"x","seeds":{"count":1}} garbage`, "trailing content"},
+		{"second document", `{"name":"x","seeds":{"count":1}} {"name":"y","seeds":{"count":1}}`, "trailing content"},
 	}
 	for _, c := range cases {
 		if _, err := ParseSpec([]byte(c.doc)); err == nil {
