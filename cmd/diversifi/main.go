@@ -170,9 +170,10 @@ func loadScenario(path string) (core.Scenario, error) {
 	if err := dec.Decode(&sc); err != nil {
 		return sc, fmt.Errorf("bad scenario file: %w", err)
 	}
-	switch {
-	case dec.More():
+	if _, err := dec.Token(); err != io.EOF {
 		return sc, errors.New("bad scenario file: trailing content after the scenario")
+	}
+	switch {
 	case !slices.Contains(core.AllImpairments, sc.Impairment):
 		return sc, fmt.Errorf("bad scenario file: unknown impairment %d", int(sc.Impairment))
 	case sc.Profile != traffic.G711 && sc.Profile != traffic.HighRate:

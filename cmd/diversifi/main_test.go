@@ -87,6 +87,8 @@ func TestScenarioRejectsBadFiles(t *testing.T) {
 		{"old format", oldFormatScenario, "bad scenario file"},
 		{"unknown field", `{"Severity": 1,` + encode(func(*core.Scenario) {})[1:], `unknown field "Severity"`},
 		{"trailing content", encode(func(*core.Scenario) {}) + "{}", "trailing content"},
+		{"trailing brace", encode(func(*core.Scenario) {}) + " }", "trailing content"},
+		{"trailing bracket", encode(func(*core.Scenario) {}) + " ]", "trailing content"},
 	} {
 		if err := os.WriteFile(file, []byte(tc.doc), 0o644); err != nil {
 			t.Fatal(err)

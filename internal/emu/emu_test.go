@@ -184,29 +184,36 @@ func waitStats(t *testing.T, cmd func(string) string, stream uint32, field strin
 	}
 }
 
+// TestLinkForwards: a lossless link forwards every datagram, at once or
+// through the delayed sends whose timers fire while new ones are set.
 func TestLinkForwards(t *testing.T) {
-	sink := newSink(t)
-	link, err := NewLink("127.0.0.1:0", sink.addr(), LinkConfig{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer link.Close()
+	for _, cfg := range []LinkConfig{
+		{Seed: 1},
+		{Delay: 2 * time.Millisecond, Jitter: time.Millisecond, Seed: 1},
+	} {
+		sink := newSink(t)
+		link, err := NewLink("127.0.0.1:0", sink.addr(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer link.Close()
 
-	conn, err := net.Dial("udp", link.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	for i := 0; i < 50; i++ {
-		fmt.Fprintf(conn, "pkt-%d", i)
-	}
-	got := sink.drain(50, patience)
-	if len(got) != 50 {
-		t.Fatalf("lossless link delivered %d/50", len(got))
-	}
-	st := link.Stats()
-	if st.Received != 50 || st.Forwarded != 50 || st.Dropped != 0 {
-		t.Fatalf("stats %+v", st)
+		conn, err := net.Dial("udp", link.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		for i := 0; i < 50; i++ {
+			fmt.Fprintf(conn, "pkt-%d", i)
+		}
+		got := sink.drain(50, patience)
+		if len(got) != 50 {
+			t.Fatalf("lossless link (delay %v) delivered %d/50", cfg.Delay, len(got))
+		}
+		st := link.Stats()
+		if st.Received != 50 || st.Forwarded != 50 || st.Dropped != 0 {
+			t.Fatalf("delay %v: stats %+v", cfg.Delay, st)
+		}
 	}
 }
 
@@ -341,8 +348,8 @@ func TestMiddleboxForwardsWithoutAllocating(t *testing.T) {
 }
 
 // TestCloseWaitsAndRepeats: each role's Close returns only once the role's
-// goroutines are gone, a link's pending delayed sends included, and a
-// second Close returns nil.
+// goroutines are gone, a second Close returns nil, and a link's Close
+// stops its pending delayed sends instead of waiting for them to come due.
 func TestCloseWaitsAndRepeats(t *testing.T) {
 	sink := newSink(t)
 	mb, err := NewMiddlebox("127.0.0.1:0", "127.0.0.1:0", MiddleboxConfig{})
@@ -350,7 +357,10 @@ func TestCloseWaitsAndRepeats(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mb.Close()
-	const delay = 100 * time.Millisecond
+	// The link's delay leaves Close a wide margin under -race; its own sink
+	// shows whether any delayed datagram left after Close.
+	const delay = 500 * time.Millisecond
+	linkSink := newSink(t)
 	var fed time.Time // when the link's datagrams were sent
 	for _, role := range []struct {
 		name string
@@ -367,7 +377,7 @@ func TestCloseWaitsAndRepeats(t *testing.T) {
 			return NewSender(sink.addr(), SenderConfig{Stream: 3, Interval: time.Millisecond})
 		}},
 		{"link", func() (io.Closer, error) {
-			link, err := NewLink("127.0.0.1:0", sink.addr(), LinkConfig{Delay: delay, Seed: 1})
+			link, err := NewLink("127.0.0.1:0", linkSink.addr(), LinkConfig{Delay: delay, Seed: 1})
 			if err != nil {
 				return nil, err
 			}
@@ -387,8 +397,8 @@ func TestCloseWaitsAndRepeats(t *testing.T) {
 		if err := r.Close(); err != nil {
 			t.Errorf("%s: Close: %v", role.name, err)
 		}
-		if role.name == "link" && time.Since(fed) < delay {
-			t.Errorf("link Close returned %v after its datagrams were sent, before their %v delay",
+		if role.name == "link" && time.Since(fed) >= delay {
+			t.Errorf("link Close returned %v after its datagrams were sent, not before their %v delay",
 				time.Since(fed), delay)
 		}
 		if err := r.Close(); err != nil {
@@ -400,6 +410,10 @@ func TestCloseWaitsAndRepeats(t *testing.T) {
 			t.Errorf("%s: %d goroutines after Close, %d before the role opened",
 				role.name, runtime.NumGoroutine(), base)
 		}
+	}
+	// Wait past the delay: the datagrams the link held at Close never leave.
+	if got := linkSink.drain(1, time.Until(fed.Add(delay+200*time.Millisecond))); len(got) != 0 {
+		t.Errorf("link sent %d delayed datagrams after Close", len(got))
 	}
 }
 

@@ -77,8 +77,8 @@ func (l *Link) Stats() LinkStats {
 	return l.stats
 }
 
-// Close stops the link. It returns once every delayed datagram has come
-// due; those due after Close are not sent.
+// Close stops the link. Delayed datagrams not yet due are never sent;
+// Close waits only for a send already under way.
 func (l *Link) Close() error { return l.sock.close() }
 
 func (l *Link) onData(b []byte, _ netip.AddrPort) {

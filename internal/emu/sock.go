@@ -14,12 +14,17 @@ import (
 // addresses, opens sockets or starts goroutines.
 type sockets struct {
 	conns  []*net.UDPConn
-	wg     sync.WaitGroup // the goroutines of serve, every and after
+	wg     sync.WaitGroup // the goroutines of serve and every, and after's running callbacks
 	closed chan struct{}
 	once   sync.Once
+
+	mu      sync.Mutex
+	pending map[*time.Timer]bool // after's timers that have not fired; nil once closed
 }
 
-func newSockets() *sockets { return &sockets{closed: make(chan struct{})} }
+func newSockets() *sockets {
+	return &sockets{closed: make(chan struct{}), pending: make(map[*time.Timer]bool)}
+}
 
 // resolve looks a peer up once. The address is unmapped, because an IPv4
 // socket refuses to send to the [::ffff:a.b.c.d] form that
@@ -100,24 +105,45 @@ func (s *sockets) every(d time.Duration, f func() bool) {
 	}()
 }
 
-// after runs f once d has passed, and Close waits for it. Call it only
-// from a handler or f of this role, whose goroutine Close also waits for.
-// A delayed send that comes due after Close fails on the closed socket.
+// after runs f once d has passed, unless Close comes first: Close stops
+// the timers that have not fired and waits only for an f already running.
+// After Close, after schedules nothing.
 func (s *sockets) after(d time.Duration, f func()) {
-	s.wg.Add(1)
-	time.AfterFunc(d, func() {
-		defer s.wg.Done()
-		f()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.pending == nil {
+		return
+	}
+	var t *time.Timer
+	t = time.AfterFunc(d, func() {
+		s.mu.Lock()
+		due := s.pending[t]
+		if due {
+			delete(s.pending, t)
+			s.wg.Add(1)
+		}
+		s.mu.Unlock()
+		if due {
+			defer s.wg.Done()
+			f()
+		}
 	})
+	s.pending[t] = true
 }
 
-// close closes the sockets and returns once every goroutine of serve,
-// every and after has exited. Only the first call does so; later calls
-// return nil.
+// close stops after's pending timers, closes the sockets and returns once
+// every goroutine of serve and every, and every running f of after, has
+// exited. Only the first call does so; later calls return nil.
 func (s *sockets) close() error {
 	var err error
 	s.once.Do(func() {
 		close(s.closed)
+		s.mu.Lock()
+		for t := range s.pending {
+			t.Stop()
+		}
+		s.pending = nil
+		s.mu.Unlock()
 		for _, c := range s.conns {
 			if cerr := c.Close(); err == nil {
 				err = cerr

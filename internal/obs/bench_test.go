@@ -72,9 +72,8 @@ func BenchmarkSimEventLoopDisabled(b *testing.B) { benchSimLoop(b, nil) }
 func BenchmarkSimEventLoopEnabled(b *testing.B) { benchSimLoop(b, obs.NewRegistry()) }
 
 // armedQuietRegistry builds a registry with a streaming SLO engine armed on
-// a series collector, using a ruleset that needs no event tap and whose
-// gauge never violates — the "armed but quiet" configuration every
-// instrumented-but-healthy run pays.
+// a series collector, using a ruleset whose gauge never violates — the
+// "armed but quiet" configuration every instrumented-but-healthy run pays.
 func armedQuietRegistry(tb testing.TB) *obs.Registry {
 	tb.Helper()
 	rs, err := slo.DecodeRules([]byte(
@@ -113,10 +112,10 @@ func TestSimLoopDisabledAddsNoAllocs(t *testing.T) {
 }
 
 // TestSimLoopArmedQuietSLOAddsNoAllocs extends the alloc ceiling to the SLO
-// plane: arming an engine (tap-less ruleset, non-violating rules) on an
-// instrumented simulator must add zero allocations per event over the plain
-// instrumented loop — the engine only runs at series window captures, never
-// on the event hot path.
+// plane: arming an engine (non-violating rules) on an instrumented
+// simulator must add zero allocations per event over the plain instrumented
+// loop — the engine only runs at series window captures, never on the event
+// hot path.
 func TestSimLoopArmedQuietSLOAddsNoAllocs(t *testing.T) {
 	base := sim.New(1)
 	base.SetObs(obs.NewRegistry())

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 )
 
 // Trace event types. Each names one packet-level process the DiversiFi
@@ -295,16 +296,20 @@ func (ev Event) Validate() error {
 	}
 }
 
-// DecodeEvent parses one JSONL trace line strictly: unknown fields are an
-// error, and the decoded event must pass Validate. This is the function
-// trace-consuming tooling (and the contract tests) use, so a trace that
-// decodes here is guaranteed to match docs/OBSERVABILITY.md.
+// DecodeEvent parses one JSONL trace line strictly: unknown fields and
+// anything but whitespace after the event are errors, and the decoded event
+// must pass Validate. This is the function trace-consuming tooling (and the
+// contract tests) use, so a trace that decodes here is guaranteed to match
+// docs/OBSERVABILITY.md.
 func DecodeEvent(line []byte) (Event, error) {
 	var ev Event
 	dec := json.NewDecoder(bytes.NewReader(line))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&ev); err != nil {
 		return Event{}, fmt.Errorf("obs: decode trace line: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Event{}, fmt.Errorf("obs: decode trace line: trailing content after the event")
 	}
 	if err := ev.Validate(); err != nil {
 		return Event{}, err

@@ -64,18 +64,25 @@ func FuzzDecodeEvent(f *testing.F) {
 	})
 }
 
-// TestDecodeEventRejectsMultipleObjects pins a strictness property the
-// fuzzer cannot easily prove: a line carrying trailing JSON after the
-// first object would silently drop data downstream, so the decoder should
-// at minimum decode only the first object deterministically.
+// TestDecodeEventRejectsObviousGarbage pins strictness properties the
+// fuzzer cannot easily prove. A line is exactly one event: anything but
+// whitespace after it (garbage, a second object) would silently drop data
+// downstream, so it is an error, while a trailing "\r\n" is not.
 func TestDecodeEventRejectsObviousGarbage(t *testing.T) {
+	valid := `{"t_us":3,"ev":"drop","node":"B","seq":-1,"attempt":7}`
 	bad := []string{
 		"", "{", "tx", `{"ev":"tx"}x`, `{"t_us":1}`,
 		strings.Repeat("9", 1<<16), // giant number, not an object
+		valid + " x",
+		valid + valid,
+		valid + " }",
 	}
 	for _, s := range bad {
 		if _, err := DecodeEvent([]byte(s)); err == nil {
 			t.Errorf("DecodeEvent(%.40q) = nil error, want error", s)
 		}
+	}
+	if _, err := DecodeEvent([]byte(valid + " \r\n")); err != nil {
+		t.Errorf("DecodeEvent(valid + whitespace) = %v, want nil", err)
 	}
 }

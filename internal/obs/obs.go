@@ -110,8 +110,8 @@ func (g *Gauge) Max() int64 {
 }
 
 // regCore is the shared state behind one Registry and all of its WithRun
-// views: the instrument tables, the optional trace sink, the optional
-// time-windowed series collector, and the optional in-process event tap.
+// views: the instrument tables, the optional trace sink, and the optional
+// time-windowed series collector.
 type regCore struct {
 	mu       sync.RWMutex
 	counters map[string]*Counter
@@ -119,13 +119,6 @@ type regCore struct {
 	hists    map[string]*Histogram
 	sink     atomic.Pointer[Sink]
 	series   atomic.Pointer[Series]
-	tap      atomic.Pointer[eventTap]
-}
-
-// eventTap wraps the tap callback so it can live behind an atomic.Pointer
-// (which needs a concrete pointee type, not a func type).
-type eventTap struct {
-	fn func(Event)
 }
 
 // Registry is the root of the observability layer: a named-instrument
@@ -274,50 +267,27 @@ func (r *Registry) Series() *Series {
 	return r.core.series.Load()
 }
 
-// SetEventTap installs an in-process observer that sees every event passed
-// to Emit, after run-label stamping, regardless of whether a sink is
-// installed (nil removes it). At most one tap is supported; the streaming
-// SLO engine (internal/obs/slo) is the intended consumer. The callback runs
-// on the emitting goroutine and must be fast and non-blocking. Like SetSink,
-// install it before constructing simulators: hot paths cache Tracing().
-func (r *Registry) SetEventTap(fn func(Event)) {
-	if r == nil {
-		return
-	}
-	if fn == nil {
-		r.core.tap.Store(nil)
-		return
-	}
-	r.core.tap.Store(&eventTap{fn: fn})
-}
-
-// Tracing reports whether a trace sink or event tap is installed. Hot paths
-// use it to skip building events entirely when tracing is off.
+// Tracing reports whether a trace sink is installed. Hot paths use it to
+// skip building events entirely when tracing is off.
 func (r *Registry) Tracing() bool {
-	return r != nil && (r.core.sink.Load() != nil || r.core.tap.Load() != nil)
+	return r != nil && r.core.sink.Load() != nil
 }
 
-// Emit writes one trace event to the sink and/or event tap, stamping the
-// view's run label (unless the event already carries one). A nil registry
-// or absent sink-and-tap drops the event without allocation.
+// Emit writes one trace event to the sink, stamping the view's run label
+// (unless the event already carries one). A nil registry or absent sink
+// drops the event without allocation.
 func (r *Registry) Emit(ev Event) {
 	if r == nil {
 		return
 	}
 	s := r.core.sink.Load()
-	t := r.core.tap.Load()
-	if s == nil && t == nil {
+	if s == nil {
 		return
 	}
 	if ev.Run == "" {
 		ev.Run = r.run
 	}
-	if s != nil {
-		s.Write(ev)
-	}
-	if t != nil {
-		t.fn(ev)
-	}
+	s.Write(ev)
 }
 
 // Visitor receives one callback per instrument during Registry.Visit. Any

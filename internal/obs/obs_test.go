@@ -302,47 +302,43 @@ func TestVisitOrderAndValues(t *testing.T) {
 	nilReg.Visit(Visitor{Counter: func(string, int64) { t.Fatal("nil registry visited an instrument") }})
 }
 
-// TestEventTapContract pins SetEventTap: the tap sees every emitted event
-// after run-label stamping, with or without a sink; a tap alone flips
-// Tracing() on; nil removes it; a nil registry ignores the call.
-func TestEventTapContract(t *testing.T) {
+// TestTracingFollowsSink pins the registry's one event consumer: Tracing()
+// turns on with a sink and off once it is removed, emitted events are
+// run-stamped, nothing is written after removal, and a nil registry's Emit
+// is a no-op.
+func TestTracingFollowsSink(t *testing.T) {
 	r := NewRegistry()
 	if r.Tracing() {
 		t.Fatal("fresh registry should not report tracing")
 	}
-	var got []Event
-	r.SetEventTap(func(ev Event) { got = append(got, ev) })
-	if !r.Tracing() {
-		t.Fatal("tap alone should flip Tracing() on")
-	}
-	r.WithRun("s3").Emit(Event{TUS: 1, Ev: EvDrop, Node: "p", Seq: -1, Attempt: 1})
-	if len(got) != 1 || got[0].Run != "s3" {
-		t.Fatalf("tap saw %+v, want one run-stamped event", got)
-	}
-
-	// With a sink installed too, both observers see the event.
 	var buf bytes.Buffer
 	sink := NewSink(&buf)
 	r.SetSink(sink)
+	if !r.Tracing() {
+		t.Fatal("a sink should flip Tracing() on")
+	}
+	r.WithRun("s3").Emit(Event{TUS: 1, Ev: EvDrop, Node: "p", Seq: -1, Attempt: 1})
+	if err := sink.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	ev, err := DecodeEvent(bytes.TrimSpace(buf.Bytes()))
+	if err != nil || ev.Run != "s3" || sink.Written() != 1 {
+		t.Fatalf("sink wrote %d lines, first %+v (err %v); want one run-stamped event",
+			sink.Written(), ev, err)
+	}
+
+	r.SetSink(nil)
+	if r.Tracing() {
+		t.Error("Tracing() still on after removing the sink")
+	}
 	r.Emit(Event{TUS: 2, Ev: EvDrop, Node: "p", Seq: -1, Attempt: 1})
 	if err := sink.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 || sink.Written() != 1 {
-		t.Fatalf("tap saw %d events, sink wrote %d; want 2 and 1", len(got), sink.Written())
-	}
-
-	r.SetSink(nil)
-	r.SetEventTap(nil)
-	if r.Tracing() {
-		t.Error("Tracing() still on after removing sink and tap")
-	}
-	r.Emit(Event{TUS: 3, Ev: EvDrop, Node: "p", Seq: -1, Attempt: 1})
-	if len(got) != 2 {
-		t.Errorf("removed tap still saw events")
+	if sink.Written() != 1 {
+		t.Errorf("removed sink wrote %d events, want 1", sink.Written())
 	}
 
 	var nilReg *Registry
-	nilReg.SetEventTap(func(Event) { t.Error("tap on nil registry invoked") })
-	nilReg.Emit(Event{TUS: 4, Ev: EvDrop})
+	nilReg.Emit(Event{TUS: 3, Ev: EvDrop})
 }

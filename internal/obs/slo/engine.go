@@ -3,7 +3,6 @@ package slo
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"sync"
 
@@ -36,11 +35,6 @@ func (s State) String() string {
 	}
 }
 
-// maxTapDurations bounds the per-window event-duration buffers so a
-// pathological window cannot grow memory without limit; beyond it new
-// observations are dropped (and counted).
-const maxTapDurations = 4096
-
 // ruleState is one rule's live evaluation state.
 type ruleState struct {
 	rule     *Rule
@@ -64,22 +58,12 @@ type Engine struct {
 	rs    *RuleSet
 	trace *obs.Registry // run-labelled view for transition events; nil until armed
 
-	needTap bool
-
 	mu       sync.Mutex
 	rules    []ruleState
 	windows  int64
 	clockUS  int64
 	worstMOS float64
 	haveMOS  bool
-
-	// Event-tap accumulators for the switch/retrieve duration signals,
-	// drained each captured window. Guarded separately: the tap runs on
-	// simulator goroutines and must never contend with /alerts readers.
-	tapMu        sync.Mutex
-	switchDurs   []int64
-	retrieveDurs []int64
-	tapDropped   int64
 }
 
 // NewEngine builds an engine for a decoded ruleset.
@@ -88,13 +72,6 @@ func NewEngine(rs *RuleSet) *Engine {
 	e.rules = make([]ruleState, len(rs.Rules))
 	for i := range rs.Rules {
 		e.rules[i].rule = &rs.Rules[i]
-		if rs.Rules[i].sig.needsTap() {
-			e.needTap = true
-		}
-	}
-	if e.needTap {
-		e.switchDurs = make([]int64, 0, maxTapDurations)
-		e.retrieveDurs = make([]int64, 0, maxTapDurations)
 	}
 	return e
 }
@@ -108,48 +85,14 @@ func (e *Engine) RuleSet() *RuleSet {
 }
 
 // Arm attaches the engine: rule evaluation runs on every window the series
-// captures, transition events are emitted through reg under the
-// "slo/<hash8>" run label, and — only if some rule needs an event-derived
-// signal — the registry event tap is installed. Install order matters like
-// SetSink's: arm before constructing simulators.
+// captures, and transition events are emitted through reg under the
+// "slo/<hash8>" run label.
 func (e *Engine) Arm(reg *obs.Registry, se *obs.Series) {
 	if e == nil {
 		return
 	}
 	e.trace = reg.WithRun(TraceRun(e.rs.Hash()))
-	if e.needTap {
-		reg.SetEventTap(e.tap)
-	}
 	se.OnCapture(e.Observe)
-}
-
-// tap observes live trace events on the emitting goroutine. It records the
-// durations the event-derived signals need and ignores everything else —
-// including the engine's own slo-* transitions, so there is no feedback
-// loop. Allocation-free after warmup: the buffers are preallocated and
-// observations beyond the cap are dropped (counted in tapDropped).
-func (e *Engine) tap(ev obs.Event) {
-	switch ev.Ev {
-	case obs.EvLinkSwitch:
-		if ev.Detail != obs.SwitchToSecondary {
-			return
-		}
-		e.tapMu.Lock()
-		if len(e.switchDurs) < maxTapDurations {
-			e.switchDurs = append(e.switchDurs, ev.DurUS)
-		} else {
-			e.tapDropped++
-		}
-		e.tapMu.Unlock()
-	case obs.EvRetrieve:
-		e.tapMu.Lock()
-		if len(e.retrieveDurs) < maxTapDurations {
-			e.retrieveDurs = append(e.retrieveDurs, ev.DurUS)
-		} else {
-			e.tapDropped++
-		}
-		e.tapMu.Unlock()
-	}
 }
 
 // Observe evaluates every rule against one captured window. Arm installs it
@@ -162,15 +105,6 @@ func (e *Engine) Observe(p obs.SeriesPoint) {
 	winSec := float64(p.EndUS-p.StartUS) / 1e6
 	if winSec <= 0 {
 		return // degenerate flush label, nothing to evaluate
-	}
-	var swP95, rtP95 float64
-	if e.needTap {
-		e.tapMu.Lock()
-		swP95 = p95of(e.switchDurs)
-		rtP95 = p95of(e.retrieveDurs)
-		e.switchDurs = e.switchDurs[:0]
-		e.retrieveDurs = e.retrieveDurs[:0]
-		e.tapMu.Unlock()
 	}
 
 	e.mu.Lock()
@@ -232,10 +166,6 @@ func (e *Engine) Observe(p obs.SeriesPoint) {
 			value = e.worstMOS
 		case sigMissRatePct:
 			value = missPct
-		case sigSwitchP95:
-			value = swP95
-		case sigRetrieveP95:
-			value = rtP95
 		}
 		e.step(r, p.EndUS, value, present)
 	}
@@ -306,20 +236,6 @@ func (e *Engine) emit(r *ruleState, ev string, endUS, durUS int64) {
 // fmtFloat renders detail-token floats compactly and deterministically.
 func fmtFloat(v float64) string {
 	return strconv.FormatFloat(v, 'f', 3, 64)
-}
-
-// p95of returns the 95th-percentile of the values (0 when empty). The
-// slice is sorted in place; callers reset it afterwards.
-func p95of(vals []int64) float64 {
-	if len(vals) == 0 {
-		return 0
-	}
-	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-	idx := (len(vals)*95 + 99) / 100
-	if idx > 0 {
-		idx--
-	}
-	return float64(vals[idx])
 }
 
 // Counts returns the number of rules currently pending and firing, and the

@@ -1,10 +1,8 @@
 // Package slo is the streaming SLO engine of the observability layer: it
-// consumes the time-windowed points an obs.Series captures (plus, for
-// event-derived signals, live trace events through the registry's event
-// tap) and continuously evaluates declarative alert rules against them —
-// the paper's own call-health metrics (E-model MOS, playout-miss rate, the
-// recovery-delay decomposition) watched in real time instead of assessed
-// post-mortem.
+// consumes the time-windowed points an obs.Series captures and continuously
+// evaluates declarative alert rules against them — the paper's own
+// call-health metrics (E-model MOS, playout-miss rate, recovery delay)
+// watched in real time instead of assessed post-mortem.
 //
 // Rules are versioned slo-v1 documents (JSON or the repo's YAML subset,
 // decoded with the internal/scenario idiom): each names a windowed signal
@@ -26,6 +24,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -62,7 +61,7 @@ type Rule struct {
 	// Signal is the windowed expression evaluated each captured window:
 	// rate(C), delta(C), gauge(G), p50(H)/p95(H)/p99(H)/mean(H) over
 	// registry instruments, or one of the derived call-health signals
-	// mos, worst_mos, miss_rate_pct, switch_p95_us, retrieve_p95_us.
+	// mos, worst_mos, miss_rate_pct (computed from client.playout_misses).
 	Signal string `json:"signal"`
 	// Exactly one of Min/Max sets the threshold: Min alerts when the
 	// scaled value drops below it, Max when it exceeds it.
@@ -106,19 +105,11 @@ const (
 	sigMOS
 	sigWorstMOS
 	sigMissRatePct
-	sigSwitchP95
-	sigRetrieveP95
 )
 
 type signal struct {
 	kind sigKind
 	arg  string
-}
-
-// needsTap reports whether the signal is derived from live trace events
-// rather than windowed instruments, requiring the registry event tap.
-func (s signal) needsTap() bool {
-	return s.kind == sigSwitchP95 || s.kind == sigRetrieveP95
 }
 
 // compileSignal parses a signal expression.
@@ -130,10 +121,6 @@ func compileSignal(expr string) (signal, error) {
 		return signal{kind: sigWorstMOS}, nil
 	case "miss_rate_pct":
 		return signal{kind: sigMissRatePct}, nil
-	case "switch_p95_us":
-		return signal{kind: sigSwitchP95}, nil
-	case "retrieve_p95_us":
-		return signal{kind: sigRetrieveP95}, nil
 	}
 	open := strings.IndexByte(expr, '(')
 	if open <= 0 || !strings.HasSuffix(expr, ")") {
@@ -254,7 +241,7 @@ func DecodeRules(data []byte) (*RuleSet, error) {
 	if err := dec.Decode(&rs); err != nil {
 		return nil, fmt.Errorf("slo: parse ruleset: %w", err)
 	}
-	if dec.More() {
+	if _, err := dec.Token(); err != io.EOF {
 		return nil, fmt.Errorf("slo: parse ruleset: trailing content after document")
 	}
 	if err := rs.normalize(); err != nil {

@@ -210,8 +210,8 @@ func (f *Flags) Setup() (*Session, error) {
 			if s.series == nil && s.sloSeries == nil {
 				// No -series collector, but /statusz still wants the simulated
 				// clock: install a clock-only series (its window is beyond any
-				// horizon, so it never captures a point and job SeriesPoints
-				// stay zero) purely for its high-water mark.
+				// horizon, so it never captures a point) purely for its
+				// high-water mark.
 				reg.SetSeries(obs.NewSeries(reg, obs.ClockOnlyWindowUS))
 			}
 			srv := expose.New(reg)

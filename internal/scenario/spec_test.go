@@ -108,6 +108,12 @@ func TestDecodeSpecRejects(t *testing.T) {
 		{"trailing content",
 			`{"schema":"scenario-v1","name":"x","corpus":{}} {"more":1}`,
 			"trailing content"},
+		{"trailing brace",
+			`{"schema":"scenario-v1","name":"x","corpus":{}} }`,
+			"trailing content"},
+		{"trailing bracket",
+			`{"schema":"scenario-v1","name":"x","corpus":{}} ]`,
+			"trailing content"},
 		{"empty document", "   \n\t\n", "empty"},
 		{"range bad shape",
 			`{"schema":"scenario-v1","name":"x","corpus":{"severity":[1,2,3]}}`,

@@ -34,6 +34,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -167,9 +168,9 @@ func ParseSpec(data []byte) (*Spec, error) {
 	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("sweep: parse spec: %w", err)
 	}
-	// A second document (or trailing garbage) is a malformed spec, not an
-	// extension point.
-	if dec.More() {
+	// A second document (or trailing garbage, a stray '}' or ']' included)
+	// is a malformed spec, not an extension point.
+	if _, err := dec.Token(); err != io.EOF {
 		return nil, fmt.Errorf("sweep: parse spec: trailing content after document")
 	}
 	if err := s.normalize(); err != nil {

@@ -37,6 +37,8 @@ func TestParseSpecRejects(t *testing.T) {
 		{"unknown field", `{"name":"t","seeds":{"count":1},"wat":true}`, "wat"},
 		{"trailing garbage", `{"name":"x","seeds":{"count":1}} garbage`, "trailing content"},
 		{"second document", `{"name":"x","seeds":{"count":1}} {"name":"y","seeds":{"count":1}}`, "trailing content"},
+		{"trailing brace", `{"name":"x","seeds":{"count":1}} }`, "trailing content"},
+		{"trailing bracket", `{"name":"x","seeds":{"count":1}} ]`, "trailing content"},
 	}
 	for _, c := range cases {
 		if _, err := ParseSpec([]byte(c.doc)); err == nil {

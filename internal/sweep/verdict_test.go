@@ -80,7 +80,7 @@ func TestApplyVerdicts(t *testing.T) {
 		{"name":"mos-floor","signal":"mos","min":3,"cell":{"metric":"diversifi_mos","stat":"p50"}},
 		{"name":"dup-ceiling","signal":"gauge(client.dup)","scale":0.001,"max":500,
 		 "cell":{"metric":"cross_dup_bytes","stat":"mean"}},
-		{"name":"recovery","signal":"switch_p95_us","max":100,
+		{"name":"recovery","signal":"p95(client.recovery_delay_us)","scale":0.001,"max":100,
 		 "cell":{"metric":"recovery_total_ms","stat":"p95"}},
 		{"name":"live-only","signal":"gauge(x)","min":1}]}`)
 	sum.ApplyVerdicts(rs)
