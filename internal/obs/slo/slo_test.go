@@ -82,6 +82,7 @@ func TestDecodeRulesErrors(t *testing.T) {
 		{"trailing content", `{"schema":"slo-v1","rules":[{"name":"a","signal":"mos","min":1}]}{}`, "trailing"},
 		{"trailing brace", `{"schema":"slo-v1","rules":[{"name":"a","signal":"mos","min":1}]} }`, "trailing"},
 		{"trailing bracket", `{"schema":"slo-v1","rules":[{"name":"a","signal":"mos","min":1}]} ]`, "trailing"},
+		{"second yaml document", "schema: slo-v1\nrules:\n  - name: a\n    signal: mos\n    min: 1\n---\nstream_hz: 5\n", "yaml: line 6: a second document"},
 		{"bad name", `{"schema":"slo-v1","rules":[{"name":"has space","signal":"mos","min":1}]}`, "invalid name"},
 		{"dup name", `{"schema":"slo-v1","rules":[{"name":"a","signal":"mos","min":1},{"name":"a","signal":"mos","min":1}]}`, "duplicate rule"},
 		{"both bounds", `{"schema":"slo-v1","rules":[{"name":"a","signal":"mos","min":1,"max":2}]}`, "exactly one"},

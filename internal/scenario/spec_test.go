@@ -115,6 +115,9 @@ func TestDecodeSpecRejects(t *testing.T) {
 			`{"schema":"scenario-v1","name":"x","corpus":{}} ]`,
 			"trailing content"},
 		{"empty document", "   \n\t\n", "empty"},
+		{"second yaml document",
+			"schema: scenario-v1\nname: x\ncorpus:\n  severity: 1\n---\nseed: 9\n",
+			`yaml: line 5: a second document`},
 		{"range bad shape",
 			`{"schema":"scenario-v1","name":"x","corpus":{"severity":[1,2,3]}}`,
 			"want a number or [lo, hi]"},
@@ -139,17 +142,22 @@ func TestHashCanonical(t *testing.T) {
 		`{"name":"mobility","weight":1},{"name":"microwave","weight":1},{"name":"congestion","weight":1}],` +
 		`"severity":[1,1],"devices":[{"name":"pc","weight":1},{"name":"mobile","weight":1}]}}`
 	yaml := "schema: scenario-v1\nname: c\nseed: 7\ncorpus:\n  severity: 1\n"
+	// A "---" may open the one document, after comments and blank lines.
+	marked := "# spec\n\n--- # one document\n" + yaml
 
 	hashes := map[string]string{}
-	for name, doc := range map[string]string{"minimal": minimal, "spelled": spelled, "yaml": yaml} {
+	for name, doc := range map[string]string{"minimal": minimal, "spelled": spelled, "yaml": yaml, "yaml after ---": marked} {
 		s, err := DecodeSpec([]byte(doc))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		hashes[name] = s.Hash()
 	}
-	if hashes["minimal"] != hashes["spelled"] || hashes["minimal"] != hashes["yaml"] {
-		t.Errorf("hashes differ: %v", hashes)
+	for _, h := range hashes {
+		if h != hashes["minimal"] {
+			t.Errorf("hashes differ: %v", hashes)
+			break
+		}
 	}
 
 	other, err := DecodeSpec([]byte(`{"schema":"scenario-v1","name":"c","seed":8,"corpus":{"severity":1}}`))

@@ -62,8 +62,9 @@ func yamlToValue(data []byte) (any, error) {
 }
 
 // yamlSplit prepares the significant lines: strips comments (respecting
-// quotes), drops blanks and the "---" document marker, and rejects tabs in
-// indentation (as YAML itself does).
+// quotes), drops blanks and a "---" document marker before the first
+// content line, and rejects tabs in indentation (as YAML itself does) and
+// a "---" after content, which would start a second document.
 func yamlSplit(doc string) ([]yamlLine, error) {
 	var out []yamlLine
 	for i, raw := range strings.Split(doc, "\n") {
@@ -78,6 +79,9 @@ func yamlSplit(doc string) ([]yamlLine, error) {
 		}
 		text := stripComment(line[indent:])
 		text = strings.TrimRight(text, " ")
+		if text == "---" && len(out) > 0 {
+			return nil, yamlErrf(num, "a second document (\"---\"): one document per file")
+		}
 		if text == "" || text == "---" {
 			continue
 		}

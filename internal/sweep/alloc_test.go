@@ -7,11 +7,18 @@ import (
 )
 
 // ceilRunJobBytes holds one sweep job's heap bytes: a 120 s G.711 call
-// simulated twice (the dual call and DiversiFi), with three traces of
-// 24.6 KB, and scored three times. Scoring in one pass over the traces
-// measures 91,440 B; building the merged trace (24.6 KB) or a per-packet
-// loss slice per score (3 × 6.1 KB) again exceeds the ceiling.
-const ceilRunJobBytes = 100_000
+// simulated twice (the dual call and DiversiFi) and scored three times
+// in one pass over its three 6,000-packet traces. RunJob releases each
+// trace once scored, so DiversiFi's trace and the next job's two reuse
+// that storage, and a job measures 17,376 B; allocating even one 24.6 KB
+// trace afresh, a merged trace included, again exceeds the ceiling. Under
+// the race detector sync.Pool drops what it is given at random, so there
+// the ceiling stays at ceilRunJobBytesRace, the one held before traces
+// were recycled (91,032 B measured then).
+const (
+	ceilRunJobBytes     = 30_000
+	ceilRunJobBytesRace = 100_000
+)
 
 // sinkMetrics keeps the measured job's result on the heap.
 var sinkMetrics Metrics
@@ -41,10 +48,14 @@ func TestRunJobByteCeiling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ceil := ceilRunJobBytes
+	if raceEnabled {
+		ceil = ceilRunJobBytesRace
+	}
 	got := bytesPerRun(5, func() { sinkMetrics = RunJob(j) })
 	t.Logf("RunJob: %.0f B per job", got)
-	if got > ceilRunJobBytes {
-		t.Errorf("RunJob allocates %.0f B per job, ceiling %d", got, ceilRunJobBytes)
+	if got > float64(ceil) {
+		t.Errorf("RunJob allocates %.0f B per job, ceiling %d", got, ceil)
 	}
 }
 

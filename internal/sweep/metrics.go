@@ -81,11 +81,17 @@ func RunJob(j Job) Metrics {
 		}
 		m.Scalars[crossDupKey] = float64(both) * float64(profile.PacketBytes)
 	}
+	// RunJob holds the only references to its calls' traces, so it hands
+	// their storage back once scored: DiversiFi's trace reuses one of the
+	// dual call's, and later jobs reuse the rest.
+	d.TraceA.Release()
+	d.TraceB.Release()
 
 	r := core.RunDiversiFi(sc, core.DiversiFiOptions{Mode: core.ModeCustomAP})
 	observeQuality(&m, diversifiKeys, voip.Assess(r.Trace, profile))
 	m.Scalars[diversifiDupKey] =
 		r.WastefulRate * float64(r.Trace.Len()) * float64(profile.PacketBytes)
+	r.Trace.Release()
 	if n := len(r.Recoveries); n > 0 {
 		detect, sw, retrieve, total := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
 		for i, ev := range r.Recoveries {

@@ -7,6 +7,8 @@ package trace
 import (
 	"fmt"
 	"math"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/sim"
 )
@@ -23,14 +25,53 @@ type Trace struct {
 	dup     int     // duplicate deliveries observed
 }
 
+var (
+	// released holds the storage of released traces, as *[]int32 so that
+	// no *Trace, stale or live, is ever shared between calls.
+	released sync.Pool
+	// recycling is set by the first Release. Until then New leaves the
+	// pool alone, so a process that never releases a trace allocates
+	// exactly as it would without one, the pool's own per-GC bookkeeping
+	// included.
+	recycling atomic.Bool
+)
+
 // New creates a trace for count packets, the first sent at start and each
-// next one spacing later.
+// next one spacing later, with no packet arrived. Its storage comes from a
+// released trace when one large enough is pooled, and is made afresh
+// otherwise; either way every packet starts at -1, so what a trace records
+// does not depend on where its storage came from.
 func New(count int, start sim.Time, spacing sim.Duration) *Trace {
-	t := &Trace{Start: start, Spacing: spacing, delay: make([]int32, count)}
-	for i := range t.delay {
-		t.delay[i] = -1
+	var delay []int32
+	if recycling.Load() {
+		if p, _ := released.Get().(*[]int32); p != nil && cap(*p) >= count {
+			delay = (*p)[:count]
+		}
 	}
-	return t
+	if delay == nil {
+		delay = make([]int32, count)
+	}
+	for i := range delay {
+		delay[i] = -1
+	}
+	return &Trace{Start: start, Spacing: spacing, delay: delay}
+}
+
+// Release hands t's storage back for a later New to reuse, and leaves t
+// empty: Len and Duplicates read 0 and nothing is recorded. Only the
+// holder of t and of every view of it (a DualCall's StrongerTrace, say)
+// may call it, and nothing may read t after it does: a later call's
+// trace may be recording into the same storage. Release on a nil or an
+// already released trace does nothing. A trace nobody releases is
+// collected as usual.
+func (t *Trace) Release() {
+	if t == nil || t.delay == nil {
+		return
+	}
+	recycling.Store(true)
+	delay := t.delay[:cap(t.delay)]
+	released.Put(&delay)
+	t.delay, t.dup = nil, 0
 }
 
 // Len returns the trace's packet capacity.

@@ -192,6 +192,43 @@ func TestScheduleContractPanics(t *testing.T) {
 	}
 }
 
+// TestNewAfterRelease makes traces after releasing longer and shorter
+// ones, and checks what each holds, not whether its storage was reused:
+// under the race detector sync.Pool drops what it is given at random.
+func TestNewAfterRelease(t *testing.T) {
+	// Leave the package as a process that never released a trace has it,
+	// so allocation tests that run later measure New without the pool.
+	t.Cleanup(func() { recycling.Store(false) })
+	for _, n := range []int{300, 40, 300, 500, 0, 8} {
+		old := mk(400, []bool{true, false, true}, 5*sim.Millisecond)
+		old.RecordArrival(1, sim.Time(spacing)) // a duplicate
+		old.Release()
+		if old.Len() != 0 || old.Duplicates() != 0 || old.Arrived(1) {
+			t.Fatalf("released trace reads len %d dup %d, arrived(1) %v, want empty",
+				old.Len(), old.Duplicates(), old.Arrived(1))
+		}
+		old.RecordArrival(0, 0)
+		if s := old.Summarize(spacing, spacing); s != (Summary{}) {
+			t.Fatalf("released trace summarizes to %+v, want zero", s)
+		}
+		old.Release() // twice
+
+		tr := New(n, sim.Time(spacing), spacing)
+		if tr.Len() != n || tr.Duplicates() != 0 || tr.Start != sim.Time(spacing) || tr.Spacing != spacing {
+			t.Fatalf("New(%d) after a release: len %d dup %d start %v spacing %v",
+				n, tr.Len(), tr.Duplicates(), tr.Start, tr.Spacing)
+		}
+		for seq := 0; seq < n; seq++ {
+			if tr.Arrived(seq) {
+				t.Fatalf("New(%d) after a release: packet %d arrived at %v", n, seq, tr.ArrivalTime(seq))
+			}
+		}
+		tr.Release()
+	}
+	var none *Trace
+	none.Release()
+}
+
 // Package-level sinks keep measured allocations on the heap.
 var (
 	sinkTrace *Trace

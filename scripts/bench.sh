@@ -22,10 +22,11 @@ fi
 # paths (trains included) promise zero steady-state allocations, a whole
 # call must not allocate per packet or per recovery visit, a trace costs 4
 # bytes per packet, scoring a call allocates nothing, a sweep job builds no
-# merged trace or loss slice to score its calls, a lease report's digests
-# encode and decode without re-entering encoding/json, and the live
-# middlebox, replicator and undelayed link forward a datagram without
-# allocating; this fails the build if any of them starts allocating again.
+# merged trace or loss slice to score its calls and recycles the storage
+# of its three traces, a lease report's digests encode and decode without
+# re-entering encoding/json, and the live middlebox, replicator and
+# undelayed link forward a datagram without allocating; this fails the
+# build if any of them starts allocating again.
 # The 1x bench pass then checks every benchmark in the repo still compiles
 # and runs.
 go test ./internal/sim -run TestSchedulingAllocCeiling -count=1
