@@ -6,8 +6,10 @@
 package campaign
 
 import (
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -20,7 +22,10 @@ const DefaultCacheDir = ".campaign-cache"
 // Cache is a disk-backed result store keyed by a job's content address.
 // One file per job, in an encoding its caller owns; writes go through a
 // temp file + rename so a run killed mid-write never leaves a truncated
-// entry, which is what makes an interrupted run resumable.
+// entry, which is what makes an interrupted run resumable, and a failed
+// write removes its temp file. Reads append an entry to a buffer the
+// caller owns (AppendRaw), so a caller resolving many entries can reuse
+// one; the cache keeps no buffer.
 type Cache struct {
 	dir string
 }
@@ -44,14 +49,37 @@ func (c *Cache) Path(key string) string {
 	return filepath.Join(c.dir, key+".json")
 }
 
-// LoadRaw returns the raw bytes cached under key, or ok=false on a miss.
-// The caller owns the encoding and evicts an entry it cannot decode.
+// LoadRaw returns the raw bytes cached under key, or ok=false on a miss:
+// AppendRaw into a new buffer.
 func (c *Cache) LoadRaw(key string) ([]byte, bool) {
-	data, err := os.ReadFile(c.Path(key))
-	if err != nil || len(data) == 0 {
-		return nil, false
+	return c.AppendRaw(nil, key)
+}
+
+// AppendRaw appends the raw bytes cached under key to dst and returns the
+// extended buffer, or dst's bytes and ok=false on a miss or an empty
+// entry. It reads without sizing the file first, so a caller that reuses
+// one buffer across entries allocates none for their bytes. The caller
+// owns the encoding and evicts an entry it cannot decode.
+func (c *Cache) AppendRaw(dst []byte, key string) ([]byte, bool) {
+	f, err := os.Open(c.Path(key))
+	if err != nil {
+		return dst, false
 	}
-	return data, true
+	defer f.Close()
+	n := len(dst)
+	for {
+		if len(dst) == cap(dst) {
+			dst = slices.Grow(dst, 512)
+		}
+		m, err := f.Read(dst[len(dst):cap(dst)])
+		dst = dst[:len(dst)+m]
+		if err == io.EOF {
+			return dst, len(dst) > n
+		}
+		if err != nil {
+			return dst[:n], false
+		}
+	}
 }
 
 // StoreRaw persists raw bytes under key atomically (temp file + rename).
@@ -69,7 +97,11 @@ func (c *Cache) StoreRaw(key string, data []byte) error {
 		os.Remove(tmp.Name())
 		return err
 	}
-	return os.Rename(tmp.Name(), c.Path(key))
+	if err := os.Rename(tmp.Name(), c.Path(key)); err != nil {
+		os.Remove(tmp.Name())
+		return err
+	}
+	return nil
 }
 
 // RemoveRaw deletes the entry stored under key (missing entries are fine).

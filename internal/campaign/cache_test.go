@@ -1,6 +1,8 @@
 package campaign
 
 import (
+	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -27,6 +29,67 @@ func TestCacheRawRoundTrip(t *testing.T) {
 		t.Fatal("removed entry still loads")
 	}
 	c.RemoveRaw("r1") // removing a missing entry is fine
+}
+
+// TestCacheAppendRaw: an entry of any length lands after what the buffer
+// already holds, and a miss or an empty entry leaves the buffer's bytes as
+// they were.
+func TestCacheAppendRaw(t *testing.T) {
+	c, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{1, 511, 512, 513, 5000} {
+		entry := make([]byte, n)
+		for i := range entry {
+			entry[i] = byte('a' + i%26)
+		}
+		key := fmt.Sprint("n", n)
+		if err := c.StoreRaw(key, entry); err != nil {
+			t.Fatal(err)
+		}
+		for _, buf := range [][]byte{nil, []byte("head"), append(make([]byte, 0, 600), "head"...)} {
+			head := string(buf)
+			got, ok := c.AppendRaw(buf, key)
+			if !ok || string(got) != head+string(entry) {
+				t.Errorf("%d-byte entry after %q: ok=%v, got %d bytes", n, head, ok, len(got))
+			}
+		}
+	}
+	if err := os.WriteFile(c.Path("empty"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"absent", "empty"} {
+		if got, ok := c.AppendRaw([]byte("head"), key); ok || string(got) != "head" {
+			t.Errorf("%s: ok=%v, buffer %q", key, ok, got)
+		}
+		if _, ok := c.LoadRaw(key); ok {
+			t.Errorf("%s: LoadRaw reported a hit", key)
+		}
+	}
+}
+
+// TestStoreRawFailedRenameLeavesNoTemp: when the entry's path is taken (a
+// non-empty directory here), the rename fails and its temp file goes too,
+// instead of staying behind as an orphan.
+func TestStoreRawFailedRenameLeavesNoTemp(t *testing.T) {
+	c, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(c.Path("k"), "sub"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.StoreRaw("k", bytes.Repeat([]byte("x"), 10)); err == nil {
+		t.Fatal("stored an entry over a directory")
+	}
+	st, err := c.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Temp != 0 {
+		t.Errorf("a failed store left %d temp files", st.Temp)
+	}
 }
 
 func TestCacheStat(t *testing.T) {

@@ -6,6 +6,8 @@ import (
 	"math"
 	"slices"
 	"strconv"
+
+	"repro/internal/sketch/jsonscan"
 )
 
 // The wire form of a digest is one JSON object with the keys alpha, count,
@@ -33,7 +35,7 @@ func (d *Digest) MarshalJSON() ([]byte, error) {
 	// A pair is rarely longer than 16 bytes; append grows the rare one.
 	b := make([]byte, 0, 96+16*(len(d.pos)+len(d.neg)))
 	b = append(b, `{"alpha":`...)
-	b = appendFloat(b, d.alpha)
+	b = jsonscan.AppendFloat(b, d.alpha)
 	b = append(b, `,"count":`...)
 	b = strconv.AppendUint(b, d.count, 10)
 	if d.zero != 0 {
@@ -41,11 +43,11 @@ func (d *Digest) MarshalJSON() ([]byte, error) {
 		b = strconv.AppendUint(b, d.zero, 10)
 	}
 	b = append(b, `,"sum":`...)
-	b = appendFloat(b, d.sum)
+	b = jsonscan.AppendFloat(b, d.sum)
 	b = append(b, `,"min":`...)
-	b = appendFloat(b, mn)
+	b = jsonscan.AppendFloat(b, mn)
 	b = append(b, `,"max":`...)
-	b = appendFloat(b, mx)
+	b = jsonscan.AppendFloat(b, mx)
 	b = appendPairs(b, `,"pos":`, d.pos)
 	b = appendPairs(b, `,"neg":`, d.neg)
 	return append(b, '}'), nil
@@ -72,23 +74,6 @@ func appendPairs(b []byte, key string, bs []bucket) []byte {
 	return append(b, ']')
 }
 
-// appendFloat formats a finite f as encoding/json formats a float64: the
-// shortest decimal that reads back as f, in exponent form below 1e-6 and
-// from 1e21, with a one-digit negative exponent written e-7, not e-07.
-func appendFloat(b []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	start := len(b)
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if n := len(b); format == 'e' && n-start >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-		b[n-2] = b[n-1]
-		b = b[:n-1]
-	}
-	return b
-}
-
 // UnmarshalJSON decodes a digest in one pass, straight into its bucket
 // slices. It takes any JSON whitespace and any key order, and a repeated
 // key keeps its last value, as in encoding/json; pairs may come in any
@@ -97,53 +82,40 @@ func appendFloat(b []byte, f float64) []byte {
 // the field, a pair that is not two numbers, and a bucket counting
 // nothing. Min and max are ignored on an empty digest.
 func (d *Digest) UnmarshalJSON(data []byte) error {
-	p := parser{data: data}
+	p := jsonscan.New(data, "sketch: decode digest")
 	var (
 		alpha, sum, mn, mx float64
 		count, zero        uint64
 		pos, neg           []bucket
-		err                error
 	)
-	if !p.consume('{') {
-		return p.fail("want an object")
-	}
-	for more := !p.consume('}'); more; {
-		var key []byte
-		if key, err = p.key(); err != nil {
-			return err
-		}
-		if !p.consume(':') {
-			return p.fail("want ':'")
-		}
+	err := p.Object(func(key []byte) (err error) {
 		switch string(key) {
 		case "alpha":
-			alpha, err = p.float()
+			alpha, err = p.Float()
 		case "count":
-			count, err = p.unsigned()
+			count, err = p.Unsigned()
 		case "zero":
-			zero, err = p.unsigned()
+			zero, err = p.Unsigned()
 		case "sum":
-			sum, err = p.float()
+			sum, err = p.Float()
 		case "min":
-			mn, err = p.float()
+			mn, err = p.Float()
 		case "max":
-			mx, err = p.float()
+			mx, err = p.Float()
 		case "pos":
-			pos, err = p.pairs()
+			pos, err = readPairs(&p)
 		case "neg":
-			neg, err = p.pairs()
+			neg, err = readPairs(&p)
 		default:
-			return p.fail(fmt.Sprintf("unknown key %q", key))
+			err = p.Fail(fmt.Sprintf("unknown key %q", key))
 		}
-		if err != nil {
-			return err
-		}
-		if more = !p.consume('}'); more && !p.consume(',') {
-			return p.fail("want ',' or '}'")
-		}
+		return err
+	})
+	if err != nil {
+		return err
 	}
-	if p.space(); p.off != len(data) {
-		return p.fail("trailing data after the object")
+	if !p.End() {
+		return p.Fail("trailing data after the object")
 	}
 	if !(alpha > 0 && alpha < 1) {
 		return fmt.Errorf("sketch: decoded alpha %v out of (0,1)", alpha)
@@ -157,170 +129,45 @@ func (d *Digest) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// parser reads one digest's JSON, data[off:] being what is left.
-type parser struct {
-	data []byte
-	off  int
-}
-
-func (p *parser) fail(msg string) error {
-	return fmt.Errorf("sketch: decode digest at byte %d: %s", p.off, msg)
-}
-
-// space skips JSON whitespace.
-func (p *parser) space() {
-	for p.off < len(p.data) {
-		switch p.data[p.off] {
-		case ' ', '\t', '\n', '\r':
-			p.off++
-		default:
-			return
-		}
+// readPairs reads an array of [index, count] pairs into buckets in
+// ascending index order, each index read as the int32 of its low 32 bits.
+func readPairs(p *jsonscan.Scanner) ([]bucket, error) {
+	if !p.Consume('[') {
+		return nil, p.Fail("want an array of [index, count] pairs")
 	}
-}
-
-// consume skips whitespace and then c, reporting whether c was next.
-func (p *parser) consume(c byte) bool {
-	p.space()
-	if p.off < len(p.data) && p.data[p.off] == c {
-		p.off++
-		return true
-	}
-	return false
-}
-
-// key reads an object key. A key with an escape or a control character
-// cannot spell one of the digest's keys as written, so it is refused.
-func (p *parser) key() ([]byte, error) {
-	if !p.consume('"') {
-		return nil, p.fail("want a key")
-	}
-	start := p.off
-	for ; p.off < len(p.data); p.off++ {
-		switch c := p.data[p.off]; {
-		case c == '"':
-			p.off++
-			return p.data[start : p.off-1], nil
-		case c == '\\' || c < 0x20:
-			return nil, p.fail("unknown key")
-		}
-	}
-	return nil, p.fail("unterminated key")
-}
-
-// number reads one number as the JSON grammar spells it.
-func (p *parser) number() ([]byte, error) {
-	p.space()
-	b, i := p.data, p.off
-	digits := func() {
-		for i < len(b) && b[i] >= '0' && b[i] <= '9' {
-			i++
-		}
-	}
-	if i < len(b) && b[i] == '-' {
-		i++
-	}
-	switch {
-	case i < len(b) && b[i] == '0':
-		i++
-	case i < len(b) && b[i] >= '1' && b[i] <= '9':
-		digits()
-	default:
-		return nil, p.fail("want a number")
-	}
-	if i < len(b) && b[i] == '.' {
-		if i++; i == len(b) || b[i] < '0' || b[i] > '9' {
-			return nil, p.fail("want a digit after '.'")
-		}
-		digits()
-	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		if i++; i < len(b) && (b[i] == '+' || b[i] == '-') {
-			i++
-		}
-		if i == len(b) || b[i] < '0' || b[i] > '9' {
-			return nil, p.fail("want a digit in the exponent")
-		}
-		digits()
-	}
-	num := b[p.off:i]
-	p.off = i
-	return num, nil
-}
-
-// float reads a number as encoding/json reads a float64: one out of its
-// range is refused.
-func (p *parser) float() (float64, error) {
-	num, err := p.number()
-	if err != nil {
-		return 0, err
-	}
-	f, err := strconv.ParseFloat(string(num), 64)
-	if err != nil {
-		return 0, p.fail(fmt.Sprintf("number %s out of range", num))
-	}
-	return f, nil
-}
-
-// unsigned reads a number as encoding/json reads a uint64: only digits, and
-// at most math.MaxUint64.
-func (p *parser) unsigned() (uint64, error) {
-	num, err := p.number()
-	if err != nil {
-		return 0, err
-	}
-	var n uint64
-	for _, c := range num {
-		if c < '0' || c > '9' {
-			return 0, p.fail(fmt.Sprintf("number %s is not an unsigned integer", num))
-		}
-		if n > (math.MaxUint64-uint64(c-'0'))/10 {
-			return 0, p.fail(fmt.Sprintf("number %s overflows uint64", num))
-		}
-		n = n*10 + uint64(c-'0')
-	}
-	return n, nil
-}
-
-// pairs reads an array of [index, count] pairs into buckets in ascending
-// index order, each index read as the int32 of its low 32 bits.
-func (p *parser) pairs() ([]bucket, error) {
-	if !p.consume('[') {
-		return nil, p.fail("want an array of [index, count] pairs")
-	}
-	if p.consume(']') {
+	if p.Consume(']') {
 		return nil, nil
 	}
-	bs := make([]bucket, 0, p.pairsAhead())
+	bs := make([]bucket, 0, pairsAhead(p.Rest()))
 	sorted := true
 	for {
-		if !p.consume('[') {
-			return nil, p.fail("want an [index, count] pair")
+		if !p.Consume('[') {
+			return nil, p.Fail("want an [index, count] pair")
 		}
-		idx, err := p.unsigned()
+		idx, err := p.Unsigned()
 		if err != nil {
 			return nil, err
 		}
-		if !p.consume(',') {
-			return nil, p.fail("want ',' in a pair")
+		if !p.Consume(',') {
+			return nil, p.Fail("want ',' in a pair")
 		}
-		n, err := p.unsigned()
+		n, err := p.Unsigned()
 		if err != nil {
 			return nil, err
 		}
-		if !p.consume(']') {
-			return nil, p.fail("want ']' after a pair's count")
+		if !p.Consume(']') {
+			return nil, p.Fail("want ']' after a pair's count")
 		}
 		b := bucket{idx: int32(uint32(idx)), n: n}
 		if len(bs) > 0 && b.idx <= bs[len(bs)-1].idx {
 			sorted = false
 		}
 		bs = append(bs, b)
-		if p.consume(']') {
+		if p.Consume(']') {
 			break
 		}
-		if !p.consume(',') {
-			return nil, p.fail("want ',' or ']' after a pair")
+		if !p.Consume(',') {
+			return nil, p.Fail("want ',' or ']' after a pair")
 		}
 	}
 	if !sorted {
@@ -337,18 +184,19 @@ func (p *parser) pairs() ([]bucket, error) {
 	}
 	for _, b := range bs {
 		if b.n == 0 {
-			return nil, p.fail(fmt.Sprintf("bucket %d counts nothing", b.idx))
+			return nil, p.Fail(fmt.Sprintf("bucket %d counts nothing", b.idx))
 		}
 	}
 	return bs, nil
 }
 
 // pairsAhead bounds how many pairs the array being read holds: the '['
-// before the ']' that closes it, at most maxBuckets, so a hostile array
-// cannot make the parser allocate more than a full digest up front.
-func (p *parser) pairsAhead() int {
+// in rest before the ']' that closes the array, at most maxBuckets, so a
+// hostile array cannot make the parser allocate more than a full digest up
+// front.
+func pairsAhead(rest []byte) int {
 	n, depth := 0, 0
-	for _, c := range p.data[p.off:] {
+	for _, c := range rest {
 		switch c {
 		case '[':
 			n++

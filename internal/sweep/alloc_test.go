@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"runtime"
 	"testing"
+
+	"repro/internal/campaign"
 )
 
 // ceilRunJobBytes holds one sweep job's heap bytes: a 120 s G.711 call
@@ -56,6 +58,54 @@ func TestRunJobByteCeiling(t *testing.T) {
 	t.Logf("RunJob: %.0f B per job", got)
 	if got > float64(ceil) {
 		t.Errorf("RunJob allocates %.0f B per job, ceiling %d", got, ceil)
+	}
+}
+
+// Ceilings on resolving a warm cache entry through Runner.Do:
+// cachedEntryJob, a 120 s call with 99 recoveries, whose 2,544-byte entry
+// holds 396 series floats. Read into a pooled buffer and decoded in one
+// pass, it measures 26 objects and 5,344 B, 3,168 B of them the four
+// series the record must hold; through os.ReadFile and encoding/json it
+// took 104 objects and 14,000 B. Under the race detector sync.Pool drops a
+// quarter of what it is given, and a dropped buffer regrows from 512 B
+// to 4 KiB (four more objects, 7,680 B more), so there the byte ceiling
+// sits just below encoding/json's.
+const (
+	ceilCachedResolveAllocs    = 40
+	ceilCachedResolveBytes     = 8_000
+	ceilCachedResolveBytesRace = 13_500
+)
+
+// TestCachedResolveAllocCeiling holds a cached resolve to its ceilings.
+func TestCachedResolveAllocCeiling(t *testing.T) {
+	j := cachedEntryJob(t)
+	cache, err := campaign.OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &Runner{Cache: cache}
+	if _, cached, err := r.Do(j); err != nil || cached {
+		t.Fatalf("filling the entry: cached=%v err=%v", cached, err)
+	}
+	resolve := func() {
+		m, cached, err := r.Do(j)
+		if err != nil || !cached {
+			t.Fatalf("resolve: cached=%v err=%v", cached, err)
+		}
+		sinkMetrics = m
+	}
+	resolve()
+	if n := len(sinkMetrics.Series["recovery_total_ms"]); n != 99 {
+		t.Fatalf("the job recovered %d losses, want 99", n)
+	}
+	ceilB := ceilCachedResolveBytes
+	if raceEnabled {
+		ceilB = ceilCachedResolveBytesRace
+	}
+	allocs, bytes := testing.AllocsPerRun(20, resolve), bytesPerRun(20, resolve)
+	t.Logf("cached resolve: %.0f objects, %.0f B", allocs, bytes)
+	if allocs > ceilCachedResolveAllocs || bytes > float64(ceilB) {
+		t.Errorf("cached resolve: %.0f objects and %.0f B, ceilings %d and %d", allocs, bytes, ceilCachedResolveAllocs, ceilB)
 	}
 }
 

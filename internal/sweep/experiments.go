@@ -3,7 +3,6 @@ package sweep
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -86,32 +85,6 @@ func (j Job) Name() string {
 		return j.experiment.ID
 	}
 	return j.CellKey()
-}
-
-// decodeEntry reads a cache entry: an experiment job's is the bare
-// exp.Result, a call job's its Metrics record. ok=false means corrupt or
-// stale.
-func decodeEntry(j Job, data []byte) (m Metrics, ok bool) {
-	if j.experiment != nil {
-		var r exp.Result
-		if json.Unmarshal(data, &r) != nil || r.ID == "" {
-			return Metrics{}, false
-		}
-		return Metrics{Schema: MetricsSchema, Result: &r}, true
-	}
-	if json.Unmarshal(data, &m) != nil || !m.valid() {
-		return Metrics{}, false
-	}
-	return m, true
-}
-
-// encodeEntry is decodeEntry's inverse, in the bytes both caches have
-// always written.
-func encodeEntry(j Job, m Metrics) ([]byte, error) {
-	if j.experiment != nil {
-		return json.MarshalIndent(m.Result, "", " ")
-	}
-	return json.Marshal(m)
 }
 
 // renderResult prints a result as `experiments all` does: rendered plus a

@@ -202,15 +202,15 @@ const panicStackLimit = 4 << 10
 // panic, a timeout, an experiment returning nil) is retried once; what
 // still fails comes back as an error carrying the panic stack and the
 // flight-dump path, so one pathological job cannot take down a worker and
-// stays diagnosable after the fact.
+// stays diagnosable after the fact. Do reads and encodes each entry in a
+// buffer from a pool it owns, so an entry's bytes cost no allocation and
+// the codec keeps none of them; an entry the codec refuses is evicted and
+// the job re-executed once.
 func (r *Runner) Do(j Job) (m Metrics, cached bool, err error) {
 	key := j.Key()
 	if r.Cache != nil {
-		if data, ok := r.Cache.LoadRaw(key); ok {
-			if m, ok := decodeEntry(j, data); ok {
-				return m, true, nil
-			}
-			r.Cache.RemoveRaw(key) // stale schema or corruption: one re-execution
+		if m, ok := r.load(j, key); ok {
+			return m, true, nil
 		}
 	}
 	m, err = r.attempt(j)
@@ -221,12 +221,39 @@ func (r *Runner) Do(j Job) (m Metrics, cached bool, err error) {
 		return Metrics{}, false, err
 	}
 	if r.Cache != nil {
-		if data, jerr := encodeEntry(j, m); jerr == nil {
-			// A cache write failure degrades re-run speed, not correctness.
-			_ = r.Cache.StoreRaw(key, data)
-		}
+		r.store(j, key, m)
 	}
 	return m, false, nil
+}
+
+// load reads and decodes the entry cached under key, evicting one it
+// cannot decode.
+func (r *Runner) load(j Job, key string) (Metrics, bool) {
+	buf := entryBufs.Get().(*[]byte)
+	defer putEntryBuf(buf)
+	data, hit := r.Cache.AppendRaw((*buf)[:0], key)
+	*buf = data
+	if !hit {
+		return Metrics{}, false
+	}
+	m, ok := decodeEntry(j, data)
+	if !ok {
+		r.Cache.RemoveRaw(key) // stale schema or corruption: one re-execution
+	}
+	return m, ok
+}
+
+// store encodes m and caches it under key. A record the codec refuses is
+// not stored, and a cache write failure degrades re-run speed, not
+// correctness.
+func (r *Runner) store(j Job, key string, m Metrics) {
+	buf := entryBufs.Get().(*[]byte)
+	defer putEntryBuf(buf)
+	data, err := encodeEntry(j, m, (*buf)[:0])
+	*buf = data
+	if err == nil {
+		_ = r.Cache.StoreRaw(key, data)
+	}
 }
 
 // attempt runs the job once: inline, or with a timeout on a goroutine of

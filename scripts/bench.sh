@@ -3,9 +3,9 @@
 #
 # Usage:
 #   scripts/bench.sh smoke     enforce the scheduling, whole-call, trace,
-#                              sweep-job, lease-report and live-forwarding
-#                              alloc ceilings (objects and bytes) and run
-#                              every benchmark once
+#                              sweep-job, cached-resolve, lease-report and
+#                              live-forwarding alloc ceilings (objects and
+#                              bytes) and run every benchmark once
 #
 # Performance itself is measured by bench/, the benchmark of record, from
 # repeated samples (see bench/README.md).
@@ -23,7 +23,8 @@ fi
 # call must not allocate per packet or per recovery visit, a trace costs 4
 # bytes per packet, scoring a call allocates nothing, a sweep job builds no
 # merged trace or loss slice to score its calls and recycles the storage
-# of its three traces, a lease report's digests encode and decode without
+# of its three traces, a cached job resolves through a pooled buffer and
+# a one-pass decode, a lease report's digests encode and decode without
 # re-entering encoding/json, and the live middlebox, replicator and
 # undelayed link forward a datagram without allocating; this fails the
 # build if any of them starts allocating again.
@@ -32,6 +33,6 @@ fi
 go test ./internal/sim -run TestSchedulingAllocCeiling -count=1
 go test ./internal/core -run TestCallAllocCeiling -count=1
 go test ./internal/trace -run TestTraceBytesPerPacket -count=1
-go test ./internal/sweep -run 'TestRunJobByteCeiling|TestLeaseReportAllocCeiling' -count=1
+go test ./internal/sweep -run 'TestRunJobByteCeiling|TestCachedResolveAllocCeiling|TestLeaseReportAllocCeiling' -count=1
 go test ./internal/emu -run TestMiddleboxForwardsWithoutAllocating -count=1
 go test -bench . -benchtime=1x -benchmem -run '^$' ./...
