@@ -6,6 +6,8 @@
 package ap
 
 import (
+	"sync"
+
 	"repro/internal/sim/rng"
 
 	"repro/internal/mac"
@@ -92,7 +94,7 @@ type Stats struct {
 type AP struct {
 	cfg  Config
 	sim  *sim.Simulator
-	tx   *mac.Transmitter
+	tx   mac.Transmitter // held by value, so a recycled AP recycles it too
 	pres ClientPresence
 
 	asleep  bool
@@ -118,10 +120,17 @@ type AP struct {
 	ctWasted    *obs.Counter
 	ctLost      *obs.Counter
 	gQueueDepth *obs.Gauge
+
+	released bool // set by Release until New draws the AP again
 }
 
+// released holds APs handed back by Release.
+var released sync.Pool
+
 // New creates an AP transmitting over link. deliver is invoked (in virtual
-// time) for every frame the client actually receives.
+// time) for every frame the client actually receives. It reuses a released
+// AP when one is pooled, reset to exactly what a fresh one is: empty
+// queues (their storage kept) and the bound txDone callback.
 func New(s *sim.Simulator, cfg Config, link *phy.Link, rng *rng.Stream, pres ClientPresence, deliver func(Packet, sim.Time)) *AP {
 	if cfg.MaxQueue <= 0 {
 		if cfg.Policy == HeadDrop {
@@ -133,17 +142,20 @@ func New(s *sim.Simulator, cfg Config, link *phy.Link, rng *rng.Stream, pres Cli
 	if cfg.HWBatch <= 0 {
 		cfg.HWBatch = DefaultHWBatch
 	}
-	tx := mac.NewTransmitter(link, rng)
-	if cfg.Voice {
-		tx.AC = mac.ACVoice
+	a, _ := released.Get().(*AP)
+	if a == nil {
+		a = new(AP)
+		a.txDone = a.onTxDone
 	}
 	reg := s.Obs()
-	tx.SetObs(reg, cfg.Name)
-	a := &AP{
+	*a = AP{
 		cfg:         cfg,
 		sim:         s,
-		tx:          tx,
+		tx:          *mac.NewTransmitter(link, rng),
 		pres:        pres,
+		queue:       a.queue,
+		hw:          a.hw,
+		txDone:      a.txDone,
 		deliver:     deliver,
 		obs:         reg,
 		ctEnqueued:  reg.Counter("ap.enqueued"),
@@ -153,8 +165,26 @@ func New(s *sim.Simulator, cfg Config, link *phy.Link, rng *rng.Stream, pres Cli
 		ctLost:      reg.Counter("ap.tx_lost"),
 		gQueueDepth: reg.Gauge("ap.queue_depth"),
 	}
-	a.txDone = a.onTxDone
+	if cfg.Voice {
+		a.tx.AC = mac.ACVoice
+	}
+	a.tx.SetObs(reg, cfg.Name)
 	return a
+}
+
+// Release hands a and its queue storage to the pool New draws from. Only
+// the owner of the call's world may call it, once the simulator that
+// drives a will run no more of its events; it drops the delivery callback,
+// the presence, the link and the simulator, so the pool pins nothing of
+// the call. Release on nil or on a released AP does nothing.
+func (a *AP) Release() {
+	if a == nil || a.released {
+		return
+	}
+	a.queue.Reset()
+	a.hw.Reset()
+	*a = AP{queue: a.queue, hw: a.hw, txDone: a.txDone, released: true}
+	released.Put(a)
 }
 
 // Name returns the AP's identifier.

@@ -7,6 +7,8 @@
 package client
 
 import (
+	"sync"
+
 	"repro/internal/ap"
 	"repro/internal/mac"
 	"repro/internal/obs"
@@ -115,6 +117,8 @@ type Interval struct {
 
 // Client is the single-NIC DiversiFi receiver.
 type Client struct {
+	kept
+
 	sim  *sim.Simulator
 	cfg  Config
 	prim *ap.AP
@@ -125,15 +129,11 @@ type Client struct {
 	count     int
 
 	st            state
-	missing       map[int]sim.Time // seq -> recovery deadline (SentAt+Deadline)
 	pendingSwitch sim.Timer
 	pendingSeq    int // seq whose loss planned the pending switch; -1 when none
 	failsafe      sim.Timer
 	lastSecVisit  sim.Time
 
-	// absence tracking for the TCP-coexistence experiment: periods when
-	// the NIC was not serving the primary/DEF channel.
-	absences    []Interval
 	absentSince sim.Time
 
 	// recovery-delay instrumentation for Table 3: time from initiating a
@@ -141,7 +141,6 @@ type Client struct {
 	visitStart     sim.Time
 	visitTrigger   int // seq whose loss initiated the visit; -1 for keepalives
 	visitDelivered bool
-	recoveryEvents []RecoveryEvent
 
 	// futile-visit backoff: when the secondary keeps yielding nothing,
 	// stop chasing it for a while.
@@ -150,11 +149,6 @@ type Client struct {
 	visitRecovered bool
 
 	stats Stats
-
-	// The callbacks a secondary visit schedules, bound once in New so a
-	// visit allocates no closures (as sim.Ticker binds its tick).
-	onSwitch, onRecoveryArrival, onKeepaliveArrival     func()
-	onRecoveryTimeout, onKeepaliveEnd, onPrimaryArrival func()
 
 	// Observability, taken from the simulator at construction (nil-safe).
 	obs         *obs.Registry
@@ -165,7 +159,32 @@ type Client struct {
 	ctDup       *obs.Counter
 	ctMisses    *obs.Counter
 	hRecDelay   *obs.Histogram
+
+	released bool // set by Release until New draws the client again
 }
+
+// kept is what a released client keeps for its next call: the storage of
+// its missing-packet map and its logs, emptied, and the callbacks bound to
+// it.
+type kept struct {
+	missing map[int]sim.Time // seq -> recovery deadline (SentAt+Deadline)
+
+	// absence tracking for the TCP-coexistence experiment: periods when
+	// the NIC was not serving the primary/DEF channel.
+	absences []Interval
+	// one entry per successful loss-triggered recovery (Table 3).
+	recoveryEvents []RecoveryEvent
+
+	// The callbacks a secondary visit schedules and the keepalive tick,
+	// bound once when the client is made so a visit allocates no closures
+	// (as sim.Ticker binds its tick).
+	onSwitch, onRecoveryArrival, onKeepaliveArrival     func()
+	onRecoveryTimeout, onKeepaliveEnd, onPrimaryArrival func()
+	onKeepaliveTick                                     func()
+}
+
+// released holds clients handed back by Release.
+var released sync.Pool
 
 // RecoveryEvent decomposes one successful loss-triggered recovery into the
 // paper's Table 3 components, mirroring the trace analyzer's episode
@@ -185,21 +204,36 @@ type RecoveryEvent struct {
 	Total    sim.Duration
 }
 
-// RecoveryEvents returns the per-recovery delay decomposition, one entry
-// for each loss-triggered secondary visit that yielded at least one
-// packet, in order.
-func (c *Client) RecoveryEvents() []RecoveryEvent {
-	return append([]RecoveryEvent(nil), c.recoveryEvents...)
+// AppendRecoveryEvents appends the per-recovery delay decomposition to
+// dst, one entry for each loss-triggered secondary visit that yielded at
+// least one packet, in order.
+func (c *Client) AppendRecoveryEvents(dst []RecoveryEvent) []RecoveryEvent {
+	return append(dst, c.recoveryEvents...)
 }
 
-// New creates the client. Call BindAPs before starting a call.
+// New creates the client. Call BindAPs before starting a call. It reuses
+// a released client when one is pooled, reset to exactly what a fresh one
+// is: no missing packets and empty logs (their storage kept), and the
+// callbacks bound to it.
 func New(s *sim.Simulator, cfg Config) *Client {
 	cfg.fillDefaults()
 	reg := s.Obs()
-	c := &Client{
+	c, _ := released.Get().(*Client)
+	if c == nil {
+		c = new(Client)
+		c.missing = make(map[int]sim.Time)
+		c.onSwitch = c.recoverySwitch
+		c.onRecoveryArrival = c.recoveryArrival
+		c.onKeepaliveArrival = c.keepaliveArrival
+		c.onRecoveryTimeout = c.recoveryTimeout
+		c.onKeepaliveEnd = c.keepaliveEnd
+		c.onPrimaryArrival = c.primaryArrival
+		c.onKeepaliveTick = c.keepaliveTick
+	}
+	*c = Client{
+		kept:         c.kept,
 		sim:          s,
 		cfg:          cfg,
-		missing:      make(map[int]sim.Time),
 		pendingSeq:   -1,
 		visitTrigger: -1,
 		obs:          reg,
@@ -211,13 +245,23 @@ func New(s *sim.Simulator, cfg Config) *Client {
 		ctMisses:     reg.Counter("client.playout_misses"),
 		hRecDelay:    reg.Histogram("client.recovery_delay_us", nil),
 	}
-	c.onSwitch = c.recoverySwitch
-	c.onRecoveryArrival = c.recoveryArrival
-	c.onKeepaliveArrival = c.keepaliveArrival
-	c.onRecoveryTimeout = c.recoveryTimeout
-	c.onKeepaliveEnd = c.keepaliveEnd
-	c.onPrimaryArrival = c.primaryArrival
 	return c
+}
+
+// Release hands c and its storage to the pool New draws from. Only the
+// owner of the call's world may call it, once the simulator that drives c
+// will run no more of its events and its trace, stats and logs have been
+// copied out; it drops the simulator, the APs, the trace and the
+// configuration, so the pool pins nothing of the call. Release on nil or
+// on a released client does nothing.
+func (c *Client) Release() {
+	if c == nil || c.released {
+		return
+	}
+	clear(c.missing)
+	c.absences, c.recoveryEvents = c.absences[:0], c.recoveryEvents[:0]
+	*c = Client{kept: c.kept, released: true}
+	released.Put(c)
 }
 
 // spacing returns the stream's inter-packet gap.
@@ -246,14 +290,14 @@ func (c *Client) Trace() *trace.Trace { return c.tr }
 // Stats returns the client's counters.
 func (c *Client) Stats() Stats { return c.stats }
 
-// Absences returns the NIC's away-from-primary intervals, closed as of the
-// current virtual time.
-func (c *Client) Absences() []Interval {
-	out := append([]Interval(nil), c.absences...)
+// AppendAbsences appends the NIC's away-from-primary intervals to dst,
+// closed as of the current virtual time.
+func (c *Client) AppendAbsences(dst []Interval) []Interval {
+	dst = append(dst, c.absences...)
 	if c.st != onPrimary {
-		out = append(out, Interval{From: c.absentSince, To: c.sim.Now()})
+		dst = append(dst, Interval{From: c.absentSince, To: c.sim.Now()})
 	}
-	return out
+	return dst
 }
 
 // AbsentDuring returns the total time within [from, to) that the
@@ -581,14 +625,17 @@ func (c *Client) primaryArrival() {
 // lines 15–17): if the secondary has not been visited for AKT, pay it a
 // short visit to keep the association alive.
 func (c *Client) scheduleKeepalive() {
-	c.sim.Every(c.cfg.AKT/4, func() {
-		if c.st != onPrimary {
-			return
-		}
-		if c.sim.Now().Sub(c.lastSecVisit) >= c.cfg.AKT {
-			c.stats.KeepaliveSwitches++
-			c.ctKASwitch.Inc()
-			c.goToSecondary(true)
-		}
-	})
+	c.sim.Every(c.cfg.AKT/4, c.onKeepaliveTick)
+}
+
+// keepaliveTick is scheduleKeepalive's periodic check.
+func (c *Client) keepaliveTick() {
+	if c.st != onPrimary {
+		return
+	}
+	if c.sim.Now().Sub(c.lastSecVisit) >= c.cfg.AKT {
+		c.stats.KeepaliveSwitches++
+		c.ctKASwitch.Inc()
+		c.goToSecondary(true)
+	}
 }

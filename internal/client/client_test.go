@@ -154,7 +154,7 @@ func TestAbsenceTracking(t *testing.T) {
 	r := newWiredRig(t, 7, 0, 0, cfg)
 	r.start(500)
 	r.sim.Run(sim.Time(11 * sim.Second))
-	abs := r.client.Absences()
+	abs := r.client.AppendAbsences(nil)
 	if len(abs) == 0 {
 		t.Fatal("keepalive visits recorded no absences")
 	}
@@ -343,7 +343,7 @@ func TestRecoveryDelaysOnlyFromLossVisits(t *testing.T) {
 	if r.client.Stats().KeepaliveSwitches == 0 {
 		t.Fatal("no keepalives")
 	}
-	if n := len(r.client.RecoveryEvents()); n != 0 {
+	if n := len(r.client.AppendRecoveryEvents(nil)); n != 0 {
 		t.Errorf("keepalive visits produced %d recovery-delay samples", n)
 	}
 }
@@ -356,7 +356,7 @@ func TestRecoveryEventDecomposition(t *testing.T) {
 	r := newWiredRig(t, 4, 55, 0, Config{})
 	r.start(200)
 	r.sim.Run(sim.Time(10 * sim.Second))
-	events := r.client.RecoveryEvents()
+	events := r.client.AppendRecoveryEvents(nil)
 	if len(events) == 0 {
 		t.Fatal("no recovery events on a dead primary")
 	}

@@ -49,8 +49,30 @@ func (d DualCall) WeakerTrace() *trace.Trace {
 	return d.TraceA
 }
 
+// Release hands the call's traces and RSSI series back for later calls to
+// reuse. Only the holder of d and of every copy and view of it (a
+// StrongerTrace, say) may call it, and nothing may read them afterwards: a
+// later call may be recording into the same storage. A DualCall nobody
+// releases is collected as usual.
+func (d *DualCall) Release() {
+	d.TraceA.Release()
+	d.TraceB.Release()
+	rssiSeries.put(d.RSSISeriesA)
+	rssiSeries.put(d.RSSISeriesB)
+	d.RSSISeriesA, d.RSSISeriesB = nil, nil
+}
+
+// release hands the call's two links back to the pool phy.NewLink draws
+// from.
+func (l Links) release() {
+	l.A.Release()
+	l.B.Release()
+}
+
 // RunDualCall simulates one call received concurrently on both links with
 // a dedicated NIC per link (stock tail-drop APs, client always listening).
+// Its world (simulator, links, APs, wires, source) is released once the
+// result holds only values and its own traces and series.
 func RunDualCall(sc Scenario) DualCall {
 	s := sim.New(sc.Seed)
 	links := sc.Build(s)
@@ -73,21 +95,31 @@ func RunDualCall(sc Scenario) DualCall {
 		wireB.Send(p, enqB)
 	})
 
-	res := DualCall{Scenario: sc, TraceA: trA, TraceB: trB}
+	var rssiA, rssiB float64
 	s.Schedule(0, func() {
-		res.RSSIA = links.A.RSSIdBm(0)
-		res.RSSIB = links.B.RSSIdBm(0)
+		rssiA = links.A.RSSIdBm(0)
+		rssiB = links.B.RSSIdBm(0)
 		src.Start(count)
 	})
-	// One RSSI sample at the start of every second of the call.
+	// One RSSI sample at the start of every second of the call; the train
+	// runs all of them, so every entry is written.
 	seconds := int((sc.Duration + sim.Second - 1) / sim.Second)
-	res.RSSISeriesA, res.RSSISeriesB = make([]float64, 0, seconds), make([]float64, 0, seconds)
-	s.Train(seconds, sim.Lane{At: periodic(sim.Second), Fn: func(int) {
-		res.RSSISeriesA = append(res.RSSISeriesA, links.A.RSSIdBm(s.Now()))
-		res.RSSISeriesB = append(res.RSSISeriesB, links.B.RSSIdBm(s.Now()))
+	seriesA, seriesB := rssiSeries.take(seconds), rssiSeries.take(seconds)
+	s.Train(seconds, sim.Lane{At: periodic(sim.Second), Fn: func(i int) {
+		seriesA[i] = links.A.RSSIdBm(s.Now())
+		seriesB[i] = links.B.RSSIdBm(s.Now())
 	}})
 	s.Run(sim.Time(sc.Duration + 2*sim.Second))
-	return res
+
+	src.Release()
+	apA.Release()
+	apB.Release()
+	wireA.Release()
+	wireB.Release()
+	links.release()
+	s.Release()
+	return DualCall{Scenario: sc, TraceA: trA, TraceB: trB, RSSIA: rssiA, RSSIB: rssiB,
+		RSSISeriesA: seriesA, RSSISeriesB: seriesB}
 }
 
 // periodic returns the Train times of a stream with one event every period
@@ -173,6 +205,17 @@ type DiversiFiResult struct {
 	Absences []client.Interval
 }
 
+// Release hands the result's trace and logs back for later calls to reuse.
+// Only the holder of r and of every copy of it may call it, and nothing
+// may read them afterwards. A result nobody releases is collected as
+// usual.
+func (r *DiversiFiResult) Release() {
+	r.Trace.Release()
+	recoveryLogs.put(r.Recoveries)
+	absenceLogs.put(r.Absences)
+	r.Recoveries, r.Absences = nil, nil
+}
+
 // mbAdapter connects the client's SecondaryBuffer hook to a middlebox.
 type mbAdapter struct {
 	mb       *netsim.Middlebox
@@ -183,7 +226,9 @@ func (a mbAdapter) RequestFrom(firstSeq int) { a.mb.Start(a.streamID, firstSeq) 
 func (a mbAdapter) Release()                 { a.mb.Stop(a.streamID) }
 
 // RunDiversiFi simulates one single-NIC DiversiFi call. The stronger link
-// (by RSSI at call start) becomes the primary, matching §6.1.
+// (by RSSI at call start) becomes the primary, matching §6.1. Its world
+// (simulator, links, APs, wires, client, source) is released once the
+// result holds only values, its trace and copies of the client's logs.
 func RunDiversiFi(sc Scenario, opts DiversiFiOptions) DiversiFiResult {
 	s := sim.New(sc.Seed)
 	links := sc.Build(s)
@@ -216,6 +261,7 @@ func RunDiversiFi(sc Scenario, opts DiversiFiOptions) DiversiFiResult {
 	// The secondary feed depends on the mode; both closures capture secAP,
 	// which is assigned below before any packet flows.
 	var primAP, secAP *ap.AP
+	var wireSec, mbOut, wireMB *netsim.Wire
 	var feedSecondary func(pkt.Packet)
 	// secEnq is built once and captures secAP by reference (it is assigned
 	// below, before any packet flows); per-packet closures would dominate
@@ -226,16 +272,16 @@ func RunDiversiFi(sc Scenario, opts DiversiFiOptions) DiversiFiResult {
 		mbCfg.BufferDepth = qlen
 		mb := netsim.NewMiddlebox(s, mbCfg)
 		mb.SetBackgroundLoad(opts.MiddleboxLoad)
-		mbOut := netsim.NewWire(s, "mbToSec", lanLatency, lanJitter, 0)
+		mbOut = netsim.NewWire(s, "mbToSec", lanLatency, lanJitter, 0)
 		_ = mb.Register(1, netsim.PortFunc(func(p pkt.Packet) {
 			mbOut.Send(p, secEnq)
 		}))
-		wireMB := netsim.NewWire(s, "lanMB", lanLatency, lanJitter, 0)
+		wireMB = netsim.NewWire(s, "lanMB", lanLatency, lanJitter, 0)
 		mbRecv := mb.Receive
 		feedSecondary = func(p pkt.Packet) { wireMB.Send(p, mbRecv) }
 		cfg.Secondary = mbAdapter{mb: mb, streamID: 1}
 	} else {
-		wireSec := netsim.NewWire(s, "lanSec", lanLatency, lanJitter, 0)
+		wireSec = netsim.NewWire(s, "lanSec", lanLatency, lanJitter, 0)
 		feedSecondary = func(p pkt.Packet) {
 			wireSec.Send(p, secEnq)
 		}
@@ -322,13 +368,24 @@ func RunDiversiFi(sc Scenario, opts DiversiFiOptions) DiversiFiResult {
 		Primary:          primAP.Stats(),
 		Secondary:        secAP.Stats(),
 		PrimaryIsA:       primaryIsA,
-		Recoveries:       c.RecoveryEvents(),
-		Absences:         c.Absences(),
+		Recoveries:       recoveryLogs.keep(c.AppendRecoveryEvents(recoveryLogs.take(0))),
+		Absences:         absenceLogs.keep(c.AppendAbsences(absenceLogs.take(0))),
 	}
 	wasted := res.Secondary.WastedTransmissions + cs.DuplicatesReceived
 	if count > 0 {
 		res.WastefulRate = float64(wasted) / float64(count)
 	}
+
+	src.Release()
+	c.Release()
+	primAP.Release()
+	secAP.Release()
+	wirePrim.Release()
+	wireSec.Release()
+	mbOut.Release()
+	wireMB.Release()
+	links.release()
+	s.Release()
 	return res
 }
 

@@ -305,18 +305,43 @@ func TestMiddleboxProtocol(t *testing.T) {
 	}
 }
 
+// quietSocket opens a UDP socket that nothing reads until the test asks:
+// what is sent to it queues in the kernel, which drops what overflows the
+// socket's buffer, so receiving it allocates nothing in this process.
+func quietSocket(t *testing.T) *net.UDPConn {
+	t.Helper()
+	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	return conn
+}
+
+// received reports whether a datagram is waiting on conn.
+func received(t *testing.T, conn *net.UDPConn) bool {
+	t.Helper()
+	if err := conn.SetReadDeadline(time.Now().Add(time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err := conn.ReadFromUDPAddrPort(make([]byte, 2048))
+	return err == nil
+}
+
 // TestMiddleboxForwardsWithoutAllocating: a started stream's datagram goes
 // from the read buffer straight to the client. Only a stopped stream, which
-// holds the datagram past the read, copies it.
+// holds the datagram past the read, copies it. testing.AllocsPerRun counts
+// every allocation in the process, so each role forwards to a quiet socket
+// that no goroutine reads while the count runs.
 func TestMiddleboxForwardsWithoutAllocating(t *testing.T) {
 	mb, err := NewMiddlebox("127.0.0.1:0", "127.0.0.1:0", MiddleboxConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mb.Close()
-	sink := newSink(t)
+	client := quietSocket(t)
 	cmd := dialCtrl(t, mb.CtrlAddr())
-	for _, c := range []string{"REGISTER 9 " + sink.addr(), "START 9"} {
+	for _, c := range []string{"REGISTER 9 " + client.LocalAddr().String(), "START 9"} {
 		if got := cmd(c); got != "OK" {
 			t.Fatalf("%s: %s", c, got)
 		}
@@ -326,10 +351,14 @@ func TestMiddleboxForwardsWithoutAllocating(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, func() { mb.onData(pkt, from) }); n != 0 {
 		t.Errorf("forwarding a datagram allocates %v times, want 0", n)
 	}
+	if !received(t, client) {
+		t.Error("the middlebox forwarded nothing to its client")
+	}
 
 	// The replicator's fan-out and a link that does not delay forward from
 	// the read buffer as well.
-	rep, err := NewReplicator("127.0.0.1:0", sink.addr(), sink.addr())
+	direct, copies := quietSocket(t), quietSocket(t)
+	rep, err := NewReplicator("127.0.0.1:0", direct.LocalAddr().String(), copies.LocalAddr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,13 +366,20 @@ func TestMiddleboxForwardsWithoutAllocating(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, func() { rep.onData(pkt, from) }); n != 0 {
 		t.Errorf("replicating a datagram allocates %v times, want 0", n)
 	}
-	link, err := NewLink("127.0.0.1:0", sink.addr(), LinkConfig{Seed: 1})
+	if !received(t, direct) || !received(t, copies) {
+		t.Error("the replicator did not reach both of its outputs")
+	}
+	out := quietSocket(t)
+	link, err := NewLink("127.0.0.1:0", out.LocalAddr().String(), LinkConfig{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer link.Close()
 	if n := testing.AllocsPerRun(1000, func() { link.onData(pkt, from) }); n != 0 {
 		t.Errorf("an undelayed link allocates %v times per datagram, want 0", n)
+	}
+	if !received(t, out) {
+		t.Error("the link forwarded nothing")
 	}
 }
 

@@ -4,6 +4,8 @@
 package netsim
 
 import (
+	"sync"
+
 	"repro/internal/sim/rng"
 
 	"repro/internal/pkt"
@@ -30,7 +32,12 @@ type Wire struct {
 	dispatch func()
 
 	sent, dropped int
+
+	released bool // set by Release until NewWire draws the wire again
 }
+
+// released holds wires handed back by Release.
+var released sync.Pool
 
 // arrival is one in-flight packet and its delivery callback.
 type arrival struct {
@@ -39,18 +46,40 @@ type arrival struct {
 	deliver func(pkt.Packet)
 }
 
-// NewWire creates a wire driven by the simulator's named RNG stream.
+// NewWire creates a wire driven by the simulator's named RNG stream. It
+// reuses a released wire when one is pooled, reset to exactly what a fresh
+// one is: nothing in flight (the ring's storage kept), the bound dispatch
+// callback, and zero counts.
 func NewWire(s *sim.Simulator, name string, latency, jitter sim.Duration, loss float64) *Wire {
-	w := &Wire{
+	w, _ := released.Get().(*Wire)
+	if w == nil {
+		w = new(Wire)
+		w.dispatch = func() {
+			a := w.inflight.Pop()
+			a.p.Arrived = a.at
+			a.deliver(a.p)
+		}
+	}
+	*w = Wire{
 		Name: name, Latency: latency, Jitter: jitter, Loss: loss,
 		sim: s, rng: s.RNG("wire/" + name),
-	}
-	w.dispatch = func() {
-		a := w.inflight.Pop()
-		a.p.Arrived = a.at
-		a.deliver(a.p)
+		inflight: w.inflight, dispatch: w.dispatch,
 	}
 	return w
+}
+
+// Release hands w and its in-flight storage to the pool NewWire draws
+// from. Only the owner of the call's world may call it, once the simulator
+// that drives w will run no more of its events; it drops every packet still
+// in flight with its delivery callback, so the pool pins nothing of the
+// call. Release on nil or on a released wire does nothing.
+func (w *Wire) Release() {
+	if w == nil || w.released {
+		return
+	}
+	w.inflight.Reset()
+	*w = Wire{inflight: w.inflight, dispatch: w.dispatch, released: true}
+	released.Put(w)
 }
 
 // Send puts p on the wire at the current virtual time; deliver fires at the

@@ -28,14 +28,21 @@ type GilbertElliott struct {
 
 // NewGilbertElliott creates a chain that starts in the Good state at time 0.
 func NewGilbertElliott(rng *rng.Stream, meanGood, meanBad sim.Duration) *GilbertElliott {
-	g := &GilbertElliott{
+	g := new(GilbertElliott)
+	g.init(rng, meanGood, meanBad)
+	return g
+}
+
+// init sets g to the chain NewGilbertElliott returns, drawing its first
+// Good sojourn.
+func (g *GilbertElliott) init(rng *rng.Stream, meanGood, meanBad sim.Duration) {
+	*g = GilbertElliott{
 		MeanGood: meanGood,
 		MeanBad:  meanBad,
 		BadSNRdB: 25, // a deep fade: typically drops the link below threshold
 		rng:      rng,
 	}
 	g.nextSwitch = sim.Time(g.expo(meanGood))
-	return g
 }
 
 func (g *GilbertElliott) expo(mean sim.Duration) sim.Duration {

@@ -1,6 +1,8 @@
 package phy
 
 import (
+	"sync"
+
 	"repro/internal/sim/rng"
 
 	"repro/internal/obs"
@@ -93,8 +95,8 @@ type LinkParams struct {
 type Link struct {
 	params LinkParams
 	env    *Environment
-	shadow *Shadowing
-	fades  []*GilbertElliott // one chain per MIMO spatial branch
+	shadow Shadowing
+	fades  []GilbertElliott // one chain per MIMO spatial branch
 	rng    *rng.Stream
 
 	// static is set for a phy.Static client, whose position and mean
@@ -107,10 +109,17 @@ type Link struct {
 	ctAttempts  *obs.Counter
 	ctCollision *obs.Counter
 	ctNoise     *obs.Counter
+
+	released bool // set by Release until NewLink draws the link again
 }
+
+// released holds links handed back by Release.
+var released sync.Pool
 
 // NewLink builds a link. rng drives all of the link's stochastic processes;
 // give each link its own named stream from the simulator for independence.
+// It reuses a released link when one is pooled, reset to exactly what a
+// fresh one is (the storage of its fading chains kept).
 func NewLink(rng *rng.Stream, env *Environment, p LinkParams) *Link {
 	if p.MIMOOrder < 1 {
 		p.MIMOOrder = 1
@@ -121,23 +130,43 @@ func NewLink(rng *rng.Stream, env *Environment, p LinkParams) *Link {
 	if p.FadeBad <= 0 {
 		p.FadeBad = 500 * sim.Millisecond
 	}
-	l := &Link{
+	l, _ := released.Get().(*Link)
+	if l == nil {
+		l = new(Link)
+	}
+	*l = Link{
 		params:      p,
 		env:         env,
-		shadow:      NewShadowing(rng, p.ShadowDB, p.ShadowT),
+		shadow:      *NewShadowing(rng, p.ShadowDB, p.ShadowT),
+		fades:       l.fades[:0],
 		rng:         rng,
 		ctAttempts:  p.Obs.Counter("phy.tx_attempts"),
 		ctCollision: p.Obs.Counter("phy.collision_losses"),
 		ctNoise:     p.Obs.Counter("phy.noise_losses"),
 	}
 	for i := 0; i < p.MIMOOrder; i++ {
-		l.fades = append(l.fades, NewGilbertElliott(rng, p.FadeGood, p.FadeBad))
+		l.fades = append(l.fades, GilbertElliott{})
+		l.fades[i].init(rng, p.FadeGood, p.FadeBad)
 	}
 	if s, ok := p.Client.(Static); ok {
 		l.static, l.staticPos = true, s.Pos
 		l.staticMean = MeanRSSIdBm(s.Pos.DistanceTo(p.APPos), p.Chan.Band)
 	}
 	return l
+}
+
+// Release hands l and its storage to the pool NewLink draws from. Only
+// the owner of the call's world may call it, once nothing will query l
+// again; it drops the environment, the mobility model and the stream, so
+// the pool pins nothing of the call. Release on nil or on a released link
+// does nothing.
+func (l *Link) Release() {
+	if l == nil || l.released {
+		return
+	}
+	clear(l.fades)
+	*l = Link{fades: l.fades[:0], released: true}
+	released.Put(l)
 }
 
 // Channel returns the link's WiFi channel.
@@ -147,8 +176,8 @@ func (l *Link) Channel() Channel { return l.params.Chan }
 // spatial branches. Deeper fades defeat the MAC's rate fallback and turn
 // into packet loss; shallow ones only slow the link down.
 func (l *Link) SetFadeDepth(db float64) {
-	for _, f := range l.fades {
-		f.BadSNRdB = db
+	for i := range l.fades {
+		l.fades[i].BadSNRdB = db
 	}
 }
 
@@ -193,8 +222,8 @@ func (l *Link) rssiAt(now sim.Time, pos Position) float64 {
 // (§4.3).
 func (l *Link) fadePenaltyDB(now sim.Time) float64 {
 	best := l.fades[0].PenaltyDB(now)
-	for _, f := range l.fades[1:] {
-		if p := f.PenaltyDB(now); p < best {
+	for i := 1; i < len(l.fades); i++ {
+		if p := l.fades[i].PenaltyDB(now); p < best {
 			best = p
 		}
 	}

@@ -55,6 +55,13 @@ func (r *Ring[T]) At(i int) T {
 	return r.buf[(r.head+i)%len(r.buf)]
 }
 
+// Reset empties the ring and keeps its storage for reuse, zeroing every
+// element so a recycled ring pins nothing it held.
+func (r *Ring[T]) Reset() {
+	clear(r.buf)
+	r.head, r.n = 0, 0
+}
+
 func (r *Ring[T]) grow() {
 	next := make([]T, max(8, 2*len(r.buf)))
 	for i := 0; i < r.n; i++ {

@@ -62,6 +62,14 @@ func New(seed int64) *Stream {
 // Equal (seed, name) pairs yield identical streams; distinct names yield
 // structurally independent ones (different state *and* different gamma).
 func Named(seed int64, name string) *Stream {
+	s := new(Stream)
+	s.Reset(seed, name)
+	return s
+}
+
+// Reset re-seeds s in place as the stream Named(seed, name) returns, so a
+// recycled stream draws exactly what a fresh one would.
+func (s *Stream) Reset(seed int64, name string) {
 	// FNV-1a over the name, root seed folded in — the same derivation the
 	// engine has always used for stream naming, so stream identity is
 	// stable across engine versions.
@@ -74,7 +82,7 @@ func Named(seed int64, name string) *Stream {
 	}
 	h ^= uint64(seed)
 	h *= prime64
-	return &Stream{
+	*s = Stream{
 		state: mix64(h),
 		// Deriving gamma from a second scramble keeps streams off shifted
 		// windows of one sequence; |1 makes it odd (full period).

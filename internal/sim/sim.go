@@ -12,10 +12,16 @@
 // is O(1) (the slot is released immediately — nil'ing its callback so
 // captured packets are not pinned — and the heap entry is skipped lazily
 // when it surfaces).
+//
+// A simulator is recyclable: Release hands it and its storage (heap, slot
+// pool, named streams) to a pool that New draws from, so a process that
+// runs call after call reuses one world's storage instead of growing a new
+// one each time (see docs/PERFORMANCE.md, "Recycled call worlds").
 package sim
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/obs"
 	"repro/internal/sim/rng"
@@ -107,12 +113,12 @@ type Timer struct {
 // timer was still pending. The event's slot is released immediately and its
 // callback dropped; only a stale heap entry remains, to be skipped when it
 // surfaces.
+//
+// A Timer kept past its simulator's Release stops nothing: a recycled
+// simulator keeps counting sequence numbers where it left off, so no later
+// event carries the timer's seq.
 func (t Timer) Stop() bool {
-	if t.s == nil {
-		return false
-	}
-	sl := &t.s.slots[t.idx]
-	if sl.dead || sl.seq != t.seq {
+	if !t.Pending() {
 		return false
 	}
 	t.s.freeSlot(t.idx)
@@ -122,7 +128,7 @@ func (t Timer) Stop() bool {
 
 // Pending reports whether the timer is still scheduled to fire.
 func (t Timer) Pending() bool {
-	if t.s == nil {
+	if t.s == nil || int(t.idx) >= len(t.s.slots) {
 		return false
 	}
 	sl := &t.s.slots[t.idx]
@@ -142,6 +148,7 @@ type Simulator struct {
 	seed     int64
 	streams  map[string]*rng.Stream
 	stopped  bool
+	released bool // set by Release until New draws s again
 
 	executed uint64 // total events run, for diagnostics
 
@@ -160,17 +167,51 @@ type Simulator struct {
 // simulation unobserved at zero cost.
 var ObsProvider func(seed int64) *obs.Registry
 
-// New returns a Simulator whose random streams derive from seed.
+// released holds simulators handed back by Release.
+var released sync.Pool
+
+// New returns a Simulator whose random streams derive from seed. It
+// reuses a released simulator when one is pooled, reset to exactly what a
+// fresh one is: empty heap and slot pool, clock at 0, every named stream
+// re-seeded from seed and its name, and the registry ObsProvider gives now
+// (none when it is nil). Only the sequence counter carries over, which
+// orders events relative to each other and so moves no result.
 func New(seed int64) *Simulator {
-	s := &Simulator{
-		seed:     seed,
-		streams:  make(map[string]*rng.Stream),
+	s, _ := released.Get().(*Simulator)
+	if s == nil {
+		s = &Simulator{streams: make(map[string]*rng.Stream)}
+	}
+	*s = Simulator{
+		seq:      s.seq,
+		heap:     s.heap[:0],
+		slots:    s.slots[:0],
 		freeHead: -1,
+		seed:     seed,
+		streams:  s.streams,
+	}
+	for name, r := range s.streams {
+		r.Reset(seed, name)
 	}
 	if ObsProvider != nil {
 		s.SetObs(ObsProvider(seed))
 	}
 	return s
+}
+
+// Release hands s and its storage to the pool New draws from. Only the
+// owner of a call's whole world may call it, once nothing built on s will
+// run or be read again: its streams, timers and tickers go with it. It
+// drops every callback still scheduled, so the pool pins nothing of the
+// call. Release on nil or on a released simulator does nothing.
+func (s *Simulator) Release() {
+	if s == nil || s.released {
+		return
+	}
+	clear(s.slots)
+	s.slots, s.heap = s.slots[:0], s.heap[:0]
+	s.obs, s.evCount, s.series = nil, nil, nil
+	s.released = true
+	released.Put(s)
 }
 
 // SetObs attaches an observability registry (nil detaches). Components

@@ -10,15 +10,19 @@ import (
 
 // ceilRunJobBytes holds one sweep job's heap bytes: a 120 s G.711 call
 // simulated twice (the dual call and DiversiFi) and scored three times
-// in one pass over its three 6,000-packet traces. RunJob releases each
-// trace once scored, so DiversiFi's trace and the next job's two reuse
-// that storage, and a job measures 17,376 B; allocating even one 24.6 KB
-// trace afresh, a merged trace included, again exceeds the ceiling. Under
-// the race detector sync.Pool drops what it is given at random, so there
-// the ceiling stays at ceilRunJobBytesRace, the one held before traces
-// were recycled (91,032 B measured then).
+// in one pass over its three 6,000-packet traces. RunJob releases both
+// results once scored, and each call releases its world (simulator,
+// links, APs, wires, client, source), so the next job builds both calls
+// and their traces, series and logs on recycled storage, and a job
+// measures 2,491 B; it measured 17,376 B when only traces were recycled.
+// The ceiling keeps core's 41% headroom, so a call that stops releasing
+// its APs, wires, links, client or simulator, or a job that stops
+// releasing a result, exceeds it. Under the race detector sync.Pool drops
+// what it is given at random, so there the ceiling stays at
+// ceilRunJobBytesRace, the one held before traces were recycled (91,032 B
+// measured then).
 const (
-	ceilRunJobBytes     = 30_000
+	ceilRunJobBytes     = 3_520
 	ceilRunJobBytesRace = 100_000
 )
 
@@ -58,6 +62,52 @@ func TestRunJobByteCeiling(t *testing.T) {
 	t.Logf("RunJob: %.0f B per job", got)
 	if got > float64(ceil) {
 		t.Errorf("RunJob allocates %.0f B per job, ceiling %d", got, ceil)
+	}
+}
+
+// ceilGridJobBytes holds the mean heap bytes of a job over gridCeilingDoc,
+// a 120 s grid whose jobs make 42 recoveries each on average where job 0
+// makes 4, so every log and queue a call grows is held at its size too.
+// Recycled call worlds measure 4,961 B per job there; before, a job built
+// its world afresh and measured 29,853 B. The ceiling keeps core's 41%
+// headroom. The race detector's pool drops what it is given at random,
+// so the mean is not measured there.
+const (
+	ceilGridJobBytes = 7_000
+	gridCeilingDoc   = `{"name":"grid-ceiling","seeds":{"start":7,"count":2}}`
+)
+
+// TestRunJobGridByteCeiling measures the mean over gridCeilingDoc's 60
+// jobs after one pass over them that fills the pools.
+func TestRunJobGridByteCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	s := synthSpec(t, gridCeilingDoc)
+	jobs := make([]Job, s.Total())
+	for i := range jobs {
+		j, err := s.JobAt(int64(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs[i] = j
+	}
+	recoveries := 0
+	pass := func() {
+		recoveries = 0
+		for _, j := range jobs {
+			sinkMetrics = RunJob(j)
+			recoveries += len(sinkMetrics.Series["recovery_total_ms"])
+		}
+	}
+	got := bytesPerRun(1, pass) / float64(len(jobs))
+	perJob := float64(recoveries) / float64(len(jobs))
+	t.Logf("RunJob over %d jobs: %.0f B and %.1f recoveries per job", len(jobs), got, perJob)
+	if perJob < 30 {
+		t.Errorf("the grid makes %.1f recoveries per job; the ceiling should be measured on a recovery-heavy grid", perJob)
+	}
+	if got > ceilGridJobBytes {
+		t.Errorf("RunJob allocates %.0f B per job over the grid, ceiling %d", got, ceilGridJobBytes)
 	}
 }
 

@@ -81,17 +81,16 @@ func RunJob(j Job) Metrics {
 		}
 		m.Scalars[crossDupKey] = float64(both) * float64(profile.PacketBytes)
 	}
-	// RunJob holds the only references to its calls' traces, so it hands
-	// their storage back once scored: DiversiFi's trace reuses one of the
-	// dual call's, and later jobs reuse the rest.
-	d.TraceA.Release()
-	d.TraceB.Release()
+	// RunJob holds the only references to its two results, so it hands
+	// their traces, series and logs back once scored: DiversiFi's call
+	// reuses the dual call's storage, and later jobs reuse the rest.
+	d.Release()
 
 	r := core.RunDiversiFi(sc, core.DiversiFiOptions{Mode: core.ModeCustomAP})
+	defer r.Release()
 	observeQuality(&m, diversifiKeys, voip.Assess(r.Trace, profile))
 	m.Scalars[diversifiDupKey] =
 		r.WastefulRate * float64(r.Trace.Len()) * float64(profile.PacketBytes)
-	r.Trace.Release()
 	if n := len(r.Recoveries); n > 0 {
 		detect, sw, retrieve, total := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
 		for i, ev := range r.Recoveries {

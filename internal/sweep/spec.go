@@ -37,6 +37,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/core"
@@ -497,24 +498,46 @@ func (j Job) Key() string {
 	if j.experiment != nil {
 		return j.experimentKey()
 	}
+	var buf [keyLen]byte
+	return string(j.appendKey(buf[:0]))
+}
+
+// keyLen is the length of a grid or scenario job's key: 16 hash bytes in
+// hex.
+const keyLen = 32
+
+// appendKey appends a grid or scenario job's key to dst. Its hash input,
+// built in a stack buffer, is exactly the text fmt.Sprintf wrote for
+// "%s|scn=%s|i=%d|seed=%d" and "%s|imp=%s|dev=%s|sev=%.6g|prof=%s|dur=%g|seed=%d".
+func (j Job) appendKey(dst []byte) []byte {
+	var in [192]byte
+	b := append(in[:0], SpecSchema...)
 	if j.spec.scn != nil {
 		// The scenario spec hash covers the whole generated space, so
 		// (hash, index, seed) is the complete physics of the call.
-		h := sha256.Sum256([]byte(fmt.Sprintf("%s|scn=%s|i=%d|seed=%d",
-			SpecSchema, j.spec.scn.Hash(), j.ScenarioIndex, j.Seed)))
-		return hex.EncodeToString(h[:16])
+		b = append(append(b, "|scn="...), j.spec.scn.Hash()...)
+		b = strconv.AppendInt(append(b, "|i="...), j.ScenarioIndex, 10)
+	} else {
+		sev := j.spec.Severity * densityByName(j.Density).Severity
+		b = append(append(b, "|imp="...), j.Impairment...)
+		b = append(append(b, "|dev="...), j.Device...)
+		b = strconv.AppendFloat(append(b, "|sev="...), sev, 'g', 6, 64)
+		b = append(append(b, "|prof="...), j.spec.Profile...)
+		b = strconv.AppendFloat(append(b, "|dur="...), j.spec.DurationS, 'g', -1, 64)
 	}
-	sev := j.spec.Severity * densityByName(j.Density).Severity
-	h := sha256.Sum256([]byte(fmt.Sprintf("%s|imp=%s|dev=%s|sev=%.6g|prof=%s|dur=%g|seed=%d",
-		SpecSchema, j.Impairment, j.Device, sev, j.spec.Profile, j.spec.DurationS, j.Seed)))
-	return hex.EncodeToString(h[:16])
+	b = strconv.AppendInt(append(b, "|seed="...), j.Seed, 10)
+	h := sha256.Sum256(b)
+	var out [keyLen]byte
+	hex.Encode(out[:], h[:keyLen/2])
+	return append(dst, out[:]...)
 }
 
 // seeds derives the job's two independent seed streams from its content
 // key: one for the corpus-level scenario draw (geometry, link parameters),
 // one for the call's in-simulator randomness.
 func (j Job) seeds() (scenario, call int64) {
-	h := sha256.Sum256([]byte("seeds|" + j.Key()))
+	var in [len("seeds|") + keyLen]byte
+	h := sha256.Sum256(j.appendKey(append(in[:0], "seeds|"...)))
 	scenario = int64(binary.LittleEndian.Uint64(h[0:8]))
 	call = int64(binary.LittleEndian.Uint64(h[8:16]))
 	return scenario, call

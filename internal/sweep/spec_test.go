@@ -1,6 +1,9 @@
 package sweep
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"strings"
 	"testing"
@@ -139,6 +142,56 @@ func TestJobKeyContentAddressed(t *testing.T) {
 	jc, _ := c.JobAt(0)
 	if jc.Key() == ja.Key() {
 		t.Error("severity change did not change the job key")
+	}
+}
+
+// TestJobKeyMatchesFmt pins Key and the seeds it derives to the bytes of
+// the fmt.Sprintf formulation they replaced, over every job of a grid spec
+// whose severities need %.6g's rounding and a fractional duration, and of
+// a scenario spec; a key allocates only its string.
+func TestJobKeyMatchesFmt(t *testing.T) {
+	refKey := func(j Job) string {
+		var in string
+		if j.spec.scn != nil {
+			in = fmt.Sprintf("%s|scn=%s|i=%d|seed=%d", SpecSchema, j.spec.scn.Hash(), j.ScenarioIndex, j.Seed)
+		} else {
+			sev := j.spec.Severity * densityByName(j.Density).Severity
+			in = fmt.Sprintf("%s|imp=%s|dev=%s|sev=%.6g|prof=%s|dur=%g|seed=%d",
+				SpecSchema, j.Impairment, j.Device, sev, j.spec.Profile, j.spec.DurationS, j.Seed)
+		}
+		h := sha256.Sum256([]byte(in))
+		return hex.EncodeToString(h[:16])
+	}
+	refSeeds := func(j Job) (int64, int64) {
+		h := sha256.Sum256([]byte("seeds|" + refKey(j)))
+		return int64(binary.LittleEndian.Uint64(h[0:8])), int64(binary.LittleEndian.Uint64(h[8:16]))
+	}
+	grid, err := ParseSpec([]byte(`{"name":"keys","severity":0.123456789,"duration_s":7.25,
+		"profile":"highrate","seeds":{"start":-2,"count":3}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []*Spec{grid, parseScenarioAxis(t)} {
+		for i := int64(0); i < s.Total(); i++ {
+			j, err := s.JobAt(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := j.Key(), refKey(j); got != want {
+				t.Errorf("%s job %d: key %s, fmt reference %s", s.Name, i, got, want)
+			}
+			sc, call := j.seeds()
+			if wsc, wcall := refSeeds(j); sc != wsc || call != wcall {
+				t.Errorf("%s job %d: seeds (%d, %d), fmt reference (%d, %d)", s.Name, i, sc, call, wsc, wcall)
+			}
+		}
+		j, _ := s.JobAt(0)
+		if n := testing.AllocsPerRun(100, func() { _ = j.Key() }); n != 1 {
+			t.Errorf("%s: Key allocates %v objects, want 1 (its string)", s.Name, n)
+		}
+		if n := testing.AllocsPerRun(100, func() { j.seeds() }); n != 0 {
+			t.Errorf("%s: seeds allocates %v objects, want 0", s.Name, n)
+		}
 	}
 }
 

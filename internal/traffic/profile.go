@@ -6,6 +6,8 @@
 package traffic
 
 import (
+	"sync"
+
 	"repro/internal/pkt"
 	"repro/internal/sim"
 )
@@ -87,37 +89,66 @@ type Source struct {
 	Profile  Profile
 	StreamID int
 
-	sim     *sim.Simulator
-	sink    func(pkt.Packet)
-	next    int
-	stopped bool
+	sim      *sim.Simulator
+	sink     func(pkt.Packet)
+	next     int
+	count    int // packets to emit; <= 0 means unbounded
+	stopped  bool
+	emit     func() // src.step, bound once
+	released bool   // set by Release until NewSource draws src again
 }
 
-// NewSource creates a source for profile; packets go to sink.
+// released holds sources handed back by Release.
+var released sync.Pool
+
+// NewSource creates a source for profile; packets go to sink. It reuses a
+// released source when one is pooled, reset to exactly what a fresh one
+// is.
 func NewSource(s *sim.Simulator, streamID int, profile Profile, sink func(pkt.Packet)) *Source {
-	return &Source{Profile: profile, StreamID: streamID, sim: s, sink: sink}
+	src, _ := released.Get().(*Source)
+	if src == nil {
+		src = new(Source)
+		src.emit = src.step
+	}
+	*src = Source{Profile: profile, StreamID: streamID, sim: s, sink: sink, emit: src.emit}
+	return src
+}
+
+// Release hands src to the pool NewSource draws from. Only the owner of
+// the call's world may call it, once the simulator that drives src will
+// run no more of its events; it drops the sink and the simulator, so the
+// pool pins nothing of the call. Release on nil or on a released source
+// does nothing.
+func (src *Source) Release() {
+	if src == nil || src.released {
+		return
+	}
+	*src = Source{emit: src.emit, released: true}
+	released.Put(src)
 }
 
 // Start begins emission at the current virtual time and keeps emitting
 // every Spacing until Stop, for a total of count packets (count <= 0 means
-// unbounded).
+// unbounded). A source is started once.
 func (src *Source) Start(count int) {
-	var emit func()
-	emit = func() {
-		if src.stopped || (count > 0 && src.next >= count) {
-			return
-		}
-		p := pkt.Packet{
-			StreamID: src.StreamID,
-			Seq:      src.next,
-			Size:     src.Profile.PacketBytes,
-			SentAt:   src.sim.Now(),
-		}
-		src.next++
-		src.sink(p)
-		src.sim.After(src.Profile.Spacing, emit)
+	src.count = count
+	src.step()
+}
+
+// step emits the next packet and schedules the one after it.
+func (src *Source) step() {
+	if src.stopped || (src.count > 0 && src.next >= src.count) {
+		return
 	}
-	emit()
+	p := pkt.Packet{
+		StreamID: src.StreamID,
+		Seq:      src.next,
+		Size:     src.Profile.PacketBytes,
+		SentAt:   src.sim.Now(),
+	}
+	src.next++
+	src.sink(p)
+	src.sim.After(src.Profile.Spacing, src.emit)
 }
 
 // Stop halts emission.

@@ -20,19 +20,21 @@ fi
 
 # The alloc-ceiling tests are the hard regression gate: scheduling hot
 # paths (trains included) promise zero steady-state allocations, a whole
-# call must not allocate per packet or per recovery visit, a trace costs 4
-# bytes per packet, scoring a call allocates nothing, a sweep job builds no
-# merged trace or loss slice to score its calls and recycles the storage
-# of its three traces, a cached job resolves through a pooled buffer and
-# a one-pass decode, a lease report's digests encode and decode without
-# re-entering encoding/json, and the live middlebox, replicator and
-# undelayed link forward a datagram without allocating; this fails the
-# build if any of them starts allocating again.
+# call must not allocate per packet or per recovery visit and builds its
+# world on the storage the previous call released, a trace costs 4 bytes
+# per packet, scoring a call allocates nothing, a sweep job builds no
+# merged trace or loss slice to score its calls and releases both results
+# (job 0 and the mean over a recovery-heavy grid are held, so a call or
+# job that stops releasing fails here), a cached job resolves through a
+# pooled buffer and a one-pass decode, a lease report's digests encode and
+# decode without re-entering encoding/json, and the live middlebox,
+# replicator and undelayed link forward a datagram without allocating;
+# this fails the build if any of them starts allocating again.
 # The 1x bench pass then checks every benchmark in the repo still compiles
 # and runs.
 go test ./internal/sim -run TestSchedulingAllocCeiling -count=1
 go test ./internal/core -run TestCallAllocCeiling -count=1
 go test ./internal/trace -run TestTraceBytesPerPacket -count=1
-go test ./internal/sweep -run 'TestRunJobByteCeiling|TestCachedResolveAllocCeiling|TestLeaseReportAllocCeiling' -count=1
+go test ./internal/sweep -run 'TestRunJobByteCeiling|TestRunJobGridByteCeiling|TestCachedResolveAllocCeiling|TestLeaseReportAllocCeiling' -count=1
 go test ./internal/emu -run TestMiddleboxForwardsWithoutAllocating -count=1
 go test -bench . -benchtime=1x -benchmem -run '^$' ./...
