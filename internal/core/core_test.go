@@ -5,6 +5,7 @@ import (
 	"repro/internal/sim/rng"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/phy"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -49,8 +50,44 @@ func TestStrongerPicksHigherRSSI(t *testing.T) {
 	if !d.StrongerIsA() {
 		t.Fatalf("RSSI A %.1f vs B %.1f: stronger should be A", d.RSSIA, d.RSSIB)
 	}
-	if d.StrongerTrace() != d.TraceA || d.WeakerTrace() != d.TraceB {
+	if d.Stronger() != d.TraceA || d.WeakerTrace() != d.TraceB {
 		t.Fatal("trace accessors disagree with RSSI ordering")
+	}
+}
+
+// TestStrongerPicksLinkAOnATie: ControlledScenario places the client as
+// far from one AP as from the other, with no shadowing, so both links read
+// the same RSSI. The one pick every runner and Build's late shift make
+// must return link A there, and RunDiversiFi's primary must be the link
+// RunDualCall calls the stronger across a corpus of every impairment.
+func TestStrongerPicksLinkAOnATie(t *testing.T) {
+	corpus := []Scenario{}
+	for _, seed := range []int64{8, 9, 101} {
+		sc := ControlledScenario(seed, traffic.G711, 7*sim.Second, 0, 0)
+		corpus = append(corpus, sc)
+		w := newWorld(sc)
+		rssiA, rssiB := w.A.RSSIdBm(0), w.B.RSSIdBm(0)
+		strong, weak, isA := w.stronger()
+		pickedA := strong == w.A && weak == w.B
+		w.release()
+		if rssiA != rssiB {
+			t.Fatalf("seed %d: RSSI A %v != B %v; the scenario should tie", seed, rssiA, rssiB)
+		}
+		if !isA || !pickedA {
+			t.Errorf("seed %d: a tie picked link B (isA %v)", seed, isA)
+		}
+	}
+	rng := rng.New(18)
+	for _, imp := range AllImpairments {
+		for i := 0; i < 4; i++ {
+			corpus = append(corpus, RandomScenario(rng, imp, traffic.G711, int64(200+i)).WithDuration(7*sim.Second))
+		}
+	}
+	for _, sc := range corpus {
+		if dvf, dual := RunDiversiFi(sc, DiversiFiOptions{}), RunDualCall(sc); dvf.PrimaryIsA != dual.StrongerIsA() {
+			t.Errorf("%v seed %d: DiversiFi's primary is A %v, the dual call's stronger is A %v (RSSI %v, %v)",
+				sc.Impairment, sc.Seed, dvf.PrimaryIsA, dual.StrongerIsA(), dual.RSSIA, dual.RSSIB)
+		}
 	}
 }
 
@@ -160,7 +197,7 @@ func TestRunDiversiFiRecoversFadingPrimary(t *testing.T) {
 		WithFading(true, 1200*sim.Millisecond, 60*sim.Millisecond, 60)
 	// Single-link baseline: the primary alone.
 	dual := RunDualCall(sc)
-	baseLoss := stats.LossRate(dual.StrongerTrace().LostWithDeadline(traffic.G711.Deadline))
+	baseLoss := stats.LossRate(dual.Stronger().LostWithDeadline(traffic.G711.Deadline))
 	if baseLoss < 0.005 {
 		t.Skip("fading produced no baseline loss with this seed")
 	}
@@ -437,6 +474,25 @@ func TestFECRepairsIsolatedLoss(t *testing.T) {
 	}
 	if want := sc.PacketCount() / 4; r.ParitySent != want {
 		t.Errorf("parity count %d, want %d", r.ParitySent, want)
+	}
+}
+
+// TestFECParityCountsWhatIsSent: a block's parity goes out after its last
+// member, so a call whose packet count k does not divide sends one parity
+// packet per full block, and ParitySent counts the parity packets the AP
+// received: its enqueued packets beyond the call's own.
+func TestFECParityCountsWhatIsSent(t *testing.T) {
+	sc := ControlledScenario(45, traffic.G711, 7*sim.Second, 0, 0)
+	defer func() { sim.ObsProvider = nil }()
+	for k, want := range map[int]int{3: 116, 4: 87} {
+		reg := obs.NewRegistry()
+		sim.ObsProvider = func(int64) *obs.Registry { return reg }
+		r := RunFEC(sc, k)
+		received := int(reg.Snapshot().Counters["ap.enqueued"]) - sc.PacketCount()
+		if r.ParitySent != want || received != want {
+			t.Errorf("k=%d on %d packets: ParitySent %d, AP received %d parity packets, want %d",
+				k, sc.PacketCount(), r.ParitySent, received, want)
+		}
 	}
 }
 

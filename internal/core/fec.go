@@ -2,7 +2,6 @@ package core
 
 import (
 	"repro/internal/ap"
-	"repro/internal/netsim"
 	"repro/internal/pkt"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -18,7 +17,6 @@ import (
 
 // FECResult is one single-link call protected by XOR parity.
 type FECResult struct {
-	Scenario Scenario
 	// Decoded is the post-repair trace (repaired packets appear with the
 	// parity packet's arrival time).
 	Decoded *trace.Trace
@@ -35,47 +33,38 @@ func RunFEC(sc Scenario, k int) FECResult {
 	if k < 2 {
 		k = 2
 	}
-	s := sim.New(sc.Seed)
-	links := sc.Build(s)
-	link := links.A
-	if links.B.RSSIdBm(0) > links.A.RSSIdBm(0) {
-		link = links.B
-	}
+	w := newWorld(sc)
+	defer w.release()
+	s := w.s
+	link, _, _ := w.stronger()
 	count := sc.PacketCount()
 	raw := trace.New(count, 0, sc.Profile.Spacing)
 
-	// Parity packets ride the same stream with sequence numbers >= count;
-	// parity i protects data packets [i*k, i*k+k).
+	// Parity packets ride the same stream with sequence numbers from
+	// parityBase on; parity i protects data packets [i*k, i*k+k).
 	const parityBase = 1 << 28
 	parityArrival := map[int]sim.Time{}
 	paritySent := 0
 
-	a := ap.New(s, ap.Config{Name: "fec", Chan: link.Channel()}, link, s.RNG("ap/fec"),
-		ap.AlwaysListening{}, func(p pkt.Packet, at sim.Time) {
-			if p.Seq >= parityBase {
-				parityArrival[p.Seq-parityBase] = at
-				return
-			}
-			raw.RecordArrival(p.Seq, at)
-		})
-	wire := netsim.NewWire(s, "fecLan", lanLatency, lanJitter, 0)
-	enq := a.Enqueue
+	_, send := w.leg(link, ap.Config{Name: "fec"}, "ap/fec", "fecLan", ap.AlwaysListening{}, func(p pkt.Packet, at sim.Time) {
+		if p.Seq >= parityBase {
+			parityArrival[p.Seq-parityBase] = at
+			return
+		}
+		raw.RecordArrival(p.Seq, at)
+	})
 
 	s.Train(count, sim.Lane{At: periodic(sc.Profile.Spacing), Fn: func(seq int) {
 		p := pkt.Packet{StreamID: 1, Seq: seq, Size: sc.Profile.PacketBytes, SentAt: s.Now()}
-		wire.Send(p, enq)
+		send(p)
 		if (seq+1)%k == 0 {
-			// Emit the block's parity right after its last member.
-			par := pkt.Packet{
-				StreamID: 1,
-				Seq:      parityBase + seq/k,
-				Size:     sc.Profile.PacketBytes,
-				SentAt:   s.Now(),
-			}
-			wire.Send(par, enq)
+			// Emit the block's parity right after its last member; a
+			// partial last block sends none.
+			p.Seq = parityBase + seq/k
+			send(p)
+			paritySent++
 		}
 	}})
-	paritySent = (count + k - 1) / k
 	s.Run(sim.Time(sc.Duration + 2*sim.Second))
 
 	// Decode: a block with exactly one missing data packet and a received
@@ -116,5 +105,5 @@ func RunFEC(sc Scenario, k int) FECResult {
 		decoded.RecordArrival(missing, at)
 		repaired++
 	}
-	return FECResult{Scenario: sc, Decoded: decoded, Raw: raw, ParitySent: paritySent, Repaired: repaired}
+	return FECResult{Decoded: decoded, Raw: raw, ParitySent: paritySent, Repaired: repaired}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"repro/internal/ap"
-	"repro/internal/netsim"
 	"repro/internal/phy"
 	"repro/internal/pkt"
 	"repro/internal/sim"
@@ -38,55 +37,35 @@ func RunMultiCall(sc Scenario, n int) []*trace.Trace {
 	if n > len(multiAPPositions) {
 		n = len(multiAPPositions)
 	}
-	s := sim.New(sc.Seed)
-	// Build the scenario's links and environment, then add extra links
-	// beyond the first two on the same environment and client trajectory.
-	built := sc.Build(s)
-	env := built.Env
-
-	mob := built.Mob
-	linkList := []*phy.Link{built.A, built.B}
+	w := newWorld(sc)
+	defer w.release()
+	s := w.s
+	// Add links beyond the scenario's two on the same environment and
+	// client trajectory; the world releases them with the call.
+	linkList := []*phy.Link{w.A, w.B}
 	rng := s.RNG("multilink/spec")
 	for i := 2; i < n; i++ {
 		spec := sc.LinkB
 		spec.ExtraLossDB = rng.Float64() * 12
-		l := phy.NewLink(s.RNG("multilink/link"+string(rune('0'+i))), env, phy.LinkParams{
-			Name:      "m" + string(rune('0'+i)),
-			Obs:       s.Obs(),
-			APPos:     multiAPPositions[i],
-			Chan:      multiChannelPlan[i%len(multiChannelPlan)],
-			Client:    mob,
-			ShadowDB:  spec.ShadowDB,
-			ShadowT:   spec.ShadowDecorr,
-			FadeGood:  spec.FadeGood,
-			FadeBad:   spec.FadeBad,
-			MIMOOrder: sc.MIMOOrder,
-			ExtraLoss: spec.ExtraLossDB,
-		})
-		l.SetFadeDepth(spec.FadeDepthDB)
-		linkList = append(linkList, l)
+		d := string(rune('0' + i))
+		linkList = append(linkList, own(w, w.newLink(s, sc, "multilink/link"+d,
+			phy.LinkParams{Name: "m" + d, APPos: multiAPPositions[i], Chan: multiChannelPlan[i%len(multiChannelPlan)]}, spec)))
 	}
 	linkList = linkList[:n]
 
 	count := sc.PacketCount()
 	traces := make([]*trace.Trace, n)
-	aps := make([]*ap.AP, n)
-	wires := make([]*netsim.Wire, n)
-	enqs := make([]func(pkt.Packet), n)
-	for i := range linkList {
-		i := i
+	sends := make([]func(pkt.Packet), n)
+	for i, l := range linkList {
+		d := string(rune('0' + i))
 		traces[i] = trace.New(count, 0, sc.Profile.Spacing)
-		aps[i] = ap.New(s, ap.Config{Name: "m", Chan: linkList[i].Channel()},
-			linkList[i], s.RNG("multilink/ap"+string(rune('0'+i))), ap.AlwaysListening{},
-			func(p pkt.Packet, at sim.Time) { traces[i].RecordArrival(p.Seq, at) })
-		wires[i] = netsim.NewWire(s, "mlan"+string(rune('0'+i)), lanLatency, lanJitter, 0)
-		enqs[i] = aps[i].Enqueue
+		_, sends[i] = w.leg(l, ap.Config{Name: "m"}, "multilink/ap"+d, "mlan"+d, ap.AlwaysListening{}, recorder(traces[i]))
 	}
 
 	s.Train(count, sim.Lane{At: periodic(sc.Profile.Spacing), Fn: func(seq int) {
 		p := pkt.Packet{StreamID: 1, Seq: seq, Size: sc.Profile.PacketBytes, SentAt: s.Now()}
-		for i := range aps {
-			wires[i].Send(p, enqs[i])
+		for _, send := range sends {
+			send(p)
 		}
 	}})
 

@@ -36,8 +36,44 @@ func dualRun(sc Scenario) func() any {
 	return func() any {
 		d := RunDualCall(sc)
 		defer d.Release()
-		return []any{d.Scenario, arrivals(d.TraceA), arrivals(d.TraceB), d.RSSIA, d.RSSIB,
+		return []any{arrivals(d.TraceA), arrivals(d.TraceB), d.RSSIA, d.RSSIB,
 			slices.Clone(d.RSSISeriesA), slices.Clone(d.RSSISeriesB)}
+	}
+}
+
+// released copies out what each trace recorded and releases the trace.
+func released(trs ...*trace.Trace) []any {
+	out := make([]any, len(trs))
+	for i, tr := range trs {
+		out[i] = arrivals(tr)
+		tr.Release()
+	}
+	return out
+}
+
+// otherRuns are the calls of the runners besides RunDualCall and
+// RunDiversiFi. RunMultiCall(sc, 1) returns fewer traces than the two links
+// its world builds.
+func otherRuns(tag string, sc Scenario) []callRun {
+	multi := func(n int) func() any {
+		return func() any { return released(RunMultiCall(sc, n)...) }
+	}
+	uplink := func(diversifi bool) func() any {
+		return func() any { r := RunUplink(sc, diversifi); return []any{r.Stats, released(r.Trace)} }
+	}
+	return []callRun{
+		{tag + " temporal", func() any { return released(RunTemporal(sc, 100*sim.Millisecond)) }},
+		{tag + " best-effort", func() any { return released(RunPriorityCall(sc, false)) }},
+		{tag + " voice", func() any { return released(RunPriorityCall(sc, true)) }},
+		{tag + " fec", func() any {
+			r := RunFEC(sc, 3)
+			return []any{r.ParitySent, r.Repaired, released(r.Decoded, r.Raw)}
+		}},
+		{tag + " multi 1", multi(1)},
+		{tag + " multi 6", multi(6)},
+		{tag + " uplink", uplink(false)},
+		{tag + " uplink diversifi", uplink(true)},
+		{tag + " tcp", func() any { w, wo, absent := TCPCoexistence(sc); return []float64{w, wo, absent} }},
 	}
 }
 
@@ -56,15 +92,17 @@ func dvfRun(sc Scenario, opts DiversiFiOptions) func() any {
 // APs, wires, client, source) and results (traces, RSSI series, logs) take
 // the storage earlier calls released: 120 s and 7 s calls across the
 // impairments, as dual calls and as DiversiFi calls in every mode and with
-// the full association, one after another and then from four goroutines
-// at once. Each must equal its run right after two collections, which
-// empty every pool, so that run builds its world afresh.
+// the full association, and 7 s calls of every other runner, one after
+// another and then from four goroutines at once. Each must equal its run
+// right after two collections, which empty every pool, so that run builds
+// its world afresh.
 func TestRecycledWorldsMatchFresh(t *testing.T) {
 	var calls []callRun
 	for i, imp := range AllImpairments {
 		seed := int64(20 + i)
 		long := RandomScenario(rng.New(seed), imp, traffic.G711, seed)
-		for _, sc := range []Scenario{long, long.WithDuration(7 * sim.Second)} {
+		short := long.WithDuration(7 * sim.Second)
+		for _, sc := range []Scenario{long, short} {
 			tag := fmt.Sprintf("%v %v", imp, sc.Duration)
 			calls = append(calls, callRun{tag + " dual", dualRun(sc)})
 			for _, mode := range []DiversiFiMode{ModeCustomAP, ModeMiddlebox, ModeStockAP} {
@@ -73,6 +111,7 @@ func TestRecycledWorldsMatchFresh(t *testing.T) {
 			calls = append(calls, callRun{tag + " full-association",
 				dvfRun(sc, DiversiFiOptions{Mode: ModeCustomAP, FullAssociation: true})})
 		}
+		calls = append(calls, otherRuns(fmt.Sprintf("%v %v", imp, short.Duration), short)...)
 	}
 
 	want := make([]any, len(calls))

@@ -324,37 +324,13 @@ func (sc Scenario) Build(s *sim.Simulator) Links {
 		mob = phy.Static{Pos: sc.ClientPos}
 	}
 
-	mk := func(name string, apPos phy.Position, ch phy.Channel, spec ScenarioLink) *phy.Link {
-		l := phy.NewLink(s.RNG("link/"+name), env, phy.LinkParams{
-			Name:      name,
-			Obs:       s.Obs(),
-			APPos:     apPos,
-			Chan:      ch,
-			Client:    mob,
-			ShadowDB:  spec.ShadowDB,
-			ShadowT:   spec.ShadowDecorr,
-			FadeGood:  spec.FadeGood,
-			FadeBad:   spec.FadeBad,
-			MIMOOrder: sc.MIMOOrder,
-			ExtraLoss: spec.ExtraLossDB,
-		})
-		l.SetFadeDepth(spec.FadeDepthDB)
-		return l
-	}
-	links := Links{
-		A:   mk("A", sc.APA, sc.ChanA, sc.LinkA),
-		B:   mk("B", sc.APB, sc.ChanB, sc.LinkB),
-		Env: env,
-		Mob: mob,
-	}
+	links := Links{Env: env, Mob: mob}
+	links.A = links.newLink(s, sc, "link/A", phy.LinkParams{Name: "A", APPos: sc.APA, Chan: sc.ChanA}, sc.LinkA)
+	links.B = links.newLink(s, sc, "link/B", phy.LinkParams{Name: "B", APPos: sc.APB, Chan: sc.ChanB}, sc.LinkB)
 	if sc.LateShiftDB > 0 {
-		weaker, stronger := links.A, links.B
-		if links.A.RSSIdBm(0) >= links.B.RSSIdBm(0) {
-			weaker, stronger = links.B, links.A
-		}
-		target := weaker
-		if sc.LateOnStronger {
-			target = stronger
+		target, weaker, _ := links.stronger()
+		if !sc.LateOnStronger {
+			target = weaker
 		}
 		target.SetLateShift(sc.LateShiftDB, sim.Time(sc.LateAt))
 	}

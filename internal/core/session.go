@@ -12,17 +12,10 @@ import (
 	"repro/internal/traffic"
 )
 
-// LAN path parameters used by every deployment: sub-millisecond wired hops.
-const (
-	lanLatency = 500 * sim.Microsecond
-	lanJitter  = 200 * sim.Microsecond
-)
-
 // DualCall is the result of a two-NIC run: the full stream received
 // independently over both links, the raw material for every §4 strategy
 // comparison (the paper's 458-call corpus has exactly this form).
 type DualCall struct {
-	Scenario       Scenario
 	TraceA, TraceB *trace.Trace
 	RSSIA, RSSIB   float64 // OS-visible RSSI at call start
 	// RSSISeriesA/B sample each link's OS-visible RSSI once per second
@@ -33,14 +26,6 @@ type DualCall struct {
 // StrongerIsA reports whether link A is the stronger (higher-RSSI) link.
 func (d DualCall) StrongerIsA() bool { return d.RSSIA >= d.RSSIB }
 
-// StrongerTrace returns the stronger link's trace, WeakerTrace the other.
-func (d DualCall) StrongerTrace() *trace.Trace {
-	if d.StrongerIsA() {
-		return d.TraceA
-	}
-	return d.TraceB
-}
-
 // WeakerTrace returns the weaker link's trace.
 func (d DualCall) WeakerTrace() *trace.Trace {
 	if d.StrongerIsA() {
@@ -50,10 +35,10 @@ func (d DualCall) WeakerTrace() *trace.Trace {
 }
 
 // Release hands the call's traces and RSSI series back for later calls to
-// reuse. Only the holder of d and of every copy and view of it (a
-// StrongerTrace, say) may call it, and nothing may read them afterwards: a
-// later call may be recording into the same storage. A DualCall nobody
-// releases is collected as usual.
+// reuse. Only the holder of d and of every copy and view of it (the trace
+// Stronger returns, say) may call it, and nothing may read them
+// afterwards: a later call may be recording into the same storage. A
+// DualCall nobody releases is collected as usual.
 func (d *DualCall) Release() {
 	d.TraceA.Release()
 	d.TraceB.Release()
@@ -62,70 +47,35 @@ func (d *DualCall) Release() {
 	d.RSSISeriesA, d.RSSISeriesB = nil, nil
 }
 
-// release hands the call's two links back to the pool phy.NewLink draws
-// from.
-func (l Links) release() {
-	l.A.Release()
-	l.B.Release()
-}
-
 // RunDualCall simulates one call received concurrently on both links with
 // a dedicated NIC per link (stock tail-drop APs, client always listening).
 // Its world (simulator, links, APs, wires, source) is released once the
 // result holds only values and its own traces and series.
 func RunDualCall(sc Scenario) DualCall {
-	s := sim.New(sc.Seed)
-	links := sc.Build(s)
-	count := sc.PacketCount()
+	w := newWorld(sc)
+	defer w.release()
+	s, count := w.s, sc.PacketCount()
+	rssiA, rssiB := w.A.RSSIdBm(0), w.B.RSSIdBm(0) // as the OS reads them when the call starts
 	trA := trace.New(count, 0, sc.Profile.Spacing)
 	trB := trace.New(count, 0, sc.Profile.Spacing)
-
-	apA := ap.New(s, ap.Config{Name: "A", Chan: links.A.Channel()}, links.A, s.RNG("ap/A"),
-		ap.AlwaysListening{}, func(p pkt.Packet, at sim.Time) { trA.RecordArrival(p.Seq, at) })
-	apB := ap.New(s, ap.Config{Name: "B", Chan: links.B.Channel()}, links.B, s.RNG("ap/B"),
-		ap.AlwaysListening{}, func(p pkt.Packet, at sim.Time) { trB.RecordArrival(p.Seq, at) })
-
-	wireA := netsim.NewWire(s, "lanA", lanLatency, lanJitter, 0)
-	wireB := netsim.NewWire(s, "lanB", lanLatency, lanJitter, 0)
-	// Bind the delivery callbacks once; building a method value per packet
-	// shows up in -benchmem at corpus scale.
-	enqA, enqB := apA.Enqueue, apB.Enqueue
-	src := traffic.NewSource(s, 1, sc.Profile, func(p pkt.Packet) {
-		wireA.Send(p, enqA)
-		wireB.Send(p, enqB)
-	})
-
-	var rssiA, rssiB float64
-	s.Schedule(0, func() {
-		rssiA = links.A.RSSIdBm(0)
-		rssiB = links.B.RSSIdBm(0)
-		src.Start(count)
-	})
+	_, sendA := w.leg(w.A, ap.Config{Name: "A"}, "ap/A", "lanA", ap.AlwaysListening{}, recorder(trA))
+	_, sendB := w.leg(w.B, ap.Config{Name: "B"}, "ap/B", "lanB", ap.AlwaysListening{}, recorder(trB))
+	src := own(w, traffic.NewSource(s, 1, sc.Profile, func(p pkt.Packet) {
+		sendA(p)
+		sendB(p)
+	}))
+	s.Schedule(0, func() { src.Start(count) })
 	// One RSSI sample at the start of every second of the call; the train
 	// runs all of them, so every entry is written.
 	seconds := int((sc.Duration + sim.Second - 1) / sim.Second)
 	seriesA, seriesB := rssiSeries.take(seconds), rssiSeries.take(seconds)
 	s.Train(seconds, sim.Lane{At: periodic(sim.Second), Fn: func(i int) {
-		seriesA[i] = links.A.RSSIdBm(s.Now())
-		seriesB[i] = links.B.RSSIdBm(s.Now())
+		seriesA[i] = w.A.RSSIdBm(s.Now())
+		seriesB[i] = w.B.RSSIdBm(s.Now())
 	}})
 	s.Run(sim.Time(sc.Duration + 2*sim.Second))
-
-	src.Release()
-	apA.Release()
-	apB.Release()
-	wireA.Release()
-	wireB.Release()
-	links.release()
-	s.Release()
-	return DualCall{Scenario: sc, TraceA: trA, TraceB: trB, RSSIA: rssiA, RSSIB: rssiB,
+	return DualCall{TraceA: trA, TraceB: trB, RSSIA: rssiA, RSSIB: rssiB,
 		RSSISeriesA: seriesA, RSSISeriesB: seriesB}
-}
-
-// periodic returns the Train times of a stream with one event every period
-// from t=0.
-func periodic(period sim.Duration) func(int) sim.Time {
-	return func(i int) sim.Time { return sim.Time(i) * sim.Time(period) }
 }
 
 // DiversiFiMode selects where the secondary copy is buffered.
@@ -139,7 +89,8 @@ const (
 	// leaving both APs unmodified — §5.3.2.
 	ModeMiddlebox
 	// ModeStockAP is the inefficient "End-to-End" strawman: the secondary
-	// AP keeps its stock deep tail-drop PSM buffer.
+	// AP keeps its stock deep tail-drop PSM buffer (SecondaryQueue sets
+	// its depth).
 	ModeStockAP
 )
 
@@ -162,13 +113,14 @@ type DiversiFiOptions struct {
 	// ClientConfig overrides Algorithm 1 constants; the Profile field is
 	// set from the scenario.
 	ClientConfig client.Config
-	// SecondaryQueue overrides the secondary buffer depth (0 = profile's
-	// APQueueLen, i.e. 5 for G.711).
+	// SecondaryQueue overrides the depth of DiversiFi's buffers (0 = the
+	// profile's APQueueLen, 5 for G.711). It sets the primary AP's
+	// head-drop queue and the depth the primary's association IE asks
+	// for, as well as the secondary's buffer: its head-drop queue, the
+	// middlebox buffer in ModeMiddlebox, or its tail-drop queue in
+	// ModeStockAP (ap.DefaultTailDropDepth when 0). A sweep of it, such
+	// as ablation-queue-size, therefore changes both APs' queues.
 	SecondaryQueue int
-	// SecondaryPolicy overrides the queue policy for ModeCustomAP
-	// ablations; ignored unless forceQueuePolicy.
-	SecondaryPolicy  ap.QueuePolicy
-	ForceQueuePolicy bool
 	// MiddleboxLoad adds background streams to the middlebox (§6.4).
 	MiddleboxLoad int
 	// SecondaryHWBatch overrides the secondary AP's hardware commit batch
@@ -184,8 +136,6 @@ type DiversiFiOptions struct {
 
 // DiversiFiResult is the outcome of a single-NIC DiversiFi call.
 type DiversiFiResult struct {
-	Scenario Scenario
-	Mode     DiversiFiMode
 	// AssociationDelay is the management-plane setup time when
 	// FullAssociation was requested (scan dwells + handshakes).
 	AssociationDelay sim.Duration
@@ -230,83 +180,57 @@ func (a mbAdapter) Release()                 { a.mb.Stop(a.streamID) }
 // (simulator, links, APs, wires, client, source) is released once the
 // result holds only values, its trace and copies of the client's logs.
 func RunDiversiFi(sc Scenario, opts DiversiFiOptions) DiversiFiResult {
-	s := sim.New(sc.Seed)
-	links := sc.Build(s)
-	count := sc.PacketCount()
-
+	w := newWorld(sc)
+	defer w.release()
+	s, count := w.s, sc.PacketCount()
 	// Pick primary by start-of-call RSSI, as the OS would.
-	primaryIsA := links.A.RSSIdBm(0) >= links.B.RSSIdBm(0)
-	primLink, secLink := links.A, links.B
-	if !primaryIsA {
-		primLink, secLink = links.B, links.A
-	}
+	primLink, secLink, primaryIsA := w.stronger()
 
 	qlen := sc.Profile.APQueueLen()
 	if opts.SecondaryQueue > 0 {
 		qlen = opts.SecondaryQueue
 	}
-	secPolicy := ap.HeadDrop
-	secQueue := qlen
-	switch {
-	case opts.ForceQueuePolicy:
-		secPolicy = opts.SecondaryPolicy
-	case opts.Mode == ModeStockAP:
+	secPolicy, secQueue := ap.HeadDrop, qlen
+	if opts.Mode == ModeStockAP {
 		secPolicy = ap.TailDrop
-		secQueue = ap.DefaultTailDropDepth
+		if opts.SecondaryQueue <= 0 {
+			secQueue = ap.DefaultTailDropDepth
+		}
 	}
 
 	cfg := opts.ClientConfig
 	cfg.Profile = sc.Profile
-
-	// The secondary feed depends on the mode; both closures capture secAP,
-	// which is assigned below before any packet flows.
-	var primAP, secAP *ap.AP
-	var wireSec, mbOut, wireMB *netsim.Wire
-	var feedSecondary func(pkt.Packet)
-	// secEnq is built once and captures secAP by reference (it is assigned
-	// below, before any packet flows); per-packet closures would dominate
-	// the wired path's allocation profile.
-	secEnq := func(q pkt.Packet) { secAP.Enqueue(q) }
+	// In middlebox mode the secondary AP's wire comes from the middlebox,
+	// which a wire of its own feeds.
+	secWire := "lanSec"
+	var mb *netsim.Middlebox
 	if opts.Mode == ModeMiddlebox {
 		mbCfg := netsim.DefaultMiddleboxConfig()
 		mbCfg.BufferDepth = qlen
-		mb := netsim.NewMiddlebox(s, mbCfg)
+		mb = netsim.NewMiddlebox(s, mbCfg)
 		mb.SetBackgroundLoad(opts.MiddleboxLoad)
-		mbOut = netsim.NewWire(s, "mbToSec", lanLatency, lanJitter, 0)
-		_ = mb.Register(1, netsim.PortFunc(func(p pkt.Packet) {
-			mbOut.Send(p, secEnq)
-		}))
-		wireMB = netsim.NewWire(s, "lanMB", lanLatency, lanJitter, 0)
-		mbRecv := mb.Receive
-		feedSecondary = func(p pkt.Packet) { wireMB.Send(p, mbRecv) }
 		cfg.Secondary = mbAdapter{mb: mb, streamID: 1}
-	} else {
-		wireSec = netsim.NewWire(s, "lanSec", lanLatency, lanJitter, 0)
-		feedSecondary = func(p pkt.Packet) {
-			wireSec.Send(p, secEnq)
-		}
+		secWire = "mbToSec"
 	}
 
-	c := client.New(s, cfg)
-	primAP = ap.New(s, ap.Config{Name: "prim", Chan: primLink.Channel(), Policy: ap.HeadDrop, MaxQueue: qlen},
-		primLink, s.RNG("ap/prim"), c,
+	c := own(w, client.New(s, cfg))
+	var primAP, secAP *ap.AP
+	primAP, sendPrim := w.leg(primLink, ap.Config{Name: "prim", Policy: ap.HeadDrop, MaxQueue: qlen}, "ap/prim", "lanPrim", c,
 		func(p pkt.Packet, at sim.Time) { c.OnDelivery(primAP, p, at) })
-	secAP = ap.New(s, ap.Config{Name: "sec", Chan: secLink.Channel(), Policy: secPolicy, MaxQueue: secQueue, HWBatch: opts.SecondaryHWBatch},
-		secLink, s.RNG("ap/sec"), c,
-		func(p pkt.Packet, at sim.Time) { c.OnDelivery(secAP, p, at) })
+	secAP, feedSecondary := w.leg(secLink, ap.Config{Name: "sec", Policy: secPolicy, MaxQueue: secQueue, HWBatch: opts.SecondaryHWBatch},
+		"ap/sec", secWire, c, func(p pkt.Packet, at sim.Time) { c.OnDelivery(secAP, p, at) })
 	c.BindAPs(primAP, secAP)
-
-	wirePrim := netsim.NewWire(s, "lanPrim", lanLatency, lanJitter, 0)
+	if mb != nil {
+		_ = mb.Register(1, netsim.PortFunc(feedSecondary))
+		wireMB, mbRecv := w.lan("lanMB"), mb.Receive
+		feedSecondary = func(p pkt.Packet) { wireMB.Send(p, mbRecv) }
+	}
 
 	// The SDN switch (or source-side replication) fans the stream out.
-	primEnq := primAP.Enqueue
 	sw := netsim.NewSDNSwitch(nil)
-	_ = sw.InstallRule(1,
-		netsim.PortFunc(func(p pkt.Packet) { wirePrim.Send(p, primEnq) }),
-		netsim.PortFunc(func(p pkt.Packet) { feedSecondary(p) }),
-	)
+	_ = sw.InstallRule(1, netsim.PortFunc(sendPrim), netsim.PortFunc(feedSecondary))
 
-	src := traffic.NewSource(s, 1, sc.Profile, func(p pkt.Packet) { sw.Receive(p) })
+	src := own(w, traffic.NewSource(s, 1, sc.Profile, sw.Receive))
 	startCall := func() {
 		c.StartCall(count)
 		src.Start(count)
@@ -361,8 +285,6 @@ func RunDiversiFi(sc Scenario, opts DiversiFiOptions) DiversiFiResult {
 	cs := c.Stats()
 	res := DiversiFiResult{
 		AssociationDelay: assocDelay,
-		Scenario:         sc,
-		Mode:             opts.Mode,
 		Trace:            c.Trace(),
 		Client:           cs,
 		Primary:          primAP.Stats(),
@@ -375,17 +297,6 @@ func RunDiversiFi(sc Scenario, opts DiversiFiOptions) DiversiFiResult {
 	if count > 0 {
 		res.WastefulRate = float64(wasted) / float64(count)
 	}
-
-	src.Release()
-	c.Release()
-	primAP.Release()
-	secAP.Release()
-	wirePrim.Release()
-	wireSec.Release()
-	mbOut.Release()
-	wireMB.Release()
-	links.release()
-	s.Release()
 	return res
 }
 
@@ -393,32 +304,25 @@ func RunDiversiFi(sc Scenario, opts DiversiFiOptions) DiversiFiResult {
 // packet sent over the stronger link, the second delayed by delta. The
 // returned traces are (replicated, baselineFirstCopyOnly).
 func RunTemporal(sc Scenario, delta sim.Duration) (*trace.Trace, *trace.Trace) {
-	s := sim.New(sc.Seed)
-	links := sc.Build(s)
-	link := links.A
-	if links.B.RSSIdBm(0) > links.A.RSSIdBm(0) {
-		link = links.B
-	}
-	count := sc.PacketCount()
+	w := newWorld(sc)
+	defer w.release()
+	s, count := w.s, sc.PacketCount()
+	link, _, _ := w.stronger()
 	repl := trace.New(count, 0, sc.Profile.Spacing)
 	base := trace.New(count, 0, sc.Profile.Spacing)
 
 	const copyStream = 2
-	a := ap.New(s, ap.Config{Name: "T", Chan: link.Channel()}, link, s.RNG("ap/T"),
-		ap.AlwaysListening{}, func(p pkt.Packet, at sim.Time) {
-			repl.RecordArrival(p.Seq, at)
-			if p.StreamID != copyStream {
-				base.RecordArrival(p.Seq, at)
-			}
-		})
-	wire := netsim.NewWire(s, "lanT", lanLatency, lanJitter, 0)
-	enq := a.Enqueue
-	src := traffic.NewSource(s, 1, sc.Profile, func(p pkt.Packet) {
-		wire.Send(p, enq)
-		cp := p
-		cp.StreamID = copyStream
-		s.After(delta, func() { wire.Send(cp, enq) })
+	_, send := w.leg(link, ap.Config{Name: "T"}, "ap/T", "lanT", ap.AlwaysListening{}, func(p pkt.Packet, at sim.Time) {
+		repl.RecordArrival(p.Seq, at)
+		if p.StreamID != copyStream {
+			base.RecordArrival(p.Seq, at)
+		}
 	})
+	src := own(w, traffic.NewSource(s, 1, sc.Profile, func(p pkt.Packet) {
+		send(p)
+		p.StreamID = copyStream
+		s.After(delta, func() { send(p) })
+	}))
 	s.Schedule(0, func() { src.Start(count) })
 	s.Run(sim.Time(sc.Duration + 2*sim.Second))
 	return repl, base
@@ -431,21 +335,19 @@ func RunTemporal(sc Scenario, delta sim.Duration) (*trace.Trace, *trace.Trace) {
 // from the DEF channel (the noise-free cost driver).
 func TCPCoexistence(sc Scenario) (withKbps, withoutKbps, absentFrac float64) {
 	res := RunDiversiFi(sc, DiversiFiOptions{Mode: ModeCustomAP})
+	defer res.Release()
 
 	// Rebuild the same radio environment to query the DEF link's quality
 	// over the call; the TCP model is fluid, so only link state matters.
-	s := sim.New(sc.Seed)
-	links := sc.Build(s)
-	def := links.A
-	if !res.PrimaryIsA {
-		def = links.B
-	}
+	w := newWorld(sc)
+	defer w.release()
+	def, _, _ := w.stronger()
 	from, to := sim.Time(0), sim.Time(sc.Duration)
 	cfg := traffic.DefaultTCPConfig()
 
 	absent := func(a, b sim.Time) sim.Duration { return client.AbsentDuring(res.Absences, a, b) }
-	withKbps = traffic.TCPThroughputKbps(def, from, to, cfg, absent, s.RNG("tcp/with"))
-	withoutKbps = traffic.TCPThroughputKbps(def, from, to, cfg, nil, s.RNG("tcp/without"))
+	withKbps = traffic.TCPThroughputKbps(def, from, to, cfg, absent, w.s.RNG("tcp/with"))
+	withoutKbps = traffic.TCPThroughputKbps(def, from, to, cfg, nil, w.s.RNG("tcp/without"))
 	absentFrac = float64(absent(from, to)) / float64(to.Sub(from))
 	return withKbps, withoutKbps, absentFrac
 }
@@ -456,21 +358,14 @@ func TCPCoexistence(sc Scenario) (withKbps, withoutKbps, absentFrac float64) {
 // test the paper's §2 claim that prioritization addresses congestion but
 // not wireless loss.
 func RunPriorityCall(sc Scenario, voice bool) *trace.Trace {
-	s := sim.New(sc.Seed)
-	links := sc.Build(s)
-	link := links.A
-	if links.B.RSSIdBm(0) > links.A.RSSIdBm(0) {
-		link = links.B
-	}
+	w := newWorld(sc)
+	defer w.release()
+	link, _, _ := w.stronger()
 	count := sc.PacketCount()
 	tr := trace.New(count, 0, sc.Profile.Spacing)
-	a := ap.New(s, ap.Config{Name: "prio", Chan: link.Channel(), Voice: voice},
-		link, s.RNG("ap/prio"), ap.AlwaysListening{},
-		func(p pkt.Packet, at sim.Time) { tr.RecordArrival(p.Seq, at) })
-	wire := netsim.NewWire(s, "prioLan", lanLatency, lanJitter, 0)
-	enq := a.Enqueue
-	src := traffic.NewSource(s, 1, sc.Profile, func(p pkt.Packet) { wire.Send(p, enq) })
-	s.Schedule(0, func() { src.Start(count) })
-	s.Run(sim.Time(sc.Duration + 2*sim.Second))
+	_, send := w.leg(link, ap.Config{Name: "prio", Voice: voice}, "ap/prio", "prioLan", ap.AlwaysListening{}, recorder(tr))
+	src := own(w, traffic.NewSource(w.s, 1, sc.Profile, send))
+	w.s.Schedule(0, func() { src.Start(count) })
+	w.s.Run(sim.Time(sc.Duration + 2*sim.Second))
 	return tr
 }

@@ -13,7 +13,12 @@ import (
 
 // Stronger returns the trace of the higher-RSSI link — what a stock OS
 // association policy delivers.
-func (d DualCall) Stronger() *trace.Trace { return d.StrongerTrace() }
+func (d DualCall) Stronger() *trace.Trace {
+	if d.StrongerIsA() {
+		return d.TraceA
+	}
+	return d.TraceB
+}
 
 // CrossLink returns the merged trace: a packet is lost only if both links
 // lost it, and the earliest copy's timing wins.
@@ -44,7 +49,7 @@ func (d DualCall) Better(samplePeriod sim.Duration) *trace.Trace {
 		chosen = d.TraceB
 	}
 	out := trace.New(n, d.TraceA.Start, d.TraceA.Spacing)
-	strong := d.StrongerTrace()
+	strong := d.Stronger()
 	for seq := 0; seq < n; seq++ {
 		if seq < sampleN {
 			out.CopyFrom(strong, seq)
@@ -68,7 +73,7 @@ func (d DualCall) Divert(h, t int) *trace.Trace {
 	}
 	n := d.TraceA.Len()
 	out := trace.New(n, d.TraceA.Start, d.TraceA.Spacing)
-	cur, other := d.StrongerTrace(), d.WeakerTrace()
+	cur, other := d.Stronger(), d.WeakerTrace()
 	window := make([]bool, 0, h)
 	for seq := 0; seq < n; seq++ {
 		out.CopyFrom(cur, seq)

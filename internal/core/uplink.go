@@ -29,10 +29,8 @@ type UplinkStats struct {
 
 // UplinkResult is one uplink call.
 type UplinkResult struct {
-	Scenario   Scenario
-	Trace      *trace.Trace // as seen by the wired peer
-	Stats      UplinkStats
-	PrimaryIsA bool
+	Trace *trace.Trace // as seen by the wired peer
+	Stats UplinkStats
 }
 
 // uplinkClient is the transmit-side state machine.
@@ -55,13 +53,10 @@ type uplinkClient struct {
 // uses only the stronger link; with true, failed packets are retransmitted
 // over the secondary within the deadline budget.
 func RunUplink(sc Scenario, diversifi bool) UplinkResult {
-	s := sim.New(sc.Seed)
-	links := sc.Build(s)
-	primaryIsA := links.A.RSSIdBm(0) >= links.B.RSSIdBm(0)
-	primLink, secLink := links.A, links.B
-	if !primaryIsA {
-		primLink, secLink = links.B, links.A
-	}
+	w := newWorld(sc)
+	defer w.release()
+	s := w.s
+	primLink, secLink, _ := w.stronger()
 	count := sc.PacketCount()
 	txPrim := mac.NewTransmitter(primLink, s.RNG("uptx/prim"))
 	txPrim.SetObs(s.Obs(), "up/prim")
@@ -72,7 +67,7 @@ func RunUplink(sc Scenario, diversifi bool) UplinkResult {
 		sc:       sc,
 		txPrim:   txPrim,
 		txSec:    txSec,
-		wire:     netsim.NewWire(s, "uplan", lanLatency, lanJitter, 0),
+		wire:     w.lan("uplan"),
 		tr:       trace.New(count, 0, sc.Profile.Spacing),
 		divers:   diversifi,
 		maxQueue: 4 * sc.Profile.APQueueLen(),
@@ -87,7 +82,7 @@ func RunUplink(sc Scenario, diversifi bool) UplinkResult {
 	s.Train(count, sim.Lane{At: periodic(sc.Profile.Spacing), Fn: emit})
 	s.Run(sim.Time(sc.Duration + 2*sim.Second))
 
-	return UplinkResult{Scenario: sc, Trace: c.tr, Stats: c.stats, PrimaryIsA: primaryIsA}
+	return UplinkResult{Trace: c.tr, Stats: c.stats}
 }
 
 // enqueue adds a packet to the client's own transmit queue (head-drop:

@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 
-	"repro/internal/ap"
 	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/sim"
@@ -17,21 +16,16 @@ func AblationQueuePolicy(n int, seed int64) *Result {
 	t := stats.NewTable("Ablation: secondary AP queue policy",
 		"policy", "p90 worst-5s loss %", "wasteful dup %", "residual loss %")
 	for _, cfg := range []struct {
-		name   string
-		policy ap.QueuePolicy
-		depth  int
+		name  string
+		mode  core.DiversiFiMode // the custom AP head-drops, the stock one tail-drops
+		depth int
 	}{
-		{"head-drop q=5 (DiversiFi)", ap.HeadDrop, 5},
-		{"tail-drop q=5", ap.TailDrop, 5},
-		{"tail-drop q=64 (stock)", ap.TailDrop, 64},
-		{"head-drop q=64", ap.HeadDrop, 64},
+		{"head-drop q=5 (DiversiFi)", core.ModeCustomAP, 5},
+		{"tail-drop q=5", core.ModeStockAP, 5},
+		{"tail-drop q=64 (stock)", core.ModeStockAP, 64},
+		{"head-drop q=64", core.ModeCustomAP, 64},
 	} {
-		worst, waste, resid := diversifiWorst(n, seed, core.DiversiFiOptions{
-			Mode:             core.ModeCustomAP,
-			SecondaryPolicy:  cfg.policy,
-			ForceQueuePolicy: true,
-			SecondaryQueue:   cfg.depth,
-		})
+		worst, waste, resid := diversifiWorst(n, seed, core.DiversiFiOptions{Mode: cfg.mode, SecondaryQueue: cfg.depth})
 		t.AddRow(cfg.name,
 			fmt.Sprintf("%.1f", stats.Percentile(worst, 90)),
 			fmt.Sprintf("%.2f", 100*waste),

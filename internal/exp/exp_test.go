@@ -111,7 +111,7 @@ func TestDiversiFiBeatsPrimaryAlone(t *testing.T) {
 	var prim, div []float64
 	var waste float64
 	for i := range scens {
-		prim = append(prim, worstWindowPct(duals[i].StrongerTrace(), deadline))
+		prim = append(prim, worstWindowPct(duals[i].Stronger(), deadline))
 		div = append(div, worstWindowPct(divs[i].Trace, deadline))
 		waste += divs[i].WastefulRate
 	}

@@ -24,7 +24,7 @@ func Figure3(seed int64) *Result {
 	for i := 0; i < 40; i++ {
 		sc := core.RandomScenario(rng, core.ImpWeakLink, traffic.G711, seed*31+int64(i))
 		d := core.RunDualCall(sc)
-		lA := stats.LossRate(d.StrongerTrace().LostWithDeadline(deadline))
+		lA := stats.LossRate(d.Stronger().LostWithDeadline(deadline))
 		lB := stats.LossRate(d.WeakerTrace().LostWithDeadline(deadline))
 		// Want A a few percent, B clearly worse, both links alive.
 		if lA < 0.01 || lA > 0.10 || lB < lA*1.8 || lB > 0.40 {
@@ -41,20 +41,20 @@ func Figure3(seed int64) *Result {
 		best = core.RunDualCall(sc)
 	}
 
-	lA := stats.LossRate(best.StrongerTrace().LostWithDeadline(deadline))
+	lA := stats.LossRate(best.Stronger().LostWithDeadline(deadline))
 	lB := stats.LossRate(best.WeakerTrace().LostWithDeadline(deadline))
 	merged := best.CrossLink()
 	lM := stats.LossRate(merged.LostWithDeadline(deadline))
 
 	sum := stats.NewTable("Figure 3: two weak links, merged", "link", "loss %", "jitter ms", "paper loss %")
-	sum.AddRow("A (stronger)", fmt.Sprintf("%.2f", 100*lA), fmt.Sprintf("%.2f", best.StrongerTrace().Jitter()), "4.3")
+	sum.AddRow("A (stronger)", fmt.Sprintf("%.2f", 100*lA), fmt.Sprintf("%.2f", best.Stronger().Jitter()), "4.3")
 	sum.AddRow("B (weaker)", fmt.Sprintf("%.2f", 100*lB), fmt.Sprintf("%.2f", best.WeakerTrace().Jitter()), "15.4")
 	sum.AddRow("cross-link", fmt.Sprintf("%.2f", 100*lM), fmt.Sprintf("%.2f", merged.Jitter()), "0.88")
 
 	// Per-10-second loss profile along the call, the "dots along the
 	// bottom of each plot".
 	prof := stats.NewTable("Loss per 10-second segment", "segment", "A losses", "B losses", "merged losses")
-	lostA := best.StrongerTrace().LostWithDeadline(deadline)
+	lostA := best.Stronger().LostWithDeadline(deadline)
 	lostB := best.WeakerTrace().LostWithDeadline(deadline)
 	lostM := merged.LostWithDeadline(deadline)
 	seg := 500 // 10 s of 20 ms packets

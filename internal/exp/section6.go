@@ -36,12 +36,12 @@ func Figure8(n int, seed int64) *Result {
 
 	series := map[string][]float64{}
 	for _, d := range runs.duals {
-		series["primary"] = append(series["primary"], worstWindowPct(d.StrongerTrace(), deadline))
+		series["primary"] = append(series["primary"], worstWindowPct(d.Stronger(), deadline))
 		series["secondary"] = append(series["secondary"], worstWindowPct(d.WeakerTrace(), deadline))
 	}
 	var pcrP, pcrS, pcrD []voip.Quality
 	for _, d := range runs.duals {
-		pcrP = append(pcrP, voip.Assess(d.StrongerTrace(), traffic.G711))
+		pcrP = append(pcrP, voip.Assess(d.Stronger(), traffic.G711))
 		pcrS = append(pcrS, voip.Assess(d.WeakerTrace(), traffic.G711))
 	}
 	for _, r := range runs.divs {
@@ -75,7 +75,7 @@ func Figure9(n int, seed int64) *Result {
 	hS := stats.NewBurstHistogram(nil, 10)
 	hD := stats.NewBurstHistogram(nil, 10)
 	for _, d := range runs.duals {
-		hP.Merge(stats.NewBurstHistogram(d.StrongerTrace().LostWithDeadline(deadline), 10))
+		hP.Merge(stats.NewBurstHistogram(d.Stronger().LostWithDeadline(deadline), 10))
 		hS.Merge(stats.NewBurstHistogram(d.WeakerTrace().LostWithDeadline(deadline), 10))
 	}
 	for _, r := range runs.divs {
@@ -114,7 +114,7 @@ func Overhead(n int, seed int64) *Result {
 	var primLoss, residLoss, waste float64
 	var recovered, losses int
 	for i, r := range divs {
-		primLoss += stats.LossRate(duals[i].StrongerTrace().LostWithDeadline(deadline))
+		primLoss += stats.LossRate(duals[i].Stronger().LostWithDeadline(deadline))
 		residLoss += stats.LossRate(r.Trace.LostWithDeadline(deadline))
 		waste += r.WastefulRate
 		recovered += r.Client.Recovered

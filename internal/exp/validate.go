@@ -105,9 +105,9 @@ func Validate(n int, seed int64) *Result {
 	var primLoss, residLoss, waste float64
 	for i, r := range divs {
 		dWorst = append(dWorst, worstWindowPct(r.Trace, strict))
-		pWorst = append(pWorst, worstWindowPct(oDuals[i].StrongerTrace(), strict))
+		pWorst = append(pWorst, worstWindowPct(oDuals[i].Stronger(), strict))
 		dQ = append(dQ, voip.Assess(r.Trace, traffic.G711))
-		primLoss += stats.LossRate(oDuals[i].StrongerTrace().LostWithDeadline(strict))
+		primLoss += stats.LossRate(oDuals[i].Stronger().LostWithDeadline(strict))
 		residLoss += stats.LossRate(r.Trace.LostWithDeadline(strict))
 		waste += r.WastefulRate
 	}

@@ -59,7 +59,7 @@ func New(count int, start sim.Time, spacing sim.Duration) *Trace {
 
 // Release hands t's storage back for a later New to reuse, and leaves t
 // empty: Len and Duplicates read 0 and nothing is recorded. Only the
-// holder of t and of every view of it (a DualCall's StrongerTrace, say)
+// holder of t and of every view of it (what a DualCall's Stronger returns, say)
 // may call it, and nothing may read t after it does: a later call's
 // trace may be recording into the same storage. Release on a nil or an
 // already released trace does nothing. A trace nobody releases is
