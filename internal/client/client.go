@@ -35,13 +35,9 @@ type Config struct {
 	// PLTMultiple sets PacketLossTimeout = PLTMultiple × InterPktSpacing
 	// (Algorithm 1 uses 2 → 40 ms for G.711).
 	PLTMultiple int
-	// SRT is the SecondaryResidencyTime for keepalive visits (40 ms).
-	SRT sim.Duration
-	// AKT is the AssociationKeepaliveTimeout (30 s).
+	// AKT is the AssociationKeepaliveTimeout (30 s). An AKT longer than the
+	// simulated call makes no keepalive visit.
 	AKT sim.Duration
-	// NominalTransit is the expected source→client delay on a healthy
-	// path, used to predict per-packet arrival deadlines.
-	NominalTransit sim.Duration
 	// HeadMargin is how many packet slots before eviction the client aims
 	// to arrive at the secondary (1 = when the packet just reaches the
 	// queue head; larger = earlier arrival, more duplication).
@@ -49,20 +45,29 @@ type Config struct {
 	// DisableRecovery turns off loss-triggered switching (keepalives
 	// only) — used by ablations.
 	DisableRecovery bool
-	// DisableKeepalive turns off periodic keepalive visits.
-	DisableKeepalive bool
 	// Secondary optionally routes recovery through a middlebox (§5.3.2)
 	// instead of the secondary AP's PSM buffer: on arrival at the
 	// secondary the client requests delivery, on departure it releases.
 	Secondary SecondaryBuffer
-	// BackoffAfter suspends loss-triggered switching for BackoffPeriod
+	// BackoffAfter suspends loss-triggered switching for backoffPeriod
 	// once this many consecutive recovery visits return empty-handed —
 	// when the secondary is no better than the primary, hopping between
 	// them only delays primary traffic. 0 selects the default (3);
 	// negative disables backoff.
-	BackoffAfter  int
-	BackoffPeriod sim.Duration
+	BackoffAfter int
 }
+
+// Algorithm 1's constants that no Config field overrides.
+const (
+	// srt is the SecondaryResidencyTime of a keepalive visit.
+	srt = 40 * sim.Millisecond
+	// nominalTransit is the expected source→client delay on a healthy
+	// path, used to predict per-packet arrival deadlines.
+	nominalTransit = 3 * sim.Millisecond
+	// backoffPeriod is how long loss-triggered switching stays suspended
+	// after BackoffAfter futile visits.
+	backoffPeriod = 5 * sim.Second
+)
 
 // SecondaryBuffer abstracts the network-side buffer behind the secondary
 // link. The AP's PSM buffer needs no requests (waking the AP flushes it);
@@ -79,23 +84,14 @@ func (c *Config) fillDefaults() {
 	if c.PLTMultiple <= 0 {
 		c.PLTMultiple = 2
 	}
-	if c.SRT <= 0 {
-		c.SRT = 40 * sim.Millisecond
-	}
 	if c.AKT <= 0 {
 		c.AKT = 30 * sim.Second
-	}
-	if c.NominalTransit <= 0 {
-		c.NominalTransit = 3 * sim.Millisecond
 	}
 	if c.HeadMargin <= 0 {
 		c.HeadMargin = 1
 	}
 	if c.BackoffAfter == 0 {
 		c.BackoffAfter = 3
-	}
-	if c.BackoffPeriod <= 0 {
-		c.BackoffPeriod = 5 * sim.Second
 	}
 }
 
@@ -126,7 +122,6 @@ type Client struct {
 
 	tr        *trace.Trace
 	callStart sim.Time
-	count     int
 
 	st            state
 	pendingSwitch sim.Timer
@@ -175,12 +170,14 @@ type kept struct {
 	// one entry per successful loss-triggered recovery (Table 3).
 	recoveryEvents []RecoveryEvent
 
-	// The callbacks a secondary visit schedules and the keepalive tick,
-	// bound once when the client is made so a visit allocates no closures
-	// (as sim.Ticker binds its tick).
+	// The callbacks a secondary visit schedules and the lanes of the
+	// trains StartCall makes, bound once when the client is made so that
+	// neither a visit nor a call allocates closures.
 	onSwitch, onRecoveryArrival, onKeepaliveArrival     func()
 	onRecoveryTimeout, onKeepaliveEnd, onPrimaryArrival func()
-	onKeepaliveTick                                     func()
+
+	checks    [2]sim.Lane // loss check, playout check
+	keepalive sim.Lane
 }
 
 // released holds clients handed back by Release.
@@ -228,7 +225,11 @@ func New(s *sim.Simulator, cfg Config) *Client {
 		c.onRecoveryTimeout = c.recoveryTimeout
 		c.onKeepaliveEnd = c.keepaliveEnd
 		c.onPrimaryArrival = c.primaryArrival
-		c.onKeepaliveTick = c.keepaliveTick
+		c.checks = [2]sim.Lane{
+			{At: c.lossCheckAt, Fn: c.lossCheck},
+			{At: c.recoveryDeadline, Fn: c.playoutCheck},
+		}
+		c.keepalive = sim.Lane{At: c.keepaliveAt, Fn: c.keepaliveTick}
 	}
 	*c = Client{
 		kept:         c.kept,
@@ -333,27 +334,27 @@ func (c *Client) Listening(a *ap.AP, _ sim.Time) bool {
 }
 
 // StartCall begins receiving a call of count packets whose first packet is
-// emitted at the current virtual time. The secondary association starts
-// asleep so the secondary AP buffers from the first packet.
-func (c *Client) StartCall(count int) {
+// emitted at the current virtual time; the caller runs the simulator until
+// until, the last instant a keepalive check may fire. The secondary
+// association starts asleep so the secondary AP buffers from the first
+// packet.
+func (c *Client) StartCall(count int, until sim.Time) {
 	c.callStart = c.sim.Now()
-	c.count = count
 	c.tr = trace.New(count, c.callStart, c.spacing())
 	c.st = onPrimary
 	c.lastSecVisit = c.sim.Now()
 	c.sec.Sleep()
-	// One PacketLossTimeout per packet, armed lazily by the train.
-	lanes := []sim.Lane{{At: c.lossCheckAt, Fn: c.lossCheck}}
+	// One PacketLossTimeout per packet. Playout-miss detection is
+	// observability-only: one check per sequence number at its recovery
+	// deadline, gated on the registry so unobserved runs schedule nothing
+	// extra.
+	checks := c.checks[:1]
 	if c.obs != nil {
-		// Playout-miss detection is observability-only: one check per
-		// sequence number at its recovery deadline. Gated on the
-		// registry so unobserved runs schedule nothing extra.
-		lanes = append(lanes, sim.Lane{At: c.recoveryDeadline, Fn: c.playoutCheck})
+		checks = c.checks[:]
 	}
-	c.sim.Train(count, lanes...)
-	if !c.cfg.DisableKeepalive {
-		c.scheduleKeepalive()
-	}
+	c.sim.Train(count, checks...)
+	// The keepalive check, every AKT/4 through until.
+	c.sim.Train(int(until.Sub(c.callStart)/(c.cfg.AKT/4)), c.keepalive)
 }
 
 // expectedSend returns when the source emits seq.
@@ -363,7 +364,7 @@ func (c *Client) expectedSend(seq int) sim.Time {
 
 // expectedArrival returns when seq should reach the client on a healthy path.
 func (c *Client) expectedArrival(seq int) sim.Time {
-	return c.expectedSend(seq).Add(c.cfg.NominalTransit)
+	return c.expectedSend(seq).Add(nominalTransit)
 }
 
 // lossCheckAt returns when seq's PacketLossTimeout fires.
@@ -539,10 +540,10 @@ func (c *Client) goToSecondary(keepalive bool) {
 }
 
 // keepaliveArrival lands a keepalive visit on the secondary and bounds its
-// residency to SRT.
+// residency to srt.
 func (c *Client) keepaliveArrival() {
 	c.arriveOnSecondary()
-	c.failsafe = c.sim.After(c.cfg.SRT, c.onKeepaliveEnd)
+	c.failsafe = c.sim.After(srt, c.onKeepaliveEnd)
 }
 
 // recoveryArrival lands a recovery visit on the secondary. Failsafe: if
@@ -594,7 +595,7 @@ func (c *Client) returnToPrimary() {
 		c.futileVisits++
 		if c.futileVisits >= c.cfg.BackoffAfter {
 			c.futileVisits = 0
-			c.backoffUntil = c.sim.Now().Add(c.cfg.BackoffPeriod)
+			c.backoffUntil = c.sim.Now().Add(backoffPeriod)
 			c.stats.Backoffs++
 		}
 	}
@@ -621,15 +622,16 @@ func (c *Client) primaryArrival() {
 	}
 }
 
-// scheduleKeepalive arms the periodic secondary keepalive (Algorithm 1
-// lines 15–17): if the secondary has not been visited for AKT, pay it a
-// short visit to keep the association alive.
-func (c *Client) scheduleKeepalive() {
-	c.sim.Every(c.cfg.AKT/4, c.onKeepaliveTick)
+// keepaliveAt returns when keepalive check i fires: (i+1)·AKT/4 after the
+// call starts.
+func (c *Client) keepaliveAt(i int) sim.Time {
+	return c.callStart.Add(sim.Duration(i+1) * (c.cfg.AKT / 4))
 }
 
-// keepaliveTick is scheduleKeepalive's periodic check.
-func (c *Client) keepaliveTick() {
+// keepaliveTick is the periodic secondary keepalive check (Algorithm 1
+// lines 15–17): if the secondary has not been visited for AKT, pay it a
+// short visit to keep the association alive.
+func (c *Client) keepaliveTick(int) {
 	if c.st != onPrimary {
 		return
 	}

@@ -12,28 +12,36 @@ import (
 	"repro/internal/traffic"
 )
 
-// rig wires a source → wire → two APs → single-NIC client. Link quality is
+// rig wires a stream → wire → two APs → single-NIC client. Link quality is
 // controlled per-test through extra attenuation.
 type rig struct {
 	sim    *sim.Simulator
 	client *Client
 	primAP *ap.AP
 	secAP  *ap.AP
-	src    *traffic.Source
 }
 
-// start begins a call of n packets with a LAN wire feeding both APs.
-func (r *rig) start(n int) {
+// stream returns the lane that sends a call of profile p, starting now:
+// packet i leaves at i·Spacing from now.
+func stream(s *sim.Simulator, p traffic.Profile, send func(pkt.Packet)) sim.Lane {
+	start := s.Now()
+	return sim.Lane{
+		At: func(i int) sim.Time { return start.Add(sim.Duration(i) * p.Spacing) },
+		Fn: func(i int) { send(pkt.Packet{StreamID: 1, Seq: i, Size: p.PacketBytes, SentAt: s.Now()}) },
+	}
+}
+
+// call runs a G.711 call of n packets, with a LAN wire feeding both APs,
+// until the clock reads until.
+func (r *rig) call(n int, until sim.Time) {
 	wireA := netsim.NewWire(r.sim, "toA", 500*sim.Microsecond, 0, 0)
 	wireB := netsim.NewWire(r.sim, "toB", 500*sim.Microsecond, 0, 0)
-	r.src = traffic.NewSource(r.sim, 1, traffic.G711, func(p pkt.Packet) {
+	r.client.StartCall(n, until)
+	r.sim.Train(n, stream(r.sim, traffic.G711, func(p pkt.Packet) {
 		wireA.Send(p, func(q pkt.Packet) { r.primAP.Enqueue(q) })
 		wireB.Send(p, func(q pkt.Packet) { r.secAP.Enqueue(q) })
-	})
-	r.sim.Schedule(r.sim.Now(), func() {
-		r.client.StartCall(n)
-		r.src.Start(n)
-	})
+	}))
+	r.sim.Run(until)
 }
 
 // newWiredRig builds the rig with delivery callbacks routed to the client.
@@ -65,8 +73,7 @@ func newWiredRig(t *testing.T, seed int64, primExtra, secExtra float64, cfg Conf
 
 func TestCleanCallNoSwitching(t *testing.T) {
 	r := newWiredRig(t, 1, 0, 0, Config{})
-	r.start(500)
-	r.sim.Run(sim.Time(15 * sim.Second))
+	r.call(500, sim.Time(15*sim.Second))
 	lost := r.client.Trace().LostWithDeadline(traffic.G711.Deadline)
 	if rate := stats.LossRate(lost); rate > 0.01 {
 		t.Errorf("clean call loss = %v", rate)
@@ -80,8 +87,7 @@ func TestRecoveryFromSecondary(t *testing.T) {
 	// Primary drops ~all frames (huge attenuation); secondary is clean.
 	// Every packet should be recovered via the secondary within deadline.
 	r := newWiredRig(t, 2, 55, 0, Config{})
-	r.start(200)
-	r.sim.Run(sim.Time(10 * sim.Second))
+	r.call(200, sim.Time(10*sim.Second))
 	st := r.client.Stats()
 	if st.LossesDetected == 0 {
 		t.Fatal("no losses detected on dead primary")
@@ -100,8 +106,7 @@ func TestRecoveryFromSecondary(t *testing.T) {
 
 func TestRecoveryMeetsDeadline(t *testing.T) {
 	r := newWiredRig(t, 3, 55, 0, Config{})
-	r.start(100)
-	r.sim.Run(sim.Time(5 * sim.Second))
+	r.call(100, sim.Time(5*sim.Second))
 	tr := r.client.Trace()
 	for seq := 0; seq < 100; seq++ {
 		if !tr.Arrived(seq) {
@@ -115,31 +120,30 @@ func TestRecoveryMeetsDeadline(t *testing.T) {
 }
 
 func TestKeepaliveVisits(t *testing.T) {
-	cfg := Config{AKT: 2 * sim.Second, SRT: 40 * sim.Millisecond}
+	cfg := Config{AKT: 2 * sim.Second}
 	r := newWiredRig(t, 4, 0, 0, cfg)
-	r.start(500) // 10-second call, AKT = 2s → ~4-5 keepalives
-	r.sim.Run(sim.Time(11 * sim.Second))
+	r.call(500, sim.Time(11*sim.Second)) // 10-second call, AKT = 2s → ~4-5 keepalives
 	ka := r.client.Stats().KeepaliveSwitches
 	if ka < 2 || ka > 6 {
 		t.Errorf("keepalive switches = %d, want ~4", ka)
 	}
 }
 
+// TestKeepaliveDisabled: an AKT longer than the call makes no keepalive
+// visit, though its checks run every AKT/4.
 func TestKeepaliveDisabled(t *testing.T) {
-	cfg := Config{AKT: sim.Second, DisableKeepalive: true}
+	cfg := Config{AKT: 12 * sim.Second}
 	r := newWiredRig(t, 5, 0, 0, cfg)
-	r.start(500)
-	r.sim.Run(sim.Time(11 * sim.Second))
+	r.call(500, sim.Time(11*sim.Second))
 	if ka := r.client.Stats().KeepaliveSwitches; ka != 0 {
-		t.Errorf("disabled keepalive still made %d visits", ka)
+		t.Errorf("an AKT longer than the call still made %d keepalive visits", ka)
 	}
 }
 
 func TestRecoveryDisabled(t *testing.T) {
-	cfg := Config{DisableRecovery: true, DisableKeepalive: true}
+	cfg := Config{DisableRecovery: true}
 	r := newWiredRig(t, 6, 55, 0, cfg)
-	r.start(200)
-	r.sim.Run(sim.Time(10 * sim.Second))
+	r.call(200, sim.Time(10*sim.Second))
 	st := r.client.Stats()
 	if st.RecoverySwitches != 0 {
 		t.Errorf("disabled recovery made %d switches", st.RecoverySwitches)
@@ -152,8 +156,7 @@ func TestRecoveryDisabled(t *testing.T) {
 func TestAbsenceTracking(t *testing.T) {
 	cfg := Config{AKT: 2 * sim.Second}
 	r := newWiredRig(t, 7, 0, 0, cfg)
-	r.start(500)
-	r.sim.Run(sim.Time(11 * sim.Second))
+	r.call(500, sim.Time(11*sim.Second))
 	abs := r.client.AppendAbsences(nil)
 	if len(abs) == 0 {
 		t.Fatal("keepalive visits recorded no absences")
@@ -191,8 +194,7 @@ func TestAbsentDuringWindowClipping(t *testing.T) {
 
 func TestListeningStateMachine(t *testing.T) {
 	r := newWiredRig(t, 9, 0, 0, Config{})
-	r.start(10)
-	r.sim.Run(sim.Time(sim.Second))
+	r.call(10, sim.Time(sim.Second))
 	// After the call, the client should be settled on the primary.
 	if !r.client.Listening(r.primAP, r.sim.Now()) {
 		t.Error("client not listening to primary at rest")
@@ -210,8 +212,7 @@ func TestDuplicationOverheadSmall(t *testing.T) {
 	// fraction of the 1500-packet call (§6.3's coexistence requirement).
 	cfg := Config{AKT: 5 * sim.Second}
 	r := newWiredRig(t, 10, 0, 0, cfg)
-	r.start(1500) // 30 s
-	r.sim.Run(sim.Time(31 * sim.Second))
+	r.call(1500, sim.Time(31*sim.Second)) // 30 s
 	wasted := r.secAP.Stats().WastedTransmissions + r.client.Stats().DuplicatesReceived
 	frac := float64(wasted) / 1500
 	if frac > 0.05 {
@@ -223,10 +224,9 @@ func TestFutileVisitBackoff(t *testing.T) {
 	// Both links dead: recovery visits always come back empty-handed, so
 	// after BackoffAfter futile visits the client must stop hopping for a
 	// while instead of thrashing.
-	cfg := Config{BackoffAfter: 3, BackoffPeriod: 2 * sim.Second, DisableKeepalive: true}
+	cfg := Config{BackoffAfter: 3}
 	r := newWiredRig(t, 20, 55, 55, cfg)
-	r.start(500)
-	r.sim.Run(sim.Time(11 * sim.Second))
+	r.call(500, sim.Time(11*sim.Second))
 	st := r.client.Stats()
 	if st.Backoffs == 0 {
 		t.Fatal("no backoffs despite a hopeless secondary")
@@ -240,10 +240,9 @@ func TestFutileVisitBackoff(t *testing.T) {
 }
 
 func TestBackoffDisabled(t *testing.T) {
-	cfg := Config{BackoffAfter: -1, DisableKeepalive: true}
+	cfg := Config{BackoffAfter: -1}
 	r := newWiredRig(t, 21, 55, 55, cfg)
-	r.start(300)
-	r.sim.Run(sim.Time(7 * sim.Second))
+	r.call(300, sim.Time(7*sim.Second))
 	if r.client.Stats().Backoffs != 0 {
 		t.Error("disabled backoff still triggered")
 	}
@@ -260,10 +259,9 @@ func (f *fakeSecondary) Release()                 { f.releases++ }
 
 func TestMiddleboxHookOnRecovery(t *testing.T) {
 	fs := &fakeSecondary{}
-	cfg := Config{Secondary: fs, DisableKeepalive: true}
+	cfg := Config{Secondary: fs}
 	r := newWiredRig(t, 30, 55, 0, cfg)
-	r.start(200)
-	r.sim.Run(sim.Time(6 * sim.Second))
+	r.call(200, sim.Time(6*sim.Second))
 	if len(fs.requests) == 0 {
 		t.Fatal("recovery never issued a middlebox request")
 	}
@@ -281,8 +279,7 @@ func TestMiddleboxHookNotUsedByKeepalive(t *testing.T) {
 	fs := &fakeSecondary{}
 	cfg := Config{Secondary: fs, AKT: 2 * sim.Second, DisableRecovery: true}
 	r := newWiredRig(t, 31, 0, 0, cfg)
-	r.start(400)
-	r.sim.Run(sim.Time(9 * sim.Second))
+	r.call(400, sim.Time(9*sim.Second))
 	if r.client.Stats().KeepaliveSwitches == 0 {
 		t.Fatal("no keepalives happened")
 	}
@@ -318,16 +315,13 @@ func TestHighRateProfileClient(t *testing.T) {
 
 	wire := netsim.NewWire(s, "hrw", 500*sim.Microsecond, 0, 0)
 	wire2 := netsim.NewWire(s, "hrw2", 500*sim.Microsecond, 0, 0)
-	src := traffic.NewSource(s, 1, traffic.HighRate, func(p pkt.Packet) {
+	const n, until = 3000, sim.Time(6 * sim.Second) // ~4.8 seconds of 5 Mbps traffic
+	c.StartCall(n, until)
+	s.Train(n, stream(s, traffic.HighRate, func(p pkt.Packet) {
 		wire.Send(p, primAP.Enqueue)
 		wire2.Send(p, secAP.Enqueue)
-	})
-	const n = 3000 // ~4.8 seconds of 5 Mbps traffic
-	s.Schedule(0, func() {
-		c.StartCall(n)
-		src.Start(n)
-	})
-	s.Run(sim.Time(6 * sim.Second))
+	}))
+	s.Run(until)
 	lost := c.Trace().LostWithDeadline(traffic.HighRate.Deadline)
 	if rate := stats.LossRate(lost); rate > 0.02 {
 		t.Errorf("high-rate clean-link loss = %v", rate)
@@ -338,8 +332,7 @@ func TestRecoveryDelaysOnlyFromLossVisits(t *testing.T) {
 	// Keepalive visits must not contribute recovery-delay samples.
 	cfg := Config{AKT: sim.Second, DisableRecovery: true}
 	r := newWiredRig(t, 33, 0, 0, cfg)
-	r.start(400)
-	r.sim.Run(sim.Time(9 * sim.Second))
+	r.call(400, sim.Time(9*sim.Second))
 	if r.client.Stats().KeepaliveSwitches == 0 {
 		t.Fatal("no keepalives")
 	}
@@ -354,8 +347,7 @@ func TestRecoveryDelaysOnlyFromLossVisits(t *testing.T) {
 // for the triggering packet.
 func TestRecoveryEventDecomposition(t *testing.T) {
 	r := newWiredRig(t, 4, 55, 0, Config{})
-	r.start(200)
-	r.sim.Run(sim.Time(10 * sim.Second))
+	r.call(200, sim.Time(10*sim.Second))
 	events := r.client.AppendRecoveryEvents(nil)
 	if len(events) == 0 {
 		t.Fatal("no recovery events on a dead primary")

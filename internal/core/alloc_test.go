@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/sim"
 	"repro/internal/sim/rng"
 	"repro/internal/traffic"
 	"repro/internal/voip"
@@ -11,34 +12,41 @@ import (
 
 // Whole-call allocation ceilings, enforced in CI by scripts/bench.sh smoke
 // next to the scheduler's. A call's object count must not grow with its
-// packet count or its recovery visits: per-packet timers are sim.Train
-// lanes and the client binds a visit's callbacks once, so a 120 s call
-// allocates the same few objects whether it makes 27 recovery visits (the
-// mobility call) or 354 (the weak-link call). Scheduling one event per
-// packet up front instead costs about 6,000 objects per call, a closure
-// per visit callback costs 4 per visit, and scoring a call that builds a
-// per-packet loss slice or a merged trace shows up as any object at all.
+// packet count or its recovery visits: a call's periodic streams (its
+// packets, temporal copies, and the client's checks and keepalives) are
+// sim.Train lanes and the client binds its lanes and a visit's callbacks
+// once, so a 120 s call allocates the same few objects whether it makes 27
+// recovery visits (the mobility call) or 354 (the weak-link call).
+// Scheduling one event per packet instead costs about 6,000 objects per
+// call (as RunTemporal's delayed copies did), a closure per visit callback
+// costs 4 per visit, and scoring a call that builds a per-packet loss
+// slice or a merged trace shows up as any object at all.
 //
-// A call releases its world (simulator, links, APs, wires, client,
-// source), so a call after the first builds it on recycled storage: a
-// DiversiFi call measures 38 objects (mobility) and 33 (weak link), its
+// A call releases its world (simulator with its lane cursors, links, APs,
+// wires, client), so a call after the first builds it on recycled storage:
+// a DiversiFi call measures 31 objects (mobility) and 26 (weak link), its
 // unreleased result's trace and logs included, where it measured 112 and
-// 107 before. With their results released too, the weak-link DiversiFi
-// call measures 946 B and the weak-link dual call 720 B; the dual call
-// measured 59,544 B with a fresh world and its result kept. Each ceiling
-// keeps 41% headroom (as 320 had over 227), so a call that stops
-// releasing its simulator, a link, an AP, a wire or its client fails it;
-// only a source's release (about 150 B) hides in the headroom. Under the
-// race detector sync.Pool drops what it is given at random, so there the
-// object ceilings stay those held before worlds were recycled, and both
+// 107 on fresh worlds, and a RunTemporal call with its traces released
+// measures 15 (63 on a fresh world). With their results released too, the
+// weak-link DiversiFi call measures 842 B and the weak-link dual call
+// 560 B; the dual call measured 59,544 B with a fresh world and its result
+// kept. Each ceiling was set with 41% headroom (as 320 had over 227) over
+// its reading then: 38 and 33 objects, 946 and 720 B, and RunTemporal's 15
+// objects. A call that stops releasing its simulator, an AP, a wire or its
+// client fails them; a link's release (about 330 B) hides in the headroom.
+// Under the race detector sync.Pool drops what it is given at random, so
+// there the object ceilings stay those held before worlds were recycled (a
+// fresh world's count with the same headroom for RunTemporal), and both
 // calls' bytes are held to the dual call's old ceiling.
 const (
 	ceilDiversiFiCall      = 54    // objects per 120 s G.711 ModeCustomAP mobility call
 	ceilWeakLinkCall       = 47    // objects per weak-link call
+	ceilTemporalCall       = 21    // objects per weak-link RunTemporal, Δ = 0 or 100 ms, its traces released
 	ceilDiversiFiCallBytes = 1_340 // bytes per weak-link RunDiversiFi, its result released
 	ceilDualCallBytes      = 1_020 // bytes per weak-link RunDualCall, its result released
 	ceilDiversiFiCallRace  = 320
 	ceilWeakLinkCallRace   = 166
+	ceilTemporalCallRace   = 89
 	ceilCallBytesRace      = 84_000
 	ceilAssess             = 0 // voip.Assess and voip.AssessMerged score in one pass over the traces
 )
@@ -58,9 +66,9 @@ func bytesPerRun(runs int, f func()) float64 {
 }
 
 func TestCallAllocCeiling(t *testing.T) {
-	ceilCall, ceilWeak, ceilWeakBytes, ceilDualBytes := ceilDiversiFiCall, ceilWeakLinkCall, ceilDiversiFiCallBytes, ceilDualCallBytes
+	ceilCall, ceilWeak, ceilTemporal, ceilWeakBytes, ceilDualBytes := ceilDiversiFiCall, ceilWeakLinkCall, ceilTemporalCall, ceilDiversiFiCallBytes, ceilDualCallBytes
 	if raceEnabled {
-		ceilCall, ceilWeak, ceilWeakBytes, ceilDualBytes = ceilDiversiFiCallRace, ceilWeakLinkCallRace, ceilCallBytesRace, ceilCallBytesRace
+		ceilCall, ceilWeak, ceilTemporal, ceilWeakBytes, ceilDualBytes = ceilDiversiFiCallRace, ceilWeakLinkCallRace, ceilTemporalCallRace, ceilCallBytesRace, ceilCallBytesRace
 	}
 	sc := RandomScenario(rng.New(1), ImpMobility, traffic.G711, 1)
 	if sc.PacketCount() != 6000 {
@@ -97,6 +105,18 @@ func TestCallAllocCeiling(t *testing.T) {
 	}
 	if res.Client.RecoverySwitches < 100 {
 		t.Errorf("the weak-link call made %d recovery visits; the ceiling should be measured on a call with hundreds", res.Client.RecoverySwitches)
+	}
+
+	for _, delta := range []sim.Duration{0, 100 * sim.Millisecond} {
+		temporal := testing.AllocsPerRun(5, func() {
+			repl, base := RunTemporal(weak, delta)
+			repl.Release()
+			base.Release()
+		})
+		t.Logf("RunTemporal, Δ = %v, traces released: %.0f objects per call", delta, temporal)
+		if temporal > float64(ceilTemporal) {
+			t.Errorf("RunTemporal at Δ = %v allocates %.0f objects per call, ceiling %d", delta, temporal, ceilTemporal)
+		}
 	}
 
 	weakBytes := bytesPerRun(5, func() { r := RunDiversiFi(weak, DiversiFiOptions{Mode: ModeCustomAP}); r.Release() })

@@ -54,17 +54,16 @@ func RunFEC(sc Scenario, k int) FECResult {
 		raw.RecordArrival(p.Seq, at)
 	})
 
-	s.Train(count, sim.Lane{At: periodic(sc.Profile.Spacing), Fn: func(seq int) {
-		p := pkt.Packet{StreamID: 1, Seq: seq, Size: sc.Profile.PacketBytes, SentAt: s.Now()}
+	s.Train(count, packets(sc.Profile, 0, func(p pkt.Packet) {
 		send(p)
-		if (seq+1)%k == 0 {
+		if (p.Seq+1)%k == 0 {
 			// Emit the block's parity right after its last member; a
 			// partial last block sends none.
-			p.Seq = parityBase + seq/k
+			p.Seq = parityBase + p.Seq/k
 			send(p)
 			paritySent++
 		}
-	}})
+	}))
 	s.Run(sim.Time(sc.Duration + 2*sim.Second))
 
 	// Decode: a block with exactly one missing data packet and a received

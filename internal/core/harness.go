@@ -9,12 +9,14 @@ import (
 	"repro/internal/pkt"
 	"repro/internal/sim"
 	"repro/internal/trace"
+	"repro/internal/traffic"
 )
 
 // Every runner builds its call through this harness: newWorld builds the
 // simulator and the scenario's links, stronger picks the primary, leg
-// builds an AP and the LAN wire that feeds it, and release hands all of it
-// back. The callers name every random stream, so each runner keeps its own.
+// builds an AP and the LAN wire that feeds it, packets is the train lane
+// that sends the call's stream, and release hands all of it back. The
+// callers name every random stream, so each runner keeps its own.
 
 // LAN path parameters used by every deployment: sub-millisecond wired hops.
 const (
@@ -111,8 +113,13 @@ func recorder(tr *trace.Trace) func(pkt.Packet, sim.Time) {
 	return func(p pkt.Packet, at sim.Time) { tr.RecordArrival(p.Seq, at) }
 }
 
-// periodic returns the Train times of a stream with one event every period
-// from t=0.
-func periodic(period sim.Duration) func(int) sim.Time {
-	return func(i int) sim.Time { return sim.Time(i) * sim.Time(period) }
+// packets returns the Train lane that sends a call's stream of profile p to
+// send: packet i (stream 1, Seq i, p's PacketBytes) leaves at start +
+// i·Spacing, its SentAt.
+func packets(p traffic.Profile, start sim.Time, send func(pkt.Packet)) sim.Lane {
+	spacing, size := p.Spacing, p.PacketBytes
+	at := func(i int) sim.Time { return start.Add(sim.Duration(i) * spacing) }
+	return sim.Lane{At: at, Fn: func(i int) {
+		send(pkt.Packet{StreamID: 1, Seq: i, Size: size, SentAt: at(i)})
+	}}
 }

@@ -59,15 +59,14 @@ func RunMultiCall(sc Scenario, n int) []*trace.Trace {
 	for i, l := range linkList {
 		d := string(rune('0' + i))
 		traces[i] = trace.New(count, 0, sc.Profile.Spacing)
-		_, sends[i] = w.leg(l, ap.Config{Name: "m"}, "multilink/ap"+d, "mlan"+d, ap.AlwaysListening{}, recorder(traces[i]))
+		_, sends[i] = w.leg(l, ap.Config{Name: l.Name()}, "multilink/ap"+d, "mlan"+d, ap.AlwaysListening{}, recorder(traces[i]))
 	}
 
-	s.Train(count, sim.Lane{At: periodic(sc.Profile.Spacing), Fn: func(seq int) {
-		p := pkt.Packet{StreamID: 1, Seq: seq, Size: sc.Profile.PacketBytes, SentAt: s.Now()}
+	s.Train(count, packets(sc.Profile, 0, func(p pkt.Packet) {
 		for _, send := range sends {
 			send(p)
 		}
-	}})
+	}))
 
 	// Record RSSI ordering before running (call start).
 	type ranked struct {

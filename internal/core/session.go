@@ -49,8 +49,8 @@ func (d *DualCall) Release() {
 
 // RunDualCall simulates one call received concurrently on both links with
 // a dedicated NIC per link (stock tail-drop APs, client always listening).
-// Its world (simulator, links, APs, wires, source) is released once the
-// result holds only values and its own traces and series.
+// Its world (simulator, links, APs, wires) is released once the result
+// holds only values and its own traces and series.
 func RunDualCall(sc Scenario) DualCall {
 	w := newWorld(sc)
 	defer w.release()
@@ -60,19 +60,21 @@ func RunDualCall(sc Scenario) DualCall {
 	trB := trace.New(count, 0, sc.Profile.Spacing)
 	_, sendA := w.leg(w.A, ap.Config{Name: "A"}, "ap/A", "lanA", ap.AlwaysListening{}, recorder(trA))
 	_, sendB := w.leg(w.B, ap.Config{Name: "B"}, "ap/B", "lanB", ap.AlwaysListening{}, recorder(trB))
-	src := own(w, traffic.NewSource(s, 1, sc.Profile, func(p pkt.Packet) {
+	s.Train(count, packets(sc.Profile, 0, func(p pkt.Packet) {
 		sendA(p)
 		sendB(p)
 	}))
-	s.Schedule(0, func() { src.Start(count) })
 	// One RSSI sample at the start of every second of the call; the train
 	// runs all of them, so every entry is written.
 	seconds := int((sc.Duration + sim.Second - 1) / sim.Second)
 	seriesA, seriesB := rssiSeries.take(seconds), rssiSeries.take(seconds)
-	s.Train(seconds, sim.Lane{At: periodic(sim.Second), Fn: func(i int) {
-		seriesA[i] = w.A.RSSIdBm(s.Now())
-		seriesB[i] = w.B.RSSIdBm(s.Now())
-	}})
+	s.Train(seconds, sim.Lane{
+		At: func(i int) sim.Time { return sim.Time(i) * sim.Time(sim.Second) },
+		Fn: func(i int) {
+			seriesA[i] = w.A.RSSIdBm(s.Now())
+			seriesB[i] = w.B.RSSIdBm(s.Now())
+		},
+	})
 	s.Run(sim.Time(sc.Duration + 2*sim.Second))
 	return DualCall{TraceA: trA, TraceB: trB, RSSIA: rssiA, RSSIB: rssiB,
 		RSSISeriesA: seriesA, RSSISeriesB: seriesB}
@@ -177,8 +179,8 @@ func (a mbAdapter) Release()                 { a.mb.Stop(a.streamID) }
 
 // RunDiversiFi simulates one single-NIC DiversiFi call. The stronger link
 // (by RSSI at call start) becomes the primary, matching §6.1. Its world
-// (simulator, links, APs, wires, client, source) is released once the
-// result holds only values, its trace and copies of the client's logs.
+// (simulator, links, APs, wires, client) is released once the result holds
+// only values, its trace and copies of the client's logs.
 func RunDiversiFi(sc Scenario, opts DiversiFiOptions) DiversiFiResult {
 	w := newWorld(sc)
 	defer w.release()
@@ -230,10 +232,13 @@ func RunDiversiFi(sc Scenario, opts DiversiFiOptions) DiversiFiResult {
 	sw := netsim.NewSDNSwitch(nil)
 	_ = sw.InstallRule(1, netsim.PortFunc(sendPrim), netsim.PortFunc(feedSecondary))
 
-	src := own(w, traffic.NewSource(s, 1, sc.Profile, sw.Receive))
+	// The call starts once the association, if any, completes; the run
+	// ends at horizon, counted from t=0. startCall captures the profile
+	// rather than sc, which would put a copy of sc on the heap per call.
+	prof, horizon := sc.Profile, sim.Time(sc.Duration+2*sim.Second)
 	startCall := func() {
-		c.StartCall(count)
-		src.Start(count)
+		c.StartCall(count, horizon)
+		s.Train(count, packets(prof, s.Now(), sw.Receive))
 	}
 	var assocDelay sim.Duration
 	if opts.FullAssociation {
@@ -280,7 +285,7 @@ func RunDiversiFi(sc Scenario, opts DiversiFiOptions) DiversiFiResult {
 	} else {
 		s.Schedule(0, startCall)
 	}
-	s.Run(sim.Time(assocDelay) + sim.Time(sc.Duration+2*sim.Second))
+	s.Run(horizon)
 
 	cs := c.Stats()
 	res := DiversiFiResult{
@@ -318,12 +323,13 @@ func RunTemporal(sc Scenario, delta sim.Duration) (*trace.Trace, *trace.Trace) {
 			base.RecordArrival(p.Seq, at)
 		}
 	})
-	src := own(w, traffic.NewSource(s, 1, sc.Profile, func(p pkt.Packet) {
+	// Each packet's copy (stream 2) leaves delta after it and keeps its
+	// SentAt; a negative delta sends it with the packet.
+	delta = max(delta, 0)
+	s.Train(count, packets(sc.Profile, 0, send), packets(sc.Profile, sim.Time(delta), func(p pkt.Packet) {
+		p.StreamID, p.SentAt = copyStream, p.SentAt.Add(-delta)
 		send(p)
-		p.StreamID = copyStream
-		s.After(delta, func() { send(p) })
 	}))
-	s.Schedule(0, func() { src.Start(count) })
 	s.Run(sim.Time(sc.Duration + 2*sim.Second))
 	return repl, base
 }
@@ -364,8 +370,7 @@ func RunPriorityCall(sc Scenario, voice bool) *trace.Trace {
 	count := sc.PacketCount()
 	tr := trace.New(count, 0, sc.Profile.Spacing)
 	_, send := w.leg(link, ap.Config{Name: "prio", Voice: voice}, "ap/prio", "prioLan", ap.AlwaysListening{}, recorder(tr))
-	src := own(w, traffic.NewSource(w.s, 1, sc.Profile, send))
-	w.s.Schedule(0, func() { src.Start(count) })
+	w.s.Train(count, packets(sc.Profile, 0, send))
 	w.s.Run(sim.Time(sc.Duration + 2*sim.Second))
 	return tr
 }

@@ -75,11 +75,7 @@ func RunUplink(sc Scenario, diversifi bool) UplinkResult {
 	c.onWire = func(q pkt.Packet) { c.tr.RecordArrival(q.Seq, q.Arrived) }
 
 	// The application hands the client a packet every Spacing.
-	emit := func(seq int) {
-		p := pkt.Packet{StreamID: 1, Seq: seq, Size: sc.Profile.PacketBytes, SentAt: s.Now()}
-		c.enqueue(p)
-	}
-	s.Train(count, sim.Lane{At: periodic(sc.Profile.Spacing), Fn: emit})
+	s.Train(count, packets(sc.Profile, 0, c.enqueue))
 	s.Run(sim.Time(sc.Duration + 2*sim.Second))
 
 	return UplinkResult{Trace: c.tr, Stats: c.stats}

@@ -26,7 +26,7 @@ func Figure7() *Result {
 
 	roles := stats.NewTable("Data/control flow roles",
 		"role", "simulated", "live (loopback UDP)")
-	roles.AddRow("stream source", "traffic.Source", "emu.Sender (DF or RTP framing)")
+	roles.AddRow("stream source", "sim.Train lane (core.packets)", "emu.Sender (DF or RTP framing)")
 	roles.AddRow("replication", "netsim.SDNSwitch", "emu.Replicator")
 	roles.AddRow("WiFi links", "phy.Link + mac.Transmitter + ap.AP", "emu.Link (loss/jitter injection)")
 	roles.AddRow("network-side buffer", "ap.AP PSM queue / netsim.Middlebox", "emu.NewAPEmu / emu.NewMiddlebox")

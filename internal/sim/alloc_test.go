@@ -11,7 +11,6 @@ import "testing"
 const (
 	ceilSchedule = 0 // Schedule + execute, warmed pool
 	ceilCancel   = 0 // Schedule + Stop
-	ceilTick     = 0 // one Ticker period
 	ceilTrain    = 0 // one event of each of two Train lanes, after the Train call
 	ceilRNGDraw  = 0 // one Float64 from a cached stream
 )
@@ -45,15 +44,6 @@ func TestSchedulingAllocCeiling(t *testing.T) {
 	})
 	if cancel > ceilCancel {
 		t.Errorf("schedule+cancel allocates %.1f/op, ceiling %d", cancel, ceilCancel)
-	}
-
-	tk := s.Every(Millisecond, func() {})
-	tick := testing.AllocsPerRun(1000, func() {
-		s.Run(s.Now().Add(Millisecond))
-	})
-	tk.Stop()
-	if tick > ceilTick {
-		t.Errorf("ticker period allocates %.1f/op, ceiling %d", tick, ceilTick)
 	}
 
 	// AllocsPerRun calls its function 1001 times; each call runs one event

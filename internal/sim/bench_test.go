@@ -10,8 +10,8 @@ import (
 // them closure-light so they measure the engine, not the caller.
 
 // BenchmarkScheduleChain measures steady-state self-rescheduling — the
-// shape of every Ticker, source, and MAC callback chain: one live event at
-// a time, schedule → pop → execute → schedule.
+// shape of every MAC and AP callback chain: one live event at a time,
+// schedule → pop → execute → schedule.
 func BenchmarkScheduleChain(b *testing.B) {
 	s := New(1)
 	n := 0
@@ -68,24 +68,6 @@ func BenchmarkScheduleCancel(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-}
-
-// BenchmarkTicker measures the periodic-callback path end to end.
-func BenchmarkTicker(b *testing.B) {
-	s := New(1)
-	n := 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	tk := s.Every(20, func() {
-		n++
-		if n >= b.N {
-			s.Stop()
-		}
-	})
-	s.RunAll()
-	tk.Stop()
-	b.StopTimer()
-	b.ReportMetric(float64(s.Executed())/b.Elapsed().Seconds(), "events/sec")
 }
 
 // BenchmarkRNGFloat64 measures the per-frame random draw the PHY/MAC hot

@@ -27,19 +27,17 @@ func ExampleSimulator() {
 	// stream reproducible: true
 }
 
-// ExampleTicker runs a periodic callback until stopped.
-func ExampleTicker() {
+// ExampleSimulator_Train runs a periodic stream, whose times are fixed
+// when the train is made: three events a second apart.
+func ExampleSimulator_Train() {
 	s := sim.New(1)
-	count := 0
-	var tk *sim.Ticker
-	tk = s.Every(sim.Duration(sim.Second), func() {
-		count++
-		if count == 3 {
-			tk.Stop()
-		}
+	s.Train(3, sim.Lane{
+		At: func(i int) sim.Time { return sim.Time(i+1) * sim.Time(sim.Second) },
+		Fn: func(i int) { fmt.Println("event", i, "at", s.Now()) },
 	})
 	s.Run(sim.Time(10 * sim.Second))
-	fmt.Println("ticks:", count)
 	// Output:
-	// ticks: 3
+	// event 0 at 1000.000ms
+	// event 1 at 2000.000ms
+	// event 2 at 3000.000ms
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/obs"
@@ -27,14 +28,24 @@ func reuse(t *testing.T, seed int64, setup func(*Simulator)) *Simulator {
 // TestRecycledSimulatorMatchesFresh: a recycled simulator starts as a fresh
 // one does: clock at 0, nothing pending, and every named stream re-seeded
 // from the new seed, whatever the released one had drawn and left queued.
+// Release drops its trains' At and Fn, and the next run's Train takes their
+// lane cursors instead of allocating new ones.
 func TestRecycledSimulatorMatchesFresh(t *testing.T) {
+	everySecond := Lane{At: func(i int) Time { return Time(i+1) * Time(Second) }, Fn: func(int) {}}
+	var cursors []*trainLane
 	s := reuse(t, 9, func(s *Simulator) {
 		s.RNG("a").Float64()
 		s.RNG("b").NormFloat64() // leaves a cached second deviate behind
 		s.Schedule(5, func() {})
-		s.Every(Second, func() {})
+		s.Train(10, everySecond, everySecond)
 		s.Run(3 * Time(Second))
+		cursors = slices.Clone(s.lanes)
 	})
+	for i, tl := range cursors {
+		if tl.At != nil || tl.Fn != nil {
+			t.Errorf("lane %d of the released simulator kept its At or Fn", i)
+		}
+	}
 	fresh := New(9)
 	if s.Now() != 0 || s.Pending() != 0 || s.Executed() != 0 || s.Seed() != 9 {
 		t.Fatalf("recycled simulator: now %v, %d pending, %d executed, seed %d", s.Now(), s.Pending(), s.Executed(), s.Seed())
@@ -48,6 +59,14 @@ func TestRecycledSimulatorMatchesFresh(t *testing.T) {
 	}
 	if s.RunAll(); s.Executed() != 0 {
 		t.Errorf("recycled simulator ran %d events the released one left queued", s.Executed())
+	}
+	ran := 0
+	s.Train(2, Lane{At: everySecond.At, Fn: func(int) { ran++ }}, everySecond)
+	if !slices.Equal(s.lanes, cursors) {
+		t.Errorf("the recycled simulator's Train allocated lane cursors %v, not the released ones %v", s.lanes, cursors)
+	}
+	if s.RunAll(); ran != 2 || s.Executed() != 4 {
+		t.Errorf("a train on recycled lane cursors ran %d of its first lane's events and %d in all, want 2 and 4", ran, s.Executed())
 	}
 }
 

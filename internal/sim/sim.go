@@ -14,9 +14,10 @@
 // when it surfaces).
 //
 // A simulator is recyclable: Release hands it and its storage (heap, slot
-// pool, named streams) to a pool that New draws from, so a process that
-// runs call after call reuses one world's storage instead of growing a new
-// one each time (see docs/PERFORMANCE.md, "Recycled call worlds").
+// pool, Train lane cursors, named streams) to a pool that New draws from,
+// so a process that runs call after call reuses one world's storage
+// instead of growing a new one each time (see docs/PERFORMANCE.md,
+// "Recycled call worlds").
 package sim
 
 import (
@@ -152,6 +153,10 @@ type Simulator struct {
 
 	executed uint64 // total events run, for diagnostics
 
+	// lanes holds the cursors of the Train lanes made since New and, past
+	// its length, those a released run left for the next Train to take.
+	lanes []*trainLane
+
 	// obs is the observability registry threaded through every substrate
 	// built on this simulator (nil = disabled; all hooks become no-ops).
 	obs     *obs.Registry
@@ -172,10 +177,11 @@ var released sync.Pool
 
 // New returns a Simulator whose random streams derive from seed. It
 // reuses a released simulator when one is pooled, reset to exactly what a
-// fresh one is: empty heap and slot pool, clock at 0, every named stream
-// re-seeded from seed and its name, and the registry ObsProvider gives now
-// (none when it is nil). Only the sequence counter carries over, which
-// orders events relative to each other and so moves no result.
+// fresh one is: empty heap and slot pool, no Train lanes (their cursors
+// kept for the next Train), clock at 0, every named stream re-seeded from
+// seed and its name, and the registry ObsProvider gives now (none when it
+// is nil). Only the sequence counter carries over, which orders events
+// relative to each other and so moves no result.
 func New(seed int64) *Simulator {
 	s, _ := released.Get().(*Simulator)
 	if s == nil {
@@ -185,6 +191,7 @@ func New(seed int64) *Simulator {
 		seq:      s.seq,
 		heap:     s.heap[:0],
 		slots:    s.slots[:0],
+		lanes:    s.lanes[:0],
 		freeHead: -1,
 		seed:     seed,
 		streams:  s.streams,
@@ -200,15 +207,19 @@ func New(seed int64) *Simulator {
 
 // Release hands s and its storage to the pool New draws from. Only the
 // owner of a call's whole world may call it, once nothing built on s will
-// run or be read again: its streams, timers and tickers go with it. It
-// drops every callback still scheduled, so the pool pins nothing of the
-// call. Release on nil or on a released simulator does nothing.
+// run or be read again: its streams, timers and trains go with it. It
+// drops every callback still scheduled and every lane's At and Fn, so the
+// pool pins nothing of the call. Release on nil or on a released simulator
+// does nothing.
 func (s *Simulator) Release() {
 	if s == nil || s.released {
 		return
 	}
 	clear(s.slots)
-	s.slots, s.heap = s.slots[:0], s.heap[:0]
+	for _, tl := range s.lanes {
+		tl.Lane = Lane{}
+	}
+	s.slots, s.heap, s.lanes = s.slots[:0], s.heap[:0], s.lanes[:0]
 	s.obs, s.evCount, s.series = nil, nil, nil
 	s.released = true
 	released.Put(s)
@@ -355,11 +366,12 @@ type Lane struct {
 //
 // It reserves that loop's block of sequence numbers up front (event i of
 // lane j gets base + i·len(lanes) + j) but materializes the events lazily:
-// each lane holds one heap entry, one slot and one closure, and pushes
+// each lane holds one heap entry, one slot and one cursor, and pushes
 // event i+1 when event i runs. A per-packet timer armed for a whole call
 // therefore costs one heap entry instead of growing the heap and slot pool
-// to the packet count. An event that would fall before Now panics, as
-// Schedule does.
+// to the packet count, and a recycled simulator's Train takes the cursors
+// of the released run's lanes, so it allocates nothing. An event that
+// would fall before Now panics, as Schedule does.
 func (s *Simulator) Train(n int, lanes ...Lane) {
 	k := len(lanes)
 	if n <= 0 || k == 0 {
@@ -369,10 +381,23 @@ func (s *Simulator) Train(n int, lanes ...Lane) {
 	s.seq += uint64(n) * uint64(k)
 	s.live += n * k
 	for j, l := range lanes {
-		tl := &trainLane{Lane: l, s: s, n: n, stride: uint64(k), seq: base + uint64(j)}
-		tl.run = tl.step
+		tl := s.cursor()
+		*tl = trainLane{Lane: l, s: s, n: n, stride: uint64(k), seq: base + uint64(j), run: tl.run}
 		tl.push()
 	}
+}
+
+// cursor returns a cursor for a new Train lane: one a released run's lane
+// left behind, or a new one with its step bound.
+func (s *Simulator) cursor() *trainLane {
+	if n := len(s.lanes); n < cap(s.lanes) && s.lanes[:n+1][n] != nil {
+		s.lanes = s.lanes[:n+1]
+		return s.lanes[n]
+	}
+	tl := new(trainLane)
+	tl.run = tl.step
+	s.lanes = append(s.lanes, tl)
+	return tl
 }
 
 // trainLane is the cursor of one Train lane: event i is the one in the heap.
@@ -482,45 +507,3 @@ func (s *Simulator) RunAll() Time {
 
 // Pending returns the number of live events still queued.
 func (s *Simulator) Pending() int { return s.live }
-
-// Every schedules fn to run every period, starting one period from now,
-// until the returned Ticker is stopped. Periods must be positive.
-func (s *Simulator) Every(period Duration, fn func()) *Ticker {
-	if period <= 0 {
-		panic("sim: non-positive ticker period")
-	}
-	t := &Ticker{sim: s, period: period, fn: fn}
-	// The tick closure is built once and re-armed by reference, so a
-	// long-running ticker costs zero allocations per tick.
-	t.tick = func() {
-		if t.stopped {
-			return
-		}
-		t.fn()
-		if !t.stopped {
-			t.arm()
-		}
-	}
-	t.arm()
-	return t
-}
-
-// Ticker repeatedly schedules a callback at a fixed period.
-type Ticker struct {
-	sim     *Simulator
-	period  Duration
-	fn      func()
-	tick    func()
-	timer   Timer
-	stopped bool
-}
-
-func (t *Ticker) arm() {
-	t.timer = t.sim.After(t.period, t.tick)
-}
-
-// Stop cancels future ticks.
-func (t *Ticker) Stop() {
-	t.stopped = true
-	t.timer.Stop()
-}

@@ -196,37 +196,6 @@ func TestRNGStreamIndependence(t *testing.T) {
 	}
 }
 
-func TestTicker(t *testing.T) {
-	s := New(1)
-	var ticks []Time
-	var tk *Ticker
-	tk = s.Every(10, func() {
-		ticks = append(ticks, s.Now())
-		if len(ticks) == 3 {
-			tk.Stop()
-		}
-	})
-	s.Run(1000)
-	if len(ticks) != 3 {
-		t.Fatalf("got %d ticks, want 3", len(ticks))
-	}
-	want := []Time{10, 20, 30}
-	for i, w := range want {
-		if ticks[i] != w {
-			t.Fatalf("tick %d at %v, want %v", i, ticks[i], w)
-		}
-	}
-}
-
-func TestTickerZeroPeriodPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Every(0) did not panic")
-		}
-	}()
-	New(1).Every(0, func() {})
-}
-
 func TestTimeArithmetic(t *testing.T) {
 	tm := Time(1000)
 	if tm.Add(500) != 1500 {
